@@ -20,6 +20,12 @@ is proportional in k to the difference row F(n+1, k) - F(n, k).  The checks:
   * base_case / row_sum -- sum_k F(0, k) = 1 and sum_k F(n, k) = 1.
 
 All checks are exact; there is no tolerance anywhere.
+
+Every value is computed once per sample.  Summands, closed forms, F and the
+certificate's u and v are read through ``sample_value``, a memo of the
+current parameter point that ``corpus.admissible`` fills while it probes the
+sample.  The checks then reuse the probe's summands and closed forms, and
+each other's F, u and v values, instead of evaluating them again.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Callable, Mapping
 
 from .errors import Inadmissible, NoCertificate
 from .rational import ONE, ZERO, format_rational
-from .report import FAIL, PASS, CheckRecord
+from .report import FAIL, INADMISSIBLE, PASS, CheckRecord
 
 Params = Mapping[str, object]
 CertFn = Callable[[int, int, Params], Fraction]
@@ -54,6 +60,39 @@ class NormalizedIdentity:
     citation: str = ""
 
 
+class SampleMemo:
+    """Values f(*args, params) of pure functions at one parameter point.
+
+    A value is computed at its first request and served from the memo after
+    that.  The key is the function object and its leading arguments, never
+    an identity's name, so two different functions (a certificate and its
+    mutation, a summand and a skewed F) never share values.  Only the current
+    point's values are held: a request at other parameter values drops them.
+    An evaluation that raises stores nothing, so it raises again, with the
+    same message, at every call that asks for it.
+    """
+
+    def __init__(self) -> None:
+        self.point: tuple | None = None
+        self.values: dict[tuple, Fraction] = {}
+
+    def __call__(self, fn: Callable[..., Fraction], *args) -> Fraction:
+        point = tuple(args[-1].items())
+        if point != self.point:
+            self.point, self.values = point, {}
+        values = self.values
+        key = (fn, *args[:-1])
+        if key not in values:
+            values[key] = fn(*args)
+        return values[key]
+
+
+#: The memo every evaluation of a summand, closed form, F, u or v goes through.
+#: It is one per process because term, rhs, F, u and v keep their
+#: (..., params) signatures; keying by function and point keeps callers apart.
+sample_value = SampleMemo()
+
+
 def _witness(params: Params, **extra: object) -> dict[str, str]:
     out: dict[str, str] = {}
     for name, value in params.items():
@@ -66,23 +105,31 @@ def _witness(params: Params, **extra: object) -> dict[str, str]:
     return out
 
 
+def _row_fn(idn: NormalizedIdentity, params: Params) -> Callable[[int, int], Fraction]:
+    """F(n, k) at params, through the sample memo."""
+    return lambda n, k: sample_value(idn.F, n, k, params)
+
+
 def telescoping_row(cert: Certificate, n: int, params: Params, k_max: int) -> list[Fraction]:
     """T(n, k) for k = 0..k_max, built with running products."""
-    u0 = cert.u(n, 0, params)
-    v0 = cert.v(n, 0, params)
-    w0 = u0 - v0
+    def u(k: int) -> Fraction:
+        return sample_value(cert.u, n, k, params)
+
+    def v(k: int) -> Fraction:
+        return sample_value(cert.v, n, k, params)
+
+    w0 = u(0) - v(0)
     if w0 == 0:
         raise Inadmissible(f"certificate for n={n} has w(n,0) = 0")
     row = []
     ratio = ONE
     for k in range(k_max + 1):
         if k > 0:
-            vk = cert.v(n, k, params)
+            vk = v(k)
             if vk == 0:
                 raise Inadmissible(f"certificate for n={n} has v(n,{k}) = 0")
-            ratio = ratio * cert.u(n, k - 1, params) / vk
-        wk = cert.u(n, k, params) - cert.v(n, k, params)
-        row.append(wk / w0 * ratio)
+            ratio = ratio * u(k - 1) / vk
+        row.append((u(k) - v(k)) / w0 * ratio)
     return row
 
 
@@ -91,10 +138,11 @@ def difference_check(idn: NormalizedIdentity, n: int, params: Params,
     """Verify F(n+1,k) - F(n,k) = c(n) * T(n,k) for every 0 <= k <= n+1."""
     if idn.certificate is None:
         raise NoCertificate(idn.key)
+    F = _row_fn(idn, params)
     t_row = telescoping_row(idn.certificate, n, params, n + 1)
-    c = idn.F(n + 1, 0, params) - idn.F(n, 0, params)  # T(n, 0) = 1
+    c = F(n + 1, 0) - F(n, 0)  # T(n, 0) = 1
     for k in range(n + 2):
-        diff = idn.F(n + 1, k, params) - idn.F(n, k, params)
+        diff = F(n + 1, k) - F(n, k)
         if diff != c * t_row[k]:
             return [CheckRecord(
                 suite=suite, identity=idn.key, check="difference", status=FAIL,
@@ -109,10 +157,11 @@ def difference_check(idn: NormalizedIdentity, n: int, params: Params,
 def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
                             suite: str = "ez", sample: int | None = None) -> list[CheckRecord]:
     """Difference row sums to zero; u(n, n+1) and v(n, 0) vanish."""
-    if idn.certificate is None:
+    cert = idn.certificate
+    if cert is None:
         raise NoCertificate(idn.key)
-    u_top = idn.certificate.u(n, n + 1, params)
-    v_bot = idn.certificate.v(n, 0, params)
+    u_top = sample_value(cert.u, n, n + 1, params)
+    v_bot = sample_value(cert.v, n, 0, params)
     if u_top != 0 or v_bot != 0:
         return [CheckRecord(
             suite=suite, identity=idn.key, check="telescope_zero", status=FAIL,
@@ -120,7 +169,8 @@ def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
             witness=_witness(params, u_at_n_plus_1=u_top, v_at_0=v_bot),
             citation=idn.citation,
         )]
-    total = sum((idn.F(n + 1, k, params) - idn.F(n, k, params) for k in range(n + 2)), ZERO)
+    F = _row_fn(idn, params)
+    total = sum((F(n + 1, k) - F(n, k) for k in range(n + 2)), ZERO)
     if total != 0:
         return [CheckRecord(
             suite=suite, identity=idn.key, check="telescope_zero", status=FAIL,
@@ -135,7 +185,8 @@ def row_sum_check(idn: NormalizedIdentity, n: int, params: Params,
                   suite: str = "ez", sample: int | None = None,
                   check: str = "row_sum") -> list[CheckRecord]:
     """sum_{k=0}^{n} F(n, k) = 1 (check="base_case" is the n = 0 instance)."""
-    total = sum((idn.F(n, k, params) for k in range(n + 1)), ZERO)
+    F = _row_fn(idn, params)
+    total = sum((F(n, k) for k in range(n + 1)), ZERO)
     if total != 1:
         return [CheckRecord(
             suite=suite, identity=idn.key, check=check, status=FAIL,
@@ -154,23 +205,27 @@ def verify_sample(idn: NormalizedIdentity, n_max: int, params: Params,
     and the checks disagree) is recorded as such, never as a failure, and
     the remaining checks still run.
     """
-    records = row_sum_check(idn, 0, params, suite, sample, check="base_case")
+    records: list[CheckRecord] = []
+
+    def run(check_name: str, n: int, fn: Callable[..., list[CheckRecord]],
+            **kwargs: str) -> None:
+        try:
+            records.extend(fn(idn, n, params, suite, sample, **kwargs))
+        except Inadmissible as exc:
+            records.append(CheckRecord(
+                suite=suite, identity=idn.key, check=check_name,
+                status=INADMISSIBLE, n=n, sample=sample,
+                witness=_witness(params, reason=str(exc)),
+                citation=idn.citation,
+            ))
+
+    run("base_case", 0, row_sum_check, check="base_case")
     for n in range(n_max + 1):
         if n > 0:
-            records += row_sum_check(idn, n, params, suite, sample)
-        if idn.certificate is None:
-            continue
-        for check_name, check in (("difference", difference_check),
-                                  ("telescope_zero", telescope_to_zero_check)):
-            try:
-                records += check(idn, n, params, suite, sample)
-            except Inadmissible as exc:
-                records.append(CheckRecord(
-                    suite=suite, identity=idn.key, check=check_name,
-                    status="inadmissible", n=n, sample=sample,
-                    witness=_witness(params, reason=str(exc)),
-                    citation=idn.citation,
-                ))
+            run("row_sum", n, row_sum_check)
+        if idn.certificate is not None:
+            run("difference", n, difference_check)
+            run("telescope_zero", n, telescope_to_zero_check)
     return records
 
 
@@ -178,8 +233,9 @@ def natural_termination_check(idn: NormalizedIdentity, n: int, params: Params,
                               suite: str = "ez", sample: int | None = None,
                               overshoot: int = 3) -> list[CheckRecord]:
     """F(n, k) = 0 for n < k <= n + overshoot (the zero-factor mechanism)."""
+    F = _row_fn(idn, params)
     for k in range(n + 1, n + overshoot + 1):
-        value = idn.F(n, k, params)
+        value = F(n, k)
         if value != 0:
             return [CheckRecord(
                 suite=suite, identity=idn.key, check="termination", status=FAIL,

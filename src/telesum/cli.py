@@ -7,10 +7,11 @@
     telesum check --config FILE [--n-max N] [--samples S] [--seed X]
                   [--format text|json]
 
-Exit codes: 0 every check passed, 1 at least one failure, 2 usage or
-config error.  For a fixed (suite, seed, flags) triple the JSON report is
-byte-identical across runs and worker counts; the default seed is fixed so
-CI runs are reproducible.
+Exit codes: 0 every check passed, 1 at least one failure or no check at
+all, 2 usage or config error (including --samples < 1 and --n-max < 0).
+For a fixed (suite, seed, flags) triple the JSON report is byte-identical
+across runs and worker counts; the default seed is fixed so CI runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -102,7 +103,20 @@ def _emit(report: Report, fmt: str, flags: dict, out) -> int:
         out.write(report.to_json(flags))
     else:
         _render_text(report, out)
+    if not report.records:
+        print("error: no checks were run", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAIL
+
+
+def _flag_error(args: argparse.Namespace) -> str | None:
+    """Why the counts asked for would make a vacuous or invalid run, if they do."""
+    if getattr(args, "jobs", 1) < 1:
+        return "--jobs must be >= 1"
+    if args.samples is not None and args.samples < 1:
+        return "--samples must be >= 1"
+    if args.n_max is not None and args.n_max < 0:
+        return "--n-max must be >= 0"
+    return None
 
 
 def _run_list(out) -> int:
@@ -136,10 +150,12 @@ def main(argv: list[str] | None = None, out=None) -> int:
     if args.command == "list":
         return _run_list(out)
 
+    problem = _flag_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
+
     if args.command == "verify":
-        if args.jobs < 1:
-            print("error: --jobs must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         try:
             report = run_suite(args.suite, ids=args.ids, n_max=args.n_max,
                                samples=args.samples, seed=args.seed,

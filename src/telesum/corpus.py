@@ -17,6 +17,10 @@ Conventions:
     value stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.
+
+Summands and closed forms are read through ``certify.sample_value``, so the
+admissibility probe evaluates each term(n, k) and rhs(n) of a sample once,
+and ``evaluate_identity`` and ``normalized(...).F`` reuse those values.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .certify import Certificate, NormalizedIdentity
+from .certify import Certificate, NormalizedIdentity, sample_value
 from .errors import Inadmissible, SampleExhausted
 from .rational import ONE, ZERO, rat_div, rat_pow
 from .sampling import (RETRY_BOUND, sample_int, sample_q, sample_rational,
@@ -89,15 +93,15 @@ class IdentityDef:
 def evaluate_identity(idef: IdentityDef, n: int, params: Params) -> tuple[Fraction, Fraction]:
     """(LHS sum, RHS closed form); equality is the caller's assertion."""
     lo, hi = idef.sum_range(n)
-    lhs = sum((idef.term(n, k, params) for k in range(lo, hi + 1)), ZERO)
-    return lhs, idef.rhs(n, params)
+    lhs = sum((sample_value(idef.term, n, k, params) for k in range(lo, hi + 1)), ZERO)
+    return lhs, sample_value(idef.rhs, n, params)
 
 
 def normalized(idef: IdentityDef) -> NormalizedIdentity:
     """The identity divided through by its right side: sum_k F(n, k) = 1."""
 
     def F(n: int, k: int, params: Params) -> Fraction:
-        return rat_div(idef.term(n, k, params), idef.rhs(n, params))
+        return rat_div(sample_value(idef.term, n, k, params), sample_value(idef.rhs, n, params))
 
     return NormalizedIdentity(key=idef.key, F=F, certificate=idef.certificate,
                               citation=idef.citation)
@@ -127,25 +131,26 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
     Covers the summand over the summation range (plus a 3-term overshoot for
     terminating sums), the right side up to n_max + 1, and, when a
     certificate is present: F's normalization (rhs != 0), w(n, 0) != 0, and
-    v(n, k) != 0 for 1 <= k <= n + 1.
+    v(n, k) != 0 for 1 <= k <= n + 1.  The probed values stay in the sample
+    memo, where the checks of an accepted sample find them.
     """
     overshoot = 3 if idef.terminating else 0
     try:
         for n in range(n_max + 2):
-            r = idef.rhs(n, params)
+            r = sample_value(idef.rhs, n, params)
             if idef.certificate is not None and r == 0:
                 return False
             lo, hi = idef.sum_range(n)
             for k in range(lo, hi + 1 + overshoot):
-                idef.term(n, k, params)
+                sample_value(idef.term, n, k, params)
         if idef.certificate is not None:
             cert = idef.certificate
             for n in range(n_max + 1):
-                if cert.u(n, 0, params) - cert.v(n, 0, params) == 0:
+                if sample_value(cert.u, n, 0, params) - sample_value(cert.v, n, 0, params) == 0:
                     return False
-                cert.u(n, n + 1, params)
+                sample_value(cert.u, n, n + 1, params)
                 for k in range(1, n + 2):
-                    if cert.v(n, k, params) == 0:
+                    if sample_value(cert.v, n, k, params) == 0:
                         return False
         return True
     except Inadmissible:

@@ -61,14 +61,11 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return all(r.status != FAIL for r in self.records)
+        """At least one check ran and none failed; an empty run proves nothing."""
+        return bool(self.records) and all(r.status != FAIL for r in self.records)
 
     def failures(self) -> list[CheckRecord]:
         return [r for r in self.sorted_records() if r.status == FAIL]
-
-    def first_counterexample(self) -> CheckRecord | None:
-        fails = self.failures()
-        return fails[0] if fails else None
 
     def to_json_dict(self, flags: dict | None = None) -> dict:
         totals = self.totals()
@@ -96,11 +93,3 @@ class Report:
     def to_json(self, flags: dict | None = None) -> str:
         return json.dumps(self.to_json_dict(flags), sort_keys=True, separators=(",", ":")) + "\n"
 
-
-def merge_reports(suite: str, seed: int, parts: list[Report]) -> Report:
-    merged = Report(suite=suite, seed=seed)
-    for part in parts:
-        merged.extend(part.records)
-        merged.wall_time += part.wall_time
-    merged.records = merged.sorted_records()
-    return merged

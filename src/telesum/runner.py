@@ -8,19 +8,20 @@ count.  Items are small picklable tuples, safe for a process pool.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
+from typing import Callable
 
 from . import elementary as elementary_mod
 from . import genhyp as genhyp_mod
 from . import sequences as sequences_mod
-from .certify import natural_termination_check, verify_sample
-from .corpus import (CERTIFIED_KEYS, CORPUS, draw_admissible, evaluate_identity,
-                     normalized, specialization_d_zero_checks)
+from .certify import _witness, natural_termination_check, verify_sample
+from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, draw_admissible,
+                     evaluate_identity, normalized, specialization_d_zero_checks)
 from .errors import Inadmissible, PoleExhausted, SampleExhausted
 from .rational import format_rational
-from .report import FAIL, PASS, CheckRecord, Report, merge_reports
+from .report import FAIL, INADMISSIBLE, PASS, CheckRecord, Report
 from .sampling import RETRY_BOUND, rng_for, sample_q, sample_rational
 
 SUITES = ("corpus", "ez", "sequences", "genhyp", "elementary")
@@ -47,16 +48,44 @@ def suite_items(suite: str) -> list[str]:
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def _witness_params(params) -> dict[str, str]:
-    out = {}
-    for name, value in params.items():
-        if isinstance(value, tuple):
-            out[name] = "(" + ", ".join(format_rational(v) for v in value) + ")"
-        elif isinstance(value, Fraction):
-            out[name] = format_rational(value)
+def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int, seed: int,
+           checks: Callable[[dict, int | None], list[CheckRecord]]) -> list[CheckRecord]:
+    """checks(params, sample) on each admissible sample of one identity.
+
+    Sample i draws from the stream (seed, suite, key, i); an identity
+    without parameters has the one sample None.
+    """
+    records: list[CheckRecord] = []
+    for i in range(samples if idef.params else 1):
+        rng = rng_for(seed, suite, idef.key, i)
+        sample = i if idef.params else None
+        try:
+            params = draw_admissible(idef, rng, n_max)
+        except SampleExhausted as exc:
+            records.append(CheckRecord(suite=suite, identity=idef.key, check="sampling",
+                                       status=FAIL, sample=sample,
+                                       witness={"reason": str(exc)}, citation=idef.citation))
+            continue
+        records.extend(checks(params, sample))
+    return records
+
+
+def _identity_rows(idef: IdentityDef, suite: str, n_max: int, params: dict,
+                   sample: int | None) -> list[CheckRecord]:
+    """LHS = RHS for 0 <= n <= n_max; a zero denominator marks that row inadmissible."""
+    records = []
+    for n in range(n_max + 1):
+        try:
+            lhs, rhs = evaluate_identity(idef, n, params)
+        except Inadmissible as exc:
+            status, witness = INADMISSIBLE, {"reason": str(exc)}
         else:
-            out[name] = str(value)
-    return out
+            status = PASS if lhs == rhs else FAIL
+            witness = None if status == PASS else _witness(params, lhs=lhs, rhs=rhs)
+        records.append(CheckRecord(suite=suite, identity=idef.key, check="identity",
+                                   status=status, n=n, sample=sample,
+                                   witness=witness, citation=idef.citation))
+    return records
 
 
 def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -64,32 +93,16 @@ def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
         return _run_specialization(samples, seed)
     idef = CORPUS[key]
     eff_n = idef.n_max if n_max is None else n_max
-    records: list[CheckRecord] = []
-    count = samples if idef.params else 1
-    for i in range(count):
-        rng = rng_for(seed, "corpus", key, i)
-        sample = i if idef.params else None
-        try:
-            params = draw_admissible(idef, rng, eff_n)
-        except SampleExhausted as exc:
-            records.append(CheckRecord(suite="corpus", identity=key, check="sampling",
-                                       status=FAIL, sample=sample,
-                                       witness={"reason": str(exc)}, citation=idef.citation))
-            continue
-        for n in range(eff_n + 1):
-            lhs, rhs = evaluate_identity(idef, n, params)
-            status = PASS if lhs == rhs else FAIL
-            witness = None
-            if status == FAIL:
-                witness = _witness_params(params)
-                witness.update(lhs=format_rational(lhs), rhs=format_rational(rhs))
-            records.append(CheckRecord(suite="corpus", identity=key, check="identity",
-                                       status=status, n=n, sample=sample,
-                                       witness=witness, citation=idef.citation))
+    idn = normalized(idef)
+
+    def checks(params, sample):
+        records = _identity_rows(idef, "corpus", eff_n, params, sample)
         if idef.terminating:
-            records.extend(natural_termination_check(
-                normalized(idef), eff_n, params, suite="corpus", sample=sample))
-    return records
+            records += natural_termination_check(idn, eff_n, params, suite="corpus",
+                                                 sample=sample)
+        return records
+
+    return _sweep(idef, "corpus", eff_n, samples, seed, checks)
 
 
 def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
@@ -117,9 +130,7 @@ def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
         status = PASS if not bad else FAIL
         witness = None
         if bad:
-            witness = _witness_params(point)
-            witness["q"] = format_rational(q)
-            witness["failed"] = ",".join(bad)
+            witness = _witness(point, q=q, failed=",".join(bad))
         records.append(CheckRecord(suite="corpus", identity=SPECIALIZATION_KEY,
                                    check="specialization", status=status, sample=i,
                                    witness=witness, citation=citation))
@@ -130,20 +141,9 @@ def run_ez_item(key: str, n_max: int | None, samples: int, seed: int) -> list[Ch
     idef = CORPUS[key]
     eff_n = EZ_DEFAULT_N_MAX if n_max is None else n_max
     idn = normalized(idef)
-    records: list[CheckRecord] = []
-    count = samples if idef.params else 1
-    for i in range(count):
-        rng = rng_for(seed, "ez", key, i)
-        sample = i if idef.params else None
-        try:
-            params = draw_admissible(idef, rng, eff_n)
-        except SampleExhausted as exc:
-            records.append(CheckRecord(suite="ez", identity=key, check="sampling",
-                                       status=FAIL, sample=sample,
-                                       witness={"reason": str(exc)}, citation=idef.citation))
-            continue
-        records.extend(verify_sample(idn, eff_n, params, suite="ez", sample=sample))
-    return records
+    return _sweep(idef, "ez", eff_n, samples, seed,
+                  lambda params, sample: verify_sample(idn, eff_n, params, suite="ez",
+                                                       sample=sample))
 
 
 def run_sequences_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -228,6 +228,11 @@ def _execute_item(task: tuple) -> list[CheckRecord]:
     raise ValueError(f"unknown suite {suite!r}")
 
 
+def pool_size(jobs: int, n_tasks: int) -> int:
+    """Worker processes for a run: never more than the tasks or the CPUs."""
+    return min(jobs, n_tasks, os.cpu_count() or 1)
+
+
 def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None,
               samples: int | None = None, seed: int = DEFAULT_SEED,
               grid: bool = False, jobs: int = 1) -> Report:
@@ -246,8 +251,9 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
         for missing in set(ids) - known:
             raise KeyError(f"unknown id {missing!r} in suite {suite!r}")
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = pool_size(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_execute_item, tasks))
     else:
         chunks = [_execute_item(task) for task in tasks]
@@ -267,44 +273,16 @@ def run_config_identity(idef, n_max: int | None = None, samples: int | None = No
     started = time.perf_counter()
     eff_n = idef.n_max if n_max is None else n_max
     eff_samples = 16 if samples is None else samples
-    records: list[CheckRecord] = []
-    count = eff_samples if idef.params else 1
-    for i in range(count):
-        rng = rng_for(seed, "check", idef.key, i)
-        sample = i if idef.params else None
-        try:
-            params = draw_admissible(idef, rng, eff_n)
-        except SampleExhausted as exc:
-            records.append(CheckRecord(suite="check", identity=idef.key, check="sampling",
-                                       status=FAIL, sample=sample,
-                                       witness={"reason": str(exc)}, citation=idef.citation))
-            continue
-        for n in range(eff_n + 1):
-            try:
-                lhs, rhs = evaluate_identity(idef, n, params)
-            except Inadmissible as exc:
-                records.append(CheckRecord(suite="check", identity=idef.key, check="identity",
-                                           status="inadmissible", n=n, sample=sample,
-                                           witness={"reason": str(exc)},
-                                           citation=idef.citation))
-                continue
-            status = PASS if lhs == rhs else FAIL
-            witness = None
-            if status == FAIL:
-                witness = _witness_params(params)
-                witness.update(lhs=format_rational(lhs), rhs=format_rational(rhs))
-            records.append(CheckRecord(suite="check", identity=idef.key, check="identity",
-                                       status=status, n=n, sample=sample,
-                                       witness=witness, citation=idef.citation))
+    idn = normalized(idef)
+
+    def checks(params, sample):
+        records = _identity_rows(idef, "check", eff_n, params, sample)
         if idef.certificate is not None:
-            records.extend(verify_sample(normalized(idef), eff_n, params,
-                                         suite="check", sample=sample))
+            records += verify_sample(idn, eff_n, params, suite="check", sample=sample)
+        return records
+
     report = Report(suite="check", seed=seed, records=[])
-    report.extend(records)
+    report.extend(_sweep(idef, "check", eff_n, eff_samples, seed, checks))
     report.records = report.sorted_records()
     report.wall_time = time.perf_counter() - started
     return report
-
-
-def merge(suite: str, seed: int, parts: list[Report]) -> Report:
-    return merge_reports(suite, seed, parts)

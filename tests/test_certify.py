@@ -1,13 +1,15 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from telesum.certify import (Certificate, NormalizedIdentity, difference_check,
+from telesum.certify import (Certificate, NormalizedIdentity, SampleMemo, difference_check,
                              natural_termination_check, row_sum_check,
                              telescope_to_zero_check, verify_sample)
 from telesum.corpus import CERTIFIED_KEYS, CORPUS, draw_admissible, normalized
-from telesum.errors import NoCertificate
-from telesum.report import FAIL, PASS
+from telesum.errors import Inadmissible, NoCertificate
+from telesum.report import FAIL, INADMISSIBLE, PASS
 from telesum.sampling import rng_for
 
 
@@ -141,3 +143,86 @@ def test_proportionality_constant_consistent_across_k():
     params = draw_admissible(idef, rng, 5)
     for n in range(6):
         assert all_pass(difference_check(normalized(idef), n, params))
+
+
+def test_sample_memo_keys_by_function_and_point():
+    memo = SampleMemo()
+    calls = Counter()
+
+    def double(n, p):
+        calls["double"] += 1
+        return 2 * n * p["x"]
+
+    def triple(n, p):
+        calls["triple"] += 1
+        return 3 * n * p["x"]
+
+    def pole(n, p):
+        calls["pole"] += 1
+        raise Inadmissible(f"pole at n={n}")
+
+    point = {"x": F(1, 2)}
+    assert memo(double, 4, point) == memo(double, 4, dict(point)) == 4
+    assert memo(triple, 4, point) == 6  # another function never gets double's value
+    assert calls == {"double": 1, "triple": 1}
+    for _ in range(2):  # a raise is not stored: it raises again, with its message
+        with pytest.raises(Inadmissible, match="pole at n=4"):
+            memo(pole, 4, point)
+    assert calls["pole"] == 2
+    assert memo(double, 4, {"x": F(3)}) == 24  # a new point drops the old values
+    assert memo(double, 4, point) == 4
+    assert calls["double"] == 3
+
+
+def _counting(fn, calls, name):
+    def counted(*args):
+        calls[(name, tuple(args[-1].items())) + args[:-1]] += 1
+        return fn(*args)
+    return counted
+
+
+def test_q_dougall_sample_evaluates_each_value_once():
+    # the admissibility probe and every check share one evaluation per value
+    base = CORPUS["q_dougall"]
+    calls = Counter()
+    idef = dataclasses.replace(
+        base, term=_counting(base.term, calls, "term"), rhs=_counting(base.rhs, calls, "rhs"),
+        certificate=Certificate(u=_counting(base.certificate.u, calls, "u"),
+                                v=_counting(base.certificate.v, calls, "v")))
+    n_max = 8
+    params = draw_admissible(idef, rng_for(5, "once", "q_dougall"), n_max)
+    idn = normalized(idef)
+    idn = dataclasses.replace(idn, F=_counting(idn.F, calls, "F"))
+    assert all_pass(verify_sample(idn, n_max, params))
+
+    assert max(calls.values()) == 1
+    point = tuple(params.items())
+    seen = {key for key in calls if key[1] == point}
+    # the probe covers every summand the checks use: n <= n_max + 1, k <= n + 3
+    assert {key[2:] for key in seen if key[0] == "term"} == {
+        (n, k) for n in range(n_max + 2) for k in range(n + 4)}
+    assert {key[2:] for key in seen if key[0] == "rhs"} == {(n,) for n in range(n_max + 2)}
+    assert {key[2:] for key in seen if key[0] == "F"} == {
+        (n, k) for n in range(n_max + 2) for k in range(min(n, n_max) + 2)}
+
+
+def test_inadmissible_F_gives_the_same_record_on_every_check():
+    base = normalized(CORPUS["binomial"])
+
+    def pole_at_3_1(n, k, p):
+        if (n, k) == (3, 1):
+            raise Inadmissible("F(3, 1) has a zero denominator")
+        return base.F(n, k, p)
+
+    idn = dataclasses.replace(base, F=pole_at_3_1)
+    params = {"x": F(3)}
+    records = verify_sample(idn, 5, params)
+    assert verify_sample(idn, 5, params) == records
+    touched = {(r.check, r.n) for r in records if r.status == INADMISSIBLE}
+    # F(3, 1) enters the row sum at n = 3 and the difference rows at n = 2, 3
+    assert touched == {("row_sum", 3), ("difference", 2), ("difference", 3),
+                       ("telescope_zero", 2), ("telescope_zero", 3)}
+    witnesses = {tuple(sorted(r.witness.items())) for r in records
+                 if r.status == INADMISSIBLE}
+    assert witnesses == {(("reason", "F(3, 1) has a zero denominator"), ("x", "3"))}
+    assert all(r.status == PASS for r in records if (r.check, r.n) not in touched)

@@ -128,3 +128,30 @@ def test_failure_report_carries_witness_json(tmp_path):
     assert all(r["witness"] is not None for r in failing)
     assert "lhs" in failing[0]["witness"] and "rhs" in failing[0]["witness"]
     assert "x" in failing[0]["witness"]
+
+
+def test_vacuous_counts_exit_two(tmp_path, capsys):
+    path = tmp_path / "binomial.tkid"
+    path.write_text(GOOD_CONFIG, encoding="utf-8")
+    cases = ((["verify", "--suite", "ez", "--samples", "0"], "--samples"),
+             (["verify", "--suite", "corpus", "--samples", "-2"], "--samples"),
+             (["verify", "--suite", "ez", "--n-max", "-3"], "--n-max"),
+             (["check", "--config", str(path), "--samples", "0"], "--samples"),
+             (["check", "--config", str(path), "--n-max", "-1"], "--n-max"))
+    for argv, flag in cases:
+        code, text = run_cli(argv)
+        assert code == 2, argv
+        assert text == ""
+        assert flag in capsys.readouterr().err
+
+
+def test_empty_report_is_not_a_pass(monkeypatch, capsys):
+    import telesum.cli
+    from telesum.report import Report
+
+    monkeypatch.setattr(telesum.cli, "run_suite",
+                        lambda suite, **kwargs: Report(suite=suite, seed=kwargs["seed"]))
+    code, text = run_cli(["verify", "--suite", "corpus"])
+    assert code == 1
+    assert "total: 0 checks" in text
+    assert "no checks were run" in capsys.readouterr().err
