@@ -35,8 +35,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import Inadmissible, NoCertificate
-from .rational import ONE, ZERO, format_rational
+from .rational import ZERO, format_rational
 from .report import FAIL, INADMISSIBLE, PASS, CheckRecord
+from .telescope import TelescopeProblem, telescoping_terms
 
 Params = Mapping[str, object]
 CertFn = Callable[[int, int, Params], Fraction]
@@ -111,26 +112,11 @@ def _row_fn(idn: NormalizedIdentity, params: Params) -> Callable[[int, int], Fra
 
 
 def telescoping_row(cert: Certificate, n: int, params: Params, k_max: int) -> list[Fraction]:
-    """T(n, k) for k = 0..k_max, built with running products."""
-    def u(k: int) -> Fraction:
-        return sample_value(cert.u, n, k, params)
-
-    def v(k: int) -> Fraction:
-        return sample_value(cert.v, n, k, params)
-
-    w0 = u(0) - v(0)
-    if w0 == 0:
-        raise Inadmissible(f"certificate for n={n} has w(n,0) = 0")
-    row = []
-    ratio = ONE
-    for k in range(k_max + 1):
-        if k > 0:
-            vk = v(k)
-            if vk == 0:
-                raise Inadmissible(f"certificate for n={n} has v(n,{k}) = 0")
-            ratio = ratio * u(k - 1) / vk
-        row.append((u(k) - v(k)) / w0 * ratio)
-    return row
+    """T(n, k) for k = 0..k_max: the kernel's telescoping summands over
+    u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises DivisionByZero."""
+    problem = TelescopeProblem(u=lambda k: sample_value(cert.u, n, k, params),
+                               v=lambda k: sample_value(cert.v, n, k, params), n=k_max)
+    return list(telescoping_terms(problem))
 
 
 def difference_check(idn: NormalizedIdentity, n: int, params: Params,

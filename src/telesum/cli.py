@@ -128,8 +128,7 @@ def _run_list(out) -> int:
           "four-variable identity", file=out)
     print("sequence families:", file=out)
     for key, family in sequences_mod.FAMILIES.items():
-        suite_note = "" if family.printed else " (generic identities only)"
-        print(f"  {key:28s} {family.citation}{suite_note}", file=out)
+        print(f"  {key:28s} {family.citation}", file=out)
     print("sequence-parameter sums:", file=out)
     for key, citation in genhyp_mod.CITATIONS.items():
         print(f"  {key:28s} {citation}", file=out)

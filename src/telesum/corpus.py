@@ -6,15 +6,25 @@ admissibility handled by an evaluation probe, and, for the terminating
 hypergeometric and q-hypergeometric sums, the telescoping certificate
 (u(n,k), v(n,k)) transcribed from the classical proofs.
 
+The nine certified sums are declared as data, in the rphis notation of
+Gasper and Rahman: a summand is one hypergeometric term
+
+    hypergeometric(upper, lower, z, k) = prod (x)_k / prod (y)_k * z^k
+
+given by its (upper; lower; argument) lists, and its closed form is one
+such term taken at n in place of k.  ``hypergeometric`` is the only product
+code they use.
+
 Conventions:
 
   * rising_factorial(x, m) = x (x+1) ... (x+m-1); its zero at nonpositive
     integer x is what terminates the classical sums naturally.
   * q_rising_factorial(a, q, m) = (1-a)(1-aq)...(1-a q^(m-1)); the factor
-    built from q^(-n) vanishing for k > n terminates the q-sums.
-  * The very-well-poised entries are implemented in the factored
-    (1 - a q^(2k))/(1 - a) form, so no square roots ever appear and every
-    value stays in the rational field.
+    built from q^(-n) vanishing for k > n terminates the q-sums.  A sum is a
+    q-series exactly when it has a base parameter q.
+  * The very-well-poised entries carry the factored head
+    (1 - a q^(2k))/(1 - a), so no square roots ever appear and every value
+    stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.
 
@@ -26,17 +36,20 @@ and ``evaluate_identity`` and ``normalized(...).F`` reuse those values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
-from .certify import Certificate, NormalizedIdentity, sample_value
+from .certify import CertFn, Certificate, NormalizedIdentity, sample_value
 from .errors import Inadmissible, SampleExhausted
 from .rational import ONE, ZERO, rat_div, rat_pow
 from .sampling import (RETRY_BOUND, sample_int, sample_q, sample_rational,
                        sample_sequence)
 
 Params = Mapping[str, object]
+#: (upper, lower, z) of one hypergeometric term, as a function of n and the
+#: parameters by name.
+Series = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction], Fraction]]
 
 
 def rising_factorial(x: Fraction, m: int) -> Fraction:
@@ -61,8 +74,26 @@ def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
     return p
 
 
-rf = rising_factorial
-qrf = q_rising_factorial
+def hypergeometric(upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
+                   m: int, q: Fraction | None = None) -> Fraction:
+    """prod_x (x)_m / prod_y (y)_m * z^m over x in upper, y in lower.
+
+    (x)_m is the q-shifted factorial (x; q)_m when a base q is given, the
+    rising factorial otherwise.  A zero product of the lower factors raises
+    DivisionByZero, even where an upper factor vanishes too.
+    """
+    if q is None:
+        shifted = rising_factorial
+    else:
+        def shifted(x: Fraction, m: int) -> Fraction:
+            return q_rising_factorial(x, q, m)
+    num = ONE
+    for x in upper:
+        num *= shifted(x, m)
+    den = ONE
+    for y in lower:
+        den *= shifted(y, m)
+    return rat_div(num, den) * rat_pow(z, m)
 
 
 def factorial(m: int) -> Fraction:
@@ -86,8 +117,12 @@ class IdentityDef:
     rhs: Callable[[int, Params], Fraction]
     sum_range: Callable[[int], tuple[int, int]] = lambda n: (0, n)
     certificate: Certificate | None = None
-    terminating: bool = False
     n_max: int = 15
+
+    @property
+    def terminating(self) -> bool:
+        """A certified sum terminates: its summand vanishes for k > n."""
+        return self.certificate is not None
 
 
 def evaluate_identity(idef: IdentityDef, n: int, params: Params) -> tuple[Fraction, Fraction]:
@@ -111,15 +146,17 @@ def normalized(idef: IdentityDef) -> NormalizedIdentity:
 # Admissible sampling
 # ---------------------------------------------------------------------------
 
-def draw_params(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[str, object]:
+def draw_params(decl, rng: random.Random, bound: int) -> dict[str, object]:
+    """One draw for each of decl.params; bound is the q-sampler's unity
+    bound and the length of a sequence parameter."""
     params: dict[str, object] = {}
-    for p in idef.params:
+    for p in decl.params:
         if p.kind == "q":
-            params[p.name] = sample_q(rng, n_max + 2)
+            params[p.name] = sample_q(rng, bound)
         elif p.kind == "int":
             params[p.name] = sample_int(rng, *p.int_range)
         elif p.kind == "sequence":
-            params[p.name] = sample_sequence(rng, n_max + 2)
+            params[p.name] = sample_sequence(rng, bound)
         else:
             params[p.name] = sample_rational(rng)
     return params
@@ -162,7 +199,7 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
 def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int,
                     retries: int = RETRY_BOUND) -> dict[str, object]:
     for _ in range(retries):
-        params = draw_params(idef, rng, n_max)
+        params = draw_params(idef, rng, n_max + 2)
         if admissible(idef, n_max, params):
             return params
     raise SampleExhausted(f"{idef.key}: no admissible sample in {retries} tries")
@@ -189,10 +226,10 @@ def _geometric() -> IdentityDef:
 
 def _rising_fact_sum() -> IdentityDef:
     def term(n, k, p):
-        return rf(Fraction(k), p["m"])
+        return rising_factorial(Fraction(k), p["m"])
 
     def rhs(n, p):
-        return rf(Fraction(n), p["m"] + 1) / (p["m"] + 1)
+        return rising_factorial(Fraction(n), p["m"] + 1) / (p["m"] + 1)
 
     return IdentityDef(
         key="rising_fact_sum",
@@ -204,11 +241,11 @@ def _rising_fact_sum() -> IdentityDef:
 
 def _reciprocal_rising_fact_sum() -> IdentityDef:
     def term(n, k, p):
-        return rat_div(ONE, rf(Fraction(k), p["m"] + 1))
+        return rat_div(ONE, rising_factorial(Fraction(k), p["m"] + 1))
 
     def rhs(n, p):
         m = p["m"]
-        return Fraction(1, m) * (rat_div(ONE, factorial(m)) - rat_div(ONE, rf(Fraction(n + 1), m)))
+        return Fraction(1, m) * (rat_div(ONE, factorial(m)) - rat_div(ONE, rising_factorial(Fraction(n + 1), m)))
 
     return IdentityDef(
         key="reciprocal_rising_fact_sum",
@@ -250,87 +287,70 @@ def _ramanujan_entry25() -> IdentityDef:
     )
 
 
+# ---------------------------------------------------------------------------
+# Certified sums, declared as (upper; lower; argument) data
+# ---------------------------------------------------------------------------
+
+def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Series,
+               closed_form: Series, u: CertFn, v: CertFn, well_poised: bool = False,
+               n_max: int = 15) -> IdentityDef:
+    """sum_{k=0}^{n} term(n, k) = rhs(n), with both sides declared as data.
+
+    summand(n, **params) and closed_form(n, **params) give the (upper,
+    lower, z) of one ``hypergeometric`` term, taken at m = k and at m = n.
+    A very-well-poised summand also carries the head (1 - a q^(2k))/(1 - a).
+    """
+
+    def term(n: int, k: int, p: Params) -> Fraction:
+        q = p.get("q")
+        head = rat_div(1 - p["a"] * rat_pow(q, 2 * k), 1 - p["a"]) if well_poised else ONE
+        return head * hypergeometric(*summand(n, **p), k, q)
+
+    def rhs(n: int, p: Params) -> Fraction:
+        return hypergeometric(*closed_form(n, **p), n, p.get("q"))
+
+    return IdentityDef(key=key, citation=citation, params=params, term=term, rhs=rhs,
+                       certificate=Certificate(u, v), n_max=n_max)
+
+
 def _binomial_x1() -> IdentityDef:
-    def term(n, k, p):
-        return rat_pow(Fraction(-1), k) * rf(Fraction(-n), k) / factorial(k)
-
-    def rhs(n, p):
-        return rat_pow(Fraction(2), n)
-
-    cert = Certificate(
+    return _certified(
+        "binomial_x1", "row sums of Pascal's triangle (binomial theorem at x = 1)", (),
+        summand=lambda n: ([-n], [1], -1),
+        closed_form=lambda n: ([], [], 2),
         u=lambda n, k, p: Fraction(n + 1 - k),
         v=lambda n, k, p: Fraction(k),
-    )
-    return IdentityDef(
-        key="binomial_x1",
-        citation="row sums of Pascal's triangle (binomial theorem at x = 1)",
-        params=(),
-        term=term, rhs=rhs, certificate=cert, terminating=True,
     )
 
 
 def _binomial() -> IdentityDef:
-    def term(n, k, p):
-        x = p["x"]
-        choose = rat_pow(Fraction(-1), k) * rf(Fraction(-n), k) / factorial(k)
-        return choose * rat_pow(x, k)
-
-    def rhs(n, p):
-        return rat_pow(1 + p["x"], n)
-
-    cert = Certificate(
+    return _certified(
+        "binomial", "binomial theorem (terminating form)", (Param("x", note="x != 0, -1"),),
+        summand=lambda n, x: ([-n], [1], -x),
+        closed_form=lambda n, x: ([], [], 1 + x),
         u=lambda n, k, p: p["x"] * (n - k + 1),
         v=lambda n, k, p: Fraction(k),
-    )
-    return IdentityDef(
-        key="binomial",
-        citation="binomial theorem (terminating form)",
-        params=(Param("x", note="x != 0, -1"),),
-        term=term, rhs=rhs, certificate=cert, terminating=True,
     )
 
 
 def _chu_vandermonde() -> IdentityDef:
-    def term(n, k, p):
-        a, b = p["a"], p["b"]
-        return rat_div(rf(a, k) * rf(Fraction(-n), k), rf(b, k) * factorial(k))
-
-    def rhs(n, p):
-        a, b = p["a"], p["b"]
-        return rat_div(rf(b - a, n), rf(b, n))
-
-    cert = Certificate(
+    return _certified(
+        "chu_vandermonde", "Chu (1303)-Vandermonde (1772) sum", (Param("a"), Param("b")),
+        summand=lambda n, a, b: ([a, -n], [b, 1], 1),
+        closed_form=lambda n, a, b: ([b - a], [b], 1),
         u=lambda n, k, p: (p["a"] + k) * (-n - 1 + k),
         v=lambda n, k, p: k * (p["b"] + k - 1),
-    )
-    return IdentityDef(
-        key="chu_vandermonde",
-        citation="Chu (1303)-Vandermonde (1772) sum",
-        params=(Param("a"), Param("b")),
-        term=term, rhs=rhs, certificate=cert, terminating=True,
     )
 
 
 def _pfaff_saalschutz() -> IdentityDef:
-    def term(n, k, p):
-        a, b, c = p["a"], p["b"], p["c"]
-        num = rf(a, k) * rf(b, k) * rf(Fraction(-n), k)
-        den = rf(c, k) * rf(1 - n + a + b - c, k) * factorial(k)
-        return rat_div(num, den)
-
-    def rhs(n, p):
-        a, b, c = p["a"], p["b"], p["c"]
-        return rat_div(rf(c - a, n) * rf(c - b, n), rf(c, n) * rf(c - a - b, n))
-
-    cert = Certificate(
+    return _certified(
+        "pfaff_saalschutz", "Pfaff (1797)-Saalschutz (1890) sum",
+        (Param("a"), Param("b"), Param("c")),
+        summand=lambda n, a, b, c: ([a, b, -n], [c, 1 - n + a + b - c, 1], 1),
+        closed_form=lambda n, a, b, c: ([c - a, c - b], [c, c - a - b], 1),
         u=lambda n, k, p: (p["a"] + k) * (p["b"] + k) * (-n - 1 + k),
         v=lambda n, k, p: k * (p["c"] + k - 1) * (-n + k + p["a"] + p["b"] - p["c"]),
-    )
-    return IdentityDef(
-        key="pfaff_saalschutz",
-        citation="Pfaff (1797)-Saalschutz (1890) sum",
-        params=(Param("a"), Param("b"), Param("c")),
-        term=term, rhs=rhs, certificate=cert, terminating=True,
     )
 
 
@@ -339,38 +359,17 @@ def _pfaff_saalschutz() -> IdentityDef:
 # ---------------------------------------------------------------------------
 
 def _q_binomial() -> IdentityDef:
-    def term(n, k, p):
-        z, q = p["z"], p["q"]
-        num = qrf(rat_pow(q, -n), q, k)
-        den = qrf(q, q, k)
-        return rat_div(num, den) * rat_pow(z * rat_pow(q, n), k)
-
-    def rhs(n, p):
-        return qrf(p["z"], p["q"], n)
-
-    cert = Certificate(
+    return _certified(
+        "q_binomial", "terminating q-binomial sum", (Param("z"), Param("q", kind="q")),
+        summand=lambda n, z, q: ([rat_pow(q, -n)], [q], z * rat_pow(q, n)),
+        closed_form=lambda n, z, q: ([z], [], 1),
         u=lambda n, k, p: p["z"] * rat_pow(p["q"], n) * (1 - rat_pow(p["q"], -n - 1 + k)),
         v=lambda n, k, p: 1 - rat_pow(p["q"], k),
-    )
-    return IdentityDef(
-        key="q_binomial",
-        citation="terminating q-binomial sum",
-        params=(Param("z"), Param("q", kind="q")),
-        term=term, rhs=rhs, certificate=cert, terminating=True, n_max=12,
+        n_max=12,
     )
 
 
 def _q_chu_vandermonde() -> IdentityDef:
-    def term(n, k, p):
-        a, b, q = p["a"], p["b"], p["q"]
-        num = qrf(a, q, k) * qrf(rat_pow(q, -n), q, k)
-        den = qrf(b, q, k) * qrf(q, q, k)
-        return rat_div(num, den) * rat_pow(rat_div(b * rat_pow(q, n), a), k)
-
-    def rhs(n, p):
-        a, b, q = p["a"], p["b"], p["q"]
-        return rat_div(qrf(rat_div(b, a), q, n), qrf(b, q, n))
-
     def u(n, k, p):
         a, b, q = p["a"], p["b"], p["q"]
         return (1 - a * rat_pow(q, k)) * (1 - rat_pow(q, -n - 1 + k)) * rat_div(b * rat_pow(q, n), a)
@@ -379,29 +378,16 @@ def _q_chu_vandermonde() -> IdentityDef:
         b, q = p["b"], p["q"]
         return (1 - b * rat_pow(q, k - 1)) * (1 - rat_pow(q, k))
 
-    return IdentityDef(
-        key="q_chu_vandermonde",
-        citation="a q-analog of the Chu-Vandermonde sum",
-        params=(Param("a"), Param("b"), Param("q", kind="q")),
-        term=term, rhs=rhs, certificate=Certificate(u, v), terminating=True, n_max=12,
+    return _certified(
+        "q_chu_vandermonde", "a q-analog of the Chu-Vandermonde sum",
+        (Param("a"), Param("b"), Param("q", kind="q")),
+        summand=lambda n, a, b, q: ([a, rat_pow(q, -n)], [b, q], rat_div(b * rat_pow(q, n), a)),
+        closed_form=lambda n, a, b, q: ([rat_div(b, a)], [b], 1),
+        u=u, v=v, n_max=12,
     )
 
 
 def _q_pfaff_saalschutz() -> IdentityDef:
-    def term(n, k, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        num = qrf(a, q, k) * qrf(b, q, k) * qrf(rat_pow(q, -n), q, k)
-        den = (qrf(c, q, k)
-               * qrf(rat_div(a * b * rat_pow(q, 1 - n), c), q, k)
-               * qrf(q, q, k))
-        return rat_div(num, den) * rat_pow(q, k)
-
-    def rhs(n, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        num = qrf(rat_div(c, a), q, n) * qrf(rat_div(c, b), q, n)
-        den = qrf(c, q, n) * qrf(rat_div(c, a * b), q, n)
-        return rat_div(num, den)
-
     def u(n, k, p):
         a, b, q = p["a"], p["b"], p["q"]
         return ((1 - a * rat_pow(q, k)) * (1 - b * rat_pow(q, k))
@@ -413,35 +399,18 @@ def _q_pfaff_saalschutz() -> IdentityDef:
                 * (1 - rat_div(a * b * rat_pow(q, -n + k), c))
                 * (1 - rat_pow(q, k)))
 
-    return IdentityDef(
-        key="q_pfaff_saalschutz",
-        citation="q-Pfaff-Saalschutz sum (Jackson, 1910)",
-        params=(Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
-        term=term, rhs=rhs, certificate=Certificate(u, v), terminating=True, n_max=12,
+    return _certified(
+        "q_pfaff_saalschutz", "q-Pfaff-Saalschutz sum (Jackson, 1910)",
+        (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
+        summand=lambda n, a, b, c, q: (
+            [a, b, rat_pow(q, -n)], [c, rat_div(a * b * rat_pow(q, 1 - n), c), q], q),
+        closed_form=lambda n, a, b, c, q: (
+            [rat_div(c, a), rat_div(c, b)], [c, rat_div(c, a * b)], 1),
+        u=u, v=v, n_max=12,
     )
 
 
 def _q_dougall() -> IdentityDef:
-    def term(n, k, p):
-        a, b, c, d, q = p["a"], p["b"], p["c"], p["d"], p["q"]
-        head = rat_div(1 - a * rat_pow(q, 2 * k), 1 - a)
-        num = (qrf(a, q, k) * qrf(b, q, k) * qrf(c, q, k) * qrf(d, q, k)
-               * qrf(rat_div(a * a * rat_pow(q, n + 1), b * c * d), q, k)
-               * qrf(rat_pow(q, -n), q, k))
-        den = (qrf(rat_div(a * q, b), q, k) * qrf(rat_div(a * q, c), q, k)
-               * qrf(rat_div(a * q, d), q, k)
-               * qrf(rat_div(b * c * d * rat_pow(q, -n), a), q, k)
-               * qrf(a * rat_pow(q, n + 1), q, k) * qrf(q, q, k))
-        return head * rat_div(num, den) * rat_pow(q, k)
-
-    def rhs(n, p):
-        a, b, c, d, q = p["a"], p["b"], p["c"], p["d"], p["q"]
-        num = (qrf(a * q, q, n) * qrf(rat_div(a * q, b * c), q, n)
-               * qrf(rat_div(a * q, b * d), q, n) * qrf(rat_div(a * q, c * d), q, n))
-        den = (qrf(rat_div(a * q, b), q, n) * qrf(rat_div(a * q, c), q, n)
-               * qrf(rat_div(a * q, d), q, n) * qrf(rat_div(a * q, b * c * d), q, n))
-        return rat_div(num, den)
-
     def u(n, k, p):
         a, b, c, d, q = p["a"], p["b"], p["c"], p["d"], p["q"]
         qk = rat_pow(q, k)
@@ -457,30 +426,24 @@ def _q_dougall() -> IdentityDef:
                 * (1 - rat_div(b * c * d * rat_pow(q, -n + k - 1), a))
                 * (1 - a * rat_pow(q, n + k + 1)) * (1 - qk))
 
-    return IdentityDef(
-        key="q_dougall",
-        citation="q-Dougall sum (Jackson, 1921): terminating balanced very-well-poised 8phi7",
-        params=(Param("a"), Param("b"), Param("c"), Param("d"), Param("q", kind="q")),
-        term=term, rhs=rhs, certificate=Certificate(u, v), terminating=True, n_max=8,
+    return _certified(
+        "q_dougall",
+        "q-Dougall sum (Jackson, 1921): terminating balanced very-well-poised 8phi7",
+        (Param("a"), Param("b"), Param("c"), Param("d"), Param("q", kind="q")),
+        summand=lambda n, a, b, c, d, q: (
+            [a, b, c, d, rat_div(a * a * rat_pow(q, n + 1), b * c * d), rat_pow(q, -n)],
+            [rat_div(a * q, b), rat_div(a * q, c), rat_div(a * q, d),
+             rat_div(b * c * d * rat_pow(q, -n), a), a * rat_pow(q, n + 1), q],
+            q),
+        closed_form=lambda n, a, b, c, d, q: (
+            [a * q, rat_div(a * q, b * c), rat_div(a * q, b * d), rat_div(a * q, c * d)],
+            [rat_div(a * q, b), rat_div(a * q, c), rat_div(a * q, d), rat_div(a * q, b * c * d)],
+            1),
+        u=u, v=v, well_poised=True, n_max=8,
     )
 
 
 def _rogers_6phi5() -> IdentityDef:
-    def term(n, k, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        head = rat_div(1 - a * rat_pow(q, 2 * k), 1 - a)
-        num = qrf(a, q, k) * qrf(b, q, k) * qrf(c, q, k) * qrf(rat_pow(q, -n), q, k)
-        den = (qrf(rat_div(a * q, b), q, k) * qrf(rat_div(a * q, c), q, k)
-               * qrf(a * rat_pow(q, n + 1), q, k) * qrf(q, q, k))
-        z = rat_div(a * rat_pow(q, n + 1), b * c)
-        return head * rat_div(num, den) * rat_pow(z, k)
-
-    def rhs(n, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        num = qrf(a * q, q, n) * qrf(rat_div(a * q, b * c), q, n)
-        den = qrf(rat_div(a * q, b), q, n) * qrf(rat_div(a * q, c), q, n)
-        return rat_div(num, den)
-
     # The d-free reduction of the 8phi7 certificate, with the n-dependent
     # argument aq^(n+1)/bc attached to u the same way bq^n/a is in the
     # q-Chu-Vandermonde certificate.  Validated by the full check sweep.
@@ -497,11 +460,16 @@ def _rogers_6phi5() -> IdentityDef:
         return ((1 - rat_div(a * qk, b)) * (1 - rat_div(a * qk, c))
                 * (1 - a * rat_pow(q, n + k + 1)) * (1 - qk))
 
-    return IdentityDef(
-        key="rogers_6phi5",
-        citation="Rogers' terminating very-well-poised 6phi5 sum",
-        params=(Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
-        term=term, rhs=rhs, certificate=Certificate(u, v), terminating=True, n_max=12,
+    return _certified(
+        "rogers_6phi5", "Rogers' terminating very-well-poised 6phi5 sum",
+        (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
+        summand=lambda n, a, b, c, q: (
+            [a, b, c, rat_pow(q, -n)],
+            [rat_div(a * q, b), rat_div(a * q, c), a * rat_pow(q, n + 1), q],
+            rat_div(a * rat_pow(q, n + 1), b * c)),
+        closed_form=lambda n, a, b, c, q: (
+            [a * q, rat_div(a * q, b * c)], [rat_div(a * q, b), rat_div(a * q, c)], 1),
+        u=u, v=v, well_poised=True, n_max=12,
     )
 
 

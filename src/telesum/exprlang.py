@@ -550,7 +550,6 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
         rhs=rhs,
         sum_range=sum_range,
         certificate=certificate,
-        terminating=certificate is not None,
         n_max=n_max,
     )
 

@@ -78,28 +78,29 @@ def _problem_dougall(p: SequenceParams) -> TelescopeProblem:
     return TelescopeProblem(u, v, p.n)
 
 
-def _both_sides(problem: TelescopeProblem) -> tuple[Fraction, Fraction]:
+def both_sides(problem: TelescopeProblem) -> tuple[Fraction, Fraction]:
+    """(termwise sum, closed form) of one problem."""
     return telescoping_sum(problem), telescoping_closed_form(problem)
 
 
 def macdonald_cv(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
     prob = _problem_cv(p if n is None else _truncate(p, n))
-    return _both_sides(prob)
+    return both_sides(prob)
 
 
 def macdonald_cv_permuted(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
     prob = _problem_cv_permuted(p if n is None else _truncate(p, n))
-    return _both_sides(prob)
+    return both_sides(prob)
 
 
 def macdonald_ps(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
     prob = _problem_ps(p if n is None else _truncate(p, n))
-    return _both_sides(prob)
+    return both_sides(prob)
 
 
 def macdonald_dougall(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
     prob = _problem_dougall(p if n is None else _truncate(p, n))
-    return _both_sides(prob)
+    return both_sides(prob)
 
 
 def _truncate(p: SequenceParams, n: int) -> SequenceParams:

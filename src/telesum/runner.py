@@ -40,7 +40,7 @@ def suite_items(suite: str) -> list[str]:
     if suite == "ez":
         return list(CERTIFIED_KEYS)
     if suite == "sequences":
-        return [key for key, fam in sequences_mod.FAMILIES.items() if fam.printed]
+        return list(sequences_mod.FAMILIES)
     if suite == "genhyp":
         return list(genhyp_mod.PROBLEM_BUILDERS)
     if suite == "elementary":
@@ -152,13 +152,8 @@ def run_sequences_item(key: str, n_max: int | None, samples: int, seed: int) -> 
 
 
 def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
-    max_len = 10 if n_max is None else max(1, min(n_max, 10))
-    fn = {
-        "macdonald_cv": genhyp_mod.macdonald_cv,
-        "macdonald_cv_permuted": genhyp_mod.macdonald_cv_permuted,
-        "macdonald_ps": genhyp_mod.macdonald_ps,
-        "macdonald_dougall": genhyp_mod.macdonald_dougall,
-    }[key]
+    max_len = 10 if n_max is None else n_max + 1
+    builder, _ = genhyp_mod.PROBLEM_BUILDERS[key]
     citation = genhyp_mod.CITATIONS[key]
     records: list[CheckRecord] = []
     for i in range(samples):
@@ -171,7 +166,7 @@ def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
                                        status=FAIL, sample=i,
                                        witness={"reason": str(exc)}, citation=citation))
             continue
-        lhs, rhs = fn(p)
+        lhs, rhs = genhyp_mod.both_sides(builder(p))
         status = PASS if lhs == rhs else FAIL
         witness = None
         if status == FAIL:

@@ -10,8 +10,8 @@ Two layers:
 
   * the built-in families (Fibonacci, Pell, shifted derangements, Schur's
     shifted q-Fibonacci numbers, q-Pell numbers, Goyt-Sagan and
-    Goyt-Mathisen q-Fibonacci polynomials, Fibonacci polynomials) with each
-    family's printed identity suite checked verbatim, index shifts and all.
+    Goyt-Mathisen q-Fibonacci polynomials) with each family's printed
+    identity suite checked verbatim, index shifts and all.
 
 Everything is exact; family parameters are rational samples, so polynomial
 identities in a few parameters verified at enough points are certified by
@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .corpus import Param, q_rising_factorial as qrf
+from .corpus import Param, draw_params, q_rising_factorial as qrf
 from .errors import Inadmissible, SampleExhausted
 from .rational import ONE, SeqFn, ZERO, rat_div, rat_pow
 from .report import FAIL, PASS, CheckRecord
-from .sampling import RETRY_BOUND, rng_for, sample_int, sample_q, sample_rational
+from .sampling import RETRY_BOUND, rng_for, sample_rational
 
 Params = Mapping[str, object]
 Values = Sequence[Fraction]
@@ -525,26 +525,7 @@ FAMILIES: dict[str, Family] = {
         make=goyt_mathisen_spec,
         printed=_goyt_mathisen_printed(),
     ),
-    "fibonacci_poly": Family(
-        key="fibonacci_poly",
-        citation="Fibonacci polynomials (x=2x', y=-1 gives Chebyshev-U; x=s, y=1 covers the sinh-parameter family)",
-        params=(Param("x"), Param("y")),
-        make=fibonacci_poly_spec,
-        printed=(),
-    ),
 }
-
-
-def draw_family_params(family: Family, rng: random.Random) -> dict[str, object]:
-    params: dict[str, object] = {}
-    for p in family.params:
-        if p.kind == "q":
-            params[p.name] = sample_q(rng, 16)
-        elif p.kind == "int":
-            params[p.name] = sample_int(rng, *p.int_range)
-        else:
-            params[p.name] = sample_rational(rng)
-    return params
 
 
 def _family_records_once(family: Family, n_max: int, params: Params,
@@ -583,7 +564,7 @@ def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int,
         rng = rng_for(seed, "family", family_key, idx)
         sample = idx if family.params else None
         for _ in range(RETRY_BOUND):
-            params = draw_family_params(family, rng)
+            params = draw_params(family, rng, 16)
             try:
                 records.extend(_family_records_once(family, n_max, params, sample, suite))
                 break

@@ -155,3 +155,23 @@ def test_empty_report_is_not_a_pass(monkeypatch, capsys):
     assert code == 1
     assert "total: 0 checks" in text
     assert "no checks were run" in capsys.readouterr().err
+
+
+def test_list_shows_only_what_verify_runs():
+    from telesum.runner import suite_items
+
+    headings = {"corpus identities:": "corpus", "sequence families:": "sequences",
+                "sequence-parameter sums:": "genhyp", "elementary identities:": "elementary"}
+    code, text = run_cli(["list"])
+    assert code == 0
+    listed: dict[str, list[str]] = {}
+    suite = None
+    for line in text.splitlines():
+        if not line.startswith(" "):
+            suite = headings[line]
+            listed[suite] = []
+        else:
+            listed[suite].append(line.split()[0])
+    assert set(listed) == set(headings.values())
+    for suite, keys in listed.items():
+        assert keys and set(keys) <= set(suite_items(suite)), suite

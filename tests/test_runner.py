@@ -42,3 +42,10 @@ def test_corpus_item_records_a_mid_run_inadmissible_row(monkeypatch):
             assert record.witness == {"reason": "zero denominator at n=2"}
         else:
             assert record.status == PASS
+
+
+def test_genhyp_honours_n_max_above_ten():
+    records = runner.run_genhyp_item("macdonald_cv", 12, 20, 1729)
+    ns = {r.n for r in records if r.check == "identity"}
+    assert max(ns) <= 12
+    assert ns & {10, 11, 12}
