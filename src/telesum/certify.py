@@ -35,8 +35,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .errors import Inadmissible, NoCertificate
-from .rational import ZERO, format_rational
-from .report import FAIL, INADMISSIBLE, PASS, CheckRecord
+from .rational import ZERO
+from .report import INADMISSIBLE, CheckRecord, outcome, witness as _witness
 from .telescope import TelescopeProblem, telescoping_terms
 
 Params = Mapping[str, object]
@@ -94,18 +94,6 @@ class SampleMemo:
 sample_value = SampleMemo()
 
 
-def _witness(params: Params, **extra: object) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for name, value in params.items():
-        if isinstance(value, tuple):
-            out[name] = "(" + ", ".join(format_rational(x) for x in value) + ")"
-        else:
-            out[name] = format_rational(value)  # type: ignore[arg-type]
-    for name, value in extra.items():
-        out[name] = format_rational(value) if isinstance(value, Fraction) else str(value)
-    return out
-
-
 def _row_fn(idn: NormalizedIdentity, params: Params) -> Callable[[int, int], Fraction]:
     """F(n, k) at params, through the sample memo."""
     return lambda n, k: sample_value(idn.F, n, k, params)
@@ -130,14 +118,9 @@ def difference_check(idn: NormalizedIdentity, n: int, params: Params,
     for k in range(n + 2):
         diff = F(n + 1, k) - F(n, k)
         if diff != c * t_row[k]:
-            return [CheckRecord(
-                suite=suite, identity=idn.key, check="difference", status=FAIL,
-                n=n, sample=sample,
-                witness=_witness(params, k=k, difference=diff, expected=c * t_row[k]),
-                citation=idn.citation,
-            )]
-    return [CheckRecord(suite=suite, identity=idn.key, check="difference",
-                        status=PASS, n=n, sample=sample, citation=idn.citation)]
+            return [outcome(suite, idn.key, "difference", idn.citation, False, params, n=n,
+                            sample=sample, k=k, difference=diff, expected=c * t_row[k])]
+    return [outcome(suite, idn.key, "difference", idn.citation, True, n=n, sample=sample)]
 
 
 def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
@@ -149,22 +132,12 @@ def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
     u_top = sample_value(cert.u, n, n + 1, params)
     v_bot = sample_value(cert.v, n, 0, params)
     if u_top != 0 or v_bot != 0:
-        return [CheckRecord(
-            suite=suite, identity=idn.key, check="telescope_zero", status=FAIL,
-            n=n, sample=sample,
-            witness=_witness(params, u_at_n_plus_1=u_top, v_at_0=v_bot),
-            citation=idn.citation,
-        )]
+        return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
+                        sample=sample, u_at_n_plus_1=u_top, v_at_0=v_bot)]
     F = _row_fn(idn, params)
     total = sum((F(n + 1, k) - F(n, k) for k in range(n + 2)), ZERO)
-    if total != 0:
-        return [CheckRecord(
-            suite=suite, identity=idn.key, check="telescope_zero", status=FAIL,
-            n=n, sample=sample, witness=_witness(params, row_sum=total),
-            citation=idn.citation,
-        )]
-    return [CheckRecord(suite=suite, identity=idn.key, check="telescope_zero",
-                        status=PASS, n=n, sample=sample, citation=idn.citation)]
+    return [outcome(suite, idn.key, "telescope_zero", idn.citation, total == 0, params, n=n,
+                    sample=sample, row_sum=total)]
 
 
 def row_sum_check(idn: NormalizedIdentity, n: int, params: Params,
@@ -173,14 +146,8 @@ def row_sum_check(idn: NormalizedIdentity, n: int, params: Params,
     """sum_{k=0}^{n} F(n, k) = 1 (check="base_case" is the n = 0 instance)."""
     F = _row_fn(idn, params)
     total = sum((F(n, k) for k in range(n + 1)), ZERO)
-    if total != 1:
-        return [CheckRecord(
-            suite=suite, identity=idn.key, check=check, status=FAIL,
-            n=n, sample=sample, witness=_witness(params, row_sum=total),
-            citation=idn.citation,
-        )]
-    return [CheckRecord(suite=suite, identity=idn.key, check=check,
-                        status=PASS, n=n, sample=sample, citation=idn.citation)]
+    return [outcome(suite, idn.key, check, idn.citation, total == 1, params, n=n,
+                    sample=sample, row_sum=total)]
 
 
 def verify_sample(idn: NormalizedIdentity, n_max: int, params: Params,
@@ -223,10 +190,6 @@ def natural_termination_check(idn: NormalizedIdentity, n: int, params: Params,
     for k in range(n + 1, n + overshoot + 1):
         value = F(n, k)
         if value != 0:
-            return [CheckRecord(
-                suite=suite, identity=idn.key, check="termination", status=FAIL,
-                n=n, sample=sample, witness=_witness(params, k=k, value=value),
-                citation=idn.citation,
-            )]
-    return [CheckRecord(suite=suite, identity=idn.key, check="termination",
-                        status=PASS, n=n, sample=sample, citation=idn.citation)]
+            return [outcome(suite, idn.key, "termination", idn.citation, False, params, n=n,
+                            sample=sample, k=k, value=value)]
+    return [outcome(suite, idn.key, "termination", idn.citation, True, n=n, sample=sample)]

@@ -41,10 +41,9 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .certify import CertFn, Certificate, NormalizedIdentity, sample_value
-from .errors import Inadmissible, SampleExhausted
+from .errors import Inadmissible
 from .rational import ONE, ZERO, rat_div, rat_pow
-from .sampling import (RETRY_BOUND, sample_int, sample_q, sample_rational,
-                       sample_sequence)
+from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
 Params = Mapping[str, object]
 #: (upper, lower, z) of one hypergeometric term, as a function of n and the
@@ -154,7 +153,7 @@ def draw_params(decl, rng: random.Random, bound: int) -> dict[str, object]:
         if p.kind == "q":
             params[p.name] = sample_q(rng, bound)
         elif p.kind == "int":
-            params[p.name] = sample_int(rng, *p.int_range)
+            params[p.name] = rng.randint(*p.int_range)
         elif p.kind == "sequence":
             params[p.name] = sample_sequence(rng, bound)
         else:
@@ -190,19 +189,16 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
                     if sample_value(cert.v, n, k, params) == 0:
                         return False
         return True
-    except Inadmissible:
-        return False
-    except ZeroDivisionError:
+    except (Inadmissible, ZeroDivisionError):
         return False
 
 
-def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int,
-                    retries: int = RETRY_BOUND) -> dict[str, object]:
-    for _ in range(retries):
+def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[str, object]:
+    def attempt() -> dict[str, object] | None:
         params = draw_params(idef, rng, n_max + 2)
-        if admissible(idef, n_max, params):
-            return params
-    raise SampleExhausted(f"{idef.key}: no admissible sample in {retries} tries")
+        return params if admissible(idef, n_max, params) else None
+
+    return retry(attempt, f"{idef.key}: no admissible sample in {RETRY_BOUND} tries")
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import DivisionByZero, PoleExhausted
-from .rational import ONE as F1, ZERO as F0, format_rational, rat_pow
-from .report import FAIL, PASS, CheckRecord
+from .rational import ONE as F1, ZERO as F0, rat_pow
+from .report import PASS, CheckRecord, outcome
 from .sampling import RETRY_BOUND, rng_for, sample_rational
 
 
@@ -267,12 +267,9 @@ def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int,
         if point is None:
             raise PoleExhausted(f"{ident.key}: no pole-free point in {RETRY_BOUND} tries")
         if delta != 0:
-            witness = {v: format_rational(x) for v, x in zip(ident.vars, point)}
-            witness["delta"] = format_rational(delta)
-            witness["point_index"] = str(i)
-            return [CheckRecord(suite=suite, identity=ident.key, check="sampled_zero",
-                                status=FAIL, sample=i, witness=witness,
-                                citation=ident.citation)]
+            return [outcome(suite, ident.key, "sampled_zero", ident.citation, False,
+                            dict(zip(ident.vars, point)), sample=i, delta=delta,
+                            point_index=i)]
     return [CheckRecord(suite=suite, identity=ident.key, check="sampled_zero",
                         status=PASS, witness={"points": str(samples)},
                         citation=ident.citation)]
@@ -423,7 +420,7 @@ def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> lis
             bad = None
             if leaf:
                 if total != 0:
-                    bad = {v: str(point[i]) for i, v in enumerate(ident.vars)}
+                    bad = dict(zip(ident.vars, point))
             else:
                 bad = descend(level + 1, tuple(new_accs))
             for (idx, _), old in zip(level_touch, saved):
@@ -435,9 +432,8 @@ def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> lis
     bad_point = descend(0, tuple(1 for _ in term_plan))
     shape = "x".join(str(spans[order[l]] + 2) for l in range(nv))
     if bad_point is not None:
-        bad_point["grid"] = shape
-        return [CheckRecord(suite=suite, identity=ident.key, check="grid_zero",
-                            status=FAIL, witness=bad_point, citation=ident.citation)]
+        return [outcome(suite, ident.key, "grid_zero", ident.citation, False, bad_point,
+                        grid=shape)]
     return [CheckRecord(suite=suite, identity=ident.key, check="grid_zero",
                         status=PASS, witness={"grid": shape}, citation=ident.citation)]
 

@@ -64,6 +64,16 @@ class NonIntegerExponent(VerifyError):
     """An integer-valued expression was required (exponent, count, bound)."""
 
 
+class ResourceLimit(VerifyError):
+    """An exponent, count or range length beyond MAX_COUNT; it stops the run
+    (an Inadmissible would only reject the draw)."""
+
+
+#: The largest exponent of ^, rf/qrf count, binom lower index and prod or
+#: summation range length a config may ask for.
+MAX_COUNT = 10_000
+
+
 # --- AST ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -186,20 +196,29 @@ def _tokenize(text: str) -> list[_Tok]:
 
 # --- Parser -----------------------------------------------------------------
 
+#: The deepest syntax tree, and the deepest nesting of parentheses, signs,
+#: exponents and call arguments, that ``parse`` accepts.  Deeper input is a
+#: ParseError, so no parse, print or evaluation exhausts the Python stack.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns its node and the node's depth."""
+
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
+        self.nesting = 0
 
     @property
     def cur(self) -> _Tok:
         return self.toks[self.pos]
 
-    def _take_op(self, *ops: str) -> str | None:
-        if self.cur.kind == "op" and self.cur.text in ops:
-            text = self.cur.text
+    def _take_op(self, *ops: str) -> _Tok | None:
+        t = self.cur
+        if t.kind == "op" and t.text in ops:
             self.pos += 1
-            return text
+            return t
         return None
 
     def _expect_op(self, op: str) -> None:
@@ -208,41 +227,58 @@ class _Parser:
             raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.column,
                              expected=(repr(op),))
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def _deeper(self, t: _Tok, *depths: int) -> int:
+        """One level below the deepest of depths; beyond MAX_DEPTH, a ParseError at t."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels",
+                             t.line, t.column)
+        return depth
+
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while (op := self._take_op("+", "-")) is not None:
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            right, right_depth = self.term()
+            node = Add(node, right) if op.text == "+" else Sub(node, right)
+            depth = self._deeper(op, depth, right_depth)
+        return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while (op := self._take_op("*", "/")) is not None:
-            right = self.factor()
-            node = Mul(node, right) if op == "*" else Div(node, right)
-        return node
+            right, right_depth = self.factor()
+            node = Mul(node, right) if op.text == "*" else Div(node, right)
+            depth = self._deeper(op, depth, right_depth)
+        return node, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
+        t = self.cur
+        self.nesting = self._deeper(t, self.nesting)
         if self._take_op("-"):
-            return Neg(self.factor())
-        return self.power()
+            arg, depth = self.factor()
+            node, depth = Neg(arg), self._deeper(t, depth)
+        else:
+            node, depth = self.power()
+        self.nesting -= 1
+        return node, depth
 
-    def power(self) -> Expr:
-        base = self.atom()
-        if self._take_op("^"):
-            return Pow(base, self.factor())
-        return base
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
+        if (op := self._take_op("^")) is not None:
+            exponent, exponent_depth = self.factor()
+            return Pow(base, exponent), self._deeper(op, depth, exponent_depth)
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         t = self.cur
         if t.kind == "int":
             self.pos += 1
-            return Lit(Fraction(int(t.text)))
+            return Lit(Fraction(int(t.text))), 1
         if t.kind == "name":
             self.pos += 1
             if self.cur.kind == "op" and self.cur.text == "(":
                 return self._call(t)
-            return Var(t.text)
+            return Var(t.text), 1
         if self._take_op("("):
             node = self.expr()
             self._expect_op(")")
@@ -250,7 +286,7 @@ class _Parser:
         raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.column,
                          expected=("a number", "a name", "'('"))
 
-    def _call(self, name_tok: _Tok) -> Expr:
+    def _call(self, name_tok: _Tok) -> tuple[Expr, int]:
         name = name_tok.text
         self._expect_op("(")
         if name == "prod":
@@ -260,13 +296,14 @@ class _Parser:
                                  expected=("a name",))
             self.pos += 1
             self._expect_op(",")
-            lo = self.expr()
+            lo, lo_depth = self.expr()
             self._expect_op(",")
-            hi = self.expr()
+            hi, hi_depth = self.expr()
             self._expect_op(",")
-            body = self.expr()
+            body, body_depth = self.expr()
             self._expect_op(")")
-            return Prod(binder.text, lo, hi, body)
+            return (Prod(binder.text, lo, hi, body),
+                    self._deeper(name_tok, lo_depth, hi_depth, body_depth))
         if name not in FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", name_tok.line, name_tok.column,
                              expected=tuple(sorted(FUNCTIONS) + ["prod"]))
@@ -277,12 +314,15 @@ class _Parser:
         if len(args) != FUNCTIONS[name]:
             raise ParseError(f"{name} takes {FUNCTIONS[name]} arguments, got {len(args)}",
                              name_tok.line, name_tok.column)
-        return Call(name, tuple(args))
+        nodes, depths = zip(*args)
+        return Call(name, nodes), self._deeper(name_tok, *depths)
 
 
 def parse(text: str) -> Expr:
+    """The syntax tree of text; a ParseError for bad syntax or a tree deeper
+    than MAX_DEPTH."""
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     tail = parser.cur
     if tail.kind != "end":
         raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.column,
@@ -366,6 +406,20 @@ def _as_int(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _bounded(size: int, what: str) -> int:
+    if abs(size) > MAX_COUNT:
+        raise ResourceLimit(f"{what} {size} exceeds the limit of {MAX_COUNT}")
+    return size
+
+
+def _count(value: Fraction, what: str) -> int:
+    """A non-negative integer count of at most MAX_COUNT."""
+    m = _as_int(value, what)
+    if m < 0:
+        raise NonIntegerExponent(f"{what} must be non-negative")
+    return _bounded(m, what)
+
+
 def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
     """Exact evaluation; DivisionByZero marks the point inadmissible."""
     if isinstance(e, Lit):
@@ -386,24 +440,16 @@ def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
     if isinstance(e, Div):
         return rat_div(evaluate(e.left, env), evaluate(e.right, env))
     if isinstance(e, Pow):
-        exponent = _as_int(evaluate(e.exponent, env), "exponent")
+        exponent = _bounded(_as_int(evaluate(e.exponent, env), "exponent"), "exponent")
         return rat_pow(evaluate(e.base, env), exponent)
     if isinstance(e, Call):
         args = [evaluate(a, env) for a in e.args]
         if e.func == "rf":
-            m = _as_int(args[1], "rf count")
-            if m < 0:
-                raise NonIntegerExponent("rf count must be non-negative")
-            return rising_factorial(args[0], m)
+            return rising_factorial(args[0], _count(args[1], "rf count"))
         if e.func == "qrf":
-            m = _as_int(args[2], "qrf count")
-            if m < 0:
-                raise NonIntegerExponent("qrf count must be non-negative")
-            return q_rising_factorial(args[0], args[1], m)
+            return q_rising_factorial(args[0], args[1], _count(args[2], "qrf count"))
         if e.func == "binom":
-            b = _as_int(args[1], "binom lower index")
-            if b < 0:
-                raise NonIntegerExponent("binom lower index must be non-negative")
+            b = _count(args[1], "binom lower index")
             num = ONE
             for i in range(b):
                 num *= args[0] - i
@@ -412,6 +458,7 @@ def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
     if isinstance(e, Prod):
         lo = _as_int(evaluate(e.lo, env), "prod lower bound")
         hi = _as_int(evaluate(e.hi, env), "prod upper bound")
+        _bounded(hi - lo, "prod range length")
         inner = dict(env)
 
         def body(j: int) -> Fraction:
@@ -498,8 +545,9 @@ def parse_config(text: str) -> IdentityConfig:
 
     scope_nk = set(params) | {"n", "k"}
     scope_n = set(params) | {"n"}
+    # the summation range is evaluated at n alone, before any sample is drawn
     checks = [("lhs", config.lhs, scope_nk), ("rhs", config.rhs, scope_n),
-              ("range", config.range_lo, scope_n), ("range", config.range_hi, scope_n)]
+              ("range", config.range_lo, {"n"}), ("range", config.range_hi, {"n"})]
     checks += [("require", e, scope_n) for e in config.require]
     if config.cert_u is not None:
         checks += [("cert_u", config.cert_u, scope_nk), ("cert_v", config.cert_v, scope_nk)]
@@ -530,9 +578,10 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
 
     def sum_range(n: int) -> tuple[int, int]:
         env = {"n": Fraction(n)}
-        lo = evaluate(config.range_lo, env)
-        hi = evaluate(config.range_hi, env)
-        return _as_int(lo, "range bound"), _as_int(hi, "range bound")
+        lo = _as_int(evaluate(config.range_lo, env), "range bound")
+        hi = _as_int(evaluate(config.range_hi, env), "range bound")
+        _bounded(hi - lo, "range length")
+        return lo, hi
 
     certificate = None
     if config.cert_u is not None and config.cert_v is not None:

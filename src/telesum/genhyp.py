@@ -24,9 +24,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import Inadmissible, SampleExhausted
 from .rational import rat_div
-from .sampling import RETRY_BOUND, sample_rational
+from .sampling import RETRY_BOUND, retry, sample_sequence
 from .telescope import (TelescopeProblem, telescoping_closed_form,
                         telescoping_sum, telescoping_terms)
 
@@ -84,26 +83,25 @@ def both_sides(problem: TelescopeProblem) -> tuple[Fraction, Fraction]:
 
 
 def macdonald_cv(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    prob = _problem_cv(p if n is None else _truncate(p, n))
-    return both_sides(prob)
+    return both_sides(_problem_cv(_truncate(p, n)))
 
 
 def macdonald_cv_permuted(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    prob = _problem_cv_permuted(p if n is None else _truncate(p, n))
-    return both_sides(prob)
+    return both_sides(_problem_cv_permuted(_truncate(p, n)))
 
 
 def macdonald_ps(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    prob = _problem_ps(p if n is None else _truncate(p, n))
-    return both_sides(prob)
+    return both_sides(_problem_ps(_truncate(p, n)))
 
 
 def macdonald_dougall(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    prob = _problem_dougall(p if n is None else _truncate(p, n))
-    return both_sides(prob)
+    return both_sides(_problem_dougall(_truncate(p, n)))
 
 
-def _truncate(p: SequenceParams, n: int) -> SequenceParams:
+def _truncate(p: SequenceParams, n: int | None) -> SequenceParams:
+    """p over indices 0..n (all of p when n is None)."""
+    if n is None:
+        return p
     return SequenceParams(
         a=p.a[: n + 1], b=p.b[: n + 1],
         c=None if p.c is None else p.c[: n + 1],
@@ -145,28 +143,19 @@ CITATIONS = {
 }
 
 
-def sample_sequence_params(rng: random.Random, length: int, op: str,
-                           retries: int = RETRY_BOUND) -> SequenceParams:
+def sample_sequence_params(rng: random.Random, length: int, op: str) -> SequenceParams:
     """Draw sequences admissible for the given operation (and, for the cv
     ops, for the relabeling route as well)."""
     builder, names = PROBLEM_BUILDERS[op]
-    for _ in range(retries):
-        seqs = {name: tuple(sample_rational(rng) for _ in range(length)) for name in names}
+
+    def attempt() -> SequenceParams:
+        seqs = {name: sample_sequence(rng, length) for name in names}
         p = SequenceParams(a=seqs["a"], b=seqs["b"], c=seqs.get("c"), d=seqs.get("d"))
-        if _admissible(builder, p):
-            if op == "macdonald_cv_permuted" and not _admissible(_problem_cv, relabeled_for_permutation(p)):
-                continue
-            if op == "macdonald_dougall" and not _admissible(_problem_ps, with_d_zero(p)):
-                continue
-            return p
-    raise SampleExhausted(f"{op}: no admissible sequence tuple in {retries} tries")
+        both_sides(builder(p))
+        if op == "macdonald_cv_permuted":
+            both_sides(_problem_cv(relabeled_for_permutation(p)))
+        if op == "macdonald_dougall":
+            both_sides(_problem_ps(with_d_zero(p)))
+        return p
 
-
-def _admissible(builder, p: SequenceParams) -> bool:
-    try:
-        prob = builder(p)
-        telescoping_sum(prob)
-        telescoping_closed_form(prob)
-        return True
-    except (Inadmissible, ZeroDivisionError):
-        return False
+    return retry(attempt, f"{op}: no admissible sequence tuple in {RETRY_BOUND} tries")

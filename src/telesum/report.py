@@ -1,16 +1,22 @@
 """Structured verification outcomes.
 
-A Report is a flat list of per-check records plus the seed that produced
-them.  Record order is normalized by a stable sort key so that reports are
-identical regardless of worker count or scheduling; the JSON rendering is
-byte-identical for a fixed (suite, seed, flags) triple.  Wall time is
-tracked for the text rendering only and never enters the JSON.
+Every suite builds its records with ``outcome`` (PASS without a witness,
+FAIL with one) and its witnesses with ``witness``.  A Report is a flat list
+of per-check records plus the seed that produced them.  Record order is
+normalized by a stable sort key so that reports are identical regardless of
+worker count or scheduling; the JSON rendering is byte-identical for a fixed
+(suite, seed, flags) triple.  Wall time is tracked for the text rendering
+only and never enters the JSON.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Mapping
+
+from .rational import format_rational
 
 PASS = "pass"
 FAIL = "fail"
@@ -38,6 +44,31 @@ class CheckRecord:
             -1 if self.sample is None else self.sample,
             -1 if self.n is None else self.n,
         )
+
+
+def witness(params: Mapping[str, object], **extra: object) -> dict[str, str]:
+    """Each parameter, then each extra value, as text: "num/den" or "n" for a
+    rational or integer, "(x0, x1, ...)" for a sequence, str() otherwise."""
+    out: dict[str, str] = {}
+    for name, value in params.items():
+        if isinstance(value, tuple):
+            out[name] = "(" + ", ".join(format_rational(x) for x in value) + ")"
+        else:
+            out[name] = format_rational(value)  # type: ignore[arg-type]
+    for name, value in extra.items():
+        out[name] = format_rational(value) if isinstance(value, Fraction) else str(value)
+    return out
+
+
+def outcome(suite: str, identity: str, check: str, citation: str, ok: bool,
+            params: Mapping[str, object] | None = None, *, n: int | None = None,
+            sample: int | None = None, **extra: object) -> CheckRecord:
+    """One check's record: PASS without a witness when ok, otherwise FAIL
+    with witness(params, **extra)."""
+    return CheckRecord(suite=suite, identity=identity, check=check,
+                       status=PASS if ok else FAIL, n=n, sample=sample,
+                       witness=None if ok else witness(params or {}, **extra),
+                       citation=citation)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Suite orchestration: deterministic, optionally parallel verification runs.
 
-Work is partitioned per identity/family/operation.  Each item derives its
-random stream from (seed, suite, item, sample index) alone, and the merged
-report is sorted by a stable key, so output is identical for any worker
-count.  Items are small picklable tuples, safe for a process pool.
+Work is partitioned per identity/family/operation.  Each item runs through
+``sampling.sweep``, which derives sample i's random stream from (seed,
+stream, item, i) alone, and the merged report is sorted by a stable key, so
+output is identical for any worker count.  Items are small picklable
+tuples, safe for a process pool.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from typing import Callable
 from . import elementary as elementary_mod
 from . import genhyp as genhyp_mod
 from . import sequences as sequences_mod
-from .certify import _witness, natural_termination_check, verify_sample
+from .certify import natural_termination_check, verify_sample
 from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, draw_admissible,
                      evaluate_identity, normalized, specialization_d_zero_checks)
-from .errors import Inadmissible, PoleExhausted, SampleExhausted
-from .rational import format_rational
-from .report import FAIL, INADMISSIBLE, PASS, CheckRecord, Report
-from .sampling import RETRY_BOUND, rng_for, sample_q, sample_rational
+from .errors import Inadmissible, PoleExhausted
+from .report import INADMISSIBLE, CheckRecord, Report, outcome
+from .sampling import retry, sample_q, sample_rational, sweep
 
 SUITES = ("corpus", "ez", "sequences", "genhyp", "elementary")
 
@@ -50,24 +50,10 @@ def suite_items(suite: str) -> list[str]:
 
 def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int, seed: int,
            checks: Callable[[dict, int | None], list[CheckRecord]]) -> list[CheckRecord]:
-    """checks(params, sample) on each admissible sample of one identity.
-
-    Sample i draws from the stream (seed, suite, key, i); an identity
-    without parameters has the one sample None.
-    """
-    records: list[CheckRecord] = []
-    for i in range(samples if idef.params else 1):
-        rng = rng_for(seed, suite, idef.key, i)
-        sample = i if idef.params else None
-        try:
-            params = draw_admissible(idef, rng, n_max)
-        except SampleExhausted as exc:
-            records.append(CheckRecord(suite=suite, identity=idef.key, check="sampling",
-                                       status=FAIL, sample=sample,
-                                       witness={"reason": str(exc)}, citation=idef.citation))
-            continue
-        records.extend(checks(params, sample))
-    return records
+    """checks(params, sample) on each admissible sample of one identity."""
+    return sweep(suite, idef.key, idef.citation, seed, samples,
+                 lambda rng: draw_admissible(idef, rng, n_max), checks,
+                 parametric=bool(idef.params))
 
 
 def _identity_rows(idef: IdentityDef, suite: str, n_max: int, params: dict,
@@ -78,13 +64,12 @@ def _identity_rows(idef: IdentityDef, suite: str, n_max: int, params: dict,
         try:
             lhs, rhs = evaluate_identity(idef, n, params)
         except Inadmissible as exc:
-            status, witness = INADMISSIBLE, {"reason": str(exc)}
+            records.append(CheckRecord(suite=suite, identity=idef.key, check="identity",
+                                       status=INADMISSIBLE, n=n, sample=sample,
+                                       witness={"reason": str(exc)}, citation=idef.citation))
         else:
-            status = PASS if lhs == rhs else FAIL
-            witness = None if status == PASS else _witness(params, lhs=lhs, rhs=rhs)
-        records.append(CheckRecord(suite=suite, identity=idef.key, check="identity",
-                                   status=status, n=n, sample=sample,
-                                   witness=witness, citation=idef.citation))
+            records.append(outcome(suite, idef.key, "identity", idef.citation, lhs == rhs,
+                                   params, n=n, sample=sample, lhs=lhs, rhs=rhs))
     return records
 
 
@@ -107,34 +92,22 @@ def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
 
 def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
     citation = "n = 1 row of the q-Dougall sum rearranged to the four-variable identity"
-    records = []
-    for i in range(samples):
-        rng = rng_for(seed, "corpus", SPECIALIZATION_KEY, i)
-        outcome = None
-        for _ in range(RETRY_BOUND):
+
+    def draw(rng):
+        def attempt():
             q = sample_q(rng, 4)
             point = {name: sample_rational(rng) for name in "abcd"}
-            try:
-                outcome = specialization_d_zero_checks(q, point["a"], point["b"],
-                                                       point["c"], point["d"])
-            except Inadmissible:
-                continue
-            break
-        if outcome is None:
-            records.append(CheckRecord(suite="corpus", identity=SPECIALIZATION_KEY,
-                                       check="sampling", status=FAIL, sample=i,
-                                       witness={"reason": "no admissible sample"},
-                                       citation=citation))
-            continue
-        bad = [name for name, ok in outcome.items() if not ok]
-        status = PASS if not bad else FAIL
-        witness = None
-        if bad:
-            witness = _witness(point, q=q, failed=",".join(bad))
-        records.append(CheckRecord(suite="corpus", identity=SPECIALIZATION_KEY,
-                                   check="specialization", status=status, sample=i,
-                                   witness=witness, citation=citation))
-    return records
+            return q, point, specialization_d_zero_checks(q, **point)
+
+        return retry(attempt, "no admissible sample")
+
+    def checks(drawn, sample):
+        q, point, results = drawn
+        bad = ",".join(name for name, ok in results.items() if not ok)
+        return [outcome("corpus", SPECIALIZATION_KEY, "specialization", citation, not bad,
+                        point, sample=sample, q=q, failed=bad)]
+
+    return sweep("corpus", SPECIALIZATION_KEY, citation, seed, samples, draw, checks)
 
 
 def run_ez_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -155,44 +128,28 @@ def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
     max_len = 10 if n_max is None else n_max + 1
     builder, _ = genhyp_mod.PROBLEM_BUILDERS[key]
     citation = genhyp_mod.CITATIONS[key]
-    records: list[CheckRecord] = []
-    for i in range(samples):
-        rng = rng_for(seed, "genhyp", key, i)
-        length = rng.randint(1, max_len)
-        try:
-            p = genhyp_mod.sample_sequence_params(rng, length, key)
-        except SampleExhausted as exc:
-            records.append(CheckRecord(suite="genhyp", identity=key, check="sampling",
-                                       status=FAIL, sample=i,
-                                       witness={"reason": str(exc)}, citation=citation))
-            continue
+
+    def draw(rng):
+        return genhyp_mod.sample_sequence_params(rng, rng.randint(1, max_len), key)
+
+    def checks(p, sample):
+        def record(check, ok, **extra):
+            return outcome("genhyp", key, check, citation, ok, n=p.n, sample=sample, **extra)
+
         lhs, rhs = genhyp_mod.both_sides(builder(p))
-        status = PASS if lhs == rhs else FAIL
-        witness = None
-        if status == FAIL:
-            witness = {"lhs": format_rational(lhs), "rhs": format_rational(rhs),
-                       "length": str(length)}
-        records.append(CheckRecord(suite="genhyp", identity=key, check="identity",
-                                   status=status, n=p.n, sample=i,
-                                   witness=witness, citation=citation))
+        records = [record("identity", lhs == rhs, lhs=lhs, rhs=rhs, length=p.n + 1)]
         if key == "macdonald_cv_permuted":
             other = genhyp_mod.macdonald_cv(genhyp_mod.relabeled_for_permutation(p))
-            ok = other == (lhs, rhs)
-            records.append(CheckRecord(
-                suite="genhyp", identity=key, check="relabel", n=p.n, sample=i,
-                status=PASS if ok else FAIL,
-                witness=None if ok else {"direct": format_rational(lhs),
-                                         "relabel": format_rational(other[0])},
-                citation=citation))
+            records.append(record("relabel", other == (lhs, rhs), direct=lhs,
+                                  relabel=other[0]))
         if key == "macdonald_dougall":
             dz = genhyp_mod.with_d_zero(p)
-            ok = genhyp_mod.dougall_terms(dz) == genhyp_mod.ps_terms(dz)
-            records.append(CheckRecord(
-                suite="genhyp", identity=key, check="d_zero_termwise", n=p.n, sample=i,
-                status=PASS if ok else FAIL,
-                witness=None if ok else {"reason": "termwise mismatch"},
-                citation=citation))
-    return records
+            records.append(record("d_zero_termwise",
+                                  genhyp_mod.dougall_terms(dz) == genhyp_mod.ps_terms(dz),
+                                  reason="termwise mismatch"))
+        return records
+
+    return sweep("genhyp", key, citation, seed, samples, draw, checks)
 
 
 def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[CheckRecord]:
@@ -200,9 +157,8 @@ def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[C
     try:
         records = elementary_mod.sampled_zero_check(ident, seed, samples, suite="elementary")
     except PoleExhausted as exc:
-        records = [CheckRecord(suite="elementary", identity=key, check="sampling",
-                               status=FAIL, witness={"reason": str(exc)},
-                               citation=ident.citation)]
+        records = [outcome("elementary", key, "sampling", ident.citation, False,
+                           reason=str(exc))]
     if grid:
         records = records + elementary_mod.grid_zero_check(ident, suite="elementary")
     return records

@@ -1,10 +1,11 @@
-"""Seeded random samplers for admissible parameter points.
+"""Seeded random samplers, and the one sample -> check -> record loop.
 
 Rationals draw numerator from +-1..64 and denominator from 1..64; q-samples
 additionally exclude 0 and any root of unity (q^m = 1 for small m, which for
 rationals just means +-1) because those collapse q-factorials.  All streams
 are derived from (seed, labels...) through SHA-256 so results never depend
-on PYTHONHASHSEED, process boundaries, or scheduling.
+on PYTHONHASHSEED, process boundaries, or scheduling.  ``sweep`` gives each
+sample of every suite its stream, and ``retry`` is the one redraw policy.
 """
 
 from __future__ import annotations
@@ -12,8 +13,14 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from typing import Callable, TypeVar
+
+from .errors import Inadmissible, SampleExhausted
+from .report import CheckRecord, outcome
 
 RETRY_BOUND = 100
+
+T = TypeVar("T")
 
 
 def rng_for(seed: int, *labels: object) -> random.Random:
@@ -23,10 +30,9 @@ def rng_for(seed: int, *labels: object) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def sample_rational(rng: random.Random, nonzero: bool = True) -> Fraction:
+def sample_rational(rng: random.Random) -> Fraction:
+    """A nonzero rational: numerator +-1..64 over denominator 1..64."""
     num = rng.randint(1, 64) * rng.choice((-1, 1))
-    if not nonzero and rng.random() < 0.05:
-        num = 0
     return Fraction(num, rng.randint(1, 64))
 
 
@@ -34,16 +40,50 @@ def sample_q(rng: random.Random, unity_bound: int) -> Fraction:
     """A base q avoiding 0 and q^m = 1 for all m <= unity_bound."""
     while True:
         q = sample_rational(rng)
-        if q == 0:
-            continue
-        if any(q**m == 1 for m in range(1, unity_bound + 1)):
-            continue
-        return q
-
-
-def sample_int(rng: random.Random, lo: int, hi: int) -> int:
-    return rng.randint(lo, hi)
+        if not any(q**m == 1 for m in range(1, unity_bound + 1)):
+            return q
 
 
 def sample_sequence(rng: random.Random, length: int) -> tuple[Fraction, ...]:
     return tuple(sample_rational(rng) for _ in range(length))
+
+
+def retry(attempt: Callable[[], T | None], reason: str) -> T:
+    """The first draw attempt() accepts, in at most RETRY_BOUND tries.
+
+    A try rejects its draw by returning None or by hitting a zero
+    denominator (Inadmissible or ZeroDivisionError); when every try is
+    rejected, SampleExhausted(reason) is raised.
+    """
+    for _ in range(RETRY_BOUND):
+        try:
+            drawn = attempt()
+        except (Inadmissible, ZeroDivisionError):
+            continue
+        if drawn is not None:
+            return drawn
+    raise SampleExhausted(reason)
+
+
+def sweep(suite: str, identity: str, citation: str, seed: int, samples: int,
+          draw: Callable[[random.Random], T],
+          checks: Callable[[T, int | None], list[CheckRecord]],
+          parametric: bool = True, stream: str | None = None) -> list[CheckRecord]:
+    """checks(draw(rng), sample) for every sample of one item.
+
+    Sample i draws from rng_for(seed, stream, identity, i), the stream
+    defaulting to the suite; an item that is not parametric has the one
+    sample None.  A draw that raises SampleExhausted is recorded as a
+    failed "sampling" check with the exhaustion's reason.
+    """
+    records: list[CheckRecord] = []
+    for i in range(samples if parametric else 1):
+        sample = i if parametric else None
+        try:
+            drawn = draw(rng_for(seed, stream or suite, identity, i))
+        except SampleExhausted as exc:
+            records.append(outcome(suite, identity, "sampling", citation, False,
+                                   sample=sample, reason=str(exc)))
+            continue
+        records.extend(checks(drawn, sample))
+    return records

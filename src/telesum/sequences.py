@@ -26,10 +26,10 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .corpus import Param, draw_params, q_rising_factorial as qrf
-from .errors import Inadmissible, SampleExhausted
+from .errors import Inadmissible
 from .rational import ONE, SeqFn, ZERO, rat_div, rat_pow
-from .report import FAIL, PASS, CheckRecord
-from .sampling import RETRY_BOUND, rng_for, sample_rational
+from .report import INADMISSIBLE, CheckRecord, outcome
+from .sampling import retry, sample_rational, sample_sequence, sweep
 
 Params = Mapping[str, object]
 Values = Sequence[Fraction]
@@ -150,18 +150,10 @@ def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
         sides = lucas_gen_sides(spec, which, n_max)
     except Inadmissible as exc:
         return [CheckRecord(suite=suite, identity=identity, check="identity",
-                            status="inadmissible", sample=sample,
+                            status=INADMISSIBLE, sample=sample,
                             witness={"reason": str(exc)}, citation=citation)]
-    records = []
-    for n, lhs, rhs in sides:
-        status = PASS if lhs == rhs else FAIL
-        witness = None
-        if status == FAIL:
-            witness = {"lhs": str(lhs), "rhs": str(rhs)}
-        records.append(CheckRecord(suite=suite, identity=identity, check="identity",
-                                   status=status, n=n, sample=sample,
-                                   witness=witness, citation=citation))
-    return records
+    return [outcome(suite, identity, "identity", citation, lhs == rhs, n=n, sample=sample,
+                    lhs=lhs, rhs=rhs) for n, lhs, rhs in sides]
 
 
 # ---------------------------------------------------------------------------
@@ -528,13 +520,12 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def _family_records_once(family: Family, n_max: int, params: Params,
-                         sample: int | None, suite: str) -> list[CheckRecord]:
-    """One full pass over the printed suite; raises Inadmissible on any pole."""
-    spec = family.make(params)
-    xs = generate(spec, 2 * n_max + 2)
-    records = []
-    shown = {name: str(value) for name, value in params.items()}
+def family_sides(family: Family, n_max: int,
+                 params: Params) -> list[tuple[str, int, Fraction, Fraction]]:
+    """(identity name, n, LHS, RHS) of every printed identity for n <= n_max;
+    raises Inadmissible on any pole."""
+    xs = generate(family.make(params), 2 * n_max + 2)
+    sides = []
     for ident in family.printed:
         lhs = ZERO
         next_k = ident.k_start
@@ -542,41 +533,30 @@ def _family_records_once(family: Family, n_max: int, params: Params,
             while next_k <= n:
                 lhs += ident.term(next_k, xs, params)
                 next_k += 1
-            rhs = ident.rhs(n, xs, params)
-            status = PASS if lhs == rhs else FAIL
-            witness = dict(shown, lhs=str(lhs), rhs=str(rhs)) if status == FAIL else None
-            records.append(CheckRecord(
-                suite=suite, identity=f"{family.key}/{ident.name}", check="identity",
-                status=status, n=n, sample=sample, witness=witness,
-                citation=family.citation,
-            ))
-    return records
+            sides.append((ident.name, n, lhs, ident.rhs(n, xs, params)))
+    return sides
 
 
 def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int,
                         suite: str = "sequences") -> list[CheckRecord]:
     """Every printed identity of the family, for all n <= n_max, exactly."""
     family = FAMILIES[family_key]
-    if not family.params:
-        samples = 1
-    records: list[CheckRecord] = []
-    for idx in range(samples):
-        rng = rng_for(seed, "family", family_key, idx)
-        sample = idx if family.params else None
-        for _ in range(RETRY_BOUND):
+
+    def draw(rng):
+        def attempt():
             params = draw_params(family, rng, 16)
-            try:
-                records.extend(_family_records_once(family, n_max, params, sample, suite))
-                break
-            except (Inadmissible, ZeroDivisionError):
-                continue
-        else:
-            records.append(CheckRecord(
-                suite=suite, identity=family_key, check="sampling", status=FAIL,
-                sample=sample, witness={"reason": "no admissible sample found"},
-                citation=family.citation,
-            ))
-    return records
+            return params, family_sides(family, n_max, params)
+
+        return retry(attempt, "no admissible sample found")
+
+    def checks(drawn, sample):
+        params, sides = drawn
+        return [outcome(suite, f"{family.key}/{name}", "identity", family.citation,
+                        lhs == rhs, params, n=n, sample=sample, lhs=lhs, rhs=rhs)
+                for name, n, lhs, rhs in sides]
+
+    return sweep(suite, family_key, family.citation, seed, samples, draw, checks,
+                 parametric=bool(family.params), stream="family")
 
 
 def random_spec(rng: random.Random, n_max: int, name: str = "random") -> RecurrenceSpec:
@@ -585,15 +565,16 @@ def random_spec(rng: random.Random, n_max: int, name: str = "random") -> Recurre
     Nonzero coefficients and initial values, x_2 != 0, and nonzero composite
     denominators a_{j-1} a_j + b_j for the divided form.
     """
-    for _ in range(RETRY_BOUND):
-        a_vals = [sample_rational(rng) for _ in range(2 * n_max + 2)]
-        b_vals = [sample_rational(rng) for _ in range(2 * n_max + 2)]
+    def attempt() -> RecurrenceSpec | None:
+        a_vals = sample_sequence(rng, 2 * n_max + 2)
+        b_vals = sample_sequence(rng, 2 * n_max + 2)
         x0 = sample_rational(rng)
         x1 = sample_rational(rng)
         if a_vals[0] * x1 + b_vals[0] * x0 == 0:
-            continue
+            return None
         if any(a_vals[j - 1] * a_vals[j] + b_vals[j] == 0 for j in range(1, n_max + 1)):
-            continue
+            return None
         return RecurrenceSpec(name, lambda n, av=a_vals: av[n],
                               lambda n, bv=b_vals: bv[n], x0, x1)
-    raise SampleExhausted("could not draw a random recurrence spec")
+
+    return retry(attempt, "could not draw a random recurrence spec")

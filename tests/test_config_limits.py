@@ -1,0 +1,93 @@
+"""Config input that must exit 2 with a located message, never a traceback:
+syntax trees deeper than MAX_DEPTH, parameters in the summation range, and
+exponents, counts or range lengths beyond MAX_COUNT."""
+
+import io
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from telesum.cli import main
+from telesum.errors import Inadmissible, VerifyError
+from telesum.exprlang import (MAX_COUNT, MAX_DEPTH, ParseError, ResourceLimit,
+                              SchemaError, evaluate, parse, parse_config)
+
+
+def run_check(tmp_path, capsys, **sections):
+    text = {"name": "deep", "params": "x", "lhs": "x^k", "range": "0 .. n",
+            "rhs": "(x^(n + 1) - 1)/(x - 1)", **sections}
+    path = tmp_path / "config.tkid"
+    path.write_text("".join(f"{key}: {value}\n" for key, value in text.items()),
+                    encoding="utf-8")
+    code = main(["check", "--config", str(path), "--samples", "1", "--n-max", "2"],
+                out=io.StringIO())
+    return code, capsys.readouterr().err
+
+
+def test_deeply_parenthesized_lhs_exits_two(tmp_path, capsys):
+    code, err = run_check(tmp_path, capsys, lhs="(" * 3000 + "x^k" + ")" * 3000)
+    assert code == 2
+    assert f"nested deeper than {MAX_DEPTH} levels at line 1, column" in err
+
+
+def test_long_flat_sum_exits_two(tmp_path, capsys):
+    code, err = run_check(tmp_path, capsys, lhs="+".join(["k"] * 3000))
+    assert code == 2
+    assert f"nested deeper than {MAX_DEPTH} levels" in err
+
+
+def test_every_kind_of_nesting_is_bounded():
+    for text in ("-" * 3000 + "x", "x^" * 3000 + "x", "rf(" * 3000 + "x" + ", 1)" * 3000,
+                 "prod(j, 0, 1, " * 3000 + "j" + ")" * 3000, "k*" * 3000 + "k"):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse(text)
+
+
+def test_tree_at_the_depth_limit_still_parses():
+    flat = parse("+".join(["k"] * MAX_DEPTH))  # MAX_DEPTH - 1 additions over a leaf
+    assert evaluate(flat, {"k": F(3)}) == 3 * MAX_DEPTH
+    nested = parse("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1))
+    assert evaluate(nested, {"x": F(2)}) == 2
+    with pytest.raises(ParseError):
+        parse("+".join(["k"] * (MAX_DEPTH + 1)))
+    with pytest.raises(ParseError):
+        parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+
+
+def test_parameter_in_range_is_a_schema_error(tmp_path, capsys):
+    config = "name: r\nparams: x\nlhs: k\nrange: 0 .. x\nrhs: n\n"
+    with pytest.raises(SchemaError, match=r"range: unbound variable\(s\) \['x'\]"):
+        parse_config(config)
+    code, err = run_check(tmp_path, capsys, range="0 .. x")
+    assert code == 2
+    assert "range" in err and "'x'" in err
+
+
+def test_huge_exponent_exits_two_at_once(tmp_path, capsys):
+    started = time.perf_counter()
+    code, err = run_check(tmp_path, capsys, lhs="x^(10^9)")
+    assert code == 2
+    assert f"exponent 1000000000 exceeds the limit of {MAX_COUNT}" in err
+    assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize("text", [
+    "x^(-10001)", "rf(x, 10001)", "qrf(x, 1/2, 10001)", "binom(x, 10001)",
+    "prod(j, 1, 10002, x)", "prod(j, 10002, 0, x)"])
+def test_counts_beyond_the_cap_raise_resource_limit(text):
+    with pytest.raises(ResourceLimit) as err:
+        evaluate(parse(text), {"x": F(2, 3)})
+    assert isinstance(err.value, VerifyError) and not isinstance(err.value, Inadmissible)
+
+
+def test_counts_at_the_cap_evaluate():
+    assert evaluate(parse("x^10000"), {"x": F(1)}) == 1
+    assert evaluate(parse("binom(x, 10000)"), {"x": F(10000)}) == 1
+    assert evaluate(parse("prod(j, 1, 10001, 1)"), {}) == 1
+
+
+def test_summation_range_beyond_the_cap_exits_two(tmp_path, capsys):
+    code, err = run_check(tmp_path, capsys, range="0 .. n + 10001")
+    assert code == 2
+    assert "range length" in err
