@@ -42,6 +42,11 @@ from .telescope import TelescopeProblem, telescoping_terms
 Params = Mapping[str, object]
 CertFn = Callable[[int, int, Params], Fraction]
 
+#: How many columns past k = n a terminating sum's summand is read: the
+#: termination check asserts F(n, k) = 0 for n < k <= n + TERMINATION_OVERSHOOT,
+#: and the admissibility probe evaluates the summand there.
+TERMINATION_OVERSHOOT = 3
+
 
 @dataclass(frozen=True)
 class Certificate:
@@ -183,11 +188,12 @@ def verify_sample(idn: NormalizedIdentity, n_max: int, params: Params,
 
 
 def natural_termination_check(idn: NormalizedIdentity, n: int, params: Params,
-                              suite: str = "ez", sample: int | None = None,
-                              overshoot: int = 3) -> list[CheckRecord]:
-    """F(n, k) = 0 for n < k <= n + overshoot (the zero-factor mechanism)."""
+                              suite: str = "ez",
+                              sample: int | None = None) -> list[CheckRecord]:
+    """F(n, k) = 0 for n < k <= n + TERMINATION_OVERSHOOT (the zero-factor
+    mechanism)."""
     F = _row_fn(idn, params)
-    for k in range(n + 1, n + overshoot + 1):
+    for k in range(n + 1, n + TERMINATION_OVERSHOOT + 1):
         value = F(n, k)
         if value != 0:
             return [outcome(suite, idn.key, "termination", idn.citation, False, params, n=n,

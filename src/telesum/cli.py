@@ -170,6 +170,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         except FileNotFoundError:
             print(f"error: config file not found: {args.config}", file=sys.stderr)
             return EXIT_USAGE
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: cannot read config file {args.config}: {reason}", file=sys.stderr)
+            return EXIT_USAGE
         except (ParseError, SchemaError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

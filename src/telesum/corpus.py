@@ -4,7 +4,7 @@ Each entry is an IdentityDef: a summand evaluator term(n, k, params), a
 closed-form right side rhs(n, params), parameter declarations with
 admissibility handled by an evaluation probe, and, for the terminating
 hypergeometric and q-hypergeometric sums, the telescoping certificate
-(u(n,k), v(n,k)) transcribed from the classical proofs.
+(u(n,k), v(n,k)) of the classical proofs.
 
 The nine certified sums are declared as data, in the rphis notation of
 Gasper and Rahman: a summand is one hypergeometric term
@@ -12,8 +12,13 @@ Gasper and Rahman: a summand is one hypergeometric term
     hypergeometric(upper, lower, z, k) = prod (x)_k / prod (y)_k * z^k
 
 given by its (upper; lower; argument) lists, and its closed form is one
-such term taken at n in place of k.  ``hypergeometric`` is the only product
-code they use.
+such term taken at n in place of k.  Their certificates are declared the
+same way, as the (factors; argument) lists of a product of linear factors
+
+    linear_factors(xs, z, k) = z * prod (x + k)          (classical sums)
+    linear_factors(xs, z, k, q) = z * prod (1 - x q^k)   (q-sums)
+
+``hypergeometric`` and ``linear_factors`` are the only product code they use.
 
 Conventions:
 
@@ -28,9 +33,11 @@ Conventions:
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.
 
-Summands and closed forms are read through ``certify.sample_value``, so the
-admissibility probe evaluates each term(n, k) and rhs(n) of a sample once,
-and ``evaluate_identity`` and ``normalized(...).F`` reuse those values.
+Summands, closed forms and certificate values are read through
+``certify.sample_value``, so the admissibility probe evaluates each
+term(n, k), rhs(n), u(n, k) and v(n, k) of a sample once, and
+``evaluate_identity``, ``normalized(...).F`` and the certificate checks
+reuse those values.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .certify import CertFn, Certificate, NormalizedIdentity, sample_value
+from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
+                      sample_value)
 from .errors import Inadmissible
 from .rational import ONE, ZERO, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
@@ -49,6 +57,9 @@ Params = Mapping[str, object]
 #: (upper, lower, z) of one hypergeometric term, as a function of n and the
 #: parameters by name.
 Series = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction], Fraction]]
+#: (factors, z) of one ``linear_factors`` product, as a function of n and the
+#: parameters by name.
+Factors = Callable[..., tuple[Sequence[Fraction], Fraction]]
 
 
 def rising_factorial(x: Fraction, m: int) -> Fraction:
@@ -93,6 +104,20 @@ def hypergeometric(upper: Sequence[Fraction], lower: Sequence[Fraction], z: Frac
     for y in lower:
         den *= shifted(y, m)
     return rat_div(num, den) * rat_pow(z, m)
+
+
+def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
+                   q: Fraction | None = None) -> Fraction:
+    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
+    p = ONE
+    if q is None:
+        for x in xs:
+            p *= x + k
+    else:
+        qk = rat_pow(q, k)
+        for x in xs:
+            p *= 1 - x * qk
+    return p * z
 
 
 def factorial(m: int) -> Fraction:
@@ -164,13 +189,13 @@ def draw_params(decl, rng: random.Random, bound: int) -> dict[str, object]:
 def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
     """Probe every denominator the suites will touch; False on any zero.
 
-    Covers the summand over the summation range (plus a 3-term overshoot for
-    terminating sums), the right side up to n_max + 1, and, when a
+    Covers the summand over the summation range (plus TERMINATION_OVERSHOOT
+    columns for terminating sums), the right side up to n_max + 1, and, when a
     certificate is present: F's normalization (rhs != 0), w(n, 0) != 0, and
     v(n, k) != 0 for 1 <= k <= n + 1.  The probed values stay in the sample
     memo, where the checks of an accepted sample find them.
     """
-    overshoot = 3 if idef.terminating else 0
+    overshoot = TERMINATION_OVERSHOOT if idef.terminating else 0
     try:
         for n in range(n_max + 2):
             r = sample_value(idef.rhs, n, params)
@@ -202,7 +227,7 @@ def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[s
 
 
 # ---------------------------------------------------------------------------
-# Classical hypergeometric rows
+# Sums without a certificate
 # ---------------------------------------------------------------------------
 
 def _geometric() -> IdentityDef:
@@ -284,17 +309,20 @@ def _ramanujan_entry25() -> IdentityDef:
 
 
 # ---------------------------------------------------------------------------
-# Certified sums, declared as (upper; lower; argument) data
+# Certified sums, declared as data
 # ---------------------------------------------------------------------------
 
 def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Series,
-               closed_form: Series, u: CertFn, v: CertFn, well_poised: bool = False,
+               closed_form: Series, u: Factors, v: Factors, well_poised: bool = False,
                n_max: int = 15) -> IdentityDef:
-    """sum_{k=0}^{n} term(n, k) = rhs(n), with both sides declared as data.
+    """sum_{k=0}^{n} term(n, k) = rhs(n), with both sides and the certificate
+    declared as data.
 
     summand(n, **params) and closed_form(n, **params) give the (upper,
     lower, z) of one ``hypergeometric`` term, taken at m = k and at m = n.
     A very-well-poised summand also carries the head (1 - a q^(2k))/(1 - a).
+    u(n, **params) and v(n, **params) give the (factors, z) of one
+    ``linear_factors`` product, taken at k.
     """
 
     def term(n: int, k: int, p: Params) -> Fraction:
@@ -305,124 +333,74 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     def rhs(n: int, p: Params) -> Fraction:
         return hypergeometric(*closed_form(n, **p), n, p.get("q"))
 
+    def at_k(factors: Factors) -> CertFn:
+        return lambda n, k, p: linear_factors(*factors(n, **p), k, p.get("q"))
+
     return IdentityDef(key=key, citation=citation, params=params, term=term, rhs=rhs,
-                       certificate=Certificate(u, v), n_max=n_max)
+                       certificate=Certificate(at_k(u), at_k(v)), n_max=n_max)
 
 
-def _binomial_x1() -> IdentityDef:
-    return _certified(
+_CERTIFIED = (
+    # classical hypergeometric sums: u and v are products of (x + k)
+    _certified(
         "binomial_x1", "row sums of Pascal's triangle (binomial theorem at x = 1)", (),
         summand=lambda n: ([-n], [1], -1),
         closed_form=lambda n: ([], [], 2),
-        u=lambda n, k, p: Fraction(n + 1 - k),
-        v=lambda n, k, p: Fraction(k),
-    )
-
-
-def _binomial() -> IdentityDef:
-    return _certified(
+        u=lambda n: ([-n - 1], -1),
+        v=lambda n: ([0], 1),
+    ),
+    _certified(
         "binomial", "binomial theorem (terminating form)", (Param("x", note="x != 0, -1"),),
         summand=lambda n, x: ([-n], [1], -x),
         closed_form=lambda n, x: ([], [], 1 + x),
-        u=lambda n, k, p: p["x"] * (n - k + 1),
-        v=lambda n, k, p: Fraction(k),
-    )
-
-
-def _chu_vandermonde() -> IdentityDef:
-    return _certified(
+        u=lambda n, x: ([-n - 1], -x),
+        v=lambda n, x: ([0], 1),
+    ),
+    _certified(
         "chu_vandermonde", "Chu (1303)-Vandermonde (1772) sum", (Param("a"), Param("b")),
         summand=lambda n, a, b: ([a, -n], [b, 1], 1),
         closed_form=lambda n, a, b: ([b - a], [b], 1),
-        u=lambda n, k, p: (p["a"] + k) * (-n - 1 + k),
-        v=lambda n, k, p: k * (p["b"] + k - 1),
-    )
-
-
-def _pfaff_saalschutz() -> IdentityDef:
-    return _certified(
+        u=lambda n, a, b: ([a, -n - 1], 1),
+        v=lambda n, a, b: ([0, b - 1], 1),
+    ),
+    _certified(
         "pfaff_saalschutz", "Pfaff (1797)-Saalschutz (1890) sum",
         (Param("a"), Param("b"), Param("c")),
         summand=lambda n, a, b, c: ([a, b, -n], [c, 1 - n + a + b - c, 1], 1),
         closed_form=lambda n, a, b, c: ([c - a, c - b], [c, c - a - b], 1),
-        u=lambda n, k, p: (p["a"] + k) * (p["b"] + k) * (-n - 1 + k),
-        v=lambda n, k, p: k * (p["c"] + k - 1) * (-n + k + p["a"] + p["b"] - p["c"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# q-hypergeometric rows
-# ---------------------------------------------------------------------------
-
-def _q_binomial() -> IdentityDef:
-    return _certified(
+        u=lambda n, a, b, c: ([a, b, -n - 1], 1),
+        v=lambda n, a, b, c: ([0, c - 1, a + b - c - n], 1),
+    ),
+    # q-hypergeometric sums: u and v are products of (1 - x q^k)
+    _certified(
         "q_binomial", "terminating q-binomial sum", (Param("z"), Param("q", kind="q")),
         summand=lambda n, z, q: ([rat_pow(q, -n)], [q], z * rat_pow(q, n)),
         closed_form=lambda n, z, q: ([z], [], 1),
-        u=lambda n, k, p: p["z"] * rat_pow(p["q"], n) * (1 - rat_pow(p["q"], -n - 1 + k)),
-        v=lambda n, k, p: 1 - rat_pow(p["q"], k),
+        u=lambda n, z, q: ([rat_pow(q, -n - 1)], z * rat_pow(q, n)),
+        v=lambda n, z, q: ([1], 1),
         n_max=12,
-    )
-
-
-def _q_chu_vandermonde() -> IdentityDef:
-    def u(n, k, p):
-        a, b, q = p["a"], p["b"], p["q"]
-        return (1 - a * rat_pow(q, k)) * (1 - rat_pow(q, -n - 1 + k)) * rat_div(b * rat_pow(q, n), a)
-
-    def v(n, k, p):
-        b, q = p["b"], p["q"]
-        return (1 - b * rat_pow(q, k - 1)) * (1 - rat_pow(q, k))
-
-    return _certified(
+    ),
+    _certified(
         "q_chu_vandermonde", "a q-analog of the Chu-Vandermonde sum",
         (Param("a"), Param("b"), Param("q", kind="q")),
         summand=lambda n, a, b, q: ([a, rat_pow(q, -n)], [b, q], rat_div(b * rat_pow(q, n), a)),
         closed_form=lambda n, a, b, q: ([rat_div(b, a)], [b], 1),
-        u=u, v=v, n_max=12,
-    )
-
-
-def _q_pfaff_saalschutz() -> IdentityDef:
-    def u(n, k, p):
-        a, b, q = p["a"], p["b"], p["q"]
-        return ((1 - a * rat_pow(q, k)) * (1 - b * rat_pow(q, k))
-                * (1 - rat_pow(q, -n - 1 + k)))
-
-    def v(n, k, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        return ((1 - c * rat_pow(q, k - 1))
-                * (1 - rat_div(a * b * rat_pow(q, -n + k), c))
-                * (1 - rat_pow(q, k)))
-
-    return _certified(
+        u=lambda n, a, b, q: ([a, rat_pow(q, -n - 1)], rat_div(b * rat_pow(q, n), a)),
+        v=lambda n, a, b, q: ([rat_div(b, q), 1], 1),
+        n_max=12,
+    ),
+    _certified(
         "q_pfaff_saalschutz", "q-Pfaff-Saalschutz sum (Jackson, 1910)",
         (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
         summand=lambda n, a, b, c, q: (
             [a, b, rat_pow(q, -n)], [c, rat_div(a * b * rat_pow(q, 1 - n), c), q], q),
         closed_form=lambda n, a, b, c, q: (
             [rat_div(c, a), rat_div(c, b)], [c, rat_div(c, a * b)], 1),
-        u=u, v=v, n_max=12,
-    )
-
-
-def _q_dougall() -> IdentityDef:
-    def u(n, k, p):
-        a, b, c, d, q = p["a"], p["b"], p["c"], p["d"], p["q"]
-        qk = rat_pow(q, k)
-        return ((1 - a * qk) * (1 - b * qk) * (1 - c * qk) * (1 - d * qk)
-                * (1 - rat_div(a * a * rat_pow(q, n + k + 1), b * c * d))
-                * (1 - rat_pow(q, -n - 1 + k)))
-
-    def v(n, k, p):
-        a, b, c, d, q = p["a"], p["b"], p["c"], p["d"], p["q"]
-        qk = rat_pow(q, k)
-        return ((1 - rat_div(a * qk, b)) * (1 - rat_div(a * qk, c))
-                * (1 - rat_div(a * qk, d))
-                * (1 - rat_div(b * c * d * rat_pow(q, -n + k - 1), a))
-                * (1 - a * rat_pow(q, n + k + 1)) * (1 - qk))
-
-    return _certified(
+        u=lambda n, a, b, c, q: ([a, b, rat_pow(q, -n - 1)], 1),
+        v=lambda n, a, b, c, q: ([rat_div(c, q), rat_div(a * b * rat_pow(q, -n), c), 1], 1),
+        n_max=12,
+    ),
+    _certified(
         "q_dougall",
         "q-Dougall sum (Jackson, 1921): terminating balanced very-well-poised 8phi7",
         (Param("a"), Param("b"), Param("c"), Param("d"), Param("q", kind="q")),
@@ -435,28 +413,17 @@ def _q_dougall() -> IdentityDef:
             [a * q, rat_div(a * q, b * c), rat_div(a * q, b * d), rat_div(a * q, c * d)],
             [rat_div(a * q, b), rat_div(a * q, c), rat_div(a * q, d), rat_div(a * q, b * c * d)],
             1),
-        u=u, v=v, well_poised=True, n_max=8,
-    )
-
-
-def _rogers_6phi5() -> IdentityDef:
+        u=lambda n, a, b, c, d, q: (
+            [a, b, c, d, rat_div(a * a * rat_pow(q, n + 1), b * c * d), rat_pow(q, -n - 1)], 1),
+        v=lambda n, a, b, c, d, q: (
+            [rat_div(a, b), rat_div(a, c), rat_div(a, d),
+             rat_div(b * c * d * rat_pow(q, -n - 1), a), a * rat_pow(q, n + 1), 1], 1),
+        well_poised=True, n_max=8,
+    ),
     # The d-free reduction of the 8phi7 certificate, with the n-dependent
     # argument aq^(n+1)/bc attached to u the same way bq^n/a is in the
     # q-Chu-Vandermonde certificate.  Validated by the full check sweep.
-    def u(n, k, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        qk = rat_pow(q, k)
-        return ((1 - a * qk) * (1 - b * qk) * (1 - c * qk)
-                * (1 - rat_pow(q, -n - 1 + k))
-                * rat_div(a * rat_pow(q, n + 1), b * c))
-
-    def v(n, k, p):
-        a, b, c, q = p["a"], p["b"], p["c"], p["q"]
-        qk = rat_pow(q, k)
-        return ((1 - rat_div(a * qk, b)) * (1 - rat_div(a * qk, c))
-                * (1 - a * rat_pow(q, n + k + 1)) * (1 - qk))
-
-    return _certified(
+    _certified(
         "rogers_6phi5", "Rogers' terminating very-well-poised 6phi5 sum",
         (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
         summand=lambda n, a, b, c, q: (
@@ -465,9 +432,12 @@ def _rogers_6phi5() -> IdentityDef:
             rat_div(a * rat_pow(q, n + 1), b * c)),
         closed_form=lambda n, a, b, c, q: (
             [a * q, rat_div(a * q, b * c)], [rat_div(a * q, b), rat_div(a * q, c)], 1),
-        u=u, v=v, well_poised=True, n_max=12,
-    )
-
+        u=lambda n, a, b, c, q: (
+            [a, b, c, rat_pow(q, -n - 1)], rat_div(a * rat_pow(q, n + 1), b * c)),
+        v=lambda n, a, b, c, q: ([rat_div(a, b), rat_div(a, c), a * rat_pow(q, n + 1), 1], 1),
+        well_poised=True, n_max=12,
+    ),
+)
 
 CORPUS: dict[str, IdentityDef] = {
     idef.key: idef
@@ -476,15 +446,7 @@ CORPUS: dict[str, IdentityDef] = {
         _rising_fact_sum(),
         _reciprocal_rising_fact_sum(),
         _ramanujan_entry25(),
-        _binomial_x1(),
-        _binomial(),
-        _chu_vandermonde(),
-        _pfaff_saalschutz(),
-        _q_binomial(),
-        _q_chu_vandermonde(),
-        _q_pfaff_saalschutz(),
-        _q_dougall(),
-        _rogers_6phi5(),
+        *_CERTIFIED,
     )
 }
 

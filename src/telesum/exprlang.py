@@ -151,6 +151,9 @@ class _Tok:
 
 
 _OPS = set("+-*/^(),")
+#: Only ASCII digits start an integer literal: str.isdigit also accepts
+#: superscripts such as '²', which int() rejects.
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -168,9 +171,9 @@ def _tokenize(text: str) -> list[_Tok]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             toks.append(_Tok("int", text[i:j], line, col))
             col += j - i
@@ -488,6 +491,22 @@ class IdentityConfig:
     cert_v: Expr | None
 
 
+def _split_top_level(text: str) -> list[str]:
+    """text split at the commas outside parentheses, so that a requirement
+    such as rf(x, 2) stays whole."""
+    chunks, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            chunks.append(text[start:i])
+            start = i + 1
+    chunks.append(text[start:])
+    return chunks
+
+
 def parse_config(text: str) -> IdentityConfig:
     sections: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -524,7 +543,7 @@ def parse_config(text: str) -> IdentityConfig:
                 raise SchemaError(f"duplicate parameter {pname!r}")
             params.append(pname)
 
-    require = tuple(parse(chunk) for chunk in sections["require"].split(",")) \
+    require = tuple(parse(chunk) for chunk in _split_top_level(sections["require"])) \
         if sections.get("require") else ()
 
     if ".." not in sections["range"]:

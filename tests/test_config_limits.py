@@ -1,6 +1,7 @@
 """Config input that must exit 2 with a located message, never a traceback:
-syntax trees deeper than MAX_DEPTH, parameters in the summation range, and
-exponents, counts or range lengths beyond MAX_COUNT."""
+syntax trees deeper than MAX_DEPTH, parameters in the summation range,
+exponents, counts or range lengths beyond MAX_COUNT, non-ASCII digits, and
+config files that cannot be read as UTF-8 text."""
 
 import io
 import time
@@ -91,3 +92,34 @@ def test_summation_range_beyond_the_cap_exits_two(tmp_path, capsys):
     code, err = run_check(tmp_path, capsys, range="0 .. n + 10001")
     assert code == 2
     assert "range length" in err
+
+
+def test_superscript_digit_is_a_located_parse_error(tmp_path, capsys):
+    code, err = run_check(tmp_path, capsys, lhs="k^\u00b2")
+    assert code == 2
+    assert err == "error: unexpected character '\u00b2' at line 1, column 3\n"
+
+
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.tkid"
+    path.write_bytes("name: caf\u00e9\nlhs: k\nrange: 0 .. n\nrhs: n\n".encode("latin-1"))
+    code = main(["check", "--config", str(path)], out=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read config file {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def test_config_that_is_a_directory_exits_two(tmp_path, capsys):
+    code = main(["check", "--config", str(tmp_path)], out=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read config file {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_missing_config_keeps_its_message(tmp_path, capsys):
+    path = tmp_path / "absent.tkid"
+    code = main(["check", "--config", str(path)], out=io.StringIO())
+    assert code == 2
+    assert capsys.readouterr().err == f"error: config file not found: {path}\n"

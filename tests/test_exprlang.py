@@ -177,3 +177,11 @@ def test_config_requirement_rejects_bad_points():
     idef = config_to_identity(parse_config(BINOMIAL_CONFIG))
     assert not admissible(idef, 4, {"x": F(0)})
     assert admissible(idef, 4, {"x": F(2)})
+
+
+def test_require_splits_only_at_top_level_commas():
+    config = parse_config("name: r\nparams: x\nrequire: rf(x, 2), 1 + x\n"
+                          "lhs: x^k\nrange: 0 .. n\nrhs: (x^(n + 1) - 1)/(x - 1)\n")
+    assert config.require == (parse("rf(x, 2)"), parse("1 + x"))
+    with pytest.raises(ParseError, match="expected '\\)'"):
+        parse_config("name: r\nparams: x\nrequire: rf(x, 2\nlhs: k\nrange: 0 .. n\nrhs: n\n")
