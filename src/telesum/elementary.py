@@ -13,21 +13,24 @@ gives two testers:
   * sampled mode evaluates lhs - rhs at seeded random rational points,
     resampling away from poles, and requires exact zero every time;
 
-  * grid mode certifies the identity deterministically: per-variable degree
-    bounds of the denominator-cleared difference are computed from the term
-    table, each variable gets a grid of prime powers (distinct primes per
-    variable, so no monomial can equal 1 and no denominator can vanish
-    anywhere on the grid), and vanishing on the full grid proves the cleared
-    polynomial is identically zero.
-
-Grid evaluation hoists every factor to the outermost level at which all of
-its variables are bound, so the inner loops only touch what changed.
+  * grid mode proves the identity exactly: it multiplies lhs - rhs by D, the
+    product of the denominator factors, and expands P = D * (lhs - rhs) into
+    a dict {exponent tuple: coefficient}.  D is a product of nonconstant
+    factors (1 - m), hence nonzero, so the identity holds exactly when no
+    coefficient of P is left (the statement behind the Schwartz-Zippel
+    lemma and Alon's Combinatorial Nullstellensatz).  Per-variable degree
+    spans of P size a grid of prime powers, distinct primes per variable,
+    which names the witness: the whole grid for a pass, the first grid
+    point where P is nonzero for a failure.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from operator import add
 from typing import Mapping
 
 from .errors import DivisionByZero, PoleExhausted
@@ -282,26 +285,57 @@ def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int,
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
 
-def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
-    """Per-variable exponent span of the denominator-cleared difference.
+def _cleared_terms(ident: ElementaryIdentity) -> list[tuple[Mono, tuple[Mono, ...]]]:
+    """The terms of P = D * (lhs - rhs), each as its coefficient monomial and
+    the monomials m of its factors (1 - m).
 
-    Clearing multiplies each term by the distinct denominator factors it
-    does not already carry; a factor (1 - m) spans [min(0, e), max(0, e)]
-    in each variable, the coefficient monomial spans [e, e], and spans add
-    over a product.  The result bounds the true degree, which is all grid
-    certification needs.
+    D is the product of the distinct denominator factors (1 - m), each to the
+    highest power it has in one term, so a term's factors are its numerator
+    factors and the factors of D it does not carry.  D must be a nonzero
+    polynomial: a constant denominator monomial is a ValueError.
     """
     terms = ident.check_terms()
+    cleared: Counter[Mono] = Counter()
+    for t in terms:
+        cleared |= Counter(t.den)
+    for m in cleared:
+        if not any(m.exps):
+            raise ValueError(f"{ident.key}: constant denominator factor 1 - {m.coeff}")
+    return [(t.coeff, t.num + tuple((cleared - Counter(t.den)).elements())) for t in terms]
+
+
+def expand(ident: ElementaryIdentity) -> dict[tuple[int, ...], Fraction]:
+    """P = D * (lhs - rhs) as {exponent tuple: coefficient}, zero
+    coefficients dropped; exponents may be negative (a Laurent polynomial)."""
+    total: dict[tuple[int, ...], Fraction] = {}
+    for coeff, factors in _cleared_terms(ident):
+        poly = {coeff.exps: coeff.coeff}
+        for m in factors:
+            step = dict(poly)
+            for exps, c in poly.items():
+                shifted = tuple(map(add, exps, m.exps))
+                step[shifted] = step.get(shifted, 0) - c * m.coeff
+            poly = step
+        for exps, c in poly.items():
+            total[exps] = total.get(exps, 0) + c
+    return {exps: c for exps, c in total.items() if c}
+
+
+def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
+    """Per-variable exponent span of P = D * (lhs - rhs).
+
+    A factor (1 - m) spans [min(0, e), max(0, e)] in each variable, the
+    coefficient monomial spans [e, e], and spans add over a product.  The
+    result bounds the true degree, so a nonzero P has a nonzero value on
+    any grid with more than span_i points in variable i.
+    """
     nv = len(ident.vars)
-    cleared = {m for t in terms for m in t.den}
     lo = [0] * nv
     hi = [0] * nv
-    for t in terms:
-        extra = cleared - set(t.den)
+    for coeff, factors in _cleared_terms(ident):
         for i in range(nv):
-            t_lo = t.coeff.exps[i]
-            t_hi = t.coeff.exps[i]
-            for m in tuple(t.num) + tuple(extra):
+            t_lo = t_hi = coeff.exps[i]
+            for m in factors:
                 t_lo += min(0, m.exps[i])
                 t_hi += max(0, m.exps[i])
             lo[i] = min(lo[i], t_lo)
@@ -314,128 +348,37 @@ def grid_shape(ident: ElementaryIdentity) -> tuple[int, ...]:
 
 
 def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> list[CheckRecord]:
-    """Deterministic certification on a full prime-power grid.
+    """Exact certification by expansion.
 
-    Variable i takes values p_i^1 .. p_i^(span_i + 2) over distinct primes,
-    so every (1 - monomial) factor is nonzero at every grid point by unique
-    factorization, and vanishing everywhere certifies the identity.
-
-    Every coefficient in the tables is +-1, so clearing each term by the
-    distinct denominator factors it lacks turns the whole difference into
-    sign * V(lead) * prod(V(neg) - c * V(pos)) with nonnegative monomial
-    exponents throughout: the sweep runs in plain integers, no divisions.
-    Monomial values are maintained incrementally down the variable levels.
+    D is a nonzero polynomial, so lhs = rhs as rational functions exactly
+    when P = D * (lhs - rhs) expands to no nonzero coefficient; any Fraction
+    coefficients are allowed.  A pass is witnessed by the prime-power grid
+    p_i^1 .. p_i^(span_i + 2), distinct primes per variable, on which P then
+    vanishes.  A nonzero P is witnessed by the first grid point, in the
+    grid's level order, at which it is nonzero; the grid has more points in
+    each variable than P's degree span, so there is one.
     """
     terms = ident.check_terms()
     nv = len(ident.vars)
     spans = degree_spans(ident)
-    cleared = sorted({m for t in terms for m in t.den}, key=lambda m: m.exps)
-
-    # widest span gets the smallest prime; many-factor variables go outermost
+    # widest span gets the smallest prime; variables in the most factors vary slowest
     by_span = sorted(range(nv), key=lambda i: -spans[i])
     prime_of = {var: prime for prime, var in zip(_PRIMES, by_span)}
     touch_count = [sum(1 for t in terms for m in (t.coeff,) + t.num + t.den if m.exps[i] != 0)
                    for i in range(nv)]
     order = sorted(range(nv), key=lambda i: -touch_count[i])
-
-    mono_exps: list[tuple[int, ...]] = []
-    mono_index: dict[tuple[int, ...], int] = {}
-
-    def intern(exps: tuple[int, ...]) -> int:
-        if exps not in mono_index:
-            mono_index[exps] = len(mono_exps)
-            mono_exps.append(exps)
-        return mono_index[exps]
-
-    def top_level(exps: tuple[int, ...]) -> int:
-        lvls = [lvl for lvl in range(nv) if exps[order[lvl]] != 0]
-        return max(lvls) if lvls else 0
-
-    def unit_sign(x: Fraction) -> int:
-        if x == 1:
-            return 1
-        if x == -1:
-            return -1
-        raise ValueError("grid mode requires unit coefficients in the term table")
-
-    # clearing exponents per term, and the global equalizer X
-    term_factors = []
-    clearing = []
-    for t in terms:
-        factors = tuple(t.num) + tuple(m for m in cleared if m not in t.den)
-        term_factors.append(factors)
-        vec = [max(0, -e) for e in t.coeff.exps]
-        for m in factors:
-            for i, e in enumerate(m.exps):
-                vec[i] += max(0, -e)
-        clearing.append(vec)
-    X = [max(vec[i] for vec in clearing) for i in range(nv)]
-
-    # per term: sign, lead monomial, factor triples (neg, c, pos) by level
-    term_plan = []
-    for t, factors, vec in zip(terms, term_factors, clearing):
-        sign = unit_sign(t.coeff.coeff)
-        lead = tuple(X[i] - vec[i] + max(0, t.coeff.exps[i]) for i in range(nv))
-        by_level: list[list[tuple[int, int, int]]] = [[] for _ in range(nv)]
-        for m in factors:
-            c = unit_sign(m.coeff)
-            neg = tuple(max(0, -e) for e in m.exps)
-            pos = tuple(max(0, e) for e in m.exps)
-            by_level[max(top_level(neg), top_level(pos))].append(
-                (intern(neg), c, intern(pos)))
-        term_plan.append((sign, intern(lead), top_level(lead), by_level))
-
-    grids = [[prime_of[order[lvl]] ** (j + 1) for j in range(spans[order[lvl]] + 2)]
-             for lvl in range(nv)]
-    # which monomials each level touches, with that level's power column
-    touch: list[list[tuple[int, list[int]]]] = [[] for _ in range(nv)]
-    for idx, exps in enumerate(mono_exps):
-        for lvl in range(nv):
-            e = exps[order[lvl]]
-            if e:
-                touch[lvl].append((idx, [v ** e for v in grids[lvl]]))
-
-    val = [1] * len(mono_exps)
-    point = [0] * nv
-
-    def descend(level: int, accs: tuple[int, ...]):
-        leaf = level + 1 == nv
-        level_touch = touch[level]
-        for vi, value in enumerate(grids[level]):
-            point[order[level]] = value
-            saved = [val[idx] for idx, _ in level_touch]
-            for idx, powers in level_touch:
-                val[idx] *= powers[vi]
-            new_accs = []
-            total = 0
-            for acc, (sign, lead, lead_lvl, by_level) in zip(accs, term_plan):
-                for neg_idx, c, pos_idx in by_level[level]:
-                    acc *= val[neg_idx] - c * val[pos_idx]
-                if lead_lvl == level:
-                    acc *= val[lead]
-                if leaf:
-                    total += sign * acc
-                else:
-                    new_accs.append(acc)
-            bad = None
-            if leaf:
-                if total != 0:
-                    bad = dict(zip(ident.vars, point))
-            else:
-                bad = descend(level + 1, tuple(new_accs))
-            for (idx, _), old in zip(level_touch, saved):
-                val[idx] = old
-            if bad is not None:
-                return bad
-        return None
-
-    bad_point = descend(0, tuple(1 for _ in term_plan))
-    shape = "x".join(str(spans[order[l]] + 2) for l in range(nv))
-    if bad_point is not None:
-        return [outcome(suite, ident.key, "grid_zero", ident.citation, False, bad_point,
-                        grid=shape)]
-    return [CheckRecord(suite=suite, identity=ident.key, check="grid_zero",
-                        status=PASS, witness={"grid": shape}, citation=ident.citation)]
+    shape = "x".join(str(spans[i] + 2) for i in order)
+    poly = expand(ident)
+    if not poly:
+        return [CheckRecord(suite=suite, identity=ident.key, check="grid_zero",
+                            status=PASS, witness={"grid": shape}, citation=ident.citation)]
+    grids = [[Fraction(prime_of[i] ** (j + 1)) for j in range(spans[i] + 2)] for i in order]
+    for values in product(*grids):
+        point = tuple(v for _, v in sorted(zip(order, values)))
+        if sum(Mono(c, exps).value(point) for exps, c in poly.items()) != 0:
+            return [outcome(suite, ident.key, "grid_zero", ident.citation, False,
+                            dict(zip(ident.vars, point)), grid=shape)]
+    raise AssertionError(f"{ident.key}: nonzero expansion vanished on its grid")
 
 
 def check_rational_identity(ident: ElementaryIdentity, mode: str = "sampled",

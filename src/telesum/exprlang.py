@@ -38,7 +38,7 @@ from typing import Mapping
 from .certify import Certificate
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
-from .rational import ONE, prod_range, rat_div, rat_pow
+from .rational import ONE, format_rational, prod_range, rat_div, rat_pow
 
 
 class ParseError(ValueError):
@@ -156,9 +156,8 @@ _OPS = set("+-*/^(),")
 _DIGITS = set("0123456789")
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str, line: int = 1, col: int = 1) -> list[_Tok]:
     toks = []
-    line, col = 1, 1
     i = 0
     while i < len(text):
         ch = text[i]
@@ -276,7 +275,12 @@ class _Parser:
         t = self.cur
         if t.kind == "int":
             self.pos += 1
-            return Lit(Fraction(int(t.text))), 1
+            try:
+                value = int(t.text)
+            except ValueError:  # beyond the interpreter's int_max_str_digits
+                raise ParseError(f"integer literal of {len(t.text)} digits is too long",
+                                 t.line, t.column) from None
+            return Lit(Fraction(value)), 1
         if t.kind == "name":
             self.pos += 1
             if self.cur.kind == "op" and self.cur.text == "(":
@@ -321,10 +325,10 @@ class _Parser:
         return Call(name, nodes), self._deeper(name_tok, *depths)
 
 
-def parse(text: str) -> Expr:
+def parse(text: str, line: int = 1, column: int = 1) -> Expr:
     """The syntax tree of text; a ParseError for bad syntax or a tree deeper
-    than MAX_DEPTH."""
-    parser = _Parser(_tokenize(text))
+    than MAX_DEPTH, located as if text began at (line, column) of a file."""
+    parser = _Parser(_tokenize(text, line, column))
     node, _ = parser.expr()
     tail = parser.cur
     if tail.kind != "end":
@@ -405,13 +409,13 @@ def free_vars(e: Expr) -> set[str]:
 
 def _as_int(value: Fraction, what: str) -> int:
     if value.denominator != 1:
-        raise NonIntegerExponent(f"{what} must be an integer, got {value}")
+        raise NonIntegerExponent(f"{what} must be an integer, got {format_rational(value)}")
     return int(value)
 
 
 def _bounded(size: int, what: str) -> int:
     if abs(size) > MAX_COUNT:
-        raise ResourceLimit(f"{what} {size} exceeds the limit of {MAX_COUNT}")
+        raise ResourceLimit(f"{what} {format_rational(size)} exceeds the limit of {MAX_COUNT}")
     return size
 
 
@@ -491,9 +495,9 @@ class IdentityConfig:
     cert_v: Expr | None
 
 
-def _split_top_level(text: str) -> list[str]:
+def _split_top_level(text: str) -> list[tuple[int, str]]:
     """text split at the commas outside parentheses, so that a requirement
-    such as rf(x, 2) stays whole."""
+    such as rf(x, 2) stays whole; each chunk with its offset in text."""
     chunks, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -501,27 +505,34 @@ def _split_top_level(text: str) -> list[str]:
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            chunks.append(text[start:i])
+            chunks.append((start, text[start:i]))
             start = i + 1
-    chunks.append(text[start:])
+    chunks.append((start, text[start:]))
     return chunks
 
 
 def parse_config(text: str) -> IdentityConfig:
     sections: dict[str, str] = {}
+    origin: dict[str, tuple[int, int]] = {}  # line and column of each value in the file
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.split("#", 1)[0]
+        if not line.strip():
             continue
         if ":" not in line:
             raise SchemaError(f"line {lineno}: expected 'section: value'")
-        key, value = line.split(":", 1)
-        key = key.strip()
+        head, value = line.split(":", 1)
+        key = head.strip()
         if key not in _SECTIONS:
             raise SchemaError(f"line {lineno}: unknown section {key!r}")
         if key in sections:
             raise SchemaError(f"line {lineno}: duplicate section {key!r}")
         sections[key] = value.strip()
+        origin[key] = (lineno, len(head) + 2 + len(value) - len(value.lstrip()))
+
+    def at(key: str, offset: int = 0) -> tuple[int, int]:
+        """The file position offset characters into key's value."""
+        line, column = origin[key]
+        return line, column + offset
 
     for required in ("name", "lhs", "range", "rhs"):
         if required not in sections:
@@ -543,7 +554,8 @@ def parse_config(text: str) -> IdentityConfig:
                 raise SchemaError(f"duplicate parameter {pname!r}")
             params.append(pname)
 
-    require = tuple(parse(chunk) for chunk in _split_top_level(sections["require"])) \
+    require = tuple(parse(chunk, *at("require", offset))
+                    for offset, chunk in _split_top_level(sections["require"])) \
         if sections.get("require") else ()
 
     if ".." not in sections["range"]:
@@ -554,12 +566,12 @@ def parse_config(text: str) -> IdentityConfig:
         name=name,
         params=tuple(params),
         require=require,
-        lhs=parse(sections["lhs"]),
-        range_lo=parse(lo_text),
-        range_hi=parse(hi_text),
-        rhs=parse(sections["rhs"]),
-        cert_u=parse(sections["cert_u"]) if "cert_u" in sections else None,
-        cert_v=parse(sections["cert_v"]) if "cert_v" in sections else None,
+        lhs=parse(sections["lhs"], *at("lhs")),
+        range_lo=parse(lo_text, *at("range")),
+        range_hi=parse(hi_text, *at("range", len(lo_text) + 2)),
+        rhs=parse(sections["rhs"], *at("rhs")),
+        cert_u=parse(sections["cert_u"], *at("cert_u")) if "cert_u" in sections else None,
+        cert_v=parse(sections["cert_v"], *at("cert_v")) if "cert_v" in sections else None,
     )
 
     scope_nk = set(params) | {"n", "k"}

@@ -35,7 +35,7 @@ def rat(num: int, den: int = 1) -> Fraction:
 def rat_div(a: Fraction, b: Fraction) -> Fraction:
     """a / b with a typed error instead of ZeroDivisionError."""
     if b == 0:
-        raise DivisionByZero(f"division of {a} by zero")
+        raise DivisionByZero(f"division of {format_rational(a)} by zero")
     return a / b
 
 
@@ -49,8 +49,25 @@ def rat_pow(x: Fraction, e: int) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Serialize as "num/den", collapsing integers to "n" (e.g. "-5/8", "3")."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+#: Integers below 10^_CHUNK_DIGITS go to str() whole: the fewest digits
+#: Python's int_max_str_digits limit may be set to is 640.
+_CHUNK_DIGITS = 512
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an integer of any length, split in halves beyond
+    _CHUNK_DIGITS digits so that int_max_str_digits never refuses it."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 3 * _CHUNK_DIGITS:  # below 8^512 < 10^512
+        return str(n)
+    digits = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, 10 ** digits)
+    return _decimal(high) + _decimal(low).zfill(digits)
 
 
 def const(value: Fraction | int) -> SeqFn:

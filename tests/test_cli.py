@@ -175,3 +175,17 @@ def test_list_shows_only_what_verify_runs():
     assert set(listed) == set(headings.values())
     for suite, keys in listed.items():
         assert keys and set(keys) <= set(suite_items(suite)), suite
+
+
+def test_witness_beyond_the_int_digit_limit_renders(tmp_path):
+    path = tmp_path / "long_witness.tkid"
+    path.write_text(GOOD_CONFIG.replace("rhs: (1 + x)^n", "rhs: (1 + x)^n + x^9000"))
+    argv = ["check", "--config", str(path), "--samples", "1", "--n-max", "2"]
+    code, text = run_cli(argv + ["--format", "json"])
+    assert code == 1
+    report = json.loads(text)
+    longest = max(len(value) for r in report["results"] for value in r["witness"].values())
+    assert longest > 4300
+    code, text = run_cli(argv)
+    assert code == 1
+    assert "counterexample" in text

@@ -63,3 +63,37 @@ def test_config_mutants_never_crash(tmp_path, capsys):
             assert code == 2, (label, mutant, err)
             assert err.startswith("error:") and err.count("\n") == 1, (label, mutant, err)
     assert unloadable > 0
+
+
+LONG_MUTANTS_PER_SOURCE = 40
+
+
+def _long_literal_mutants():
+    """Each golden .tkid with a run of more ASCII digits than Python's default
+    int_max_str_digits (4300) inserted at a random offset."""
+    rng = random.Random(4301)
+    for source in SOURCES:
+        data = source.read_bytes()
+        for _ in range(LONG_MUTANTS_PER_SOURCE):
+            i = rng.randrange(len(data) + 1)
+            digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(4301, 6000)))
+            yield f"{source.name} {len(digits)} digits at {i}", data[:i] + digits.encode() + data[i:]
+
+
+def test_long_literal_mutants_never_crash(tmp_path, capsys):
+    path = tmp_path / "mutant.tkid"
+    unloadable = 0
+    for label, mutant in _long_literal_mutants():
+        path.write_bytes(mutant)
+        try:
+            code = main(["check", "--config", str(path), "--samples", "1", "--n-max", "2"],
+                        out=io.StringIO())
+        except Exception as exc:
+            raise AssertionError(f"{label} raised {exc!r}") from exc
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (label, code)
+        if not _loads(path):
+            unloadable += 1
+            assert code == 2, (label, err[:200])
+            assert err.startswith("error:") and err.count("\n") == 1, (label, err[:200])
+    assert unloadable > 0

@@ -29,7 +29,7 @@ def run_check(tmp_path, capsys, **sections):
 def test_deeply_parenthesized_lhs_exits_two(tmp_path, capsys):
     code, err = run_check(tmp_path, capsys, lhs="(" * 3000 + "x^k" + ")" * 3000)
     assert code == 2
-    assert f"nested deeper than {MAX_DEPTH} levels at line 1, column" in err
+    assert f"nested deeper than {MAX_DEPTH} levels at line 3, column 106" in err
 
 
 def test_long_flat_sum_exits_two(tmp_path, capsys):
@@ -97,7 +97,7 @@ def test_summation_range_beyond_the_cap_exits_two(tmp_path, capsys):
 def test_superscript_digit_is_a_located_parse_error(tmp_path, capsys):
     code, err = run_check(tmp_path, capsys, lhs="k^\u00b2")
     assert code == 2
-    assert err == "error: unexpected character '\u00b2' at line 1, column 3\n"
+    assert err == "error: unexpected character '\u00b2' at line 3, column 8\n"
 
 
 def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
@@ -123,3 +123,21 @@ def test_missing_config_keeps_its_message(tmp_path, capsys):
     code = main(["check", "--config", str(path)], out=io.StringIO())
     assert code == 2
     assert capsys.readouterr().err == f"error: config file not found: {path}\n"
+
+
+def test_literal_beyond_the_int_digit_limit_is_a_located_parse_error(tmp_path, capsys):
+    code, err = run_check(tmp_path, capsys, lhs="x^k + " + "1" * 5000 + " - " + "1" * 5000)
+    assert code == 2
+    assert err == "error: integer literal of 5000 digits is too long at line 3, column 12\n"
+
+
+def test_values_beyond_the_int_digit_limit_in_error_messages(tmp_path, capsys):
+    code, err = run_check(tmp_path, capsys, rhs="x^(n + 10^5000)")
+    assert code == 2
+    assert err.startswith("error: exponent 1" + "0" * 4999) and err.count("\n") == 1
+    code, err = run_check(tmp_path, capsys, rhs="x^(n + 10^5000/3)")
+    assert code == 2
+    assert err.startswith("error: exponent must be an integer, got 1" + "0" * 4999)
+    # "division of 10^5000 by zero" rejects every draw: a failed run, no crash
+    code, err = run_check(tmp_path, capsys, lhs="x^k + 10^5000/(k - k)")
+    assert (code, err) == (1, "")

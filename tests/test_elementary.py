@@ -1,9 +1,11 @@
 from dataclasses import replace
 from fractions import Fraction as F
 
-from telesum.elementary import (ELEMENTARY, FTerm, degree_spans, eval_lhs,
-                                eval_rhs, grid_shape, grid_zero_check,
-                                sampled_zero_check)
+import pytest
+
+from telesum.elementary import (ELEMENTARY, ElementaryIdentity, FTerm, Mono,
+                                degree_spans, eval_lhs, eval_rhs, expand,
+                                grid_shape, grid_zero_check, sampled_zero_check)
 from telesum.report import FAIL, PASS
 from telesum.sampling import rng_for, sample_rational
 
@@ -139,3 +141,61 @@ def test_sampled_detects_mutation_with_witness():
     record = sampled_zero_check(mutated, seed=4, samples=20)[0]
     assert record.status == FAIL
     assert "delta" in record.witness
+
+
+def test_every_identity_expands_to_zero():
+    for key, ident in ELEMENTARY.items():
+        assert expand(ident) == {}, key
+
+
+def test_mutation_leaves_nonzero_coefficients():
+    ident = ELEMENTARY["dougall_symmetric"]
+    t = ident.rhs[0]
+    mutated = replace(ident, rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
+    poly = expand(mutated)
+    assert len(poly) == 16
+    assert all(c != 0 for c in poly.values())
+
+
+A, B = Mono(F(1), (1, 0)), Mono(F(1), (0, 1))
+ONE = Mono(F(1), (0, 0))
+HALF = Mono(F(1, 2), (0, 0))
+
+
+def _ident(lhs, rhs):
+    return ElementaryIdentity("test", "test identity", ("a", "b"), lhs, rhs)
+
+
+def test_constant_denominator_factor_is_rejected():
+    # a + 1/(1 - 1) = b + 1/(1 - 1): clearing by the zero factor (1 - 1)
+    # leaves P = 1 - 1 = 0, a false pass
+    ident = _ident((FTerm(A), FTerm(ONE, den=(ONE,))), (FTerm(B), FTerm(ONE, den=(ONE,))))
+    with pytest.raises(ValueError, match="constant denominator factor"):
+        grid_zero_check(ident)
+    with pytest.raises(ValueError, match="constant denominator factor"):
+        expand(_ident((FTerm(A, den=(HALF,)),), (FTerm(A, den=(HALF,)),)))
+
+
+def test_non_unit_coefficients_are_proved_and_refuted():
+    # qchv_elem halved, and 1/(1 - 2a) - 1 = 2a/(1 - 2a)
+    halved = _ident((FTerm(A * HALF, num=(B,)), FTerm(-(B * HALF), num=(A,))),
+                    (FTerm(A * HALF), FTerm(-(B * HALF))))
+    two_a = Mono(F(2), (1, 0))
+    geometric = _ident((FTerm(ONE, den=(two_a,)), FTerm(-ONE)), (FTerm(two_a, den=(two_a,)),))
+    for ident in (halved, geometric):
+        assert expand(ident) == {}
+        assert grid_zero_check(ident)[0].status == PASS
+    wrong = replace(geometric, rhs=(FTerm(Mono(F(3), (1, 0)), den=(two_a,)),))
+    record = grid_zero_check(wrong)[0]
+    assert record.status == FAIL
+    assert record.witness == {"a": "2", "b": "3", "grid": "3x2"}
+
+
+def test_repeated_denominator_factor_is_cleared_to_its_power():
+    # 1/(1 - a)^2 - 1/(1 - a) = a/(1 - a)^2, and the same with a wrong numerator
+    ident = _ident((FTerm(ONE, den=(A, A)), FTerm(-ONE, den=(A,))), (FTerm(A, den=(A, A)),))
+    assert expand(ident) == {}
+    assert grid_zero_check(ident)[0].status == PASS
+    wrong = replace(ident, rhs=(FTerm(A, den=(A,)),))
+    assert grid_zero_check(wrong)[0].status == FAIL
+    assert sampled_zero_check(wrong, seed=3, samples=5)[0].status == FAIL

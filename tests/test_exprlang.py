@@ -185,3 +185,17 @@ def test_require_splits_only_at_top_level_commas():
     assert config.require == (parse("rf(x, 2)"), parse("1 + x"))
     with pytest.raises(ParseError, match="expected '\\)'"):
         parse_config("name: r\nparams: x\nrequire: rf(x, 2\nlhs: k\nrange: 0 .. n\nrhs: n\n")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("# comment\n\nname: r\nparams: x\nlhs: k^²\nrange: 0 .. n\nrhs: n\n", 5, 8),
+    ("name: r\nparams: x\n  lhs:   1 + * x\nrange: 0 .. n\nrhs: n\n", 3, 14),
+    ("name: r\nparams: x\nrequire: x, 1 + x, rf(x, 2\nlhs: k\nrange: 0 .. n\nrhs: n\n", 3, 27),
+    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n +\nrhs: n\n", 4, 16),
+    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: n\ncert_u: 1\ncert_v: (k\n", 7, 11),
+])
+def test_config_parse_errors_are_located_in_the_file(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).count(f"at line {line}, column {column}") == 1

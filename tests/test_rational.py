@@ -90,3 +90,11 @@ def test_format_rational():
     assert format_rational(F(7)) == "7"
     assert format_rational(F(0)) == "0"
     assert format_rational(F(-12, 4)) == "-3"
+
+
+def test_format_rational_beyond_the_int_digit_limit():
+    big = 10 ** 5000 + 7
+    assert format_rational(F(big)) == "1" + "0" * 4998 + "07"
+    assert format_rational(F(-big, 3)) == "-1" + "0" * 4998 + "07/3"
+    assert format_rational(F(3, 2 ** 20000)).endswith("09376")  # 2^20000 = ...09376
+    assert len(format_rational(F(1, 2 ** 20000))) == 2 + 6021
