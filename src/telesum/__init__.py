@@ -13,9 +13,9 @@ exact rational arithmetic; every check is exact equality.
 from .certify import Certificate, NormalizedIdentity, verify_sample
 from .corpus import (CORPUS, IdentityDef, Param, evaluate_identity, normalized,
                      q_rising_factorial, rising_factorial)
-from .elementary import ELEMENTARY, check_rational_identity
-from .errors import (DivisionByZero, Inadmissible, NoCertificate, PoleExhausted,
-                     SampleExhausted, VerifyError)
+from .elementary import ELEMENTARY
+from .errors import (DivisionByZero, Inadmissible, NoCertificate, SampleExhausted,
+                     VerifyError)
 from .exprlang import evaluate as eval_expr, load_identity_config, parse, to_source
 from .genhyp import (SequenceParams, macdonald_cv, macdonald_cv_permuted,
                      macdonald_dougall, macdonald_ps)
@@ -32,10 +32,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CORPUS", "ELEMENTARY", "FAMILIES", "Certificate", "CheckRecord",
     "DivisionByZero", "IdentityDef", "Inadmissible", "NoCertificate",
-    "NormalizedIdentity", "Param", "PoleExhausted", "Rational", "RecurrenceSpec",
-    "Report", "SampleExhausted", "SeqFn", "SequenceParams", "TelescopeProblem",
-    "VerifyError", "check_rational_identity", "eval_expr", "evaluate_identity",
-    "format_rational", "generate", "load_identity_config", "lucas_gen_sides",
+    "NormalizedIdentity", "Param", "Rational", "RecurrenceSpec", "Report",
+    "SampleExhausted", "SeqFn", "SequenceParams", "TelescopeProblem", "VerifyError",
+    "eval_expr", "evaluate_identity", "format_rational", "generate",
+    "load_identity_config", "lucas_gen_sides",
     "macdonald_cv", "macdonald_cv_permuted", "macdonald_dougall", "macdonald_ps",
     "normalized", "parse", "prod_range", "q_rising_factorial", "raw_euler_sum",
     "rising_factorial", "run_suite", "solve_linear_recurrence", "sum_to_telescope",

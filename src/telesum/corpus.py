@@ -50,7 +50,8 @@ from typing import Callable, Mapping, Sequence
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       sample_value)
 from .errors import Inadmissible
-from .rational import ONE, ZERO, rat_div, rat_pow
+from .genhyp import RELATIONS
+from .rational import ONE, ZERO, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
 Params = Mapping[str, object]
@@ -283,21 +284,13 @@ def _ramanujan_entry25() -> IdentityDef:
 
     def term(n, k, p):
         x = p["x"]
-        num = ONE
-        den = ONE
-        for j in range(1, k + 1):
-            num *= a(p, j)
-        for j in range(1, k + 2):
-            den *= x + a(p, j)
-        return rat_div(num, den)
+        num = prod_range(lambda j: a(p, j), 1, k)
+        return rat_div(num, prod_range(lambda j: x + a(p, j), 1, k + 1))
 
     def rhs(n, p):
         x = p["x"]
-        num = ONE
-        den = x
-        for j in range(1, n + 2):
-            num *= a(p, j)
-            den *= x + a(p, j)
+        num = prod_range(lambda j: a(p, j), 1, n + 1)
+        den = x * prod_range(lambda j: x + a(p, j), 1, n + 1)
         return rat_div(ONE, x) - rat_div(num, den)
 
     return IdentityDef(
@@ -468,7 +461,7 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
 
         U = (1-b)(1-c)(1-d)(a^2 - bcd) a
         V = (1-a)(a - bc)(a - bd)(a - cd)
-        W = (a-b)(a-c)(a-d)(a - bcd)
+        W = (a-b)(a-c)(a-d)(a - bcd)   (genhyp.RELATIONS["macdonald_dougall"])
 
     term by term:  1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
     """
@@ -480,7 +473,7 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
 
     U = (1 - b) * (1 - c) * (1 - d) * (a * a - b * c * d) * a
     V = (1 - a) * (a - b * c) * (a - b * d) * (a - c * d)
-    W = (a - b) * (a - c) * (a - d) * (a - b * c * d)
+    W = RELATIONS["macdonald_dougall"](a, b, c, d)
     M = ((1 - rat_div(a, b)) * (1 - rat_div(a, c)) * (1 - rat_div(a, d))
          * (1 - rat_div(b * c * d, a))) * a * b * c * d
 

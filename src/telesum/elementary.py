@@ -10,8 +10,9 @@ term tables: each side is a sum of terms
 where every m is a monomial in the identity's variables.  That structure
 gives two testers:
 
-  * sampled mode evaluates lhs - rhs at seeded random rational points,
-    resampling away from poles, and requires exact zero every time;
+  * sampled mode evaluates lhs - rhs at seeded random rational points and
+    requires exact zero every time; a point at a pole is redrawn by
+    ``sampling.retry``, the redraw policy of every suite;
 
   * grid mode proves the identity exactly: it multiplies lhs - rhs by D, the
     product of the denominator factors, and expands P = D * (lhs - rhs) into
@@ -33,10 +34,10 @@ from itertools import product
 from operator import add
 from typing import Mapping
 
-from .errors import DivisionByZero, PoleExhausted
+from .errors import DivisionByZero
 from .rational import ONE as F1, ZERO as F0, rat_pow
 from .report import PASS, CheckRecord, outcome
-from .sampling import RETRY_BOUND, rng_for, sample_rational
+from .sampling import RETRY_BOUND, retry, rng_for, sample_rational
 
 
 @dataclass(frozen=True)
@@ -98,10 +99,6 @@ def _one(n: int) -> Mono:
     return Mono(F1, (0,) * n)
 
 
-def _term(coeff: Mono, num: tuple[Mono, ...] = (), den: tuple[Mono, ...] = ()) -> FTerm:
-    return FTerm(coeff, num, den)
-
-
 def eval_terms(terms: tuple[FTerm, ...], point: tuple[Fraction, ...]) -> Fraction:
     total = F0
     for t in terms:
@@ -137,8 +134,8 @@ def _qchv_elem() -> ElementaryIdentity:
         key="qchv_elem",
         citation="two-variable difference identity behind the sequence Chu-Vandermonde sum",
         vars=("a", "b"),
-        lhs=(_term(a, num=(b,)), _term(-b, num=(a,))),
-        rhs=(_term(a), _term(-b)),
+        lhs=(FTerm(a, num=(b,)), FTerm(-b, num=(a,))),
+        rhs=(FTerm(a), FTerm(-b)),
     )
 
 
@@ -156,9 +153,9 @@ def _sears_n1() -> ElementaryIdentity:
         key="sears_n1",
         citation="one-term case of Sears' balanced 4phi3 transformation",
         vars=("a", "b", "c", "d", "e"),
-        lhs=(_term(one), _term(-one, num=(a, b, c), den=(d, e, f))),
-        rhs=(_term(a, num=r1n, den=r1d),
-             _term(-a, num=r1n + r2n, den=r1d + r2d)),
+        lhs=(FTerm(one), FTerm(-one, num=(a, b, c), den=(d, e, f))),
+        rhs=(FTerm(a, num=r1n, den=r1d),
+             FTerm(-a, num=r1n + r2n, den=r1d + r2d)),
     )
 
 
@@ -177,9 +174,9 @@ def _ten_phi_nine_n1() -> ElementaryIdentity:
         key="ten_phi_nine_n1",
         citation="one-term case of the very-well-poised 10phi9 transformation (Bailey, 1929)",
         vars=("a", "b", "c", "d", "e", "f"),
-        lhs=(_term(one), _term(-one, num=lhs_num, den=lhs_den)),
-        rhs=(_term(one, num=r1n, den=r1d),
-             _term(-one, num=r1n + r2n, den=r1d + r2d)),
+        lhs=(FTerm(one), FTerm(-one, num=lhs_num, den=lhs_den)),
+        rhs=(FTerm(one, num=r1n, den=r1d),
+             FTerm(-one, num=r1n + r2n, den=r1d + r2d)),
     )
 
 
@@ -202,9 +199,9 @@ def _ten_phi_nine_iter() -> ElementaryIdentity:
         key="ten_phi_nine_iter",
         citation="iterated one-term case of the very-well-poised 10phi9 transformation",
         vars=("a", "b", "c", "d", "e", "f"),
-        lhs=(_term(one), _term(-one, num=lhs_num, den=lhs_den)),
-        rhs=(_term(one, num=r1n, den=r1d),
-             _term(-one, num=r1n + r2n, den=r1d + r2d)),
+        lhs=(FTerm(one), FTerm(-one, num=lhs_num, den=lhs_den)),
+        rhs=(FTerm(one, num=r1n, den=r1d),
+             FTerm(-one, num=r1n + r2n, den=r1d + r2d)),
     )
 
 
@@ -216,9 +213,9 @@ def _dougall_n1() -> ElementaryIdentity:
         key="dougall_n1",
         citation="four-variable identity from the one-term q-Dougall sum",
         vars=("a", "b", "c", "d"),
-        lhs=(_term(a ** 3, num=(b, c, d, b * c * d / a ** 2)),
-             _term(-(a ** 3), num=(a, b * c / a, b * d / a, c * d / a))),
-        rhs=(_term(a ** 4, num=(b / a, c / a, d / a, b * c * d / a)),),
+        lhs=(FTerm(a ** 3, num=(b, c, d, b * c * d / a ** 2)),
+             FTerm(-(a ** 3), num=(a, b * c / a, b * d / a, c * d / a))),
+        rhs=(FTerm(a ** 4, num=(b / a, c / a, d / a, b * c * d / a)),),
     )
 
 
@@ -229,9 +226,9 @@ def _dougall_symmetric() -> ElementaryIdentity:
         key="dougall_symmetric",
         citation="symmetric four-variable product identity (Gasper-Rahman, eq. 11.1.1)",
         vars=("x", "lam", "mu", "nu"),
-        lhs=(_term(one, num=(x * lam, x / lam, mu * nu, mu / nu)),
-             _term(-one, num=(x * nu, x / nu, lam * mu, mu / lam))),
-        rhs=(_term(mu / lam, num=(x * mu, x / mu, lam * nu, lam / nu)),),
+        lhs=(FTerm(one, num=(x * lam, x / lam, mu * nu, mu / nu)),
+             FTerm(-one, num=(x * nu, x / nu, lam * mu, mu / lam))),
+        rhs=(FTerm(mu / lam, num=(x * mu, x / mu, lam * nu, lam / nu)),),
     )
 
 
@@ -257,18 +254,13 @@ def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int,
     """lhs - rhs at `samples` seeded pole-free rational points, exact zero each."""
     terms = ident.check_terms()
     rng = rng_for(seed, "elementary", ident.key)
+
+    def attempt() -> tuple[tuple[Fraction, ...], Fraction]:
+        point = tuple(sample_rational(rng) for _ in ident.vars)
+        return point, eval_terms(terms, point)
+
     for i in range(samples):
-        point = None
-        for _ in range(RETRY_BOUND):
-            candidate = tuple(sample_rational(rng) for _ in ident.vars)
-            try:
-                delta = eval_terms(terms, candidate)
-            except DivisionByZero:
-                continue
-            point = candidate
-            break
-        if point is None:
-            raise PoleExhausted(f"{ident.key}: no pole-free point in {RETRY_BOUND} tries")
+        point, delta = retry(attempt, f"{ident.key}: no pole-free point in {RETRY_BOUND} tries")
         if delta != 0:
             return [outcome(suite, ident.key, "sampled_zero", ident.citation, False,
                             dict(zip(ident.vars, point)), sample=i, delta=delta,
@@ -379,12 +371,3 @@ def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> lis
             return [outcome(suite, ident.key, "grid_zero", ident.citation, False,
                             dict(zip(ident.vars, point)), grid=shape)]
     raise AssertionError(f"{ident.key}: nonzero expansion vanished on its grid")
-
-
-def check_rational_identity(ident: ElementaryIdentity, mode: str = "sampled",
-                            seed: int = 0, samples: int = 200,
-                            suite: str = "elementary") -> list[CheckRecord]:
-    """mode="sampled": exact zero at seeded random points; "grid": certify."""
-    if mode == "grid":
-        return grid_zero_check(ident, suite=suite)
-    return sampled_zero_check(ident, seed, samples, suite=suite)

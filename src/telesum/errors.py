@@ -1,7 +1,9 @@
 """Typed errors shared across the verification engine.
 
-Zero denominators at an evaluation point are error *values* that suite
-runners convert into a resample, never a crash.
+Zero denominators at an evaluation point are error *values*:
+``sampling.retry``, the one redraw policy of every suite, redraws on them,
+and when every draw is rejected it raises SampleExhausted, which the suites
+record as a failed "sampling" check, never a crash.
 """
 
 
@@ -22,8 +24,5 @@ class NoCertificate(VerifyError):
 
 
 class SampleExhausted(VerifyError):
-    """The admissible-parameter sampler ran out of retries."""
-
-
-class PoleExhausted(VerifyError):
-    """Random evaluation could not find a pole-free point within budget."""
+    """Every draw of ``sampling.retry`` was rejected: no admissible
+    parameters, or no pole-free point, within its bound."""

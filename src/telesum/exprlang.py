@@ -69,6 +69,11 @@ class ResourceLimit(VerifyError):
     (an Inadmissible would only reject the draw)."""
 
 
+class UndefinedRange(VerifyError):
+    """A summation bound divides by zero.  The range depends on n alone, so
+    no redraw of the parameters can help; it stops the run."""
+
+
 #: The largest exponent of ^, rf/qrf count, binom lower index and prod or
 #: summation range length a config may ask for.
 MAX_COUNT = 10_000
@@ -457,10 +462,7 @@ def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
             return q_rising_factorial(args[0], args[1], _count(args[2], "qrf count"))
         if e.func == "binom":
             b = _count(args[1], "binom lower index")
-            num = ONE
-            for i in range(b):
-                num *= args[0] - i
-            return num / rising_factorial(ONE, b)
+            return rising_factorial(args[0] - b + 1, b) / rising_factorial(ONE, b)
         raise TypeError(f"unknown function {e.func}")
     if isinstance(e, Prod):
         lo = _as_int(evaluate(e.lo, env), "prod lower bound")
@@ -607,10 +609,16 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
                 raise DivisionByZero(f"requirement {to_source(expr)} = 0")
         return evaluate(config.rhs, env)
 
+    def bound(expr: Expr, n: int) -> int:
+        try:
+            value = evaluate(expr, {"n": Fraction(n)})
+        except DivisionByZero as exc:
+            raise UndefinedRange(f"range bound {to_source(expr)} is undefined at n = {n}: "
+                                 f"{exc}") from None
+        return _as_int(value, "range bound")
+
     def sum_range(n: int) -> tuple[int, int]:
-        env = {"n": Fraction(n)}
-        lo = _as_int(evaluate(config.range_lo, env), "range bound")
-        hi = _as_int(evaluate(config.range_hi, env), "range bound")
+        lo, hi = bound(config.range_lo, n), bound(config.range_hi, n)
         _bounded(hi - lo, "range length")
         return lo, hi
 

@@ -3,19 +3,26 @@
 Each operation lifts a fixed elementary relation U - V = W to sequences and
 evaluates both sides of the resulting telescoping identity:
 
-  * macdonald_cv          u_k = (1-b_k) a_k,  v_k = (1-a_k) b_k
-  * macdonald_cv_permuted u_k = (1-b_k) a_k,  v_k = a_k - b_k
+  * macdonald_cv          u_k = (1-b_k) a_k,  v_k = (1-a_k) b_k,
+                          w_k = a_k - b_k
+  * macdonald_cv_permuted u_k = (1-b_k) a_k,  v_k = a_k - b_k,
+                          w_k = b_k (1 - a_k)
                           (the permuted roles; equal to macdonald_cv after
                           relabeling a_k -> a_k/b_k, b_k -> 1/b_k)
   * macdonald_ps          u_k = (1-b_k)(1-c_k) a_k,
-                          v_k = (1-a_k)(a_k - b_k c_k)
+                          v_k = (1-a_k)(a_k - b_k c_k),
+                          w_k = (a_k - b_k)(a_k - c_k)
   * macdonald_dougall     u_k = (1-b_k)(1-c_k)(1-d_k)(a_k^2 - b_k c_k d_k) a_k,
-                          v_k = (1-a_k)(a_k - b_k c_k)(a_k - b_k d_k)(a_k - c_k d_k)
+                          v_k = (1-a_k)(a_k - b_k c_k)(a_k - b_k d_k)(a_k - c_k d_k),
+                          w_k = (a_k - b_k)(a_k - c_k)(a_k - d_k)(a_k - b_k c_k d_k)
 
 Setting d_k = 0 in the last one reproduces macdonald_ps term by term (each
 index picks up the same scale factor a_k^2, which the telescoping summand
 cancels).  Returned pairs are (termwise sum, closed form); equality is the
-caller's assertion.
+caller's assertion.  The telescoping lemma makes the two agree for any u
+and v, so that equality alone cannot catch a wrong u or v: ``RELATIONS``
+declares each W on its own, and ``relation_fails_at`` checks
+u_k - v_k = w_k at every index.
 """
 
 from __future__ import annotations
@@ -134,6 +141,27 @@ PROBLEM_BUILDERS = {
     "macdonald_ps": (_problem_ps, ("a", "b", "c")),
     "macdonald_dougall": (_problem_dougall, ("a", "b", "c", "d")),
 }
+
+#: Each operation's W, the factored right side of its relation U - V = W,
+#: as a function of one index's values of the operation's sequences.
+RELATIONS = {
+    "macdonald_cv": lambda a, b: a - b,
+    "macdonald_cv_permuted": lambda a, b: b * (1 - a),
+    "macdonald_ps": lambda a, b, c: (a - b) * (a - c),
+    "macdonald_dougall": lambda a, b, c, d: (a - b) * (a - c) * (a - d) * (a - b * c * d),
+}
+
+
+def relation_fails_at(op: str, p: SequenceParams, problem: TelescopeProblem) -> int | None:
+    """The first index k at which problem's u_k - v_k differs from op's w_k,
+    or None when the relation holds at every index."""
+    names = PROBLEM_BUILDERS[op][1]
+    w = RELATIONS[op]
+    for k in range(p.n + 1):
+        if problem.u(k) - problem.v(k) != w(*(getattr(p, name)[k] for name in names)):
+            return k
+    return None
+
 
 CITATIONS = {
     "macdonald_cv": "Macdonald's sequence-parameter Chu-Vandermonde-type sum",

@@ -20,7 +20,7 @@ from . import sequences as sequences_mod
 from .certify import natural_termination_check, verify_sample
 from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, draw_admissible,
                      evaluate_identity, normalized, specialization_d_zero_checks)
-from .errors import Inadmissible, PoleExhausted
+from .errors import Inadmissible, SampleExhausted
 from .report import INADMISSIBLE, CheckRecord, Report, outcome
 from .sampling import retry, sample_q, sample_rational, sweep
 
@@ -136,8 +136,12 @@ def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
         def record(check, ok, **extra):
             return outcome("genhyp", key, check, citation, ok, n=p.n, sample=sample, **extra)
 
-        lhs, rhs = genhyp_mod.both_sides(builder(p))
-        records = [record("identity", lhs == rhs, lhs=lhs, rhs=rhs, length=p.n + 1)]
+        problem = builder(p)
+        lhs, rhs = genhyp_mod.both_sides(problem)
+        bad = genhyp_mod.relation_fails_at(key, p, problem)
+        relation = {} if bad is None else {"relation_fails_at": bad}
+        records = [record("identity", lhs == rhs and bad is None, lhs=lhs, rhs=rhs,
+                          length=p.n + 1, **relation)]
         if key == "macdonald_cv_permuted":
             other = genhyp_mod.macdonald_cv(genhyp_mod.relabeled_for_permutation(p))
             records.append(record("relabel", other == (lhs, rhs), direct=lhs,
@@ -156,7 +160,7 @@ def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[C
     ident = elementary_mod.ELEMENTARY[key]
     try:
         records = elementary_mod.sampled_zero_check(ident, seed, samples, suite="elementary")
-    except PoleExhausted as exc:
+    except SampleExhausted as exc:
         records = [outcome("elementary", key, "sampling", ident.citation, False,
                            reason=str(exc))]
     if grid:
@@ -197,10 +201,10 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
             keys = [k for k in keys if k in ids]
         per_suite_samples = DEFAULT_SAMPLES[s] if samples is None else samples
         tasks.extend((s, key, n_max, per_suite_samples, seed, grid) for key in keys)
-    if suite != "all" and ids:
-        known = {t[1] for t in tasks}
-        for missing in set(ids) - known:
-            raise KeyError(f"unknown id {missing!r} in suite {suite!r}")
+    unknown = sorted(set(ids or ()) - {t[1] for t in tasks})
+    if unknown:
+        plural = "s" if len(unknown) > 1 else ""
+        raise KeyError(f"unknown id{plural} {', '.join(map(repr, unknown))} in suite {suite!r}")
 
     workers = pool_size(jobs, len(tasks))
     if workers > 1:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .corpus import Param, draw_params, q_rising_factorial as qrf
+from .corpus import Param, draw_params, factorial, q_rising_factorial as qrf
 from .errors import Inadmissible
-from .rational import ONE, SeqFn, ZERO, rat_div, rat_pow
+from .rational import ONE, SeqFn, ZERO, prod_range, rat_div, rat_pow
 from .report import INADMISSIBLE, CheckRecord, outcome
 from .sampling import retry, sample_rational, sample_sequence, sweep
 
@@ -244,28 +244,16 @@ def _fibonacci_printed() -> tuple[PrintedIdentity, ...]:
 
 
 def _derangement_printed() -> tuple[PrintedIdentity, ...]:
-    def fact(m: int) -> Fraction:
-        out = ONE
-        for i in range(2, m + 1):
-            out *= i
-        return out
-
     def odd_fact(j: int) -> Fraction:  # 1 * 3 * ... * (2j - 1)
-        out = ONE
-        for i in range(1, j + 1):
-            out *= 2 * i - 1
-        return out
+        return prod_range(lambda i: 2 * i - 1, 1, j)
 
     def even_fact(j: int) -> Fraction:  # 2 * 4 * ... * (2j)
-        out = ONE
-        for i in range(1, j + 1):
-            out *= 2 * i
-        return out
+        return 2 ** j * factorial(j)
 
     return (
         PrintedIdentity("prefix_sum",
-                        lambda k, xs, p: xs[k] / fact(k + 1),
-                        lambda n, xs, p: xs[n + 2] / fact(n + 2) - 1),
+                        lambda k, xs, p: xs[k] / factorial(k + 1),
+                        lambda n, xs, p: xs[n + 2] / factorial(n + 2) - 1),
         PrintedIdentity("even_sum",
                         lambda k, xs, p: xs[2 * k] / odd_fact(k),
                         lambda n, xs, p: xs[2 * n + 1] / odd_fact(n + 1) - 1),
@@ -273,14 +261,14 @@ def _derangement_printed() -> tuple[PrintedIdentity, ...]:
                         lambda k, xs, p: xs[2 * k + 1] / even_fact(k),
                         lambda n, xs, p: xs[2 * n + 2] / even_fact(n + 1) - 1),
         PrintedIdentity("square_sum",
-                        lambda k, xs, p: xs[k + 1] ** 2 / fact(k + 1),
-                        lambda n, xs, p: xs[n + 1] * xs[n + 2] / fact(n + 2) - 1),
+                        lambda k, xs, p: xs[k + 1] ** 2 / factorial(k + 1),
+                        lambda n, xs, p: xs[n + 1] * xs[n + 2] / factorial(n + 2) - 1),
         PrintedIdentity("alternating_sum",
                         lambda k, xs, p: (-1) ** k * xs[k + 2] / (k + 2),
                         lambda n, xs, p: (-1) ** n * xs[n + 1] - 1),
         PrintedIdentity("halving_sum",
-                        lambda k, xs, p: 2 * xs[k - 1] / ((k + 2) * fact(k + 1)),
-                        lambda n, xs, p: 1 - 2 * xs[n + 2] / ((n + 2) * fact(n + 2))),
+                        lambda k, xs, p: 2 * xs[k - 1] / ((k + 2) * factorial(k + 1)),
+                        lambda n, xs, p: 1 - 2 * xs[n + 2] / ((n + 2) * factorial(n + 2))),
     )
 
 
@@ -365,11 +353,12 @@ def _q_pell_printed() -> tuple[PrintedIdentity, ...]:
 
 def _q_pell_halving_prod(n: int, p: Params) -> Fraction:
     q = p["q"]
-    prod = ONE
-    for j in range(1, n + 1):
+
+    def factor(j: int) -> Fraction:
         den = 1 + 2 * rat_pow(q, j) + rat_pow(q, j + 1) + rat_pow(q, 2 * j + 1)
-        prod *= rat_div(1 + rat_pow(q, j), den)
-    return prod
+        return rat_div(1 + rat_pow(q, j), den)
+
+    return prod_range(factor, 1, n)
 
 
 def _q_pell_halving_term(k: int, xs: Values, p: Params) -> Fraction:

@@ -1,0 +1,181 @@
+"""The product helpers are calls to the one product engine.
+
+The derangement factorials, the config language's ``binom``, Ramanujan's
+Entry 25 and the q-Pell halving product are computed by
+``rational.prod_range`` and ``corpus.rising_factorial``.  Each test below
+keeps the hand-written loop they replaced, verbatim, and requires the same
+value, or the same exception type and message, at seeded points that
+include zeros, negative integers and poles.
+"""
+
+from fractions import Fraction
+
+from telesum import sequences
+from telesum.corpus import CORPUS, rising_factorial
+from telesum.exprlang import evaluate, parse
+from telesum.rational import ONE, rat_div
+from telesum.sampling import rng_for, sample_rational
+from telesum.sequences import FAMILIES
+
+
+def outcome_of(fn, *args):
+    """fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is what is compared
+        return type(exc), str(exc)
+
+
+# --- the replaced loops, verbatim ---------------------------------------------
+
+def old_binom(a, b):
+    num = ONE
+    for i in range(b):
+        num *= a - i
+    return num / rising_factorial(ONE, b)
+
+
+def old_ramanujan():
+    def a(p, j):
+        return p["a"][j - 1]
+
+    def term(n, k, p):
+        x = p["x"]
+        num = ONE
+        den = ONE
+        for j in range(1, k + 1):
+            num *= a(p, j)
+        for j in range(1, k + 2):
+            den *= x + a(p, j)
+        return rat_div(num, den)
+
+    def rhs(n, p):
+        x = p["x"]
+        num = ONE
+        den = x
+        for j in range(1, n + 2):
+            num *= a(p, j)
+            den *= x + a(p, j)
+        return rat_div(ONE, x) - rat_div(num, den)
+
+    return term, rhs
+
+
+def old_q_pell_halving_prod(n, p):
+    rat_pow, rat_div = sequences.rat_pow, sequences.rat_div  # as the module binds them
+    q = p["q"]
+    prod = ONE
+    for j in range(1, n + 1):
+        den = 1 + 2 * rat_pow(q, j) + rat_pow(q, j + 1) + rat_pow(q, 2 * j + 1)
+        prod *= rat_div(1 + rat_pow(q, j), den)
+    return prod
+
+
+def old_derangement_printed():
+    def fact(m):
+        out = ONE
+        for i in range(2, m + 1):
+            out *= i
+        return out
+
+    def odd_fact(j):  # 1 * 3 * ... * (2j - 1)
+        out = ONE
+        for i in range(1, j + 1):
+            out *= 2 * i - 1
+        return out
+
+    def even_fact(j):  # 2 * 4 * ... * (2j)
+        out = ONE
+        for i in range(1, j + 1):
+            out *= 2 * i
+        return out
+
+    return (
+        (lambda k, xs, p: xs[k] / fact(k + 1),
+         lambda n, xs, p: xs[n + 2] / fact(n + 2) - 1),
+        (lambda k, xs, p: xs[2 * k] / odd_fact(k),
+         lambda n, xs, p: xs[2 * n + 1] / odd_fact(n + 1) - 1),
+        (lambda k, xs, p: xs[2 * k + 1] / even_fact(k),
+         lambda n, xs, p: xs[2 * n + 2] / even_fact(n + 1) - 1),
+        (lambda k, xs, p: xs[k + 1] ** 2 / fact(k + 1),
+         lambda n, xs, p: xs[n + 1] * xs[n + 2] / fact(n + 2) - 1),
+        (lambda k, xs, p: (-1) ** k * xs[k + 2] / (k + 2),
+         lambda n, xs, p: (-1) ** n * xs[n + 1] - 1),
+        (lambda k, xs, p: 2 * xs[k - 1] / ((k + 2) * fact(k + 1)),
+         lambda n, xs, p: 1 - 2 * xs[n + 2] / ((n + 2) * fact(n + 2))),
+    )
+
+
+# --- the comparisons ------------------------------------------------------------
+
+def test_binom_matches_the_replaced_loop():
+    binom = parse("binom(a, b)")
+    uppers = [Fraction(a) for a in range(-6, 9)]
+    rng = rng_for(7, "binom")
+    uppers += [sample_rational(rng) for _ in range(40)]
+    for a in uppers:
+        for b in range(9):
+            new = evaluate(binom, {"a": a, "b": Fraction(b)})
+            assert new == old_binom(a, b), (a, b)
+            assert type(new) is Fraction
+
+
+def test_ramanujan_entry25_matches_the_replaced_loops():
+    idef = CORPUS["ramanujan_entry25"]
+    old_term, old_rhs = old_ramanujan()
+    checked = poles = 0
+    for i in range(60):
+        rng = rng_for(7, "entry25", i)
+        a = [sample_rational(rng) for _ in range(6)]
+        if i % 3 == 1:
+            a[rng.randrange(6)] = Fraction(0)
+        x = sample_rational(rng)
+        if i % 2:  # a pole: x = -a_j
+            x = -a[rng.randrange(6)]
+        if i % 10 == 9:
+            x = Fraction(0)
+        p = {"x": x, "a": tuple(a)}
+        for n in range(8):  # n + 1 > 6 runs off the sequence
+            got, want = outcome_of(idef.rhs, n, p), outcome_of(old_rhs, n, p)
+            assert got == want, (p, n)
+            poles += isinstance(want, tuple)
+            for k in range(n + 1):
+                assert outcome_of(idef.term, n, k, p) == outcome_of(old_term, n, k, p), (p, n, k)
+                checked += 1
+    assert checked > 1000 and poles > 50
+
+
+def test_q_pell_halving_product_matches_the_replaced_loop(monkeypatch):
+    for i in range(40):
+        q = sample_rational(rng_for(7, "q_pell", i))
+        for n in range(12):  # the family reads n >= 0 only
+            p = {"q": q}
+            assert sequences._q_pell_halving_prod(n, p) == old_q_pell_halving_prod(n, p), (q, n)
+    # No rational q zeroes a denominator, so force the one of factor j = 3:
+    # both products must raise there, with the same message.
+    real_pow = sequences.rat_pow
+
+    def rat_pow(x, e):
+        if e == 7:  # q^(2j + 1) at j = 3
+            return -(1 + 2 * real_pow(x, 3) + real_pow(x, 4))
+        return real_pow(x, e)
+
+    monkeypatch.setattr(sequences, "rat_pow", rat_pow)
+    p = {"q": Fraction(2, 3)}
+    for n in range(6):
+        new = outcome_of(sequences._q_pell_halving_prod, n, p)
+        assert new == outcome_of(old_q_pell_halving_prod, n, p), n
+        assert isinstance(new, tuple) == (n >= 3)
+
+
+def test_derangement_helpers_match_the_replaced_loops():
+    printed = FAMILIES["shifted_derangement"].printed
+    old = old_derangement_printed()
+    assert len(printed) == len(old)
+    rng = rng_for(7, "derangement")
+    xs = [sample_rational(rng) for _ in range(45)]
+    for new, (old_term, old_rhs) in zip(printed, old):
+        for j in range(21):
+            assert new.term(j, xs, {}) == old_term(j, xs, {}), (new.name, j)
+            assert new.rhs(j, xs, {}) == old_rhs(j, xs, {}), (new.name, j)
+
