@@ -32,6 +32,10 @@ Conventions:
     stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.
+  * One Fraction per product: rising_factorial, q_rising_factorial,
+    hypergeometric and linear_factors multiply the factors' numerators and
+    denominators as integers and reduce once at the end, so a product pays
+    one gcd, not one per factor.
 
 Summands, closed forms and certificate values are read through
 ``certify.sample_value``, so the admissibility probe evaluates each
@@ -49,9 +53,9 @@ from typing import Callable, Mapping, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       sample_value)
-from .errors import Inadmissible
+from .errors import DivisionByZero, Inadmissible
 from .genhyp import RELATIONS
-from .rational import ONE, ZERO, prod_range, rat_div, rat_pow
+from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
 Params = Mapping[str, object]
@@ -63,26 +67,48 @@ Series = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction], Fraction]]
 Factors = Callable[..., tuple[Sequence[Fraction], Fraction]]
 
 
+def _shifted_product(xs: Sequence[Fraction], m: int,
+                     q: Fraction | None = None) -> tuple[int, int]:
+    """prod_x (x)_m, or prod_x (x; q)_m when a base q is given, as an
+    unreduced integer pair (num, den) with den > 0.
+
+    With x = p/d and q = r/s the factors are
+
+        x + i       = (p + i d) / d
+        1 - x q^i   = (d s^i - p r^i) / (d s^i)
+
+    so the product is one integer numerator over (prod_x d)^m, times
+    s^(m(m-1)/2) per factor for the q-shifted form.  No gcd is taken: the
+    caller builds one Fraction from the pair.
+    """
+    if m < 0:
+        raise ValueError(f"{'rising' if q is None else 'q-rising'} factorial needs m >= 0")
+    num = den = 1
+    if q is None:
+        for x in xs:
+            p, d = x.numerator, x.denominator
+            for i in range(m):
+                num *= p + i * d
+            den *= d
+        return num, den ** m
+    r, s = q.numerator, q.denominator
+    powers = [(r ** i, s ** i) for i in range(m)]
+    for x in xs:
+        p, d = x.numerator, x.denominator
+        for ri, si in powers:
+            num *= d * si - p * ri
+        den *= d
+    return num, den ** m * s ** (len(xs) * m * (m - 1) // 2)
+
+
 def rising_factorial(x: Fraction, m: int) -> Fraction:
     """(x)_m = x (x+1) ... (x+m-1), with (x)_0 = 1."""
-    if m < 0:
-        raise ValueError("rising factorial needs m >= 0")
-    p = ONE
-    for i in range(m):
-        p *= x + i
-    return p
+    return Fraction(*_shifted_product((x,), m))
 
 
 def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
     """(a; q)_m = (1-a)(1-aq)...(1-a q^(m-1)), with (a; q)_0 = 1."""
-    if m < 0:
-        raise ValueError("q-rising factorial needs m >= 0")
-    p = ONE
-    t = a
-    for _ in range(m):
-        p *= 1 - t
-        t *= q
-    return p
+    return Fraction(*_shifted_product((a,), m, q))
 
 
 def hypergeometric(upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
@@ -93,32 +119,33 @@ def hypergeometric(upper: Sequence[Fraction], lower: Sequence[Fraction], z: Frac
     rising factorial otherwise.  A zero product of the lower factors raises
     DivisionByZero, even where an upper factor vanishes too.
     """
-    if q is None:
-        shifted = rising_factorial
-    else:
-        def shifted(x: Fraction, m: int) -> Fraction:
-            return q_rising_factorial(x, q, m)
-    num = ONE
-    for x in upper:
-        num *= shifted(x, m)
-    den = ONE
-    for y in lower:
-        den *= shifted(y, m)
-    return rat_div(num, den) * rat_pow(z, m)
+    num, den = _shifted_product(upper, m, q)
+    lower_num, lower_den = _shifted_product(lower, m, q)
+    if lower_num == 0:
+        raise DivisionByZero(f"division of {format_rational(Fraction(num, den))} by zero")
+    return Fraction(num * lower_den * z.numerator ** m, den * lower_num * z.denominator ** m)
 
 
 def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
                    q: Fraction | None = None) -> Fraction:
-    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
-    p = ONE
+    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given.
+
+    With x = p/d and q^k = r/s a factor is (p + k d)/d, or (d s - p r)/(d s);
+    the products of numerators and of denominators build one Fraction.
+    """
+    num, den = z.numerator, z.denominator
     if q is None:
         for x in xs:
-            p *= x + k
+            num *= x.numerator + k * x.denominator
+            den *= x.denominator
     else:
         qk = rat_pow(q, k)
+        r, s = qk.numerator, qk.denominator
         for x in xs:
-            p *= 1 - x * qk
-    return p * z
+            d = x.denominator
+            num *= d * s - x.numerator * r
+            den *= d * s
+    return Fraction(num, den)
 
 
 def factorial(m: int) -> Fraction:

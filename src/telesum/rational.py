@@ -7,6 +7,12 @@ turn Python's ``ZeroDivisionError`` into a typed :class:`DivisionByZero`,
 the report serialization format, and ``prod_range``, the product
 ``prod(f, lo, hi)`` extended to empty and inverted index ranges so that
 ``prod(f, lo, m-1) * f(m) == prod(f, lo, m)`` holds for *all* integers ``m``.
+
+Products defer the gcd: ``prod_range`` multiplies the factors' numerators
+and denominators as plain integers and reduces once, so it returns the same
+canonical Fraction as a factor-by-factor product at one gcd instead of one
+per factor (Knuth, TAOCP Vol. 2, 4.5.1).  The shifted factorials and
+hypergeometric terms of ``corpus`` are built the same way.
 """
 
 from __future__ import annotations
@@ -86,6 +92,17 @@ def seq(values: Iterable[Fraction | int], start: int = 0) -> SeqFn:
     return fn
 
 
+def _product_pair(f: SeqFn, lo: int, hi: int) -> tuple[int, int]:
+    """prod f(lo)..f(hi) as an unreduced integer pair (num, den): the
+    factors are evaluated in index order and no gcd is taken."""
+    num = den = 1
+    for j in range(lo, hi + 1):
+        x = f(j)
+        num *= x.numerator
+        den *= x.denominator
+    return num, den
+
+
 def prod_range(f: SeqFn, lo: int, hi: int) -> Fraction:
     """Product of f(lo)..f(hi) under the extended range convention.
 
@@ -96,16 +113,9 @@ def prod_range(f: SeqFn, lo: int, hi: int) -> Fraction:
 
     The inverted case raises DivisionByZero when a touched factor is zero.
     """
-    if hi >= lo:
-        p = ONE
-        for j in range(lo, hi + 1):
-            p *= f(j)
-        return p
-    if hi == lo - 1:
-        return ONE
-    p = ONE
-    for j in range(hi + 1, lo):
-        p *= f(j)
-    if p == 0:
+    if hi >= lo - 1:
+        return Fraction(*_product_pair(f, lo, hi))
+    num, den = _product_pair(f, hi + 1, lo - 1)
+    if num == 0:
         raise DivisionByZero(f"inverted product over {hi + 1}..{lo - 1} hit a zero factor")
-    return 1 / p
+    return Fraction(den, num)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+from .certify import sample_value
 from .corpus import Param, draw_params, factorial, q_rising_factorial as qrf
 from .errors import Inadmissible
 from .rational import ONE, SeqFn, ZERO, prod_range, rat_div, rat_pow
@@ -351,14 +352,33 @@ def _q_pell_printed() -> tuple[PrintedIdentity, ...]:
     )
 
 
+def _q_pell_halving_factor(j: int, q: Fraction) -> Fraction:
+    den = 1 + 2 * rat_pow(q, j) + rat_pow(q, j + 1) + rat_pow(q, 2 * j + 1)
+    return rat_div(1 + rat_pow(q, j), den)
+
+
+def _q_pell_halving_prefix(p: Params) -> list[Fraction]:
+    """The running products of _q_pell_halving_prod at p, from n = 0; the
+    sample memo holds one such list per parameter point."""
+    return [ONE]
+
+
 def _q_pell_halving_prod(n: int, p: Params) -> Fraction:
+    """prod_{j=1}^{n} (1 + q^j) / (1 + 2 q^j + q^(j+1) + q^(2j+1)).
+
+    The halving sum reads this product at every k and every n, so the point's
+    running products are kept in the sample memo and extended one factor at
+    a time: a row costs O(n) factors, not O(n^2).  A factor that raises
+    leaves the list as it was, so it raises again, with the same message,
+    at every call that needs it.
+    """
     q = p["q"]
-
-    def factor(j: int) -> Fraction:
-        den = 1 + 2 * rat_pow(q, j) + rat_pow(q, j + 1) + rat_pow(q, 2 * j + 1)
-        return rat_div(1 + rat_pow(q, j), den)
-
-    return prod_range(factor, 1, n)
+    if n < 0:
+        return prod_range(lambda j: _q_pell_halving_factor(j, q), 1, n)
+    prods = sample_value(_q_pell_halving_prefix, p)
+    while len(prods) <= n:
+        prods.append(prods[-1] * _q_pell_halving_factor(len(prods), q))
+    return prods[n]
 
 
 def _q_pell_halving_term(k: int, xs: Values, p: Params) -> Fraction:

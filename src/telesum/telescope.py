@@ -12,8 +12,9 @@ package's core oracle.  ``raw_euler_sum`` is the unnormalized k=1..n form,
 ``sum_to_telescope`` embeds an arbitrary telescoping sum f(k+1) - f(k), and
 ``solve_linear_recurrence`` solves x_{m+1} = b_m x_m + c_m in closed form.
 
-Sums maintain running products incrementally (O(n) multiplications); exact
-bignum multiplication dominates cost, so nothing calls prod_range per term.
+Sums maintain running products incrementally (O(n) multiplications), so
+nothing calls prod_range per term: calling it for each of n terms would
+multiply O(n^2) factors.
 """
 
 from __future__ import annotations

@@ -2,19 +2,23 @@
 
 The derangement factorials, the config language's ``binom``, Ramanujan's
 Entry 25 and the q-Pell halving product are computed by
-``rational.prod_range`` and ``corpus.rising_factorial``.  Each test below
-keeps the hand-written loop they replaced, verbatim, and requires the same
-value, or the same exception type and message, at seeded points that
-include zeros, negative integers and poles.
+``rational.prod_range`` and ``corpus.rising_factorial``.  The shifted
+factorials, ``hypergeometric``, ``linear_factors`` and ``prod_range`` build
+one Fraction from integer products instead of one per factor.  Each test
+below keeps the loop it replaced, verbatim, and requires the same value, or
+the same exception type and message, at seeded points that include zeros,
+negative integers and poles.
 """
 
 from fractions import Fraction
 
 from telesum import sequences
-from telesum.corpus import CORPUS, rising_factorial
+from telesum.corpus import (CORPUS, hypergeometric, linear_factors, q_rising_factorial,
+                            rising_factorial)
+from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
-from telesum.rational import ONE, rat_div
-from telesum.sampling import rng_for, sample_rational
+from telesum.rational import ONE, ZERO, prod_range, rat_div, rat_pow
+from telesum.sampling import rng_for, sample_q, sample_rational
 from telesum.sequences import FAMILIES
 
 
@@ -106,6 +110,69 @@ def old_derangement_printed():
     )
 
 
+def old_rising_factorial(x, m):
+    if m < 0:
+        raise ValueError("rising factorial needs m >= 0")
+    p = ONE
+    for i in range(m):
+        p *= x + i
+    return p
+
+
+def old_q_rising_factorial(a, q, m):
+    if m < 0:
+        raise ValueError("q-rising factorial needs m >= 0")
+    p = ONE
+    t = a
+    for _ in range(m):
+        p *= 1 - t
+        t *= q
+    return p
+
+
+def old_hypergeometric(upper, lower, z, m, q=None):
+    if q is None:
+        shifted = old_rising_factorial
+    else:
+        def shifted(x, m):
+            return old_q_rising_factorial(x, q, m)
+    num = ONE
+    for x in upper:
+        num *= shifted(x, m)
+    den = ONE
+    for y in lower:
+        den *= shifted(y, m)
+    return rat_div(num, den) * rat_pow(z, m)
+
+
+def old_linear_factors(xs, z, k, q=None):
+    p = ONE
+    if q is None:
+        for x in xs:
+            p *= x + k
+    else:
+        qk = rat_pow(q, k)
+        for x in xs:
+            p *= 1 - x * qk
+    return p * z
+
+
+def old_prod_range(f, lo, hi):
+    if hi >= lo:
+        p = ONE
+        for j in range(lo, hi + 1):
+            p *= f(j)
+        return p
+    if hi == lo - 1:
+        return ONE
+    p = ONE
+    for j in range(hi + 1, lo):
+        p *= f(j)
+    if p == 0:
+        raise DivisionByZero(f"inverted product over {hi + 1}..{lo - 1} hit a zero factor")
+    return 1 / p
+
+
 # --- the comparisons ------------------------------------------------------------
 
 def test_binom_matches_the_replaced_loop():
@@ -179,3 +246,112 @@ def test_derangement_helpers_match_the_replaced_loops():
             assert new.term(j, xs, {}) == old_term(j, xs, {}), (new.name, j)
             assert new.rhs(j, xs, {}) == old_rhs(j, xs, {}), (new.name, j)
 
+
+
+def shifted_points(i):
+    """(x, q) at seeded point i: x a rational of either sign, a nonpositive
+    integer (where the classical factorial terminates), or q^(-j) (where the
+    q-shifted one does)."""
+    rng = rng_for(7, "shifted", i)
+    q = sample_q(rng, 16)
+    x = sample_rational(rng)
+    if i % 4 == 1:
+        x = -x
+    elif i % 4 == 2:
+        x = Fraction(-rng.randrange(5))
+    elif i % 4 == 3:
+        x = rat_pow(q, -rng.randrange(5))
+    return x, q
+
+
+def test_shifted_factorials_match_the_replaced_loops():
+    zeros = 0
+    for i in range(80):
+        x, q = shifted_points(i)
+        for m in range(-1, 9):
+            for new, old in ((outcome_of(rising_factorial, x, m), outcome_of(old_rising_factorial, x, m)),
+                             (outcome_of(q_rising_factorial, x, q, m),
+                              outcome_of(old_q_rising_factorial, x, q, m))):
+                assert new == old, (x, q, m)
+                assert type(new) is (tuple if m < 0 else Fraction)
+                zeros += new == 0
+    assert zeros > 100
+
+
+def hypergeometric_points(i):
+    """(upper, lower, z, q) of a seeded term with a terminating upper factor,
+    plain int entries as the corpus writes them, and every fifth point a lower
+    factor that vanishes (every tenth together with an upper factor)."""
+    rng = rng_for(7, "hypergeometric", i)
+    q = sample_q(rng, 16) if i % 2 else None
+    n = rng.randrange(6)
+    upper = [sample_rational(rng) for _ in range(rng.randrange(4))]
+    lower = [sample_rational(rng) for _ in range(rng.randrange(4))]
+    z = sample_rational(rng) if i % 3 else rng.choice((-1, 1, 2))
+    if q is None:
+        upper.append(-n)
+        lower.append(1)
+    else:
+        upper.append(rat_pow(q, -n))
+        lower.append(q)
+    if i % 5 == 0:  # (y)_m = 0 for m > j
+        j = rng.randrange(4)
+        lower.insert(0, Fraction(-j) if q is None else rat_pow(q, -j))
+        if i % 10 == 0:
+            upper.insert(0, lower[0])
+    return upper, lower, z, q
+
+
+def test_hypergeometric_matches_the_replaced_loop():
+    raised = both_zero = terminated = 0
+    for i in range(120):
+        upper, lower, z, q = hypergeometric_points(i)
+        for m in range(9):
+            new = outcome_of(hypergeometric, upper, lower, z, m, q)
+            assert new == outcome_of(old_hypergeometric, upper, lower, z, m, q), (i, m)
+            if isinstance(new, tuple):
+                assert new[0] is DivisionByZero
+                raised += 1
+                both_zero += new[1] == "division of 0 by zero"
+            else:
+                assert type(new) is Fraction
+                terminated += new == 0
+    assert raised > 50 and both_zero > 20 and terminated > 100
+
+
+def test_linear_factors_matches_the_replaced_loop():
+    zeros = 0
+    for i in range(80):
+        rng = rng_for(7, "linear_factors", i)
+        q = sample_q(rng, 16) if i % 2 else None
+        xs = [sample_rational(rng) for _ in range(rng.randrange(5))]
+        xs += [rng.randrange(-4, 2)] if q is None else [rat_pow(q, -rng.randrange(5))]
+        z = sample_rational(rng) if i % 3 else -1
+        for k in range(-2, 9):
+            new = linear_factors(xs, z, k, q)
+            assert new == old_linear_factors(xs, z, k, q), (i, k)
+            assert type(new) is Fraction
+            zeros += new == 0
+    assert zeros > 20
+
+
+def test_prod_range_matches_the_replaced_loop():
+    for i in range(30):
+        rng = rng_for(7, "prod_range", i)
+        values = {j: sample_rational(rng) for j in range(-4, 8)}
+        values[rng.randrange(-4, 8)] = Fraction(0)
+        values[rng.randrange(-4, 8)] = rng.randrange(-3, 4)  # a plain int factor
+        bad = rng.randrange(-4, 8)
+
+        def f(j, calls):
+            calls.append(j)
+            if i % 3 == 0 and j == bad:  # a factor that raises
+                return rat_div(ONE, ZERO)
+            return values[j]
+
+        for lo in range(-3, 5):
+            for hi in range(-4, 7):
+                new_calls, old_calls = [], []
+                new = outcome_of(prod_range, lambda j: f(j, new_calls), lo, hi)
+                assert new == outcome_of(old_prod_range, lambda j: f(j, old_calls), lo, hi)
+                assert new_calls == old_calls
