@@ -88,11 +88,10 @@ def _render_text(report: Report, out) -> None:
         print(f"[{marker}] {suite}/{identity}: {counts[PASS]} pass, "
               f"{counts[FAIL]} fail{extra}", file=out)
     for r in report.failures()[:20]:
-        place = f"n={r.n}" if r.n is not None else ""
-        if r.sample is not None:
-            place += f" sample={r.sample}"
-        print(f"  counterexample {r.suite}/{r.identity} [{r.check}] {place}: {r.witness}",
-              file=out)
+        parts = [f"counterexample {r.suite}/{r.identity}", f"[{r.check}]"]
+        parts += [f"{name}={value}" for name, value in (("n", r.n), ("sample", r.sample))
+                  if value is not None]
+        print(f"  {' '.join(parts)}: {r.witness}", file=out)
     print(f"total: {totals['checks']} checks, {totals[PASS]} pass, {totals[FAIL]} fail, "
           f"{totals[INADMISSIBLE]} inadmissible  (seed {report.seed}, "
           f"{report.wall_time:.2f}s)", file=out)
@@ -130,8 +129,8 @@ def _run_list(out) -> int:
     for key, family in sequences_mod.FAMILIES.items():
         print(f"  {key:28s} {family.citation}", file=out)
     print("sequence-parameter sums:", file=out)
-    for key, citation in genhyp_mod.CITATIONS.items():
-        print(f"  {key:28s} {citation}", file=out)
+    for key, op in genhyp_mod.OPERATIONS.items():
+        print(f"  {key:28s} {op.citation}", file=out)
     print("elementary identities:", file=out)
     for key, ident in elementary_mod.ELEMENTARY.items():
         print(f"  {key:28s} {ident.citation}", file=out)

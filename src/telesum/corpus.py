@@ -54,7 +54,7 @@ from typing import Callable, Mapping, Sequence
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       sample_value)
 from .errors import DivisionByZero, Inadmissible
-from .genhyp import RELATIONS
+from .genhyp import OPERATIONS
 from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
@@ -484,13 +484,9 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
 
     With the substitution a -> a/q, the n = 1 row  1 + T_1 = RHS(1)  turns,
     after multiplication by M = (1-a/b)(1-a/c)(1-a/d)(1-bcd/a) * abcd, into
-    the four-variable identity U - V = W with
-
-        U = (1-b)(1-c)(1-d)(a^2 - bcd) a
-        V = (1-a)(a - bc)(a - bd)(a - cd)
-        W = (a-b)(a-c)(a-d)(a - bcd)   (genhyp.RELATIONS["macdonald_dougall"])
-
-    term by term:  1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
+    the four-variable identity U - V = W, where U, V and W are the u, v and
+    w of genhyp.OPERATIONS["macdonald_dougall"] at one index, term by term:
+    1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
     """
     idef = CORPUS["q_dougall"]
     sub = {"a": rat_div(a, q), "b": b, "c": c, "d": d, "q": q}
@@ -498,9 +494,8 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
     rhs1 = idef.rhs(1, sub)
     row_total = idef.term(1, 0, sub) + t1
 
-    U = (1 - b) * (1 - c) * (1 - d) * (a * a - b * c * d) * a
-    V = (1 - a) * (a - b * c) * (a - b * d) * (a - c * d)
-    W = RELATIONS["macdonald_dougall"](a, b, c, d)
+    op = OPERATIONS["macdonald_dougall"]
+    U, V, W = op.u(a, b, c, d), op.v(a, b, c, d), op.w(a, b, c, d)
     M = ((1 - rat_div(a, b)) * (1 - rat_div(a, c)) * (1 - rat_div(a, d))
          * (1 - rat_div(b * c * d, a))) * a * b * c * d
 

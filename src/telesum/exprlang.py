@@ -26,6 +26,9 @@ Identity config files are line-oriented UTF-8 text, one identity per file:
     cert_v: k
 
 '#' starts a comment; blank lines are ignored; each section is one line.
+A leading UTF-8 byte order mark is skipped.  An error an expression raises
+at a sample point (a non-integer exponent, count or bound, or a count past
+MAX_COUNT) names its section and the n and k it was raised at.
 """
 
 from __future__ import annotations
@@ -591,6 +594,25 @@ def parse_config(text: str) -> IdentityConfig:
     return config
 
 
+#: The errors a config's expressions raise at a point rather than at a pole.
+_POINT_ERRORS = (NonIntegerExponent, ResourceLimit)
+
+
+def _at_point(exc: VerifyError, section: str, env: Mapping[str, object]) -> VerifyError:
+    """exc, its message suffixed with the config section and the n and k it
+    was raised at."""
+    place = ", ".join(f"{index} = {env[index]}" for index in ("n", "k") if index in env)
+    return type(exc)(f"{exc} (in {section} at {place})")
+
+
+def _evaluate_in(section: str, expr: Expr, env: Mapping[str, Fraction]) -> Fraction:
+    """evaluate(expr, env) for one section of a config file."""
+    try:
+        return evaluate(expr, env)
+    except _POINT_ERRORS as exc:
+        raise _at_point(exc, section, env) from None
+
+
 def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
     """An IdentityDef backed by config expressions, usable by every verifier."""
 
@@ -600,14 +622,14 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
         return env
 
     def term(n: int, k: int, params: Mapping[str, object]) -> Fraction:
-        return evaluate(config.lhs, env_of(params, n=n, k=k))
+        return _evaluate_in("lhs", config.lhs, env_of(params, n=n, k=k))
 
     def rhs(n: int, params: Mapping[str, object]) -> Fraction:
         env = env_of(params, n=n)
         for expr in config.require:
-            if evaluate(expr, env) == 0:
+            if _evaluate_in("require", expr, env) == 0:
                 raise DivisionByZero(f"requirement {to_source(expr)} = 0")
-        return evaluate(config.rhs, env)
+        return _evaluate_in("rhs", config.rhs, env)
 
     def bound(expr: Expr, n: int) -> int:
         try:
@@ -618,16 +640,19 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
         return _as_int(value, "range bound")
 
     def sum_range(n: int) -> tuple[int, int]:
-        lo, hi = bound(config.range_lo, n), bound(config.range_hi, n)
-        _bounded(hi - lo, "range length")
+        try:
+            lo, hi = bound(config.range_lo, n), bound(config.range_hi, n)
+            _bounded(hi - lo, "range length")
+        except _POINT_ERRORS as exc:
+            raise _at_point(exc, "range", {"n": n}) from None
         return lo, hi
 
     certificate = None
     if config.cert_u is not None and config.cert_v is not None:
         u_expr, v_expr = config.cert_u, config.cert_v
         certificate = Certificate(
-            u=lambda n, k, params: evaluate(u_expr, env_of(params, n=n, k=k)),
-            v=lambda n, k, params: evaluate(v_expr, env_of(params, n=n, k=k)),
+            u=lambda n, k, params: _evaluate_in("cert_u", u_expr, env_of(params, n=n, k=k)),
+            v=lambda n, k, params: _evaluate_in("cert_v", v_expr, env_of(params, n=n, k=k)),
         )
 
     return IdentityDef(
@@ -644,5 +669,5 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
 
 def load_identity_config(path: str | Path, n_max: int = 10) -> IdentityDef:
     """Parse a config file into a corpus-compatible IdentityDef."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a section
     return config_to_identity(parse_config(text), n_max=n_max)

@@ -30,6 +30,7 @@ DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = {"corpus": 32, "ez": 16, "sequences": 8, "genhyp": 32, "elementary": 200}
 EZ_DEFAULT_N_MAX = 10
 SEQUENCES_DEFAULT_N_MAX = 12
+GENHYP_DEFAULT_N_MAX = 9
 
 SPECIALIZATION_KEY = "q_dougall_n1_link"
 
@@ -42,7 +43,7 @@ def suite_items(suite: str) -> list[str]:
     if suite == "sequences":
         return list(sequences_mod.FAMILIES)
     if suite == "genhyp":
-        return list(genhyp_mod.PROBLEM_BUILDERS)
+        return list(genhyp_mod.OPERATIONS)
     if suite == "elementary":
         return list(elementary_mod.ELEMENTARY)
     raise ValueError(f"unknown suite {suite!r}")
@@ -125,35 +126,8 @@ def run_sequences_item(key: str, n_max: int | None, samples: int, seed: int) -> 
 
 
 def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
-    max_len = 10 if n_max is None else n_max + 1
-    builder, _ = genhyp_mod.PROBLEM_BUILDERS[key]
-    citation = genhyp_mod.CITATIONS[key]
-
-    def draw(rng):
-        return genhyp_mod.sample_sequence_params(rng, rng.randint(1, max_len), key)
-
-    def checks(p, sample):
-        def record(check, ok, **extra):
-            return outcome("genhyp", key, check, citation, ok, n=p.n, sample=sample, **extra)
-
-        problem = builder(p)
-        lhs, rhs = genhyp_mod.both_sides(problem)
-        bad = genhyp_mod.relation_fails_at(key, p, problem)
-        relation = {} if bad is None else {"relation_fails_at": bad}
-        records = [record("identity", lhs == rhs and bad is None, lhs=lhs, rhs=rhs,
-                          length=p.n + 1, **relation)]
-        if key == "macdonald_cv_permuted":
-            other = genhyp_mod.macdonald_cv(genhyp_mod.relabeled_for_permutation(p))
-            records.append(record("relabel", other == (lhs, rhs), direct=lhs,
-                                  relabel=other[0]))
-        if key == "macdonald_dougall":
-            dz = genhyp_mod.with_d_zero(p)
-            records.append(record("d_zero_termwise",
-                                  genhyp_mod.dougall_terms(dz) == genhyp_mod.ps_terms(dz),
-                                  reason="termwise mismatch"))
-        return records
-
-    return sweep("genhyp", key, citation, seed, samples, draw, checks)
+    eff_n = GENHYP_DEFAULT_N_MAX if n_max is None else n_max
+    return genhyp_mod.verify_operation_suite(key, eff_n, samples, seed)
 
 
 def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[CheckRecord]:

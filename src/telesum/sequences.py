@@ -13,9 +13,10 @@ Two layers:
     Goyt-Mathisen q-Fibonacci polynomials) with each family's printed
     identity suite checked verbatim, index shifts and all.
 
-Everything is exact; family parameters are rational samples, so polynomial
-identities in a few parameters verified at enough points are certified by
-the same grid argument the elementary-identity tester uses.
+Everything is exact.  A family with parameters is checked at a few seeded
+random rational samples of them (8 in the sequences suite by default),
+each identity at every n <= n_max; a pass shows exact equality at those
+points, not a proof for all parameter values.
 """
 
 from __future__ import annotations

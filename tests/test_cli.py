@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 from telesum.cli import main
 
@@ -189,3 +190,12 @@ def test_witness_beyond_the_int_digit_limit_renders(tmp_path):
     code, text = run_cli(argv)
     assert code == 1
     assert "counterexample" in text
+
+
+def test_counterexample_without_n_has_single_spaces():
+    config = Path(__file__).parent / "golden" / "failures" / "never_admissible.tkid"
+    code, text = run_cli(["check", "--config", str(config), "--samples", "1", "--n-max", "2"])
+    assert code == 1
+    line = next(line for line in text.splitlines() if "counterexample" in line)
+    assert line.startswith("  counterexample check/never_admissible [sampling] sample=0: ")
+    assert "  " not in line.strip()

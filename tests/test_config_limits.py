@@ -1,11 +1,15 @@
 """Config input that must exit 2 with a located message, never a traceback:
 syntax trees deeper than MAX_DEPTH, parameters in the summation range,
-exponents, counts or range lengths beyond MAX_COUNT, non-ASCII digits, and
-config files that cannot be read as UTF-8 text."""
+exponents, counts or range lengths beyond MAX_COUNT, non-ASCII digits,
+config files that cannot be read as UTF-8 text, and runtime errors, which
+name the section and point they were raised at.  A UTF-8 byte order mark
+is not an error."""
 
 import io
+import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -141,3 +145,35 @@ def test_values_beyond_the_int_digit_limit_in_error_messages(tmp_path, capsys):
     # "division of 10^5000 by zero" rejects every draw: a failed run, no crash
     code, err = run_check(tmp_path, capsys, lhs="x^k + 10^5000/(k - k)")
     assert (code, err) == (1, "")
+
+
+POINT_ERRORS = [
+    ("lhs", "x^(k/2)", "exponent must be an integer, got 1/2 (in lhs at n = 1, k = 1)"),
+    ("rhs", "rf(x, n - 3)", "rf count must be non-negative (in rhs at n = 0)"),
+    ("require", "x^(n/2)", "exponent must be an integer, got 1/2 (in require at n = 1)"),
+    ("cert_u", "rf(x, k - 5)", "rf count must be non-negative (in cert_u at n = 0, k = 0)"),
+    ("cert_v", "k^(1/2)", "exponent must be an integer, got 1/2 (in cert_v at n = 0, k = 0)"),
+    ("range", "0 .. n/2", "range bound must be an integer, got 1/2 (in range at n = 1)"),
+]
+
+
+@pytest.mark.parametrize("section, value, message", POINT_ERRORS,
+                         ids=[case[0] for case in POINT_ERRORS])
+def test_runtime_config_errors_name_section_and_point(tmp_path, capsys, section, value,
+                                                      message):
+    certificate = {"cert_u": "x", "cert_v": "k"} if section.startswith("cert") else {}
+    code, err = run_check(tmp_path, capsys, **{**certificate, section: value})
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_config_with_utf8_bom_reads_as_without(tmp_path):
+    plain = Path(__file__).parent / "golden" / "binomial.tkid"
+    bom = tmp_path / "binomial.tkid"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for path in (plain, bom):
+        out = io.StringIO()
+        assert main(["check", "--config", str(path), "--format", "json"], out=out) == 0
+        reports.append(json.loads(out.getvalue()))
+    assert [r["totals"] for r in reports] == [reports[0]["totals"]] * 2
+    assert reports[1]["results"] == reports[0]["results"]

@@ -19,9 +19,9 @@ from telesum import certify, corpus, elementary, genhyp, runner
 from telesum.cli import main
 from telesum.elementary import ELEMENTARY, FTerm
 from telesum.errors import DivisionByZero, Inadmissible
-from telesum.genhyp import PROBLEM_BUILDERS
+from telesum.genhyp import OPERATIONS
 from telesum.sequences import FAMILIES
-from telesum.telescope import TelescopeProblem
+from telesum.telescope import TelescopeProblem, telescoping_terms
 
 FAILURES = Path(__file__).parent / "golden" / "failures"
 SMALL = ["--samples", "2", "--n-max", "3"]
@@ -142,20 +142,15 @@ def sequences_exhausted(monkeypatch):
 
 
 def genhyp_wrong_v(monkeypatch):
-    builder, names = PROBLEM_BUILDERS["macdonald_cv_permuted"]
+    v = OPERATIONS["macdonald_cv_permuted"].v
+    _replace(monkeypatch, OPERATIONS, "macdonald_cv_permuted", v=lambda a, b: v(a, b) + 1)
 
-    def wrong_permuted(p):
-        prob = builder(p)
-        return TelescopeProblem(prob.u, lambda k: prob.v(k) + 1, prob.n)
+    def wrong_dougall_terms(p):
+        prob = genhyp.problem("macdonald_dougall", p)
+        wrong = TelescopeProblem(prob.u, lambda k: prob.v(k) * 2, prob.n)
+        return list(telescoping_terms(wrong))
 
-    monkeypatch.setitem(PROBLEM_BUILDERS, "macdonald_cv_permuted", (wrong_permuted, names))
-    dougall = genhyp._problem_dougall
-
-    def wrong_dougall(p):
-        prob = dougall(p)
-        return TelescopeProblem(prob.u, lambda k: prob.v(k) * 2, prob.n)
-
-    monkeypatch.setattr(genhyp, "_problem_dougall", wrong_dougall)
+    monkeypatch.setattr(genhyp, "dougall_terms", wrong_dougall_terms)
     return ["verify", "--suite", "genhyp", "--id", "macdonald_cv_permuted",
             "--id", "macdonald_dougall", *SMALL]
 
@@ -167,12 +162,10 @@ def genhyp_skewed_closed_form(monkeypatch):
 
 
 def genhyp_exhausted(monkeypatch):
-    names = PROBLEM_BUILDERS["macdonald_ps"][1]
+    def one(a, b, c):  # u = v, so w_0 = 0 at every draw
+        return Fraction(1)
 
-    def no_w0(p):  # u = v, so w_0 = 0 at every draw
-        return TelescopeProblem(lambda k: Fraction(1), lambda k: Fraction(1), p.n)
-
-    monkeypatch.setitem(PROBLEM_BUILDERS, "macdonald_ps", (no_w0, names))
+    _replace(monkeypatch, OPERATIONS, "macdonald_ps", u=one, v=one)
     return ["verify", "--suite", "genhyp", "--id", "macdonald_ps", *SMALL]
 
 

@@ -2,12 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from telesum.elementary import ELEMENTARY, eval_terms
 from telesum.errors import DivisionByZero
-from telesum.genhyp import (SequenceParams, dougall_terms, macdonald_cv,
+from telesum.genhyp import (OPERATIONS, SequenceParams, dougall_terms, macdonald_cv,
                             macdonald_cv_permuted, macdonald_dougall,
                             macdonald_ps, ps_terms, relabeled_for_permutation,
                             sample_sequence_params, with_d_zero)
-from telesum.sampling import rng_for
+from telesum.sampling import rng_for, sample_rational
 
 
 def test_cv_n0_collapses_to_one():
@@ -86,3 +87,18 @@ def test_truncation_argument():
     prefix = macdonald_cv(p, n=3)
     assert full[0] == full[1] and prefix[0] == prefix[1]
     assert prefix != full or p.n == 3
+
+
+@pytest.mark.parametrize("key, op", [("qchv_elem", "macdonald_cv"),
+                                     ("dougall_n1", "macdonald_dougall")])
+def test_elementary_table_states_the_operation_relation(key, op):
+    # the (1 - monomial) table's lhs terms are u and -v, its rhs is w
+    ident, operation = ELEMENTARY[key], OPERATIONS[op]
+    assert ident.vars == operation.names
+    u_term, v_term = ident.lhs
+    rng = rng_for(75, "transcriptions", key)
+    for i in range(40):
+        point = tuple(sample_rational(rng) for _ in ident.vars)  # nonzero values
+        assert eval_terms((u_term,), point) == operation.u(*point), (key, i)
+        assert eval_terms((v_term,), point) == -operation.v(*point), (key, i)
+        assert eval_terms(ident.rhs, point) == operation.w(*point), (key, i)

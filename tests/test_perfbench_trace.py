@@ -1,0 +1,44 @@
+"""The benchmark's traced mode still runs: ``perfbench/tracer.py`` wraps
+telesum functions by name, so renaming one that it binds must fail here.
+Each traced step must exit 0 and print the report the untraced CLI prints."""
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from telesum.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+STEPS = {
+    "genhyp": ["verify", "--suite", "genhyp", "--id", "macdonald_cv", "--samples", "2"],
+    "ez": ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1", "--n-max", "3"],
+    "check": ["check", "--config", str(ROOT / "tests" / "golden" / "binomial.tkid"),
+              "--samples", "1", "--n-max", "3"],
+}
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_traced_step_prints_the_untraced_report(step, tmp_path):
+    argv = STEPS[step] + ["--format", "json"]
+    out = io.StringIO()
+    main(argv, out=out)
+    untraced = hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"),
+         "--spans-out", str(tmp_path / "spans.json"), "--", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["exit_code"] == 0
+    assert result["sha256"] == untraced

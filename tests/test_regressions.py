@@ -1,6 +1,7 @@
 """Regression tests: the elementary tester's redraws, the genhyp relation
 check, and two CLI input errors that must exit 2."""
 
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -10,9 +11,8 @@ from telesum import elementary, genhyp, runner
 from telesum.cli import main
 from telesum.corpus import specialization_d_zero_checks
 from telesum.errors import DivisionByZero, SampleExhausted
-from telesum.genhyp import PROBLEM_BUILDERS, SequenceParams
+from telesum.genhyp import OPERATIONS, SequenceParams
 from telesum.sampling import rng_for, sample_sequence
-from telesum.telescope import TelescopeProblem
 
 
 def run_cli(argv):
@@ -39,53 +39,47 @@ def test_elementary_pole_exhaustion_is_a_sample_exhausted(monkeypatch):
 
 # --- genhyp: a wrong u or v fails the identity check -------------------------------
 
-def _broken(monkeypatch, op, which):
-    builder, names = PROBLEM_BUILDERS[op]
-
-    def wrong(p):
-        prob = builder(p)
-        if which == "u":
-            return TelescopeProblem(lambda k: prob.u(k) * 2, prob.v, prob.n)
-        return TelescopeProblem(prob.u, lambda k: prob.v(k) + 1, prob.n)
-
-    monkeypatch.setitem(PROBLEM_BUILDERS, op, (wrong, names))
+def _broken(monkeypatch, op, **changes):
+    monkeypatch.setitem(OPERATIONS, op, dataclasses.replace(OPERATIONS[op], **changes))
 
 
-@pytest.mark.parametrize("op", sorted(PROBLEM_BUILDERS))
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
 @pytest.mark.parametrize("which", ["u", "v"])
 def test_genhyp_wrong_u_or_v_fails_identity(monkeypatch, op, which):
     records = runner.run_genhyp_item(op, 3, 4, 1729)
     assert records and all(r.status == "pass" and r.witness is None for r in records)
-    _broken(monkeypatch, op, which)
+    u, v = OPERATIONS[op].u, OPERATIONS[op].v
+    if which == "u":
+        _broken(monkeypatch, op, u=lambda *x: u(*x) * 2)
+    else:
+        _broken(monkeypatch, op, v=lambda *x: v(*x) + 1)
     records = [r for r in runner.run_genhyp_item(op, 3, 4, 1729) if r.check == "identity"]
     assert records and all(r.status == "fail" for r in records)
     assert all("relation_fails_at" in r.witness for r in records)
 
 
 def test_relations_are_u_minus_v_at_random_points():
-    for op, (builder, names) in PROBLEM_BUILDERS.items():
+    for op, operation in OPERATIONS.items():
         for i in range(20):
             rng = rng_for(11, "relations", op, i)
-            seqs = {name: sample_sequence(rng, 4) for name in names}
+            seqs = {name: sample_sequence(rng, 4) for name in operation.names}
             p = SequenceParams(**seqs)
-            assert genhyp.relation_fails_at(op, p, builder(p)) is None, (op, i)
+            assert genhyp.relation_fails_at(op, p) is None, (op, i)
 
 
-def test_relation_fails_at_names_the_first_bad_index():
-    builder, _ = PROBLEM_BUILDERS["macdonald_cv"]
+def test_relation_fails_at_names_the_first_bad_index(monkeypatch):
+    v = OPERATIONS["macdonald_cv"].v
+    _broken(monkeypatch, "macdonald_cv", v=lambda a, b: v(a, b) + (a == 3))
     p = SequenceParams(a=(Fraction(2), Fraction(3), Fraction(5)),
                        b=(Fraction(7), Fraction(11), Fraction(13)))
-    prob = builder(p)
-    skewed = TelescopeProblem(prob.u, lambda k: prob.v(k) + (k == 1), prob.n)
-    assert genhyp.relation_fails_at("macdonald_cv", p, skewed) == 1
+    assert genhyp.relation_fails_at("macdonald_cv", p) == 1
 
 
 def test_specialization_reads_the_dougall_relation(monkeypatch):
     point = {"a": Fraction(2, 3), "b": Fraction(5, 7), "c": Fraction(-3, 4), "d": Fraction(7, 5)}
     assert all(specialization_d_zero_checks(Fraction(1, 3), **point).values())
-    w = genhyp.RELATIONS["macdonald_dougall"]
-    monkeypatch.setitem(genhyp.RELATIONS, "macdonald_dougall",
-                        lambda a, b, c, d: w(a, b, c, d) + 1)
+    w = OPERATIONS["macdonald_dougall"].w
+    _broken(monkeypatch, "macdonald_dougall", w=lambda a, b, c, d: w(a, b, c, d) + 1)
     results = specialization_d_zero_checks(Fraction(1, 3), **point)
     assert not results["elementary"] and not results["k0_term"]
 
