@@ -16,6 +16,12 @@ any u and v, so that equality alone cannot catch a wrong u or v: each W is
 declared on its own, and ``relation_fails_at`` checks u_k - v_k = w_k at
 every index.  ``verify_operation_suite`` runs one operation's checks,
 companion route (the relabeling, or d = 0) included.
+
+Each draw is evaluated once.  The admissibility probe computes, for the
+operation and its companion route, u_k and v_k once per index and both
+sides from those lists; the checks read the probe's values (the relation
+check adds only w_k), so the values do not outlive their draw and nothing
+is computed twice.
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .rational import rat_div
+from .rational import ZERO, rat_div
 from .report import CheckRecord, outcome
 from .sampling import RETRY_BOUND, retry, sample_sequence, sweep
-from .telescope import (TelescopeProblem, telescoping_closed_form,
-                        telescoping_sum, telescoping_terms)
+from .telescope import TelescopeProblem, telescoping_closed_form, telescoping_terms
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,12 @@ class SequenceParams:
     b: tuple[Fraction, ...]
     c: tuple[Fraction, ...] | None = None
     d: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self) -> None:
+        lengths = {name: len(seq) for name, seq in vars(self).items() if seq is not None}
+        if len(set(lengths.values())) != 1 or not lengths["a"]:
+            given = ", ".join(f"{name}={length}" for name, length in lengths.items())
+            raise ValueError(f"sequence parameters need one common length >= 1, got {given}")
 
     @property
     def n(self) -> int:
@@ -98,41 +109,72 @@ def problem(key: str, p: SequenceParams) -> TelescopeProblem:
     return TelescopeProblem(lambda k: op.u(*rows[k]), lambda k: op.v(*rows[k]), p.n)
 
 
+def _values(op: Operation, p: SequenceParams
+            ) -> tuple[list[tuple[Fraction, ...]], list[Fraction], list[Fraction]]:
+    """(index k's values, u_k, v_k) of op for k = 0..n, each evaluated once."""
+    rows = _rows(op, p)
+    return rows, [op.u(*row) for row in rows], [op.v(*row) for row in rows]
+
+
+def _fails_at(op: Operation, rows: list[tuple[Fraction, ...]], u: list[Fraction],
+              v: list[Fraction]) -> int | None:
+    """The first k with u[k] - v[k] != w_k, or None."""
+    return next((k for k, row in enumerate(rows) if u[k] - v[k] != op.w(*row)), None)
+
+
 def relation_fails_at(key: str, p: SequenceParams) -> int | None:
     """The first index k at which u_k - v_k differs from w_k for operation
     key, or None when the relation holds at every index."""
     op = OPERATIONS[key]
-    for k, row in enumerate(_rows(op, p)):
-        if op.u(*row) - op.v(*row) != op.w(*row):
-            return k
-    return None
+    return _fails_at(op, *_values(op, p))
 
 
-def both_sides(prob: TelescopeProblem) -> tuple[Fraction, Fraction]:
-    """(termwise sum, closed form) of one problem."""
-    return telescoping_sum(prob), telescoping_closed_form(prob)
+@dataclass(frozen=True)
+class _Route:
+    """One operation evaluated over one point: index k's values, u_k, v_k,
+    the summands and (termwise sum, closed form), all from one evaluation."""
+
+    rows: list[tuple[Fraction, ...]]
+    u: list[Fraction]
+    v: list[Fraction]
+    terms: list[Fraction]
+    sides: tuple[Fraction, Fraction]
+
+
+def _route(op: Operation, p: SequenceParams) -> _Route:
+    """Evaluate op over p once; a zero w_0 or v_k raises DivisionByZero."""
+    rows, u, v = _values(op, p)
+    prob = TelescopeProblem(u.__getitem__, v.__getitem__, p.n)
+    terms = list(telescoping_terms(prob))
+    return _Route(rows, u, v, terms, (sum(terms, ZERO), telescoping_closed_form(prob)))
+
+
+def _sides(key: str, p: SequenceParams, n: int | None) -> tuple[Fraction, Fraction]:
+    return _route(OPERATIONS[key], _truncate(p, n)).sides
 
 
 def macdonald_cv(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    return both_sides(problem("macdonald_cv", _truncate(p, n)))
+    return _sides("macdonald_cv", p, n)
 
 
 def macdonald_cv_permuted(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    return both_sides(problem("macdonald_cv_permuted", _truncate(p, n)))
+    return _sides("macdonald_cv_permuted", p, n)
 
 
 def macdonald_ps(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    return both_sides(problem("macdonald_ps", _truncate(p, n)))
+    return _sides("macdonald_ps", p, n)
 
 
 def macdonald_dougall(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
-    return both_sides(problem("macdonald_dougall", _truncate(p, n)))
+    return _sides("macdonald_dougall", p, n)
 
 
 def _truncate(p: SequenceParams, n: int | None) -> SequenceParams:
-    """p over indices 0..n (all of p when n is None)."""
+    """p over indices 0..n (all of p when n is None); 0 <= n <= p.n."""
     if n is None:
         return p
+    if not 0 <= n <= p.n:
+        raise ValueError(f"n = {n} is outside the sequences' indices 0..{p.n}")
     return SequenceParams(
         a=p.a[: n + 1], b=p.b[: n + 1],
         c=None if p.c is None else p.c[: n + 1],
@@ -159,49 +201,65 @@ def ps_terms(p: SequenceParams) -> list[Fraction]:
     return list(telescoping_terms(problem("macdonald_ps", p)))
 
 
+def _companion(key: str, p: SequenceParams) -> _Route | None:
+    """The companion route of operation key at p: macdonald_cv at the
+    relabeled point for macdonald_cv_permuted, macdonald_ps at d = 0 for
+    macdonald_dougall, none for the others."""
+    if key == "macdonald_cv_permuted":
+        return _route(OPERATIONS["macdonald_cv"], relabeled_for_permutation(p))
+    if key == "macdonald_dougall":
+        return _route(OPERATIONS["macdonald_ps"], with_d_zero(p))
+    return None
+
+
+def _draw(rng: random.Random, length: int,
+          key: str) -> tuple[SequenceParams, _Route, _Route | None]:
+    """(p, route, companion route) of the first draw admissible for operation
+    key and its companion route; the checks read these values."""
+    op = OPERATIONS[key]
+
+    def attempt():
+        p = SequenceParams(**{name: sample_sequence(rng, length) for name in op.names})
+        return p, _route(op, p), _companion(key, p)
+
+    return retry(attempt, f"{key}: no admissible sequence tuple in {RETRY_BOUND} tries")
+
+
 def sample_sequence_params(rng: random.Random, length: int, op: str) -> SequenceParams:
     """Draw sequences admissible for the given operation and for its
     companion route: the relabeling of macdonald_cv_permuted, or
     macdonald_ps at d = 0 for macdonald_dougall."""
-    names = OPERATIONS[op].names
-
-    def attempt() -> SequenceParams:
-        p = SequenceParams(**{name: sample_sequence(rng, length) for name in names})
-        both_sides(problem(op, p))
-        if op == "macdonald_cv_permuted":
-            macdonald_cv(relabeled_for_permutation(p))
-        if op == "macdonald_dougall":
-            macdonald_ps(with_d_zero(p))
-        return p
-
-    return retry(attempt, f"{op}: no admissible sequence tuple in {RETRY_BOUND} tries")
+    return _draw(rng, length, op)[0]
 
 
 def verify_operation_suite(key: str, n_max: int, samples: int, seed: int) -> list[CheckRecord]:
     """Each sample's identity and relation check for sequences over 0..n,
-    n <= n_max, and the companion route's check."""
-    citation = OPERATIONS[key].citation
+    n <= n_max, and the companion route's check, all on the values the
+    draw computed."""
+    op = OPERATIONS[key]
 
     def draw(rng):
-        return sample_sequence_params(rng, rng.randint(1, n_max + 1), key)
+        return _draw(rng, rng.randint(1, n_max + 1), key)
 
-    def checks(p, sample):
+    def checks(drawn, sample):
+        p, route, companion = drawn
+
         def record(check, ok, **extra):
-            return outcome("genhyp", key, check, citation, ok, n=p.n, sample=sample, **extra)
+            return outcome("genhyp", key, check, op.citation, ok, n=p.n, sample=sample,
+                           **extra)
 
-        lhs, rhs = both_sides(problem(key, p))
-        bad = relation_fails_at(key, p)
+        lhs, rhs = route.sides
+        bad = _fails_at(op, route.rows, route.u, route.v)
         relation = {} if bad is None else {"relation_fails_at": bad}
         records = [record("identity", lhs == rhs and bad is None, lhs=lhs, rhs=rhs,
                           length=p.n + 1, **relation)]
         if key == "macdonald_cv_permuted":
-            other = macdonald_cv(relabeled_for_permutation(p))
-            records.append(record("relabel", other == (lhs, rhs), direct=lhs,
-                                  relabel=other[0]))
+            records.append(record("relabel", companion.sides == route.sides, direct=lhs,
+                                  relabel=companion.sides[0]))
         if key == "macdonald_dougall":
-            dz = with_d_zero(p)
-            records.append(record("d_zero_termwise", dougall_terms(dz) == ps_terms(dz),
+            records.append(record("d_zero_termwise",
+                                  dougall_terms(with_d_zero(p)) == companion.terms,
                                   reason="termwise mismatch"))
         return records
 
-    return sweep("genhyp", key, citation, seed, samples, draw, checks)
+    return sweep("genhyp", key, op.citation, seed, samples, draw, checks)

@@ -14,7 +14,11 @@ package's core oracle.  ``raw_euler_sum`` is the unnormalized k=1..n form,
 
 Sums maintain running products incrementally (O(n) multiplications), so
 nothing calls prod_range per term: calling it for each of n terms would
-multiply O(n^2) factors.
+multiply O(n^2) factors.  ``telescoping_terms`` and
+``telescoping_closed_form`` read each u_k and v_k once, keeping u_{k-1} in
+a local, so a costly or memoized u and v is evaluated or looked up once per
+index.  The lemma's sums run over k = 0..n, so they and ``sum_to_telescope``
+raise ValueError for n < 0.
 """
 
 from __future__ import annotations
@@ -36,13 +40,23 @@ class TelescopeProblem:
     n: int
 
 
+def _require_length(n: int) -> None:
+    """Reject a negative upper index: the lemma's sums run over k = 0..n."""
+    if n < 0:
+        raise ValueError(f"telescoping sums need n >= 0, got n = {n}")
+
+
 def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
     """Yield the summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n.
 
-    Raises DivisionByZero if w_0 = 0 or any of v_1..v_n is zero.
+    Each u_k and v_k is read once, in the order u_0, v_0, v_1, u_1, v_2, u_2,
+    ...  Raises ValueError if n < 0, and DivisionByZero if w_0 = 0 or any of
+    v_1..v_n is zero.
     """
     u, v, n = p.u, p.v, p.n
-    w0 = u(0) - v(0)
+    _require_length(n)
+    uk, vk = u(0), v(0)
+    w0 = uk - vk
     if w0 == 0:
         raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
     ratio = ONE  # (u_0 ... u_{k-1}) / (v_1 ... v_k)
@@ -51,8 +65,9 @@ def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
             vk = v(k)
             if vk == 0:
                 raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
-            ratio = ratio * u(k - 1) / vk
-        yield (u(k) - v(k)) / w0 * ratio
+            ratio = ratio * uk / vk
+            uk = u(k)
+        yield (uk - vk) / w0 * ratio
 
 
 def telescoping_sum(p: TelescopeProblem) -> Fraction:
@@ -63,10 +78,12 @@ def telescoping_sum(p: TelescopeProblem) -> Fraction:
 def telescoping_closed_form(p: TelescopeProblem) -> Fraction:
     """Right side of the lemma: (u_0/w_0) * (prod u / prod v - v_0/u_0).
 
-    The -v_0/u_0 term is skipped when v_0 = 0 (it is exactly zero then);
-    otherwise u_0 = 0 raises DivisionByZero, as do w_0 = 0 and zero v's.
+    Raises ValueError if n < 0.  The -v_0/u_0 term is skipped when v_0 = 0
+    (it is exactly zero then); otherwise u_0 = 0 raises DivisionByZero, as
+    do w_0 = 0 and zero v's.
     """
     u, v, n = p.u, p.v, p.n
+    _require_length(n)
     u0, v0 = u(0), v(0)
     w0 = u0 - v0
     if w0 == 0:
@@ -113,8 +130,10 @@ def sum_to_telescope(f: SeqFn, n: int) -> tuple[Fraction, Fraction]:
     """Embed a plain telescoping sum: returns (f(n+1) - f(0), sum of gaps).
 
     Setting u_k = f(k+1), v_k = f(k) reduces any telescoping sum to the
-    lemma, so the two components must always be equal.
+    lemma, so the two components must always be equal.  Raises ValueError
+    if n < 0.
     """
+    _require_length(n)
     collapsed = f(n + 1) - f(0)
     gaps = sum((f(k + 1) - f(k) for k in range(n + 1)), ZERO)
     return collapsed, gaps

@@ -1,7 +1,10 @@
+import dataclasses
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from telesum import runner
 from telesum.elementary import ELEMENTARY, eval_terms
 from telesum.errors import DivisionByZero
 from telesum.genhyp import (OPERATIONS, SequenceParams, dougall_terms, macdonald_cv,
@@ -102,3 +105,60 @@ def test_elementary_table_states_the_operation_relation(key, op):
         assert eval_terms((u_term,), point) == operation.u(*point), (key, i)
         assert eval_terms((v_term,), point) == -operation.v(*point), (key, i)
         assert eval_terms(ident.rhs, point) == operation.w(*point), (key, i)
+
+
+@pytest.mark.parametrize("seqs", [
+    {"a": (F(2),), "b": (F(7), F(8), F(9))},
+    {"a": (F(2), F(3)), "b": (F(7),)},
+    {"a": (F(2), F(3)), "b": (F(7), F(8)), "c": (F(5),)},
+    {"a": (F(2),), "b": (F(7),), "c": (F(5),), "d": (F(1), F(3))},
+    {"a": (), "b": ()},
+])
+def test_ragged_or_empty_sequences_are_rejected(seqs):
+    with pytest.raises(ValueError, match="one common length"):
+        SequenceParams(**seqs)
+
+
+@pytest.mark.parametrize("fn", [macdonald_cv, macdonald_cv_permuted, macdonald_ps,
+                                macdonald_dougall])
+@pytest.mark.parametrize("n", [-1, 3, 10])
+def test_n_outside_the_indices_is_rejected(fn, n):
+    p = SequenceParams(a=(F(2), F(3), F(5)), b=(F(7), F(11), F(13)),
+                       c=(F(17), F(19), F(23)), d=(F(29), F(31), F(37)))
+    with pytest.raises(ValueError, match=f"n = {n} is outside"):
+        fn(p, n=n)
+    assert fn(p, n=0) == (1, 1)
+
+
+def _counting(fn, calls, key, name):
+    def counted(*args):
+        calls[(key, name) + args] += 1
+        return fn(*args)
+    return counted
+
+
+def test_genhyp_suite_evaluates_each_value_once(monkeypatch):
+    # a draw's probe and its checks share one evaluation of every u_k and v_k
+    calls = Counter()
+    for key, op in list(OPERATIONS.items()):
+        monkeypatch.setitem(OPERATIONS, key, dataclasses.replace(
+            op, **{name: _counting(getattr(op, name), calls, key, name) for name in "uvw"}))
+    identity = {}
+    for key in OPERATIONS:
+        records = runner.run_genhyp_item(key, None, 32, 1729)
+        assert records and all(r.status == "pass" for r in records)
+        identity[key] = [r for r in records if r.check == "identity"]
+
+    assert max(calls.values()) == 1
+
+    def points(key, name):
+        return {c[2:] for c in calls if c[:2] == (key, name)}
+
+    for key in OPERATIONS:
+        # every index a route reads is read for u and for v; w only at the
+        # accepted draws' indices
+        assert points(key, "u") == points(key, "v")
+        assert len(points(key, "w")) == sum(r.n + 1 for r in identity[key])
+    # the Dougall values at d = 0 are the dougall_terms(dz) row's, once per index
+    d_zero = {c for c in points("macdonald_dougall", "u") if c[3] == 0}
+    assert len(d_zero) == sum(r.n + 1 for r in identity["macdonald_dougall"])

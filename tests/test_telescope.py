@@ -7,7 +7,8 @@ from telesum.rational import const, seq
 from telesum.sampling import rng_for, sample_rational
 from telesum.telescope import (TelescopeProblem, raw_euler_sum,
                                solve_linear_recurrence, sum_to_telescope,
-                               telescoping_closed_form, telescoping_sum)
+                               telescoping_closed_form, telescoping_sum,
+                               telescoping_terms)
 
 
 def fib(n: int) -> F:
@@ -162,3 +163,66 @@ def test_solve_linear_recurrence_zero_b_raises():
     b = lambda m: F(m)  # b(1) != 0 required; make b(1) = 0 via shift
     with pytest.raises(DivisionByZero):
         solve_linear_recurrence(lambda m: F(m - 1), const(1), F(1), 3)
+
+
+def _logged(fn, name, log):
+    def logged(k):
+        log.append((name, k))
+        return fn(k)
+    return logged
+
+
+def _logged_problem(p, log):
+    return TelescopeProblem(_logged(p.u, "u", log), _logged(p.v, "v", log), p.n)
+
+
+def test_terms_and_closed_form_read_each_u_and_v_once():
+    rng = rng_for(102, "once")
+    for _ in range(100):
+        p = random_problem(rng)
+        order = [("u", 0), ("v", 0)] + [x for k in range(1, p.n + 1) for x in (("v", k), ("u", k))]
+        log = []
+        terms = list(telescoping_terms(_logged_problem(p, log)))
+        assert log == order
+        log.clear()
+        assert telescoping_closed_form(_logged_problem(p, log)) == sum(terms, F(0))
+        assert log == order
+
+
+@pytest.mark.parametrize("u_vals, v_vals, message, reads", [
+    ([3, 2, 5], [3, 1, 1], "telescoping sum requires w_0 = u_0 - v_0 != 0",
+     [("u", 0), ("v", 0)]),
+    ([3, 2, 5, 7], [1, 4, 0, 2], "telescoping sum requires v_2 != 0",
+     [("u", 0), ("v", 0), ("v", 1), ("u", 1), ("v", 2)]),
+])
+def test_terms_raise_at_the_first_bad_index(u_vals, v_vals, message, reads):
+    log = []
+    p = TelescopeProblem(seq([F(x) for x in u_vals]), seq([F(x) for x in v_vals]),
+                         len(u_vals) - 1)
+    yielded = []
+    with pytest.raises(DivisionByZero) as exc:
+        for term in telescoping_terms(_logged_problem(p, log)):
+            yielded.append(term)
+    assert str(exc.value) == message
+    assert log == reads
+    assert len(yielded) == reads[-1][1]  # every term before the bad index
+
+
+def _terms_list(p):
+    return list(telescoping_terms(p))
+
+
+@pytest.mark.parametrize("fn", [_terms_list, telescoping_sum, telescoping_closed_form])
+@pytest.mark.parametrize("n", [-1, -3])
+def test_negative_n_is_rejected(fn, n):
+    log = []
+    p = _logged_problem(TelescopeProblem(const(2), const(1), n), log)
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        fn(p)
+    assert log == []  # no k = 0 term and no value is read
+
+
+def test_sum_to_telescope_rejects_negative_n():
+    with pytest.raises(ValueError, match="n = -3"):
+        sum_to_telescope(lambda k: F(k * k), -3)
+    assert sum_to_telescope(lambda k: F(k * k), 0) == (1, 1)
