@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 
 from .errors import Inadmissible, NoCertificate
 from .rational import ZERO
-from .report import INADMISSIBLE, CheckRecord, outcome, witness as _witness
+from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .telescope import TelescopeProblem, telescoping_terms
 
 Params = Mapping[str, object]
@@ -170,12 +170,8 @@ def verify_sample(idn: NormalizedIdentity, n_max: int, params: Params,
         try:
             records.extend(fn(idn, n, params, suite, sample, **kwargs))
         except Inadmissible as exc:
-            records.append(CheckRecord(
-                suite=suite, identity=idn.key, check=check_name,
-                status=INADMISSIBLE, n=n, sample=sample,
-                witness=_witness(params, reason=str(exc)),
-                citation=idn.citation,
-            ))
+            records.append(record(suite, idn.key, check_name, idn.citation, INADMISSIBLE,
+                                  params, n=n, sample=sample, reason=str(exc)))
 
     run("base_case", 0, row_sum_check, check="base_case")
     for n in range(n_max + 1):

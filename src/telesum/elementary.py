@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .errors import DivisionByZero
 from .rational import ONE as F1, ZERO as F0, rat_pow
-from .report import PASS, CheckRecord, outcome
+from .report import PASS, CheckRecord, outcome, record
 from .sampling import RETRY_BOUND, retry, rng_for, sample_rational
 
 
@@ -265,9 +265,7 @@ def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int,
             return [outcome(suite, ident.key, "sampled_zero", ident.citation, False,
                             dict(zip(ident.vars, point)), sample=i, delta=delta,
                             point_index=i)]
-    return [CheckRecord(suite=suite, identity=ident.key, check="sampled_zero",
-                        status=PASS, witness={"points": str(samples)},
-                        citation=ident.citation)]
+    return [record(suite, ident.key, "sampled_zero", ident.citation, PASS, points=samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +360,7 @@ def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> lis
     shape = "x".join(str(spans[i] + 2) for i in order)
     poly = expand(ident)
     if not poly:
-        return [CheckRecord(suite=suite, identity=ident.key, check="grid_zero",
-                            status=PASS, witness={"grid": shape}, citation=ident.citation)]
+        return [record(suite, ident.key, "grid_zero", ident.citation, PASS, grid=shape)]
     grids = [[Fraction(prime_of[i] ** (j + 1)) for j in range(spans[i] + 2)] for i in order]
     for values in product(*grids):
         point = tuple(v for _, v in sorted(zip(order, values)))

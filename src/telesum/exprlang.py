@@ -11,8 +11,10 @@ four call forms:
                         range convention (empty -> 1, inverted -> reciprocal)
 
 Precedence: ^  >  unary -  >  * /  >  + -, with ^ right-associative and the
-binary operators left-associative.  Rational constants are written with /
-(e.g. 2/3); the token grammar has integer literals only.
+binary operators left-associative.  ``BINARY`` declares each binary operator
+(precedence, printed text, operation) and ``FUNCTIONS`` each call form but
+prod (arity, evaluator).  Rational constants are written with / (e.g. 2/3);
+the token grammar has integer literals only.
 
 Identity config files are line-oriented UTF-8 text, one identity per file:
 
@@ -33,10 +35,12 @@ MAX_COUNT) names its section and the n and k it was raised at.
 
 from __future__ import annotations
 
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .certify import Certificate
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
@@ -100,25 +104,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Div:
+class Bin:
+    op: str  # a key of BINARY
     left: "Expr"
     right: "Expr"
 
@@ -131,7 +118,7 @@ class Pow:
 
 @dataclass(frozen=True)
 class Call:
-    func: str  # rf | qrf | binom
+    func: str  # a key of FUNCTIONS
     args: tuple["Expr", ...]
 
 
@@ -143,9 +130,35 @@ class Prod:
     body: "Expr"
 
 
-Expr = Lit | Var | Neg | Add | Sub | Mul | Div | Pow | Call | Prod
+Expr = Lit | Var | Neg | Bin | Pow | Call | Prod
 
-FUNCTIONS = {"rf": 2, "qrf": 3, "binom": 2}
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+Binary = namedtuple("Binary", "prec text apply")
+Function = namedtuple("Function", "arity apply")
+
+#: Each binary operator, all left-associative: its precedence, its text in
+#: to_source and its exact operation.
+BINARY = {
+    "+": Binary(_PREC_ADD, " + ", operator.add),
+    "-": Binary(_PREC_ADD, " - ", operator.sub),
+    "*": Binary(_PREC_MUL, "*", operator.mul),
+    "/": Binary(_PREC_MUL, "/", rat_div),
+}
+
+
+def _binom(a: Fraction, b: Fraction) -> Fraction:
+    m = _count(b, "binom lower index")
+    return rising_factorial(a - m + 1, m) / rising_factorial(ONE, m)
+
+
+#: Each call form but the binder prod: its arity and its evaluator of the
+#: evaluated arguments, which finds the factorials by global name per call.
+FUNCTIONS = {
+    "rf": Function(2, lambda x, m: rising_factorial(x, _count(m, "rf count"))),
+    "qrf": Function(3, lambda a, q, m: q_rising_factorial(a, q, _count(m, "qrf count"))),
+    "binom": Function(2, _binom),
+}
 
 
 # --- Tokenizer --------------------------------------------------------------
@@ -158,7 +171,7 @@ class _Tok:
     column: int
 
 
-_OPS = set("+-*/^(),")
+_OPS = set(BINARY) | set("^(),")
 #: Only ASCII digits start an integer literal: str.isdigit also accepts
 #: superscripts such as '²', which int() rejects.
 _DIGITS = set("0123456789")
@@ -245,19 +258,14 @@ class _Parser:
                              t.line, t.column)
         return depth
 
-    def expr(self) -> tuple[Expr, int]:
-        node, depth = self.term()
-        while (op := self._take_op("+", "-")) is not None:
-            right, right_depth = self.term()
-            node = Add(node, right) if op.text == "+" else Sub(node, right)
-            depth = self._deeper(op, depth, right_depth)
-        return node, depth
-
-    def term(self) -> tuple[Expr, int]:
+    def expr(self, minimum: int = _PREC_ADD) -> tuple[Expr, int]:
+        """Factors joined, left-associatively, by the binary operators of
+        precedence at least minimum (precedence climbing)."""
         node, depth = self.factor()
-        while (op := self._take_op("*", "/")) is not None:
-            right, right_depth = self.factor()
-            node = Mul(node, right) if op.text == "*" else Div(node, right)
+        while (op := self.cur).text in BINARY and BINARY[op.text].prec >= minimum:
+            self.pos += 1
+            right, right_depth = self.expr(BINARY[op.text].prec + 1)
+            node = Bin(op.text, node, right)
             depth = self._deeper(op, depth, right_depth)
         return node, depth
 
@@ -326,8 +334,8 @@ class _Parser:
         while self._take_op(","):
             args.append(self.expr())
         self._expect_op(")")
-        if len(args) != FUNCTIONS[name]:
-            raise ParseError(f"{name} takes {FUNCTIONS[name]} arguments, got {len(args)}",
+        if len(args) != FUNCTIONS[name].arity:
+            raise ParseError(f"{name} takes {FUNCTIONS[name].arity} arguments, got {len(args)}",
                              name_tok.line, name_tok.column)
         nodes, depths = zip(*args)
         return Call(name, nodes), self._deeper(name_tok, *depths)
@@ -347,14 +355,9 @@ def parse(text: str, line: int = 1, column: int = 1) -> Expr:
 
 # --- Printing ----------------------------------------------------------------
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
+    if isinstance(e, Bin):
+        return BINARY[e.op].prec
     if isinstance(e, Neg):
         return _PREC_NEG
     if isinstance(e, Pow):
@@ -375,14 +378,9 @@ def to_source(e: Expr) -> str:
         return e.name
     if isinstance(e, Neg):
         return "-" + wrap(e.arg, _PREC_NEG)
-    if isinstance(e, Add):
-        return f"{wrap(e.left, _PREC_ADD)} + {wrap(e.right, _PREC_MUL)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.left, _PREC_ADD)} - {wrap(e.right, _PREC_MUL)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, _PREC_MUL)}*{wrap(e.right, _PREC_NEG)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.left, _PREC_MUL)}/{wrap(e.right, _PREC_NEG)}"
+    if isinstance(e, Bin):
+        prec, text, _ = BINARY[e.op]
+        return f"{wrap(e.left, prec)}{text}{wrap(e.right, prec + 1)}"
     if isinstance(e, Pow):
         return f"{wrap(e.base, _PREC_ATOM)}^{wrap(e.exponent, _PREC_NEG)}"
     if isinstance(e, Call):
@@ -399,15 +397,12 @@ def free_vars(e: Expr) -> set[str]:
         return {e.name}
     if isinstance(e, Neg):
         return free_vars(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if isinstance(e, Bin):
         return free_vars(e.left) | free_vars(e.right)
     if isinstance(e, Pow):
         return free_vars(e.base) | free_vars(e.exponent)
     if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
+        return set().union(*map(free_vars, e.args))
     if isinstance(e, Prod):
         return free_vars(e.lo) | free_vars(e.hi) | (free_vars(e.body) - {e.var})
     raise TypeError(f"not an Expr: {e!r}")
@@ -446,27 +441,13 @@ def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
             raise UnboundVariable(e.name) from None
     if isinstance(e, Neg):
         return -evaluate(e.arg, env)
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        return rat_div(evaluate(e.left, env), evaluate(e.right, env))
+    if isinstance(e, Bin):
+        return BINARY[e.op].apply(evaluate(e.left, env), evaluate(e.right, env))
     if isinstance(e, Pow):
         exponent = _bounded(_as_int(evaluate(e.exponent, env), "exponent"), "exponent")
         return rat_pow(evaluate(e.base, env), exponent)
     if isinstance(e, Call):
-        args = [evaluate(a, env) for a in e.args]
-        if e.func == "rf":
-            return rising_factorial(args[0], _count(args[1], "rf count"))
-        if e.func == "qrf":
-            return q_rising_factorial(args[0], args[1], _count(args[2], "qrf count"))
-        if e.func == "binom":
-            b = _count(args[1], "binom lower index")
-            return rising_factorial(args[0] - b + 1, b) / rising_factorial(ONE, b)
-        raise TypeError(f"unknown function {e.func}")
+        return FUNCTIONS[e.func].apply(*[evaluate(a, env) for a in e.args])
     if isinstance(e, Prod):
         lo = _as_int(evaluate(e.lo, env), "prod lower bound")
         hi = _as_int(evaluate(e.hi, env), "prod upper bound")
@@ -484,7 +465,7 @@ def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
 # --- Identity config files -----------------------------------------------------
 
 _SECTIONS = ("name", "params", "require", "lhs", "range", "rhs", "cert_u", "cert_v")
-_RESERVED = {"n", "k", "rf", "qrf", "prod", "binom"}
+_RESERVED = {"n", "k", "prod", *FUNCTIONS}
 
 
 @dataclass(frozen=True)
@@ -617,12 +598,11 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
     """An IdentityDef backed by config expressions, usable by every verifier."""
 
     def env_of(params: Mapping[str, object], **indices: int) -> dict[str, Fraction]:
-        env = {name: value for name, value in params.items()}
-        env.update({name: Fraction(value) for name, value in indices.items()})
-        return env
+        return {**params, **{name: Fraction(value) for name, value in indices.items()}}
 
-    def term(n: int, k: int, params: Mapping[str, object]) -> Fraction:
-        return _evaluate_in("lhs", config.lhs, env_of(params, n=n, k=k))
+    def at_nk(section: str, expr: Expr) -> Callable[[int, int, Mapping[str, object]], Fraction]:
+        """One section's expression as a function of (n, k, params)."""
+        return lambda n, k, params: _evaluate_in(section, expr, env_of(params, n=n, k=k))
 
     def rhs(n: int, params: Mapping[str, object]) -> Fraction:
         env = env_of(params, n=n)
@@ -647,19 +627,13 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
             raise _at_point(exc, "range", {"n": n}) from None
         return lo, hi
 
-    certificate = None
-    if config.cert_u is not None and config.cert_v is not None:
-        u_expr, v_expr = config.cert_u, config.cert_v
-        certificate = Certificate(
-            u=lambda n, k, params: _evaluate_in("cert_u", u_expr, env_of(params, n=n, k=k)),
-            v=lambda n, k, params: _evaluate_in("cert_v", v_expr, env_of(params, n=n, k=k)),
-        )
-
+    certificate = None if config.cert_u is None or config.cert_v is None else \
+        Certificate(u=at_nk("cert_u", config.cert_u), v=at_nk("cert_v", config.cert_v))
     return IdentityDef(
         key=config.name,
         citation=f"user-defined identity '{config.name}'",
         params=tuple(Param(p) for p in config.params),
-        term=term,
+        term=at_nk("lhs", config.lhs),
         rhs=rhs,
         sum_range=sum_range,
         certificate=certificate,

@@ -98,7 +98,12 @@ OPERATIONS = {
 
 
 def _rows(op: Operation, p: SequenceParams) -> list[tuple[Fraction, ...]]:
-    """Index k's values of op's sequences, for k = 0..n."""
+    """Index k's values of op's sequences, for k = 0..n; a ValueError names
+    each sequence op needs that p does not give."""
+    missing = [name for name in op.names if getattr(p, name) is None]
+    if missing:
+        raise ValueError(f"this sum needs sequences {', '.join(op.names)}; "
+                         f"{', '.join(missing)} not given")
     return list(zip(*(getattr(p, name) for name in op.names)))
 
 

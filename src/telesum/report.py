@@ -1,12 +1,13 @@
 """Structured verification outcomes.
 
-Every suite builds its records with ``outcome`` (PASS without a witness,
-FAIL with one) and its witnesses with ``witness``.  A Report is a flat list
-of per-check records plus the seed that produced them.  Record order is
-normalized by a stable sort key so that reports are identical regardless of
-worker count or scheduling; the JSON rendering is byte-identical for a fixed
-(suite, seed, flags) triple.  Wall time is tracked for the text rendering
-only and never enters the JSON.
+Every suite builds its records with ``record``, which takes the status, or
+with ``outcome`` (PASS without a witness, FAIL with one), and its witnesses
+with ``witness``.  A Report is a flat list of per-check records plus the
+seed that produced them.  Record order is normalized by a stable sort key
+so that reports are identical regardless of worker count or scheduling;
+the JSON rendering is byte-identical for a fixed (suite, seed, flags)
+triple.  Wall time is tracked for the text rendering only and never enters
+the JSON.
 """
 
 from __future__ import annotations
@@ -60,15 +61,26 @@ def witness(params: Mapping[str, object], **extra: object) -> dict[str, str]:
     return out
 
 
+def record(suite: str, identity: str, check: str, citation: str, status: str,
+           params: Mapping[str, object] | None = None, *, n: int | None = None,
+           sample: int | None = None, **extra: object) -> CheckRecord:
+    """One check's record with the given status, witnessed by
+    witness(params, **extra), or by none when neither is given."""
+    return CheckRecord(suite=suite, identity=identity, check=check, status=status, n=n,
+                       sample=sample, citation=citation,
+                       witness=None if params is None and not extra
+                       else witness(params or {}, **extra))
+
+
 def outcome(suite: str, identity: str, check: str, citation: str, ok: bool,
             params: Mapping[str, object] | None = None, *, n: int | None = None,
             sample: int | None = None, **extra: object) -> CheckRecord:
     """One check's record: PASS without a witness when ok, otherwise FAIL
     with witness(params, **extra)."""
-    return CheckRecord(suite=suite, identity=identity, check=check,
-                       status=PASS if ok else FAIL, n=n, sample=sample,
-                       witness=None if ok else witness(params or {}, **extra),
-                       citation=citation)
+    if ok:
+        return record(suite, identity, check, citation, PASS, n=n, sample=sample)
+    return record(suite, identity, check, citation, FAIL, params or {}, n=n, sample=sample,
+                  **extra)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .certify import natural_termination_check, verify_sample
 from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, draw_admissible,
                      evaluate_identity, normalized, specialization_d_zero_checks)
 from .errors import Inadmissible, SampleExhausted
-from .report import INADMISSIBLE, CheckRecord, Report, outcome
+from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
 from .sampling import retry, sample_q, sample_rational, sweep
 
 SUITES = ("corpus", "ez", "sequences", "genhyp", "elementary")
@@ -65,9 +65,8 @@ def _identity_rows(idef: IdentityDef, suite: str, n_max: int, params: dict,
         try:
             lhs, rhs = evaluate_identity(idef, n, params)
         except Inadmissible as exc:
-            records.append(CheckRecord(suite=suite, identity=idef.key, check="identity",
-                                       status=INADMISSIBLE, n=n, sample=sample,
-                                       witness={"reason": str(exc)}, citation=idef.citation))
+            records.append(record(suite, idef.key, "identity", idef.citation, INADMISSIBLE,
+                                  n=n, sample=sample, reason=str(exc)))
         else:
             records.append(outcome(suite, idef.key, "identity", idef.citation, lhs == rhs,
                                    params, n=n, sample=sample, lhs=lhs, rhs=rhs))

@@ -30,7 +30,7 @@ from .certify import sample_value
 from .corpus import Param, draw_params, factorial, q_rising_factorial as qrf
 from .errors import Inadmissible
 from .rational import ONE, SeqFn, ZERO, prod_range, rat_div, rat_pow
-from .report import INADMISSIBLE, CheckRecord, outcome
+from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .sampling import retry, sample_rational, sample_sequence, sweep
 
 Params = Mapping[str, object]
@@ -151,9 +151,8 @@ def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
     try:
         sides = lucas_gen_sides(spec, which, n_max)
     except Inadmissible as exc:
-        return [CheckRecord(suite=suite, identity=identity, check="identity",
-                            status=INADMISSIBLE, sample=sample,
-                            witness={"reason": str(exc)}, citation=citation)]
+        return [record(suite, identity, "identity", citation, INADMISSIBLE, sample=sample,
+                       reason=str(exc))]
     return [outcome(suite, identity, "identity", citation, lhs == rhs, n=n, sample=sample,
                     lhs=lhs, rhs=rhs) for n, lhs, rhs in sides]
 

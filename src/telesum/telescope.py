@@ -17,8 +17,9 @@ nothing calls prod_range per term: calling it for each of n terms would
 multiply O(n^2) factors.  ``telescoping_terms`` and
 ``telescoping_closed_form`` read each u_k and v_k once, keeping u_{k-1} in
 a local, so a costly or memoized u and v is evaluated or looked up once per
-index.  The lemma's sums run over k = 0..n, so they and ``sum_to_telescope``
-raise ValueError for n < 0.
+index; ``raw_euler_sum`` reads each once into lists and takes both sides
+from the kernel.  The lemma's sums run over k = 0..n, so every function
+here raises ValueError for n < 0.
 """
 
 from __future__ import annotations
@@ -107,23 +108,15 @@ def raw_euler_sum(u: SeqFn, v: SeqFn, n: int) -> tuple[Fraction, Fraction]:
     """Both sides of the raw k=1..n form; the caller asserts equality.
 
     Returns (sum_{k=1}^n w_k (u_1..u_{k-1})/(v_1..v_k),
-             (u_1..u_n)/(v_1..v_n) - 1).
+             (u_1..u_n)/(v_1..v_n) - 1):
+    the lemma's two sides at u_0 = 1, v_0 = 0, each less its value 1 at
+    n = 0.  Each u_k and v_k is read once.  Raises ValueError if n < 0, and
+    DivisionByZero if any of v_1..v_n is zero.
     """
-    lhs = ZERO
-    ratio = ONE  # (u_1 ... u_{k-1}) / (v_1 ... v_k)
-    for k in range(1, n + 1):
-        vk = v(k)
-        if vk == 0:
-            raise DivisionByZero(f"raw telescoping sum requires v_{k} != 0")
-        if k == 1:
-            ratio = ONE / vk
-        else:
-            ratio = ratio * u(k - 1) / vk
-        lhs += (u(k) - vk) * ratio
-    rhs = ONE
-    for j in range(1, n + 1):
-        rhs = rhs * u(j) / v(j)
-    return lhs, rhs - 1
+    us = [ONE] + [u(k) for k in range(1, n + 1)]
+    vs = [ZERO] + [v(k) for k in range(1, n + 1)]
+    p = TelescopeProblem(us.__getitem__, vs.__getitem__, n)
+    return telescoping_sum(p) - 1, telescoping_closed_form(p) - 1
 
 
 def sum_to_telescope(f: SeqFn, n: int) -> tuple[Fraction, Fraction]:
@@ -143,8 +136,10 @@ def solve_linear_recurrence(b: SeqFn, c: SeqFn, x0: Fraction, n: int) -> Fractio
     """x_{n+1} for x_{m+1} = b_m x_m + c_m, given x_0.
 
     Closed form: x_0 b_0 b_1 ... b_n + (b_1 ... b_n) * sum_{k=0}^n c_k / (b_1 ... b_k).
-    Requires b_1..b_n nonzero (b_0 may be anything, it only scales x_0).
+    Requires b_1..b_n nonzero (b_0 may be anything, it only scales x_0);
+    raises ValueError if n < 0.
     """
+    _require_length(n)
     tail = ONE  # b_1 ... b_k
     acc = ZERO
     for k in range(n + 1):

@@ -6,11 +6,10 @@ import pytest
 from telesum.certify import verify_sample
 from telesum.corpus import CORPUS, draw_admissible, evaluate_identity, normalized
 from telesum.errors import DivisionByZero
-from telesum.exprlang import (Add, Call, Div, Lit, Mul, Neg, NonIntegerExponent,
-                              ParseError, Pow, Prod, SchemaError, Sub,
-                              UnboundVariable, Var, config_to_identity, evaluate,
-                              free_vars, load_identity_config, parse,
-                              parse_config, to_source)
+from telesum.exprlang import (Bin, Call, Lit, Neg, NonIntegerExponent, ParseError, Pow,
+                              Prod, SchemaError, UnboundVariable, UndefinedRange, Var,
+                              config_to_identity, evaluate, free_vars,
+                              load_identity_config, parse, parse_config, to_source)
 from telesum.sampling import rng_for
 
 BINOMIAL_CONFIG = """\
@@ -45,8 +44,8 @@ def test_precedence():
 
 def test_q_binomial_summand_shape():
     e = parse("qrf(q^(-n), q, k) / qrf(q, q, k) * (z*q^n)^k")
-    assert isinstance(e, Mul)
-    assert isinstance(e.left, Div)
+    assert isinstance(e, Bin) and e.op == "*"
+    assert isinstance(e.left, Bin) and e.left.op == "/"
     assert isinstance(e.left.left, Call) and e.left.left.func == "qrf"
     assert free_vars(e) == {"q", "n", "k", "z"}
 
@@ -102,20 +101,20 @@ def _random_expr(rng: random.Random, depth: int):
     kind = rng.choice(kinds)
     sub = lambda: _random_expr(rng, depth - 1)
     if kind == "add":
-        return Add(sub(), sub())
+        return Bin("+", sub(), sub())
     if kind == "sub":
-        return Sub(sub(), sub())
+        return Bin("-", sub(), sub())
     if kind == "mul":
-        return Mul(sub(), sub())
+        return Bin("*", sub(), sub())
     if kind == "div":
-        return Div(sub(), sub())
+        return Bin("/", sub(), sub())
     if kind == "neg":
         return Neg(sub())
     if kind == "pow":
         return Pow(sub(), Lit(F(rng.randint(0, 4))))
     if kind == "call":
         return Call("rf", (sub(), Lit(F(rng.randint(0, 3)))))
-    return Prod("j", Lit(F(0)), Lit(F(rng.randint(0, 3))), Add(Var("j"), sub()))
+    return Prod("j", Lit(F(0)), Lit(F(rng.randint(0, 3))), Bin("+", Var("j"), sub()))
 
 
 def test_round_trip_property():
@@ -123,6 +122,49 @@ def test_round_trip_property():
     for _ in range(400):
         expr = _random_expr(rng, 6)
         assert parse(to_source(expr)) == expr
+
+
+@pytest.mark.parametrize("text, source", [
+    ("1+2*3", "1 + 2*3"),
+    ("(1 + 2)*3", "(1 + 2)*3"),
+    ("a - b - c", "a - b - c"),
+    ("a - (b - c)", "a - (b - c)"),
+    ("a + (b - c)", "a + (b - c)"),
+    ("a/b*c", "a/b*c"),
+    ("a/(b*c)", "a/(b*c)"),
+    ("a*(b/c)", "a*(b/c)"),
+    ("-a^2", "-a^2"),
+    ("(-a)^2", "(-a)^2"),
+    ("-(a + b)", "-(a + b)"),
+    ("-(-x)", "--x"),
+    ("a*(-b)", "a*-b"),
+    ("a - -b", "a - -b"),
+    ("2^3^2", "2^3^2"),
+    ("(2^3)^2", "(2^3)^2"),
+    ("x^(-n)", "x^-n"),
+    ("2/3", "2/3"),
+    ("rf(a+b, 2)*(1-a)/(1-b)", "rf(a + b, 2)*(1 - a)/(1 - b)"),
+    ("qrf(q^(-n), q, k)/qrf(q, q, k)*(z*q^n)^k", "qrf(q^-n, q, k)/qrf(q, q, k)*(z*q^n)^k"),
+    ("binom(n,k)*x^k", "binom(n, k)*x^k"),
+    ("prod(j,1,n,j+x)", "prod(j, 1, n, j + x)"),
+])
+def test_to_source_text(text, source):
+    # spacing around + and - only, minimal parentheses, right-associative ^
+    assert to_source(parse(text)) == source
+
+
+def test_messages_that_embed_to_source():
+    config = parse_config("name: r\nparams: x\nrequire: x - 1, 1 + x\nlhs: x^k\n"
+                          "range: 0 .. n/(n - 2)\nrhs: x^n\n")
+    idef = config_to_identity(config)
+    with pytest.raises(UndefinedRange) as err:
+        idef.sum_range(2)
+    assert str(err.value) == \
+        "range bound n/(n - 2) is undefined at n = 2: division of 2 by zero"
+    for x, requirement in ((F(1), "x - 1"), (F(-1), "1 + x")):
+        with pytest.raises(DivisionByZero) as err:
+            idef.rhs(1, {"x": x})
+        assert str(err.value) == f"requirement {requirement} = 0"
 
 
 def test_config_parses_and_matches_builtin_binomial():

@@ -10,7 +10,7 @@ from telesum.errors import DivisionByZero
 from telesum.genhyp import (OPERATIONS, SequenceParams, dougall_terms, macdonald_cv,
                             macdonald_cv_permuted, macdonald_dougall,
                             macdonald_ps, ps_terms, relabeled_for_permutation,
-                            sample_sequence_params, with_d_zero)
+                            relation_fails_at, sample_sequence_params, with_d_zero)
 from telesum.sampling import rng_for, sample_rational
 
 
@@ -128,6 +128,17 @@ def test_n_outside_the_indices_is_rejected(fn, n):
     with pytest.raises(ValueError, match=f"n = {n} is outside"):
         fn(p, n=n)
     assert fn(p, n=0) == (1, 1)
+
+
+@pytest.mark.parametrize("call, missing", [
+    (macdonald_ps, "c"),
+    (macdonald_dougall, "c, d"),
+    (lambda p: macdonald_dougall(dataclasses.replace(p, c=(F(5), F(11)))), "d"),
+    (lambda p: relation_fails_at("macdonald_ps", p), "c"),
+])
+def test_a_missing_sequence_is_named(call, missing):
+    with pytest.raises(ValueError, match=f"; {missing} not given$"):
+        call(SequenceParams(a=(F(2), F(3)), b=(F(5), F(7))))
 
 
 def _counting(fn, calls, key, name):

@@ -1,6 +1,8 @@
 """The benchmark's traced mode still runs: ``perfbench/tracer.py`` wraps
 telesum functions by name, so renaming one that it binds must fail here.
-Each traced step must exit 0 and print the report the untraced CLI prints."""
+Each traced step must exit 0 and print the report the untraced CLI prints,
+and the traced ``check`` step must see the expression evaluator and the
+rising factorials it calls by module-global name."""
 
 import hashlib
 import io
@@ -24,13 +26,8 @@ STEPS = {
 }
 
 
-@pytest.mark.parametrize("step", sorted(STEPS))
-def test_traced_step_prints_the_untraced_report(step, tmp_path):
-    argv = STEPS[step] + ["--format", "json"]
-    out = io.StringIO()
-    main(argv, out=out)
-    untraced = hashlib.sha256(out.getvalue().encode()).hexdigest()
-
+def traced(argv: list[str], tmp_path: Path) -> dict:
+    """The JSON line ``perfbench/tracer.py`` prints for one CLI run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
@@ -39,6 +36,22 @@ def test_traced_step_prints_the_untraced_report(step, tmp_path):
          "--spans-out", str(tmp_path / "spans.json"), "--", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.splitlines()[-1])
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+def test_traced_step_prints_the_untraced_report(step, tmp_path):
+    argv = STEPS[step] + ["--format", "json"]
+    out = io.StringIO()
+    main(argv, out=out)
+    untraced = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    result = traced(argv, tmp_path)
     assert result["exit_code"] == 0
     assert result["sha256"] == untraced
+
+
+def test_traced_check_sees_evaluate_and_rising_factorial(tmp_path):
+    spans = traced(STEPS["check"], tmp_path)["raw"]["spans"]
+    # calls per span: outermost evaluate calls, and binom's rising factorials
+    assert spans["exprlang.evaluate"][0] == 91
+    assert spans["corpus.rising_factorial"][0] == 60

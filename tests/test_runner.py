@@ -1,9 +1,8 @@
 from fractions import Fraction as F
 
 from telesum import runner
-from telesum.certify import _witness
 from telesum.errors import Inadmissible
-from telesum.report import INADMISSIBLE, PASS
+from telesum.report import INADMISSIBLE, PASS, witness
 
 
 def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
@@ -20,7 +19,7 @@ def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
 
 def test_witness_formats_fraction_int_and_tuple_params():
     params = {"a": F(-1, 2), "m": 3, "s": (F(1), F(2, 3))}
-    assert _witness(params, lhs=F(5, 2), failed="rhs") == {
+    assert witness(params, lhs=F(5, 2), failed="rhs") == {
         "a": "-1/2", "m": "3", "s": "(1, 2/3)", "lhs": "5/2", "failed": "rhs"}
 
 

@@ -226,3 +226,23 @@ def test_sum_to_telescope_rejects_negative_n():
     with pytest.raises(ValueError, match="n = -3"):
         sum_to_telescope(lambda k: F(k * k), -3)
     assert sum_to_telescope(lambda k: F(k * k), 0) == (1, 1)
+
+
+def test_raw_euler_sum_reads_each_value_once():
+    log = []
+    lhs, rhs = raw_euler_sum(_logged(lambda k: fib(k + 2), "u", log),
+                             _logged(lambda k: fib(k + 1), "v", log), 5)
+    assert lhs == rhs == fib(7) - 1
+    assert sorted(log) == [(name, k) for name in "uv" for k in range(1, 6)]
+    with pytest.raises(DivisionByZero):
+        raw_euler_sum(const(2), lambda k: F(k - 3), 5)
+
+
+@pytest.mark.parametrize("n", [-1, -3])
+def test_raw_euler_sum_and_recurrence_reject_negative_n(n):
+    log = []
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        raw_euler_sum(_logged(const(2), "u", log), _logged(const(1), "v", log), n)
+    assert log == []
+    with pytest.raises(ValueError, match=f"n = {n}"):
+        solve_linear_recurrence(const(3), const(1), F(2), n)
