@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    telesum list
+    telesum list        every suite's items, each with the citation its report carries
     telesum verify --suite <all|corpus|ez|sequences|genhyp|elementary>
                    [--id KEY ...] [--n-max N] [--samples S] [--seed X]
                    [--grid] [--format text|json] [--jobs J]
@@ -19,15 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus as corpus_mod
-from . import elementary as elementary_mod
-from . import genhyp as genhyp_mod
-from . import sequences as sequences_mod
 from .errors import VerifyError
 from .exprlang import ParseError, SchemaError, load_identity_config
 from .report import FAIL, INADMISSIBLE, PASS, Report
-from .runner import (DEFAULT_SEED, SPECIALIZATION_KEY, SUITES, run_config_identity,
-                     run_suite)
+from .runner import DEFAULT_SEED, SUITES, run_config_identity, run_suite
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -41,10 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list built-in identities, families and elementary identities")
+    sub.add_parser("list", help="list every suite's items and their citations")
 
     verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
+    verify.add_argument("--suite", default="all", choices=("all", *SUITES))
     verify.add_argument("--id", action="append", dest="ids", metavar="KEY",
                         help="restrict to the given identity/family key (repeatable)")
     _common_flags(verify)
@@ -119,21 +114,10 @@ def _flag_error(args: argparse.Namespace) -> str | None:
 
 
 def _run_list(out) -> int:
-    print("corpus identities:", file=out)
-    for key, idef in corpus_mod.CORPUS.items():
-        cert = " [certificate]" if idef.certificate is not None else ""
-        print(f"  {key:28s} {idef.citation}{cert}", file=out)
-    print(f"  {SPECIALIZATION_KEY:28s} n = 1 q-Dougall row rearranged to the "
-          "four-variable identity", file=out)
-    print("sequence families:", file=out)
-    for key, family in sequences_mod.FAMILIES.items():
-        print(f"  {key:28s} {family.citation}", file=out)
-    print("sequence-parameter sums:", file=out)
-    for key, op in genhyp_mod.OPERATIONS.items():
-        print(f"  {key:28s} {op.citation}", file=out)
-    print("elementary identities:", file=out)
-    for key, ident in elementary_mod.ELEMENTARY.items():
-        print(f"  {key:28s} {ident.citation}", file=out)
+    for suite in SUITES.values():
+        print(suite.heading, file=out)
+        for key, citation in suite.citations.items():
+            print(f"  {key:28s} {citation}", file=out)
     return EXIT_OK
 
 

@@ -249,8 +249,7 @@ ELEMENTARY: dict[str, ElementaryIdentity] = {
 # Sampled mode
 # ---------------------------------------------------------------------------
 
-def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int,
-                       suite: str = "elementary") -> list[CheckRecord]:
+def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int) -> list[CheckRecord]:
     """lhs - rhs at `samples` seeded pole-free rational points, exact zero each."""
     terms = ident.check_terms()
     rng = rng_for(seed, "elementary", ident.key)
@@ -262,10 +261,10 @@ def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int,
     for i in range(samples):
         point, delta = retry(attempt, f"{ident.key}: no pole-free point in {RETRY_BOUND} tries")
         if delta != 0:
-            return [outcome(suite, ident.key, "sampled_zero", ident.citation, False,
+            return [outcome("elementary", ident.key, "sampled_zero", ident.citation, False,
                             dict(zip(ident.vars, point)), sample=i, delta=delta,
                             point_index=i)]
-    return [record(suite, ident.key, "sampled_zero", ident.citation, PASS, points=samples)]
+    return [record("elementary", ident.key, "sampled_zero", ident.citation, PASS, points=samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,7 @@ def grid_shape(ident: ElementaryIdentity) -> tuple[int, ...]:
     return tuple(span + 2 for span in degree_spans(ident))
 
 
-def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> list[CheckRecord]:
+def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
     """Exact certification by expansion.
 
     D is a nonzero polynomial, so lhs = rhs as rational functions exactly
@@ -360,11 +359,11 @@ def grid_zero_check(ident: ElementaryIdentity, suite: str = "elementary") -> lis
     shape = "x".join(str(spans[i] + 2) for i in order)
     poly = expand(ident)
     if not poly:
-        return [record(suite, ident.key, "grid_zero", ident.citation, PASS, grid=shape)]
+        return [record("elementary", ident.key, "grid_zero", ident.citation, PASS, grid=shape)]
     grids = [[Fraction(prime_of[i] ** (j + 1)) for j in range(spans[i] + 2)] for i in order]
     for values in product(*grids):
         point = tuple(v for _, v in sorted(zip(order, values)))
         if sum(Mono(c, exps).value(point) for exps, c in poly.items()) != 0:
-            return [outcome(suite, ident.key, "grid_zero", ident.citation, False,
+            return [outcome("elementary", ident.key, "grid_zero", ident.citation, False,
                             dict(zip(ident.vars, point)), grid=shape)]
     raise AssertionError(f"{ident.key}: nonzero expansion vanished on its grid")

@@ -358,15 +358,19 @@ def parse(text: str, line: int = 1, column: int = 1) -> Expr:
 def _prec(e: Expr) -> int:
     if isinstance(e, Bin):
         return BINARY[e.op].prec
-    if isinstance(e, Neg):
-        return _PREC_NEG
     if isinstance(e, Pow):
         return _PREC_POW
+    if isinstance(e, Lit) and e.value.denominator != 1:
+        return _PREC_MUL  # printed as p/q
+    if isinstance(e, Neg) or isinstance(e, Lit) and e.value < 0:
+        return _PREC_NEG  # a Lit printed as -p
     return _PREC_ATOM
 
 
 def to_source(e: Expr) -> str:
-    """Minimal-parentheses rendering; parse(to_source(e)) == e structurally."""
+    """Minimal-parentheses rendering.  parse(to_source(e)) == e structurally
+    for a parsed tree, whose literals are non-negative integers, and has the
+    value of e for any tree."""
 
     def wrap(child: Expr, minimum: int) -> str:
         text = to_source(child)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from typing import Callable
 
 from . import elementary as elementary_mod
@@ -24,29 +25,13 @@ from .errors import Inadmissible, SampleExhausted
 from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
 from .sampling import retry, sample_q, sample_rational, sweep
 
-SUITES = ("corpus", "ez", "sequences", "genhyp", "elementary")
-
 DEFAULT_SEED = 1729
-DEFAULT_SAMPLES = {"corpus": 32, "ez": 16, "sequences": 8, "genhyp": 32, "elementary": 200}
 EZ_DEFAULT_N_MAX = 10
 SEQUENCES_DEFAULT_N_MAX = 12
 GENHYP_DEFAULT_N_MAX = 9
 
 SPECIALIZATION_KEY = "q_dougall_n1_link"
-
-
-def suite_items(suite: str) -> list[str]:
-    if suite == "corpus":
-        return list(CORPUS) + [SPECIALIZATION_KEY]
-    if suite == "ez":
-        return list(CERTIFIED_KEYS)
-    if suite == "sequences":
-        return list(sequences_mod.FAMILIES)
-    if suite == "genhyp":
-        return list(genhyp_mod.OPERATIONS)
-    if suite == "elementary":
-        return list(elementary_mod.ELEMENTARY)
-    raise ValueError(f"unknown suite {suite!r}")
+SPECIALIZATION_CITATION = "n = 1 row of the q-Dougall sum rearranged to the four-variable identity"
 
 
 def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int, seed: int,
@@ -91,8 +76,6 @@ def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
 
 
 def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
-    citation = "n = 1 row of the q-Dougall sum rearranged to the four-variable identity"
-
     def draw(rng):
         def attempt():
             q = sample_q(rng, 4)
@@ -104,10 +87,11 @@ def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
     def checks(drawn, sample):
         q, point, results = drawn
         bad = ",".join(name for name, ok in results.items() if not ok)
-        return [outcome("corpus", SPECIALIZATION_KEY, "specialization", citation, not bad,
-                        point, sample=sample, q=q, failed=bad)]
+        return [outcome("corpus", SPECIALIZATION_KEY, "specialization", SPECIALIZATION_CITATION,
+                        not bad, point, sample=sample, q=q, failed=bad)]
 
-    return sweep("corpus", SPECIALIZATION_KEY, citation, seed, samples, draw, checks)
+    return sweep("corpus", SPECIALIZATION_KEY, SPECIALIZATION_CITATION, seed, samples, draw,
+                 checks)
 
 
 def run_ez_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -121,7 +105,7 @@ def run_ez_item(key: str, n_max: int | None, samples: int, seed: int) -> list[Ch
 
 def run_sequences_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
     eff_n = SEQUENCES_DEFAULT_N_MAX if n_max is None else n_max
-    return sequences_mod.verify_family_suite(key, eff_n, samples, seed, suite="sequences")
+    return sequences_mod.verify_family_suite(key, eff_n, samples, seed)
 
 
 def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -132,28 +116,54 @@ def run_genhyp_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
 def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[CheckRecord]:
     ident = elementary_mod.ELEMENTARY[key]
     try:
-        records = elementary_mod.sampled_zero_check(ident, seed, samples, suite="elementary")
+        records = elementary_mod.sampled_zero_check(ident, seed, samples)
     except SampleExhausted as exc:
         records = [outcome("elementary", key, "sampling", ident.citation, False,
                            reason=str(exc))]
     if grid:
-        records = records + elementary_mod.grid_zero_check(ident, suite="elementary")
+        records = records + elementary_mod.grid_zero_check(ident)
     return records
 
 
+@dataclass(frozen=True)
+class Suite:
+    """A suite's `telesum list` heading, default samples, {key: citation} and item run."""
+    heading: str
+    samples: int
+    citations: dict[str, str]
+    run: Callable[[str, int | None, int, int, bool], list[CheckRecord]]
+
+
+def _citations(table: dict) -> dict[str, str]:
+    return {key: entry.citation for key, entry in table.items()}
+
+
+# Each run looks its item function up by module-global name per call, so a
+# wrapper bound to that name (as perfbench/tracer.py binds one) sees the call.
+SUITES = {
+    "corpus": Suite("corpus identities:", 32,
+                    _citations(CORPUS) | {SPECIALIZATION_KEY: SPECIALIZATION_CITATION},
+                    lambda key, n, s, seed, grid: run_corpus_item(key, n, s, seed)),
+    "ez": Suite("certified identities:", 16, {k: CORPUS[k].citation for k in CERTIFIED_KEYS},
+                lambda key, n, s, seed, grid: run_ez_item(key, n, s, seed)),
+    "sequences": Suite("sequence families:", 8, _citations(sequences_mod.FAMILIES),
+                       lambda key, n, s, seed, grid: run_sequences_item(key, n, s, seed)),
+    "genhyp": Suite("sequence-parameter sums:", 32, _citations(genhyp_mod.OPERATIONS),
+                    lambda key, n, s, seed, grid: run_genhyp_item(key, n, s, seed)),
+    "elementary": Suite("elementary identities:", 200, _citations(elementary_mod.ELEMENTARY),
+                        lambda key, n, s, seed, grid: run_elementary_item(key, s, seed, grid)),
+}
+
+
+def suite_items(suite: str) -> list[str]:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    return list(SUITES[suite].citations)
+
+
 def _execute_item(task: tuple) -> list[CheckRecord]:
-    suite, key, n_max, samples, seed, grid = task
-    if suite == "corpus":
-        return run_corpus_item(key, n_max, samples, seed)
-    if suite == "ez":
-        return run_ez_item(key, n_max, samples, seed)
-    if suite == "sequences":
-        return run_sequences_item(key, n_max, samples, seed)
-    if suite == "genhyp":
-        return run_genhyp_item(key, n_max, samples, seed)
-    if suite == "elementary":
-        return run_elementary_item(key, samples, seed, grid)
-    raise ValueError(f"unknown suite {suite!r}")
+    suite, *args = task
+    return SUITES[suite].run(*args)
 
 
 def pool_size(jobs: int, n_tasks: int) -> int:
@@ -172,7 +182,7 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
         keys = suite_items(s)
         if ids:
             keys = [k for k in keys if k in ids]
-        per_suite_samples = DEFAULT_SAMPLES[s] if samples is None else samples
+        per_suite_samples = SUITES[s].samples if samples is None else samples
         tasks.extend((s, key, n_max, per_suite_samples, seed, grid) for key in keys)
     unknown = sorted(set(ids or ()) - {t[1] for t in tasks})
     if unknown:
@@ -186,12 +196,7 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
     else:
         chunks = [_execute_item(task) for task in tasks]
 
-    report = Report(suite=suite, seed=seed)
-    for chunk in chunks:
-        report.extend(chunk)
-    report.records = report.sorted_records()
-    report.wall_time = time.perf_counter() - started
-    return report
+    return _report(suite, seed, chunks, started)
 
 
 def run_config_identity(idef, n_max: int | None = None, samples: int | None = None,
@@ -209,8 +214,15 @@ def run_config_identity(idef, n_max: int | None = None, samples: int | None = No
             records += verify_sample(idn, eff_n, params, suite="check", sample=sample)
         return records
 
-    report = Report(suite="check", seed=seed, records=[])
-    report.extend(_sweep(idef, "check", eff_n, eff_samples, seed, checks))
+    return _report("check", seed, [_sweep(idef, "check", eff_n, eff_samples, seed, checks)],
+                   started)
+
+
+def _report(suite: str, seed: int, chunks: list[list[CheckRecord]], started: float) -> Report:
+    """The report of a run that began at perf_counter() `started`, records sorted."""
+    report = Report(suite=suite, seed=seed)
+    for chunk in chunks:
+        report.extend(chunk)
     report.records = report.sorted_records()
     report.wall_time = time.perf_counter() - started
     return report

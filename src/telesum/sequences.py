@@ -546,8 +546,7 @@ def family_sides(family: Family, n_max: int,
     return sides
 
 
-def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int,
-                        suite: str = "sequences") -> list[CheckRecord]:
+def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int) -> list[CheckRecord]:
     """Every printed identity of the family, for all n <= n_max, exactly."""
     family = FAMILIES[family_key]
 
@@ -560,11 +559,11 @@ def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int,
 
     def checks(drawn, sample):
         params, sides = drawn
-        return [outcome(suite, f"{family.key}/{name}", "identity", family.citation,
+        return [outcome("sequences", f"{family.key}/{name}", "identity", family.citation,
                         lhs == rhs, params, n=n, sample=sample, lhs=lhs, rhs=rhs)
                 for name, n, lhs, rhs in sides]
 
-    return sweep(suite, family_key, family.citation, seed, samples, draw, checks,
+    return sweep("sequences", family_key, family.citation, seed, samples, draw, checks,
                  parametric=bool(family.params), stream="family")
 
 

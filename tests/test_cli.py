@@ -158,24 +158,44 @@ def test_empty_report_is_not_a_pass(monkeypatch, capsys):
     assert "no checks were run" in capsys.readouterr().err
 
 
-def test_list_shows_only_what_verify_runs():
-    from telesum.runner import suite_items
+def _listed() -> dict[str, dict[str, str]]:
+    """`telesum list` as {suite: {key: citation}}, each heading read from SUITES."""
+    from telesum.runner import SUITES
 
-    headings = {"corpus identities:": "corpus", "sequence families:": "sequences",
-                "sequence-parameter sums:": "genhyp", "elementary identities:": "elementary"}
+    suite_of = {suite.heading: name for name, suite in SUITES.items()}
     code, text = run_cli(["list"])
     assert code == 0
-    listed: dict[str, list[str]] = {}
-    suite = None
+    listed: dict[str, dict[str, str]] = {}
     for line in text.splitlines():
         if not line.startswith(" "):
-            suite = headings[line]
-            listed[suite] = []
+            suite = suite_of[line]
+            listed[suite] = {}
         else:
-            listed[suite].append(line.split()[0])
-    assert set(listed) == set(headings.values())
-    for suite, keys in listed.items():
-        assert keys and set(keys) <= set(suite_items(suite)), suite
+            key, citation = line.split(None, 1)
+            listed[suite][key] = citation
+    return listed
+
+
+def test_list_shows_only_what_verify_runs():
+    from telesum.runner import SUITES, suite_items
+
+    listed = _listed()
+    assert list(listed) == list(SUITES)
+    for suite, items in listed.items():
+        assert list(items) == suite_items(suite), suite
+
+
+def test_list_shows_each_item_with_its_report_citation():
+    listed = _listed()
+    code, text = run_cli(["verify", "--samples", "1", "--n-max", "2", "--format", "json"])
+    assert code == 0
+    reported = {}
+    for r in json.loads(text)["results"]:
+        item = r["identity"].split("/")[0]  # a family's records are <family>/<identity>
+        reported.setdefault((r["suite"], item), set()).add(r["citation"])
+    assert set(reported) == {(suite, key) for suite, items in listed.items() for key in items}
+    for (suite, key), citations in reported.items():
+        assert citations == {listed[suite][key]}, (suite, key)
 
 
 def test_witness_beyond_the_int_digit_limit_renders(tmp_path):

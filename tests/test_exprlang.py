@@ -5,7 +5,7 @@ import pytest
 
 from telesum.certify import verify_sample
 from telesum.corpus import CORPUS, draw_admissible, evaluate_identity, normalized
-from telesum.errors import DivisionByZero
+from telesum.errors import DivisionByZero, VerifyError
 from telesum.exprlang import (Bin, Call, Lit, Neg, NonIntegerExponent, ParseError, Pow,
                               Prod, SchemaError, UnboundVariable, UndefinedRange, Var,
                               config_to_identity, evaluate, free_vars,
@@ -90,16 +90,18 @@ def test_parse_errors_carry_position():
         parse("(1 + 2")
 
 
-def _random_expr(rng: random.Random, depth: int):
+def _random_expr(rng: random.Random, depth: int, literal=lambda rng: F(rng.randint(0, 9))):
+    """A random tree whose literals `literal` draws: by default non-negative
+    integers, the only literals a parsed tree holds."""
     leaf_kinds = ("lit", "var")
     kinds = ("add", "sub", "mul", "div", "neg", "pow", "call", "prod")
     if depth <= 0 or rng.random() < 0.3:
         kind = rng.choice(leaf_kinds)
         if kind == "lit":
-            return Lit(F(rng.randint(0, 9)))
+            return Lit(literal(rng))
         return Var(rng.choice("abqxz"))
     kind = rng.choice(kinds)
-    sub = lambda: _random_expr(rng, depth - 1)
+    sub = lambda: _random_expr(rng, depth - 1, literal)
     if kind == "add":
         return Bin("+", sub(), sub())
     if kind == "sub":
@@ -122,6 +124,32 @@ def test_round_trip_property():
     for _ in range(400):
         expr = _random_expr(rng, 6)
         assert parse(to_source(expr)) == expr
+
+
+def _value_or_error(expr, env):
+    try:
+        return evaluate(expr, env)
+    except VerifyError as exc:
+        return type(exc)
+
+
+def test_round_trip_keeps_the_value_of_any_literal():
+    rng = random.Random(7)
+    env = {name: F(i + 2, i + 3) for i, name in enumerate("abqxz")}
+    literal = lambda rng: F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    for _ in range(400):
+        expr = _random_expr(rng, 5, literal)
+        assert _value_or_error(parse(to_source(expr)), env) == _value_or_error(expr, env)
+
+
+@pytest.mark.parametrize("expr, source, value", [
+    (Pow(Lit(F(-2)), Lit(F(2))), "(-2)^2", 4),
+    (Pow(Lit(F(2, 3)), Lit(F(2))), "(2/3)^2", F(4, 9)),
+    (Bin("/", Var("x"), Lit(F(2, 3))), "x/(2/3)", F(3, 2)),
+])
+def test_to_source_parenthesizes_negative_and_fractional_literals(expr, source, value):
+    assert to_source(expr) == source
+    assert evaluate(parse(source), {"x": F(1)}) == evaluate(expr, {"x": F(1)}) == value
 
 
 @pytest.mark.parametrize("text, source", [

@@ -55,3 +55,11 @@ def test_traced_check_sees_evaluate_and_rising_factorial(tmp_path):
     # calls per span: outermost evaluate calls, and binom's rising factorials
     assert spans["exprlang.evaluate"][0] == 91
     assert spans["corpus.rising_factorial"][0] == 60
+
+
+def test_traced_genhyp_runs_through_the_item_spans(tmp_path):
+    # genhyp.suite_s is the runner.run_genhyp_item span: a run that bypassed
+    # the module-global names would read 0 there without failing any other test
+    spans = traced(STEPS["genhyp"], tmp_path)["raw"]["spans"]
+    assert spans["runner._execute_item"][0] == 1
+    assert spans["runner.run_genhyp_item"][0] == 1
