@@ -87,6 +87,8 @@ def seq(values: Iterable[Fraction | int], start: int = 0) -> SeqFn:
     vals = [Fraction(v) for v in values]
 
     def fn(k: int) -> Fraction:
+        if not start <= k < start + len(vals):
+            raise IndexError(f"index {k} outside {start}..{start + len(vals) - 1}")
         return vals[k - start]
 
     return fn

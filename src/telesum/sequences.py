@@ -2,11 +2,12 @@
 
 Two layers:
 
-  * a generic verifier for the six identities satisfied by *every* sequence
-    with nonzero coefficient sequences a, b (weighted prefix sum, even- and
-    odd-index sums, squared-term sum, alternating sum, and a divided form
-    whose composite denominators a_{j-1} a_j + b_j are precomputed so an
-    inadmissible point is reported before any partial sums);
+  * the six identities satisfied by *every* sequence with nonzero
+    coefficient sequences a, b (weighted prefix sum, even- and odd-index
+    sums, squared-term sum, alternating sum, and a divided form), each
+    Euler's telescoping lemma in term-ratio form, declared as one `GENERIC`
+    record of its term ratio, closed-form part, summand part and
+    normalization;
 
   * the built-in families (Fibonacci, Pell, shifted derangements, Schur's
     shifted q-Fibonacci numbers, q-Pell numbers, Goyt-Sagan and
@@ -24,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Mapping, Sequence
 
 from .certify import sample_value
@@ -48,8 +50,14 @@ class RecurrenceSpec:
     x1: Fraction
 
 
+def _require_size(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {name} = {value}")
+
+
 def generate(spec: RecurrenceSpec, N: int) -> list[Fraction]:
     """x_0 .. x_N, exactly."""
+    _require_size("N", N)
     xs = [Fraction(spec.x0), Fraction(spec.x1)]
     for n in range(N - 1):
         xs.append(spec.a(n) * xs[n + 1] + spec.b(n) * xs[n])
@@ -60,100 +68,93 @@ def _binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
+def _partial_sums(k_start: int, n_max: int, term: Callable[[int], Fraction],
+                  rhs: Callable[[int], Fraction]) -> list[tuple[int, Fraction, Fraction]]:
+    """(n, sum_{k_start <= k <= n} term(k), rhs(n)) for n <= n_max, evaluating
+    each term once, then rhs(n), in index order."""
+    sides, lhs, k = [], ZERO, k_start
+    for n in range(n_max + 1):
+        while k <= n:
+            lhs += term(k)
+            k += 1
+        sides.append((n, lhs, rhs(n)))
+    return sides
+
+
 # ---------------------------------------------------------------------------
 # The six generic identities
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Generic:
+    """sum_{k=1}^{n} c_k w_k / N = (c_n X_n - X_0) / N with c_k = g_1 ... g_k,
+    because w_k = X_k - X_{k-1} / g_k is the recurrence.  N is the product
+    of the x_i, i in `norm`, each required nonzero in that order."""
+
+    g: Callable[[int, RecurrenceSpec], Fraction]
+    X: Callable[[int, Values], Fraction]
+    w: Callable[[int, Values, RecurrenceSpec], Fraction]
+    norm: tuple[int, ...]
+
+
+def _divided_ratio(k: int, s: RecurrenceSpec) -> Fraction:
+    den = s.a(k - 1) * s.a(k) + s.b(k)
+    if den == 0:
+        raise Inadmissible(f"{s.name}: a_{k - 1} a_{k} + b_{k} = 0 at j = {k}")
+    return s.a(k - 1) / den
+
+
+GENERIC: dict[int, Generic] = {
+    1: Generic(lambda k, s: ONE / s.a(k), lambda k, x: x[k + 2],  # weighted prefix sum
+               lambda k, x, s: s.b(k) * x[k], norm=(2,)),
+    2: Generic(lambda k, s: ONE / s.b(2 * k - 1), lambda k, x: x[2 * k + 1],  # even-index
+               lambda k, x, s: s.a(2 * k - 1) * x[2 * k], norm=(1,)),
+    3: Generic(lambda k, s: ONE / s.b(2 * k), lambda k, x: x[2 * k + 2],  # odd-index
+               lambda k, x, s: s.a(2 * k) * x[2 * k + 1], norm=(2,)),
+    4: Generic(lambda k, s: ONE / s.b(k), lambda k, x: x[k + 1] * x[k + 2],  # squared-term
+               lambda k, x, s: s.a(k) * x[k + 1] ** 2, norm=(2, 1)),
+    5: Generic(lambda k, s: -s.a(k) / s.b(k), lambda k, x: x[k + 1],  # alternating
+               lambda k, x, s: x[k + 2] / s.a(k), norm=(1,)),
+    6: Generic(_divided_ratio, lambda k, x: -x[k + 2],  # divided form
+               lambda k, x, s: s.b(k - 1) * s.b(k) * x[k - 1] / s.a(k - 1), norm=(2,)),
+}
+
 
 def lucas_gen_sides(spec: RecurrenceSpec, which: int, n_max: int) -> list[tuple[int, Fraction, Fraction]]:
     """(n, LHS, RHS) for the selected generic identity, for every n <= n_max.
 
     which: 1 weighted prefix sum, 2 even-index sum, 3 odd-index sum,
-    4 squared-term sum, 5 alternating sum, 6 divided form.
-    Raises Inadmissible (with the offending index) on zero denominators.
+    4 squared-term sum, 5 alternating sum, 6 divided form.  Raises
+    Inadmissible (with the offending index) on zero denominators, before any sum.
     """
-    if which not in (1, 2, 3, 4, 5, 6):
+    if which not in GENERIC:
         raise ValueError("which must be 1..6")
-    a, b = spec.a, spec.b
+    _require_size("n_max", n_max)
+    gen = GENERIC[which]
     xs = generate(spec, 2 * n_max + 2)
-    x1, x2 = xs[1], xs[2]
-    if which in (1, 3, 4, 6) and x2 == 0:
-        raise Inadmissible(f"{spec.name}: x_2 = 0")
-    if which in (2, 4, 5) and x1 == 0:
-        raise Inadmissible(f"{spec.name}: x_1 = 0")
+    for i in gen.norm:
+        if xs[i] == 0:
+            raise Inadmissible(f"{spec.name}: x_{i} = 0")
     for j in range(2 * n_max + 1):
-        if a(j) == 0 or b(j) == 0:
+        if spec.a(j) == 0 or spec.b(j) == 0:
             raise Inadmissible(f"{spec.name}: coefficient at index {j} is 0")
-
-    out: list[tuple[int, Fraction, Fraction]] = []
-    lhs = ZERO
-
-    if which == 1:
-        prod_a = ONE  # a_1 ... a_n
-        for n in range(n_max + 1):
-            if n >= 1:
-                prod_a *= a(n)
-                lhs += b(n) / prod_a * xs[n] / x2
-            out.append((n, lhs, rat_div(xs[n + 2], prod_a * x2) - 1))
-    elif which == 2:
-        prod_b = ONE  # b_1 b_3 ... b_{2n-1}
-        for n in range(n_max + 1):
-            if n >= 1:
-                prod_b *= b(2 * n - 1)
-                lhs += a(2 * n - 1) / prod_b * xs[2 * n] / x1
-            out.append((n, lhs, rat_div(xs[2 * n + 1], prod_b * x1) - 1))
-    elif which == 3:
-        prod_b = ONE  # b_2 b_4 ... b_{2n}
-        for n in range(n_max + 1):
-            if n >= 1:
-                prod_b *= b(2 * n)
-                lhs += a(2 * n) / prod_b * xs[2 * n + 1] / x2
-            out.append((n, lhs, rat_div(xs[2 * n + 2], prod_b * x2) - 1))
-    elif which == 4:
-        prod_b = ONE  # b_1 ... b_n
-        for n in range(n_max + 1):
-            if n >= 1:
-                prod_b *= b(n)
-                lhs += a(n) / prod_b * xs[n + 1] ** 2 / (x1 * x2)
-            out.append((n, lhs, rat_div(xs[n + 1] * xs[n + 2], prod_b * x1 * x2) - 1))
-    elif which == 5:
-        prod_a = ONE  # a_1 ... a_n
-        prod_b = ONE  # b_1 ... b_n
-        sign = 1
-        for n in range(n_max + 1):
-            if n >= 1:
-                prod_b *= b(n)
-                sign = -sign
-                # summand carries a_1 .. a_{k-1}, one factor behind prod_a
-                lhs += sign * prod_a / prod_b * xs[n + 2] / x1
-                prod_a *= a(n)
-            out.append((n, lhs, sign * prod_a / prod_b * rat_div(xs[n + 1], x1) - 1))
-    else:
-        # composite denominators first, so a bad point is reported before any sums
-        composites = []
-        for j in range(1, n_max + 1):
-            dj = a(j - 1) * a(j) + b(j)
-            if dj == 0:
-                raise Inadmissible(f"{spec.name}: a_{j - 1} a_{j} + b_{j} = 0 at j = {j}")
-            composites.append(dj)
-        prod = ONE  # prod_{j=1}^{k} a_{j-1} / (a_{j-1} a_j + b_j)
-        for n in range(n_max + 1):
-            if n >= 1:
-                prod *= a(n - 1) / composites[n - 1]
-                lhs += b(n - 1) * b(n) / a(n - 1) * prod * xs[n - 1] / x2
-            out.append((n, lhs, 1 - prod * rat_div(xs[n + 2], x2)))
-    return out
+    c = [ONE]  # c_k = g_1 ... g_k
+    for k in range(1, n_max + 1):
+        c.append(c[-1] * gen.g(k, spec))
+    N, X0 = prod(xs[i] for i in gen.norm), gen.X(0, xs)
+    return _partial_sums(1, n_max, lambda k: c[k] * gen.w(k, xs, spec) / N,
+                         lambda n: (c[n] * gen.X(n, xs) - X0) / N)
 
 
 def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
-                     suite: str = "sequences", sample: int | None = None,
-                     citation: str = "") -> list[CheckRecord]:
+                     sample: int | None = None, citation: str = "") -> list[CheckRecord]:
     identity = f"{spec.name}/generic_{which}"
     try:
         sides = lucas_gen_sides(spec, which, n_max)
     except Inadmissible as exc:
-        return [record(suite, identity, "identity", citation, INADMISSIBLE, sample=sample,
+        return [record("sequences", identity, "identity", citation, INADMISSIBLE, sample=sample,
                        reason=str(exc))]
-    return [outcome(suite, identity, "identity", citation, lhs == rhs, n=n, sample=sample,
+    return [outcome("sequences", identity, "identity", citation, lhs == rhs, n=n, sample=sample,
                     lhs=lhs, rhs=rhs) for n, lhs, rhs in sides]
 
 
@@ -534,16 +535,10 @@ def family_sides(family: Family, n_max: int,
     """(identity name, n, LHS, RHS) of every printed identity for n <= n_max;
     raises Inadmissible on any pole."""
     xs = generate(family.make(params), 2 * n_max + 2)
-    sides = []
-    for ident in family.printed:
-        lhs = ZERO
-        next_k = ident.k_start
-        for n in range(n_max + 1):
-            while next_k <= n:
-                lhs += ident.term(next_k, xs, params)
-                next_k += 1
-            sides.append((ident.name, n, lhs, ident.rhs(n, xs, params)))
-    return sides
+    return [(ident.name, n, lhs, rhs) for ident in family.printed
+            for n, lhs, rhs in _partial_sums(ident.k_start, n_max,
+                                             lambda k: ident.term(k, xs, params),
+                                             lambda n: ident.rhs(n, xs, params))]
 
 
 def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int) -> list[CheckRecord]:

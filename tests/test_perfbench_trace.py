@@ -21,6 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 STEPS = {
     "genhyp": ["verify", "--suite", "genhyp", "--id", "macdonald_cv", "--samples", "2"],
     "ez": ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1", "--n-max", "3"],
+    "sequences": ["verify", "--suite", "sequences", "--id", "fibonacci", "--samples", "1",
+                  "--n-max", "4"],
     "check": ["check", "--config", str(ROOT / "tests" / "golden" / "binomial.tkid"),
               "--samples", "1", "--n-max", "3"],
 }
@@ -63,3 +65,11 @@ def test_traced_genhyp_runs_through_the_item_spans(tmp_path):
     spans = traced(STEPS["genhyp"], tmp_path)["raw"]["spans"]
     assert spans["runner._execute_item"][0] == 1
     assert spans["runner.run_genhyp_item"][0] == 1
+
+
+def test_traced_sequences_runs_through_the_suite_spans(tmp_path):
+    # sequences.suite_s is the sequences.verify_family_suite span, and the
+    # shared summation loop is private, so family_sides keeps its one span
+    spans = traced(STEPS["sequences"], tmp_path)["raw"]["spans"]
+    assert spans["sequences.verify_family_suite"][0] == 1
+    assert spans["sequences.family_sides"][0] == 1

@@ -98,3 +98,16 @@ def test_format_rational_beyond_the_int_digit_limit():
     assert format_rational(F(-big, 3)) == "-1" + "0" * 4998 + "07/3"
     assert format_rational(F(3, 2 ** 20000)).endswith("09376")  # 2^20000 = ...09376
     assert len(format_rational(F(1, 2 ** 20000))) == 2 + 6021
+
+
+def test_seq_is_defined_only_on_its_range():
+    f = seq([1, 2, 3])
+    assert [f(k) for k in range(3)] == [1, 2, 3]
+    with pytest.raises(IndexError):
+        f(-1)
+    with pytest.raises(IndexError):
+        f(3)
+    g = seq([5, 6], start=1)
+    assert (g(1), g(2)) == (5, 6)
+    with pytest.raises(IndexError):
+        g(0)

@@ -158,3 +158,16 @@ def test_generic_identities_match_printed_for_sampled_families():
     spec = q_pell_spec({"q": q})
     for which in range(1, 7):
         assert all_equal(lucas_gen_sides(spec, which, 8))
+
+
+def test_negative_sizes_raise_value_error_naming_the_argument():
+    spec = fibonacci_spec()
+    with pytest.raises(ValueError, match="N must be >= 0, got N = -1"):
+        generate(spec, -1)
+    with pytest.raises(ValueError, match="N = -2"):
+        generate(spec, -2)
+    with pytest.raises(ValueError, match="n_max must be >= 0, got n_max = -1"):
+        lucas_gen_sides(spec, 1, -1)
+    with pytest.raises(ValueError, match="n_max = -1"):
+        verify_lucas_gen(spec, 1, -1)
+    assert generate(spec, 0) == [0]
