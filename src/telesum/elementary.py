@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import DivisionByZero
 from .rational import ONE as F1, ZERO as F0, rat_pow
@@ -159,50 +159,51 @@ def _sears_n1() -> ElementaryIdentity:
     )
 
 
-def _ten_phi_nine_n1() -> ElementaryIdentity:
-    a, b, c, d, e, f = _units(6)
+def _ten_phi_nine(key: str, citation: str, right: Callable[..., tuple]) -> ElementaryIdentity:
+    """The one-term very-well-poised 10phi9 left side against a two-term
+    right side; right(a, b, c, d, e, f, big) gives its lists r1n, r1d, r2n, r2d."""
+    a, b, c, d, e, f = units = _units(6)
     one = _one(6)
     big = a ** 3 / (b * c * d * e * f)
     bal = b * c * d * e * f / a ** 2
-    lhs_num = (b, c, d, e, f, big)
-    lhs_den = (a / b, a / c, a / d, a / e, a / f, bal)
-    r1n = (a, a / (e * f), a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f))
-    r1d = (a / e, a / f, a ** 2 / (b * c * d), a ** 2 / (b * c * d * e * f))
-    r2n = (a / (b * c), a / (b * d), a / (c * d), e, f, big)
-    r2d = (a / b, a / c, a / d, a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f), e * f / a)
+    r1n, r1d, r2n, r2d = right(*units, big)
     return ElementaryIdentity(
-        key="ten_phi_nine_n1",
-        citation="one-term case of the very-well-poised 10phi9 transformation (Bailey, 1929)",
-        vars=("a", "b", "c", "d", "e", "f"),
-        lhs=(FTerm(one), FTerm(-one, num=lhs_num, den=lhs_den)),
+        key=key, citation=citation, vars=("a", "b", "c", "d", "e", "f"),
+        lhs=(FTerm(one), FTerm(-one, num=(b, c, d, e, f, big),
+                               den=(a / b, a / c, a / d, a / e, a / f, bal))),
         rhs=(FTerm(one, num=r1n, den=r1d),
              FTerm(-one, num=r1n + r2n, den=r1d + r2d)),
     )
+
+
+def _ten_phi_nine_n1() -> ElementaryIdentity:
+    def right(a, b, c, d, e, f, big):
+        r1n = (a, a / (e * f), a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f))
+        r1d = (a / e, a / f, a ** 2 / (b * c * d), a ** 2 / (b * c * d * e * f))
+        r2n = (a / (b * c), a / (b * d), a / (c * d), e, f, big)
+        r2d = (a / b, a / c, a / d, a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f), e * f / a)
+        return r1n, r1d, r2n, r2d
+
+    return _ten_phi_nine(
+        "ten_phi_nine_n1",
+        "one-term case of the very-well-poised 10phi9 transformation (Bailey, 1929)", right)
 
 
 def _ten_phi_nine_iter() -> ElementaryIdentity:
-    a, b, c, d, e, f = _units(6)
-    one = _one(6)
-    big = a ** 3 / (b * c * d * e * f)
-    bal = b * c * d * e * f / a ** 2
-    lhs_num = (b, c, d, e, f, big)
-    lhs_den = (a / b, a / c, a / d, a / e, a / f, bal)
-    r1n = (a, d, a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f),
-           a ** 2 / (b * d * e * f), a ** 2 / (c * d * e * f))
-    r1d = (a / b, a / c, a / e, a / f,
-           a ** 2 / (b * c * d * e * f), a ** 3 / (b * c * d ** 2 * e * f))
-    r2n = (a / (b * d), a / (c * d), a / (d * e), a / (d * f),
-           a ** 2 / (b * c * d * e * f), big)
-    r2d = (one / d, a / d, a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f),
-           a ** 2 / (b * d * e * f), a ** 2 / (c * d * e * f))
-    return ElementaryIdentity(
-        key="ten_phi_nine_iter",
-        citation="iterated one-term case of the very-well-poised 10phi9 transformation",
-        vars=("a", "b", "c", "d", "e", "f"),
-        lhs=(FTerm(one), FTerm(-one, num=lhs_num, den=lhs_den)),
-        rhs=(FTerm(one, num=r1n, den=r1d),
-             FTerm(-one, num=r1n + r2n, den=r1d + r2d)),
-    )
+    def right(a, b, c, d, e, f, big):
+        r1n = (a, d, a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f),
+               a ** 2 / (b * d * e * f), a ** 2 / (c * d * e * f))
+        r1d = (a / b, a / c, a / e, a / f,
+               a ** 2 / (b * c * d * e * f), a ** 3 / (b * c * d ** 2 * e * f))
+        r2n = (a / (b * d), a / (c * d), a / (d * e), a / (d * f),
+               a ** 2 / (b * c * d * e * f), big)
+        r2d = (d ** -1, a / d, a ** 2 / (b * c * d * e), a ** 2 / (b * c * d * f),
+               a ** 2 / (b * d * e * f), a ** 2 / (c * d * e * f))
+        return r1n, r1d, r2n, r2d
+
+    return _ten_phi_nine(
+        "ten_phi_nine_iter",
+        "iterated one-term case of the very-well-poised 10phi9 transformation", right)
 
 
 def _dougall_n1() -> ElementaryIdentity:

@@ -19,9 +19,11 @@ companion route (the relabeling, or d = 0) included.
 
 Each draw is evaluated once.  The admissibility probe computes, for the
 operation and its companion route, u_k and v_k once per index and both
-sides from those lists; the checks read the probe's values (the relation
-check adds only w_k), so the values do not outlive their draw and nothing
-is computed twice.
+sides from those lists.  The identity and relabel checks read the probe's
+values and the relation check adds w_k; the d = 0 check evaluates the
+Dougall row at d = 0 itself, through ``dougall_terms(with_d_zero(p))``,
+and compares it term by term with the companion's summands.  The values
+do not outlive their draw.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ Two layers:
 
   * the built-in families (Fibonacci, Pell, shifted derangements, Schur's
     shifted q-Fibonacci numbers, q-Pell numbers, Goyt-Sagan and
-    Goyt-Mathisen q-Fibonacci polynomials) with each family's printed
-    identity suite checked verbatim, index shifts and all.
+    Goyt-Mathisen q-Fibonacci polynomials), each one `FAMILIES` record of
+    its coefficients a_n, b_n (x_0 = 0, x_1 = 1 throughout) and its printed
+    identities, checked verbatim, index shifts and all.
 
 Everything is exact.  A family with parameters is checked at a few seeded
 random rational samples of them (8 in the sequences suite by default),
@@ -172,54 +173,19 @@ class PrintedIdentity:
 
 @dataclass(frozen=True)
 class Family:
+    """x_{n+2} = a(n, p) x_{n+1} + b(n, p) x_n with x_0 = 0, x_1 = 1, at
+    parameters p drawn from `params`, and its printed identities."""
+
     key: str
     citation: str
     params: tuple[Param, ...]
-    make: Callable[[Params], RecurrenceSpec]
+    a: Callable[[int, Params], Fraction]
+    b: Callable[[int, Params], Fraction]
     printed: tuple[PrintedIdentity, ...]
 
-
-def fibonacci_spec(_p: Params | None = None) -> RecurrenceSpec:
-    one = lambda _n: ONE
-    return RecurrenceSpec("fibonacci", one, one, ZERO, ONE)
-
-
-def pell_spec(_p: Params | None = None) -> RecurrenceSpec:
-    return RecurrenceSpec("pell", lambda _n: Fraction(2), lambda _n: ONE, ZERO, ONE)
-
-
-def shifted_derangement_spec(_p: Params | None = None) -> RecurrenceSpec:
-    coeff = lambda n: Fraction(n + 2)
-    return RecurrenceSpec("shifted_derangement", coeff, coeff, ZERO, ONE)
-
-
-def schur_q_fib_spec(p: Params) -> RecurrenceSpec:
-    q, shift = p["q"], p["a"]
-    return RecurrenceSpec("schur_q_fib", lambda _n: ONE,
-                          lambda n: rat_pow(q, n + shift), ZERO, ONE)
-
-
-def q_pell_spec(p: Params) -> RecurrenceSpec:
-    q = p["q"]
-    return RecurrenceSpec("q_pell", lambda n: 1 + rat_pow(q, n + 1),
-                          lambda n: rat_pow(q, n), ZERO, ONE)
-
-
-def goyt_sagan_spec(p: Params) -> RecurrenceSpec:
-    x, y, q = p["x"], p["y"], p["q"]
-    return RecurrenceSpec("goyt_sagan", lambda n: x * rat_pow(q, n),
-                          lambda n: y * rat_pow(q, n - 1), ZERO, ONE)
-
-
-def goyt_mathisen_spec(p: Params) -> RecurrenceSpec:
-    x, y, q = p["x"], p["y"], p["q"]
-    return RecurrenceSpec("goyt_mathisen", lambda n: x * rat_pow(q, n),
-                          lambda n: y * rat_pow(q, 2 * (n - 1)), ZERO, ONE)
-
-
-def fibonacci_poly_spec(p: Params) -> RecurrenceSpec:
-    x, y = p["x"], p["y"]
-    return RecurrenceSpec("fibonacci_poly", lambda _n: x, lambda _n: y, ZERO, ONE)
+    def make(self, p: Params) -> RecurrenceSpec:
+        """The family's recurrence at parameters p."""
+        return RecurrenceSpec(self.key, lambda n: self.a(n, p), lambda n: self.b(n, p), ZERO, ONE)
 
 
 def _fibonacci_printed() -> tuple[PrintedIdentity, ...]:
@@ -478,62 +444,42 @@ def _goyt_mathisen_printed() -> tuple[PrintedIdentity, ...]:
 
 
 FAMILIES: dict[str, Family] = {
-    "fibonacci": Family(
-        key="fibonacci",
-        citation="Fibonacci numbers; prefix-sum identity due to Lucas (1876)",
-        params=(),
-        make=lambda p: fibonacci_spec(),
-        printed=_fibonacci_printed(),
-    ),
-    "pell": Family(
-        key="pell",
-        citation="Pell numbers (cf. Horadam-Mahon; Bicknell)",
-        params=(),
-        make=lambda p: pell_spec(),
-        printed=_pell_printed(),
-    ),
-    "shifted_derangement": Family(
-        key="shifted_derangement",
-        citation="shifted derangement numbers D_n = d_{n+1}",
-        params=(),
-        make=lambda p: shifted_derangement_spec(),
-        printed=_derangement_printed(),
-    ),
-    "schur_q_fib": Family(
-        key="schur_q_fib",
-        citation="Schur's (shifted) q-Fibonacci numbers (cf. Andrews; Garrett)",
-        params=(Param("a", kind="int", int_range=(0, 4)), Param("q", kind="q")),
-        make=schur_q_fib_spec,
-        printed=_schur_printed(),
-    ),
-    "q_pell": Family(
-        key="q_pell",
-        citation="q-Pell numbers (cf. Santos-Sills; Briggs-Little-Sellers)",
-        params=(Param("q", kind="q"),),
-        make=q_pell_spec,
-        printed=_q_pell_printed(),
-    ),
-    "goyt_sagan": Family(
-        key="goyt_sagan",
-        citation="Goyt-Sagan q-Fibonacci polynomials",
-        params=(Param("x"), Param("y"), Param("q", kind="q")),
-        make=goyt_sagan_spec,
-        printed=_goyt_sagan_printed(),
-    ),
-    "goyt_mathisen": Family(
-        key="goyt_mathisen",
-        citation="Goyt-Mathisen q-Fibonacci polynomials",
-        params=(Param("x"), Param("y"), Param("q", kind="q")),
-        make=goyt_mathisen_spec,
-        printed=_goyt_mathisen_printed(),
-    ),
+    family.key: family
+    for family in (
+        Family("fibonacci", "Fibonacci numbers; prefix-sum identity due to Lucas (1876)", (),
+               a=lambda n, p: ONE, b=lambda n, p: ONE, printed=_fibonacci_printed()),
+        Family("pell", "Pell numbers (cf. Horadam-Mahon; Bicknell)", (),
+               a=lambda n, p: Fraction(2), b=lambda n, p: ONE, printed=_pell_printed()),
+        Family("shifted_derangement", "shifted derangement numbers D_n = d_{n+1}", (),
+               a=lambda n, p: Fraction(n + 2), b=lambda n, p: Fraction(n + 2),
+               printed=_derangement_printed()),
+        Family("schur_q_fib", "Schur's (shifted) q-Fibonacci numbers (cf. Andrews; Garrett)",
+               (Param("a", kind="int", int_range=(0, 4)), Param("q", kind="q")),
+               a=lambda n, p: ONE, b=lambda n, p: rat_pow(p["q"], n + p["a"]),
+               printed=_schur_printed()),
+        Family("q_pell", "q-Pell numbers (cf. Santos-Sills; Briggs-Little-Sellers)",
+               (Param("q", kind="q"),),
+               a=lambda n, p: 1 + rat_pow(p["q"], n + 1), b=lambda n, p: rat_pow(p["q"], n),
+               printed=_q_pell_printed()),
+        Family("goyt_sagan", "Goyt-Sagan q-Fibonacci polynomials",
+               (Param("x"), Param("y"), Param("q", kind="q")),
+               a=lambda n, p: p["x"] * rat_pow(p["q"], n),
+               b=lambda n, p: p["y"] * rat_pow(p["q"], n - 1),
+               printed=_goyt_sagan_printed()),
+        Family("goyt_mathisen", "Goyt-Mathisen q-Fibonacci polynomials",
+               (Param("x"), Param("y"), Param("q", kind="q")),
+               a=lambda n, p: p["x"] * rat_pow(p["q"], n),
+               b=lambda n, p: p["y"] * rat_pow(p["q"], 2 * (n - 1)),
+               printed=_goyt_mathisen_printed()),
+    )
 }
 
 
 def family_sides(family: Family, n_max: int,
                  params: Params) -> list[tuple[str, int, Fraction, Fraction]]:
     """(identity name, n, LHS, RHS) of every printed identity for n <= n_max;
-    raises Inadmissible on any pole."""
+    raises Inadmissible on any pole, ValueError on n_max < 0."""
+    _require_size("n_max", n_max)
     xs = generate(family.make(params), 2 * n_max + 2)
     return [(ident.name, n, lhs, rhs) for ident in family.printed
             for n, lhs, rhs in _partial_sums(ident.k_start, n_max,

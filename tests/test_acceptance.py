@@ -23,7 +23,7 @@ from telesum.genhyp import (dougall_terms, macdonald_cv, macdonald_cv_permuted,
 from telesum.rational import seq
 from telesum.sampling import rng_for, sample_rational
 from telesum.sequences import (FAMILIES, generate, lucas_gen_sides, random_spec,
-                               shifted_derangement_spec, verify_family_suite)
+                               verify_family_suite)
 from telesum.telescope import (TelescopeProblem, solve_linear_recurrence,
                                telescoping_closed_form, telescoping_sum)
 
@@ -71,7 +71,7 @@ def test_criterion_2_fibonacci_suite():
 
 def test_criterion_3_derangement_suite():
     with criterion(3, "shifted derangement values and all six identities, n <= 20"):
-        xs = generate(shifted_derangement_spec(), 5)
+        xs = generate(FAMILIES["shifted_derangement"].make({}), 5)
         assert [int(v) for v in xs] == [0, 1, 2, 9, 44, 265]
         _suite_all_pass(verify_family_suite("shifted_derangement", 20, 1, seed=1))
         b = lambda m: F(m)

@@ -3,9 +3,10 @@
 ``perfbench/run.py`` rejects a run whose report differs from the digest
 recorded in ``perfbench/digests.json``; this runs the same steps in-process
 (``cli.main``, from the checkout root, as the benchmark does) for two seeds
-of its pool, so a change to any report byte fails here first.  grid-jobs2 is
-left out: it asks for a process pool, and the elementary suite's reports are
-covered by the golden files.
+of its pool, so a change to any report byte fails here first.  The steps
+run as the traced benchmark runs them, at ``--jobs 1``: grid-jobs2 asks for
+a process pool, and ``--jobs`` is not part of the report's flags, so its
+bytes are the same in one process.
 """
 
 import hashlib
@@ -30,14 +31,14 @@ SEEDS = (workloads.SEED_POOL[0], workloads.SEED_POOL[-1])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", ["corpus-sweep", "ez-certify", "config-check"])
+@pytest.mark.parametrize("name", ["corpus-sweep", "ez-certify", "grid-jobs2", "config-check"])
 def test_full_size_iteration_matches_stored_digest(name, seed, monkeypatch):
     monkeypatch.chdir(ROOT)  # config paths are part of the report's flags
     workload = workloads.WORKLOADS[name]
     shas = []
     for step in workload.steps:
         out = io.StringIO()
-        assert main(workload.argv(step, seed, traced=False), out=out) == 0
+        assert main(workload.argv(step, seed, traced=True), out=out) == 0
         shas.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
     stored = workloads.load_digests()["full"][name][str(seed)]
     assert workloads.iteration_digest(shas) == stored

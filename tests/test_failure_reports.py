@@ -133,11 +133,11 @@ def sequences_wrong_printed_rhs(monkeypatch):
 
 
 def sequences_exhausted(monkeypatch):
-    def make(p):
+    def a(n, p):
         raise Inadmissible("forced pole")
 
-    _replace(monkeypatch, FAMILIES, "q_pell", make=make)
-    _replace(monkeypatch, FAMILIES, "pell", make=make)
+    _replace(monkeypatch, FAMILIES, "q_pell", a=a)
+    _replace(monkeypatch, FAMILIES, "pell", a=a)
     return ["verify", "--suite", "sequences", "--id", "q_pell", "--id", "pell", *SMALL]
 
 

@@ -16,8 +16,8 @@ import pytest
 from telesum.errors import Inadmissible
 from telesum.rational import ONE, ZERO, const, rat_div
 from telesum.sampling import rng_for
-from telesum.sequences import (GENERIC, RecurrenceSpec, fibonacci_poly_spec, generate,
-                               goyt_sagan_spec, lucas_gen_sides, random_spec)
+from telesum.sequences import (FAMILIES, GENERIC, RecurrenceSpec, generate,
+                               lucas_gen_sides, random_spec)
 
 N_MAXES = (0, 1, 3, 10)
 
@@ -119,10 +119,14 @@ def test_table_matches_reference_on_random_specs():
                 _assert_matches_reference(spec, which, n_max)
 
 
+def _fibonacci_poly(x, y):
+    return RecurrenceSpec("fibonacci_poly", const(x), const(y), ZERO, ONE)
+
+
 DEGENERATE = (
-    fibonacci_poly_spec({"x": Fraction(1), "y": Fraction(-1)}),  # x_3 = x_6 = 0, composite 0
-    fibonacci_poly_spec({"x": Fraction(0), "y": Fraction(1)}),   # a = 0 and x_2 = 0
-    fibonacci_poly_spec({"x": Fraction(1), "y": Fraction(0)}),   # b = 0
+    _fibonacci_poly(1, -1),                                      # x_3 = x_6 = 0, composite 0
+    _fibonacci_poly(0, 1),                                       # a = 0 and x_2 = 0
+    _fibonacci_poly(1, 0),                                       # b = 0
     RecurrenceSpec("bad", const(1), lambda n: Fraction(-1) if n == 1 else Fraction(1),
                    Fraction(1), Fraction(1)),                    # a_0 a_1 + b_1 = 0
     RecurrenceSpec("x1_zero", const(2), const(3), Fraction(1), Fraction(0)),
@@ -130,7 +134,8 @@ DEGENERATE = (
     RecurrenceSpec("all_zero", const(1), const(1), Fraction(0), Fraction(0)),
     RecurrenceSpec("mid_zero", const(1), lambda n: Fraction(-2) if n == 1 else Fraction(1),
                    Fraction(1), Fraction(1)),                    # x_3 = 0
-    goyt_sagan_spec({"x": Fraction(2), "y": Fraction(3), "q": Fraction(0)}),  # b_0 raises
+    FAMILIES["goyt_sagan"].make({"x": Fraction(2), "y": Fraction(3),
+                                 "q": Fraction(0)}),             # b_0 raises
 )
 
 

@@ -95,12 +95,13 @@ def test_truncation_argument():
 @pytest.mark.parametrize("key, op", [("qchv_elem", "macdonald_cv"),
                                      ("dougall_n1", "macdonald_dougall")])
 def test_elementary_table_states_the_operation_relation(key, op):
-    # the (1 - monomial) table's lhs terms are u and -v, its rhs is w
+    # the (1 - monomial) table's lhs terms are u and -v, its rhs is w; the
+    # q-Dougall specialization checks and the dougall_n1 citation rely on it
     ident, operation = ELEMENTARY[key], OPERATIONS[op]
     assert ident.vars == operation.names
     u_term, v_term = ident.lhs
     rng = rng_for(75, "transcriptions", key)
-    for i in range(40):
+    for i in range(200):
         point = tuple(sample_rational(rng) for _ in ident.vars)  # nonzero values
         assert eval_terms((u_term,), point) == operation.u(*point), (key, i)
         assert eval_terms((v_term,), point) == -operation.v(*point), (key, i)

@@ -3,15 +3,16 @@ from fractions import Fraction as F
 import pytest
 
 from telesum.errors import Inadmissible
-from telesum.rational import const
+from telesum.rational import ONE, ZERO, const
 from telesum.sampling import rng_for, sample_rational
-from telesum.sequences import (FAMILIES, RecurrenceSpec, fibonacci_poly_spec,
-                               fibonacci_spec, generate, goyt_mathisen_spec,
-                               lucas_gen_sides, pell_spec, q_pell_spec,
-                               random_spec, schur_q_fib_spec,
-                               shifted_derangement_spec, verify_family_suite,
+from telesum.sequences import (FAMILIES, RecurrenceSpec, family_sides, generate,
+                               lucas_gen_sides, random_spec, verify_family_suite,
                                verify_lucas_gen)
 from telesum.telescope import solve_linear_recurrence
+
+
+def fibonacci_poly(x, y):
+    return RecurrenceSpec("fibonacci_poly", const(x), const(y), ZERO, ONE)
 
 
 def all_equal(sides):
@@ -19,44 +20,44 @@ def all_equal(sides):
 
 
 def test_generate_fibonacci():
-    xs = generate(fibonacci_spec(), 12)
+    xs = generate(FAMILIES["fibonacci"].make({}), 12)
     assert xs[12] == 144
     assert [int(x) for x in xs[:7]] == [0, 1, 1, 2, 3, 5, 8]
 
 
 def test_generate_shifted_derangements():
-    xs = generate(shifted_derangement_spec(), 5)
+    xs = generate(FAMILIES["shifted_derangement"].make({}), 5)
     assert [int(x) for x in xs] == [0, 1, 2, 9, 44, 265]
 
 
 def test_generate_goyt_mathisen_early_values():
     x, y, q = F(3), F(5), F(2, 7)
-    xs = generate(goyt_mathisen_spec({"x": x, "y": y, "q": q}), 3)
+    xs = generate(FAMILIES["goyt_mathisen"].make({"x": x, "y": y, "q": q}), 3)
     assert xs[2] == x
     assert xs[3] == q * x * x + y
 
 
 def test_generate_q_pell_early_value():
     q = F(2, 3)
-    xs = generate(q_pell_spec({"q": q}), 2)
+    xs = generate(FAMILIES["q_pell"].make({"q": q}), 2)
     assert xs[2] == 1 + q
 
 
 def test_fibonacci_prefix_sum_instance():
-    sides = lucas_gen_sides(fibonacci_spec(), 1, 10)
+    sides = lucas_gen_sides(FAMILIES["fibonacci"].make({}), 1, 10)
     n, lhs, rhs = sides[10]
     assert lhs == rhs == 143  # sum of F_1..F_10 = F_12 - 1
 
 
 def test_pell_squared_sum_instance():
-    sides = lucas_gen_sides(pell_spec(), 4, 3)
+    sides = lucas_gen_sides(FAMILIES["pell"].make({}), 4, 3)
     assert all_equal(sides)
-    xs = generate(pell_spec(), 5)
+    xs = generate(FAMILIES["pell"].make({}), 5)
     assert sum(2 * xs[k] ** 2 for k in range(1, 4)) == 60 == xs[3] * xs[4]
 
 
 def test_empty_sum_at_n0_every_identity():
-    spec = fibonacci_spec()
+    spec = FAMILIES["fibonacci"].make({})
     for which in range(1, 7):
         n, lhs, rhs = lucas_gen_sides(spec, which, 0)[0]
         assert lhs == rhs == 0
@@ -64,7 +65,7 @@ def test_empty_sum_at_n0_every_identity():
 
 def test_schur_shift_zero_instance():
     q = F(2, 5)
-    spec = schur_q_fib_spec({"a": 0, "q": q})
+    spec = FAMILIES["schur_q_fib"].make({"a": 0, "q": q})
     sides = lucas_gen_sides(spec, 1, 2)
     n, lhs, rhs = sides[2]
     assert lhs == q + q * q
@@ -93,8 +94,8 @@ def test_divided_form_reports_composite_denominator_first():
 def test_generic_divided_form_reproduces_printed_fibonacci():
     # the index alignment of the divided form is locked by the printed
     # halving identity: sum F_{k-1}/2^k = 1 - F_{n+2}/2^n
-    xs = generate(fibonacci_spec(), 22)
-    for n, lhs, rhs in lucas_gen_sides(fibonacci_spec(), 6, 20):
+    xs = generate(FAMILIES["fibonacci"].make({}), 22)
+    for n, lhs, rhs in lucas_gen_sides(FAMILIES["fibonacci"].make({}), 6, 20):
         printed_lhs = sum(xs[k - 1] / F(2) ** k for k in range(1, n + 1))
         printed_rhs = 1 - xs[n + 2] / F(2) ** n
         assert lhs == printed_lhs
@@ -112,11 +113,11 @@ def test_family_suites_all_pass():
 
 
 def test_fibonacci_and_pell_are_fibonacci_poly_specializations():
-    fib_xs = generate(fibonacci_spec(), 15)
-    poly_xs = generate(fibonacci_poly_spec({"x": F(1), "y": F(1)}), 15)
+    fib_xs = generate(FAMILIES["fibonacci"].make({}), 15)
+    poly_xs = generate(fibonacci_poly(F(1), F(1)), 15)
     assert fib_xs == poly_xs
-    pell_xs = generate(pell_spec(), 15)
-    poly_xs = generate(fibonacci_poly_spec({"x": F(2), "y": F(1)}), 15)
+    pell_xs = generate(FAMILIES["pell"].make({}), 15)
+    poly_xs = generate(fibonacci_poly(F(2), F(1)), 15)
     assert pell_xs == poly_xs
 
 
@@ -124,7 +125,7 @@ def test_chebyshev_u_cross_check():
     rng = rng_for(304, "cheb")
     for _ in range(10):
         x = sample_rational(rng)
-        xs = generate(fibonacci_poly_spec({"x": 2 * x, "y": F(-1)}), 12)
+        xs = generate(fibonacci_poly(2 * x, F(-1)), 12)
         u_prev, u = F(0), F(1)  # U_{-1}, U_0
         for k in range(12):
             assert xs[k + 1] == u if k == 0 else True
@@ -138,7 +139,7 @@ def test_chebyshev_u_cross_check():
 
 def test_derangement_link_to_linear_recurrence_solver():
     # D_n = d_{n+1} where d_n comes out of the first-order solver
-    D = generate(shifted_derangement_spec(), 20)
+    D = generate(FAMILIES["shifted_derangement"].make({}), 20)
     b = lambda m: F(m)
     c = lambda m: F((-1) ** m)
     for n in range(20):
@@ -152,16 +153,16 @@ def test_generic_identities_match_printed_for_sampled_families():
     q = sample_rational(rng)
     while q in (0, 1, -1):
         q = sample_rational(rng)
-    spec = schur_q_fib_spec({"a": 1, "q": q})
+    spec = FAMILIES["schur_q_fib"].make({"a": 1, "q": q})
     for which in range(1, 7):
         assert all_equal(lucas_gen_sides(spec, which, 8))
-    spec = q_pell_spec({"q": q})
+    spec = FAMILIES["q_pell"].make({"q": q})
     for which in range(1, 7):
         assert all_equal(lucas_gen_sides(spec, which, 8))
 
 
 def test_negative_sizes_raise_value_error_naming_the_argument():
-    spec = fibonacci_spec()
+    spec = FAMILIES["fibonacci"].make({})
     with pytest.raises(ValueError, match="N must be >= 0, got N = -1"):
         generate(spec, -1)
     with pytest.raises(ValueError, match="N = -2"):
@@ -170,4 +171,9 @@ def test_negative_sizes_raise_value_error_naming_the_argument():
         lucas_gen_sides(spec, 1, -1)
     with pytest.raises(ValueError, match="n_max = -1"):
         verify_lucas_gen(spec, 1, -1)
+    family = FAMILIES["fibonacci"]
+    with pytest.raises(ValueError, match="n_max must be >= 0, got n_max = -1"):
+        family_sides(family, -1, {})
+    with pytest.raises(ValueError, match="n_max must be >= 0, got n_max = -2"):
+        family_sides(family, -2, {})
     assert generate(spec, 0) == [0]
