@@ -25,14 +25,18 @@ Every value is computed once per sample.  Summands, closed forms, F and the
 certificate's u and v are read through ``sample_value``, a memo of the
 current parameter point that ``corpus.admissible`` fills while it probes the
 sample.  The checks then reuse the probe's summands and closed forms, and
-each other's F, u and v values, instead of evaluating them again.
+each other's F, u and v values, instead of evaluating them again.  A
+certified sum's summand row n is one memo entry as well, built once per
+sample and grown by its term ratio, so the probe's summands of row n cost
+O(n) factors; the memo keeps the row, its values and its pole texts, never
+an exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from .errors import Inadmissible, NoCertificate
 from .rational import ZERO
@@ -80,9 +84,9 @@ class SampleMemo:
 
     def __init__(self) -> None:
         self.point: tuple | None = None
-        self.values: dict[tuple, Fraction] = {}
+        self.values: dict[tuple, object] = {}
 
-    def __call__(self, fn: Callable[..., Fraction], *args) -> Fraction:
+    def __call__(self, fn: Callable[..., Any], *args) -> Any:
         point = tuple(args[-1].items())
         if point != self.point:
             self.point, self.values = point, {}

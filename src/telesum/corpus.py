@@ -18,7 +18,8 @@ same way, as the (factors; argument) lists of a product of linear factors
     linear_factors(xs, z, k) = z * prod (x + k)          (classical sums)
     linear_factors(xs, z, k, q) = z * prod (1 - x q^k)   (q-sums)
 
-``hypergeometric`` and ``linear_factors`` are the only product code they use.
+``hypergeometric``, read a row at a time through ``_TermRow``, and
+``linear_factors`` are the only product code they use.
 
 Conventions:
 
@@ -36,12 +37,18 @@ Conventions:
     hypergeometric and linear_factors multiply the factors' numerators and
     denominators as integers and reduce once at the end, so a product pays
     one gcd, not one per factor.
+  * One row per summand row: a certified sum's summand row n is built once
+    and grown column by column by its term ratio, t(n, k+1) = t(n, k) *
+    z prod (x + k) / prod (y + k) (or its q-form), so row n costs O(n)
+    factors, not O(n^2).  Each column is the Fraction ``hypergeometric``
+    gives at k, and a pole column raises its DivisionByZero text.
 
 Summands, closed forms and certificate values are read through
 ``certify.sample_value``, so the admissibility probe evaluates each
 term(n, k), rhs(n), u(n, k) and v(n, k) of a sample once, and
 ``evaluate_identity``, ``normalized(...).F`` and the certificate checks
-reuse those values.
+reuse those values.  The memo also holds, per (sample, n), each certified
+summand's row and the (factors; z) lists of its u and v.
 """
 
 from __future__ import annotations
@@ -124,6 +131,62 @@ def hypergeometric(upper: Sequence[Fraction], lower: Sequence[Fraction], z: Frac
     if lower_num == 0:
         raise DivisionByZero(f"division of {format_rational(Fraction(num, den))} by zero")
     return Fraction(num * lower_den * z.numerator ** m, den * lower_num * z.denominator ** m)
+
+
+class _TermRow:
+    """The columns t(m) = hypergeometric(upper, lower, z, m, q), m = 0, 1, ...,
+    of one row, grown on demand by the term ratio
+
+        t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
+        or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given.
+
+    The running upper and lower products are the unreduced integer pairs that
+    ``_shifted_product`` builds, so column m is the Fraction ``hypergeometric``
+    gives at m.  From the first vanishing lower factor on, every column raises
+    DivisionByZero with ``hypergeometric``'s text, which names the upper
+    product at that column; the text is kept, never the exception.
+    """
+
+    def __init__(self, upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
+                 q: Fraction | None = None) -> None:
+        self.upper = [(x.numerator, x.denominator) for x in upper]
+        self.lower = [(y.numerator, y.denominator) for y in lower]
+        self.q = q
+        self.z = z
+        self.products = [1, 1, 1, 1, 1, 1]  # upper, lower and z^m as (num, den) pairs
+        self.columns: list[Fraction | str] = [ONE]  # t(m), or the text it raises
+
+    def __call__(self, m: int) -> Fraction:
+        if m < 0:
+            raise ValueError(f"{'rising' if self.q is None else 'q-rising'} factorial needs m >= 0")
+        while len(self.columns) <= m:
+            self._extend()
+        value = self.columns[m]
+        if isinstance(value, str):
+            raise DivisionByZero(value)
+        return value
+
+    def _extend(self) -> None:
+        """Append t(i + 1) = t(i) * ratio(i) for the last column i."""
+        i = len(self.columns) - 1
+        if self.q is None:
+            upper = [(p + i * d, d) for p, d in self.upper]
+            lower = [(p + i * d, d) for p, d in self.lower]
+        else:
+            r, s = self.q.numerator ** i, self.q.denominator ** i
+            upper = [(d * s - p * r, d * s) for p, d in self.upper]
+            lower = [(d * s - p * r, d * s) for p, d in self.lower]
+        un, ud, ln, ld, zn, zd = self.products
+        for p, d in upper:
+            un, ud = un * p, ud * d
+        for p, d in lower:
+            ln, ld = ln * p, ld * d
+        zn, zd = zn * self.z.numerator, zd * self.z.denominator
+        self.products = [un, ud, ln, ld, zn, zd]
+        if ln == 0:
+            self.columns.append(f"division of {format_rational(Fraction(un, ud))} by zero")
+        else:
+            self.columns.append(Fraction(un * ld * zn, ud * ln * zd))
 
 
 def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
@@ -343,18 +406,28 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     A very-well-poised summand also carries the head (1 - a q^(2k))/(1 - a).
     u(n, **params) and v(n, **params) give the (factors, z) of one
     ``linear_factors`` product, taken at k.
+
+    Each row n of the summand is one ``_TermRow`` in the sample memo, and
+    each row's certificate lists are built once there too.
     """
 
+    def row(n: int, p: Params) -> _TermRow:
+        return _TermRow(*summand(n, **p), p.get("q"))
+
     def term(n: int, k: int, p: Params) -> Fraction:
-        q = p.get("q")
-        head = rat_div(1 - p["a"] * rat_pow(q, 2 * k), 1 - p["a"]) if well_poised else ONE
-        return head * hypergeometric(*summand(n, **p), k, q)
+        if not well_poised:
+            return sample_value(row, n, p)(k)
+        head = rat_div(1 - p["a"] * rat_pow(p["q"], 2 * k), 1 - p["a"])
+        return head * sample_value(row, n, p)(k)
 
     def rhs(n: int, p: Params) -> Fraction:
         return hypergeometric(*closed_form(n, **p), n, p.get("q"))
 
     def at_k(factors: Factors) -> CertFn:
-        return lambda n, k, p: linear_factors(*factors(n, **p), k, p.get("q"))
+        def lists(n: int, p: Params) -> tuple[Sequence[Fraction], Fraction]:
+            return factors(n, **p)
+
+        return lambda n, k, p: linear_factors(*sample_value(lists, n, p), k, p.get("q"))
 
     return IdentityDef(key=key, citation=citation, params=params, term=term, rhs=rhs,
                        certificate=Certificate(at_k(u), at_k(v)), n_max=n_max)

@@ -4,14 +4,14 @@ Work is partitioned per identity/family/operation.  Each item runs through
 ``sampling.sweep``, which derives sample i's random stream from (seed,
 stream, item, i) alone, and the merged report is sorted by a stable key, so
 output is identical for any worker count.  Items are small picklable
-tuples, safe for a process pool.
+tuples, safe for a process pool.  The pool is imported only when a run
+starts one, so a ``--jobs 1`` run never loads ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -191,6 +191,8 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
 
     workers = pool_size(jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_execute_item, tasks))
     else:

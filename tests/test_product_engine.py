@@ -4,17 +4,25 @@ The derangement factorials, the config language's ``binom``, Ramanujan's
 Entry 25 and the q-Pell halving product are computed by
 ``rational.prod_range`` and ``corpus.rising_factorial``.  The shifted
 factorials, ``hypergeometric``, ``linear_factors`` and ``prod_range`` build
-one Fraction from integer products instead of one per factor.  Each test
+one Fraction from integer products instead of one per factor.  A certified
+summand's row is one ``corpus._TermRow``, grown by its term ratio.  Each test
 below keeps the loop it replaced, verbatim, and requires the same value, or
 the same exception type and message, at seeded points that include zeros,
 negative integers and poles.
 """
 
+import dataclasses
+import inspect
+from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from telesum import sequences
-from telesum.corpus import (CORPUS, hypergeometric, linear_factors, q_rising_factorial,
-                            rising_factorial)
+from telesum.certify import TERMINATION_OVERSHOOT, sample_value
+from telesum.corpus import (CERTIFIED_KEYS, CORPUS, _TermRow, draw_params, hypergeometric,
+                            linear_factors, q_rising_factorial, rising_factorial,
+                            specialization_d_zero_checks)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
 from telesum.rational import ONE, ZERO, prod_range, rat_div, rat_pow
@@ -355,3 +363,131 @@ def test_prod_range_matches_the_replaced_loop():
                 new = outcome_of(prod_range, lambda j: f(j, new_calls), lo, hi)
                 assert new == outcome_of(old_prod_range, lambda j: f(j, old_calls), lo, hi)
                 assert new_calls == old_calls
+
+
+def old_certified_term(summand, well_poised):
+    """A certified summand as it was before rows: the lists rebuilt and one
+    ``hypergeometric`` call at every k."""
+    def term(n, k, p):
+        q = p.get("q")
+        head = rat_div(1 - p["a"] * rat_pow(q, 2 * k), 1 - p["a"]) if well_poised else ONE
+        return head * hypergeometric(*summand(n, **p), k, q)
+
+    return term
+
+
+def reference_term(idef):
+    """old_certified_term over the summand declaration behind idef.term."""
+    declared = inspect.getclosurevars(idef.term).nonlocals
+    summand = inspect.getclosurevars(declared["row"]).nonlocals["summand"]
+    return old_certified_term(summand, declared["well_poised"])
+
+
+def test_term_row_matches_hypergeometric_in_any_column_order():
+    for i in range(120):
+        upper, lower, z, q = hypergeometric_points(i)
+        row = _TermRow(upper, lower, z, q)
+        columns = list(range(-2, 12))
+        rng_for(7, "row order", i).shuffle(columns)
+        for m in columns:
+            new = outcome_of(row, m)
+            assert new == outcome_of(hypergeometric, upper, lower, z, m, q), (i, m)
+            assert isinstance(new, tuple) or type(new) is Fraction
+
+
+def certified_points(idef, i):
+    """Seeded parameters of a certified sum.  Point i is a raw draw, so it can
+    hold poles, with one change by i % 4: none; a parameter at a terminating
+    value -j or q^(-j), which zeroes an upper factor or, where the parameter is
+    a lower entry, a lower one; for the well-poised sums, b = a q^(j+1), so the
+    lower entry aq/b is q^(-j); and a = 1, where the head's 1 - a vanishes."""
+    rng = rng_for(7, "certified", idef.key, i)
+    p = draw_params(idef, rng, 16)
+    q = p.get("q")
+    free = [x.name for x in idef.params if x.kind != "q"]
+    j = rng.randrange(4)
+    well_poised = idef.key in ("q_dougall", "rogers_6phi5")
+    if i % 4 == 1 and free:
+        p[rng.choice(free)] = Fraction(-j) if q is None else rat_pow(q, -j)
+    elif i % 4 == 2 and well_poised:
+        p["b"] = p["a"] * rat_pow(q, j + 1)
+    elif i % 4 == 3 and well_poised:
+        p["a"] = Fraction(1)
+    return p
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_certified_terms_match_the_replaced_term(key):
+    idef = CORPUS[key]
+    old_term = reference_term(idef)
+    seen = Counter()
+    for i in range(24):
+        p = certified_points(idef, i)
+        for n in range(7):
+            columns = list(range(-2, n + TERMINATION_OVERSHOOT + 4))
+            rng_for(7, "term order", key, i, n).shuffle(columns)
+            for k in columns:
+                new = outcome_of(idef.term, n, k, p)
+                assert new == outcome_of(old_term, n, k, p), (p, n, k)
+                if isinstance(new, tuple):
+                    kind, text = new
+                    seen[kind.__name__] += 1
+                    seen["upper 0 at a pole"] += text == "division of 0 by zero"
+                    seen["head raised first"] += k < 0 and kind is DivisionByZero
+                else:
+                    seen["zero past n"] += k > n and new == 0
+                    seen["nonzero"] += new != 0
+    assert seen["ValueError"] > 0 and seen["zero past n"] > 100 and seen["nonzero"] > 50, seen
+    if key not in ("binomial_x1", "binomial", "q_binomial"):  # lower entries 1 or q only
+        assert seen["DivisionByZero"] > seen["upper 0 at a pole"] > 0, seen
+    if key in ("q_dougall", "rogers_6phi5"):
+        assert seen["head raised first"] > 0, seen
+
+
+def test_a_pole_column_raises_anew_with_its_own_text():
+    idef = CORPUS["chu_vandermonde"]
+    p = {"a": Fraction(1, 2), "b": Fraction(-2)}  # (b)_k = 0 from k = 3 on
+    n = 5
+    texts = []
+    for k in range(3, n + TERMINATION_OVERSHOOT + 1):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(DivisionByZero) as info:
+                sample_value(idef.term, n, k, p)
+            raised.append(info.value)
+        assert raised[0] is not raised[1]
+        assert str(raised[0]) == str(raised[1]) == outcome_of(reference_term(idef), n, k, p)[1]
+        texts.append(str(raised[0]))
+    assert len(set(texts[:n - 2])) == n - 2  # columns 3..n: nonzero upper products
+    assert set(texts[n - 2:]) == {"division of 0 by zero"}  # (-n)_k = 0 for k > n
+    stored = list(sample_value.values.values())
+    assert any(isinstance(v, _TermRow) for v in stored)
+    for value in stored:
+        assert not isinstance(value, BaseException)
+        for column in getattr(value, "columns", ()):
+            assert not isinstance(column, BaseException)
+
+
+def test_specialization_link_matches_the_replaced_term(monkeypatch):
+    idef = CORPUS["q_dougall"]
+    points = []
+    for i in range(30):
+        rng = rng_for(7, "specialization", i)
+        q = sample_q(rng, 16)
+        a, b, c, d = (sample_rational(rng) for _ in range(4))
+        if i % 5 == 4:
+            a = q  # the substituted a/q is 1: the head raises
+        points.append((q, a, b, c, d))
+    # Outside any sweep: the memo holds another point's values meanwhile.
+    held = {"a": Fraction(2, 3), "b": Fraction(5), "c": Fraction(-3, 7), "d": Fraction(9, 4),
+            "q": Fraction(3, 5)}
+    got = []
+    for point in points:
+        before = sample_value(idef.term, 3, 2, held)
+        got.append(outcome_of(specialization_d_zero_checks, *point))
+        assert sample_value(idef.term, 3, 2, held) == before
+    monkeypatch.setitem(CORPUS, "q_dougall", dataclasses.replace(idef, term=reference_term(idef)))
+    want = [outcome_of(specialization_d_zero_checks, *point) for point in points]
+    assert got == want
+    assert sum(isinstance(w, tuple) for w in want) == 6
+    assert sum(isinstance(w, dict) and all(w.values()) for w in want) == 24

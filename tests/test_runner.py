@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 from telesum import runner
 from telesum.errors import Inadmissible
@@ -15,6 +19,18 @@ def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
     assert runner.pool_size(4, 3) == 3
     monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
     assert runner.pool_size(2, 5) == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a run that starts a pool imports it: a --jobs 1 start pays nothing."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, telesum.cli; "
+            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_witness_formats_fraction_int_and_tuple_params():
