@@ -16,7 +16,6 @@ from .corpus import (CORPUS, IdentityDef, Param, evaluate_identity, normalized,
 from .elementary import ELEMENTARY
 from .errors import (DivisionByZero, Inadmissible, NoCertificate, SampleExhausted,
                      VerifyError)
-from .exprlang import evaluate as eval_expr, load_identity_config, parse, to_source
 from .genhyp import (SequenceParams, macdonald_cv, macdonald_cv_permuted,
                      macdonald_dougall, macdonald_ps)
 from .rational import Rational, SeqFn, format_rational, prod_range
@@ -28,6 +27,20 @@ from .telescope import (TelescopeProblem, raw_euler_sum, solve_linear_recurrence
                         sum_to_telescope, telescoping_closed_form, telescoping_sum)
 
 __version__ = "0.1.0"
+
+#: Names served from the expression language, which is imported at first use
+#: so that ``verify`` and ``list`` never load it.
+_EXPRLANG = {"eval_expr": "evaluate", "load_identity_config": "load_identity_config",
+             "parse": "parse", "to_source": "to_source"}
+
+
+def __getattr__(name: str):
+    if name in _EXPRLANG:
+        from . import exprlang
+
+        return getattr(exprlang, _EXPRLANG[name])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CORPUS", "ELEMENTARY", "FAMILIES", "Certificate", "CheckRecord",

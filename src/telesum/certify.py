@@ -25,11 +25,19 @@ Every value is computed once per sample.  Summands, closed forms, F and the
 certificate's u and v are read through ``sample_value``, a memo of the
 current parameter point that ``corpus.admissible`` fills while it probes the
 sample.  The checks then reuse the probe's summands and closed forms, and
-each other's F, u and v values, instead of evaluating them again.  A
-certified sum's summand row n is one memo entry as well, built once per
-sample and grown by its term ratio, so the probe's summands of row n cost
-O(n) factors; the memo keeps the row, its values and its pole texts, never
-an exception.
+each other's F, u and v values, instead of evaluating them again.
+
+The checks read whole rows, so a row is one memo entry per (sample, n): a
+``Row`` of F(n, .), u(n, .) or v(n, .), whose columns are computed at their
+first index and then read by index, not looked up by the full point.  The
+difference row F(n+1, .) - F(n, .) is a Row too, formed once and shared by
+the difference and telescope-to-zero checks.  Rows fill only the columns
+asked for, so every check evaluates the same values, and raises at the same
+(n, k) with the same text, as one that reads point by point.  A certified
+sum's summand row n is one memo entry as well, built once per sample and
+grown by its term ratio, so the probe's summands of row n cost O(n)
+factors; the memo keeps the row, its values and its pole texts, never an
+exception.
 """
 
 from __future__ import annotations
@@ -70,6 +78,23 @@ class NormalizedIdentity:
     citation: str = ""
 
 
+class Row(dict):
+    """The columns cell(k) of one row, each computed at its first index.
+
+    A row is one memo entry, so the checks index it instead of looking each
+    value up by its full point.  A column that raises stores nothing, so it
+    raises again, with the same message, at every index that asks for it.
+    """
+
+    def __init__(self, cell: Callable[[int], Fraction]) -> None:
+        super().__init__()
+        self.cell = cell
+
+    def __missing__(self, k: int) -> Fraction:
+        value = self[k] = self.cell(k)
+        return value
+
+
 class SampleMemo:
     """Values f(*args, params) of pure functions at one parameter point.
 
@@ -96,6 +121,14 @@ class SampleMemo:
             values[key] = fn(*args)
         return values[key]
 
+    def row(self, fn: CertFn, n: int, params: Params) -> Row:
+        """fn(n, k, params) for k = 0, 1, ... as one entry: a Row."""
+        return self(_row, fn, n, params)
+
+
+def _row(fn: CertFn, n: int, params: Params) -> Row:
+    return Row(lambda k: fn(n, k, params))
+
 
 #: The memo every evaluation of a summand, closed form, F, u or v goes through.
 #: It is one per process because term, rhs, F, u and v keep their
@@ -103,17 +136,17 @@ class SampleMemo:
 sample_value = SampleMemo()
 
 
-def _row_fn(idn: NormalizedIdentity, params: Params) -> Callable[[int, int], Fraction]:
-    """F(n, k) at params, through the sample memo."""
-    return lambda n, k: sample_value(idn.F, n, k, params)
+def _difference_row(F: CertFn, n: int, params: Params) -> Row:
+    """F(n+1, k) - F(n, k) for k = 0, 1, ..., over the memo's F rows."""
+    upper, lower = sample_value.row(F, n + 1, params), sample_value.row(F, n, params)
+    return Row(lambda k: upper[k] - lower[k])
 
 
 def telescoping_row(cert: Certificate, n: int, params: Params, k_max: int) -> list[Fraction]:
     """T(n, k) for k = 0..k_max: the kernel's telescoping summands over
     u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises DivisionByZero."""
-    problem = TelescopeProblem(u=lambda k: sample_value(cert.u, n, k, params),
-                               v=lambda k: sample_value(cert.v, n, k, params), n=k_max)
-    return list(telescoping_terms(problem))
+    u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
+    return list(telescoping_terms(TelescopeProblem(u.__getitem__, v.__getitem__, k_max)))
 
 
 def difference_check(idn: NormalizedIdentity, n: int, params: Params,
@@ -121,14 +154,13 @@ def difference_check(idn: NormalizedIdentity, n: int, params: Params,
     """Verify F(n+1,k) - F(n,k) = c(n) * T(n,k) for every 0 <= k <= n+1."""
     if idn.certificate is None:
         raise NoCertificate(idn.key)
-    F = _row_fn(idn, params)
     t_row = telescoping_row(idn.certificate, n, params, n + 1)
-    c = F(n + 1, 0) - F(n, 0)  # T(n, 0) = 1
+    diff = sample_value(_difference_row, idn.F, n, params)
+    c = diff[0]  # T(n, 0) = 1
     for k in range(n + 2):
-        diff = F(n + 1, k) - F(n, k)
-        if diff != c * t_row[k]:
+        if diff[k] != c * t_row[k]:
             return [outcome(suite, idn.key, "difference", idn.citation, False, params, n=n,
-                            sample=sample, k=k, difference=diff, expected=c * t_row[k])]
+                            sample=sample, k=k, difference=diff[k], expected=c * t_row[k])]
     return [outcome(suite, idn.key, "difference", idn.citation, True, n=n, sample=sample)]
 
 
@@ -138,13 +170,13 @@ def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
     cert = idn.certificate
     if cert is None:
         raise NoCertificate(idn.key)
-    u_top = sample_value(cert.u, n, n + 1, params)
-    v_bot = sample_value(cert.v, n, 0, params)
+    u_top = sample_value.row(cert.u, n, params)[n + 1]
+    v_bot = sample_value.row(cert.v, n, params)[0]
     if u_top != 0 or v_bot != 0:
         return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
                         sample=sample, u_at_n_plus_1=u_top, v_at_0=v_bot)]
-    F = _row_fn(idn, params)
-    total = sum((F(n + 1, k) - F(n, k) for k in range(n + 2)), ZERO)
+    diff = sample_value(_difference_row, idn.F, n, params)
+    total = sum((diff[k] for k in range(n + 2)), ZERO)
     return [outcome(suite, idn.key, "telescope_zero", idn.citation, total == 0, params, n=n,
                     sample=sample, row_sum=total)]
 
@@ -153,8 +185,8 @@ def row_sum_check(idn: NormalizedIdentity, n: int, params: Params,
                   suite: str = "ez", sample: int | None = None,
                   check: str = "row_sum") -> list[CheckRecord]:
     """sum_{k=0}^{n} F(n, k) = 1 (check="base_case" is the n = 0 instance)."""
-    F = _row_fn(idn, params)
-    total = sum((F(n, k) for k in range(n + 1)), ZERO)
+    F = sample_value.row(idn.F, n, params)
+    total = sum((F[k] for k in range(n + 1)), ZERO)
     return [outcome(suite, idn.key, check, idn.citation, total == 1, params, n=n,
                     sample=sample, row_sum=total)]
 
@@ -192,9 +224,9 @@ def natural_termination_check(idn: NormalizedIdentity, n: int, params: Params,
                               sample: int | None = None) -> list[CheckRecord]:
     """F(n, k) = 0 for n < k <= n + TERMINATION_OVERSHOOT (the zero-factor
     mechanism)."""
-    F = _row_fn(idn, params)
+    F = sample_value.row(idn.F, n, params)
     for k in range(n + 1, n + TERMINATION_OVERSHOOT + 1):
-        value = F(n, k)
+        value = F[k]
         if value != 0:
             return [outcome(suite, idn.key, "termination", idn.citation, False, params, n=n,
                             sample=sample, k=k, value=value)]

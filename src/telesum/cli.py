@@ -11,7 +11,8 @@ Exit codes: 0 every check passed, 1 at least one failure or no check at
 all, 2 usage or config error (including --samples < 1 and --n-max < 0).
 For a fixed (suite, seed, flags) triple the JSON report is byte-identical
 across runs and worker counts; the default seed is fixed so CI runs are
-reproducible.
+reproducible.  Only ``check`` imports the expression language, so a
+``verify`` or ``list`` start does not load it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import sys
 
 from .errors import VerifyError
-from .exprlang import ParseError, SchemaError, load_identity_config
 from .report import FAIL, INADMISSIBLE, PASS, Report
 from .runner import DEFAULT_SEED, SUITES, run_config_identity, run_suite
 
@@ -148,6 +148,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _emit(report, args.format, _flags_dict(args), out)
 
     if args.command == "check":
+        from .exprlang import ParseError, SchemaError, load_identity_config
+
         try:
             idef = load_identity_config(args.config)
         except FileNotFoundError:

@@ -48,7 +48,8 @@ Summands, closed forms and certificate values are read through
 term(n, k), rhs(n), u(n, k) and v(n, k) of a sample once, and
 ``evaluate_identity``, ``normalized(...).F`` and the certificate checks
 reuse those values.  The memo also holds, per (sample, n), each certified
-summand's row and the (factors; z) lists of its u and v.
+summand's row, the (factors; z) lists of its u and v, and the u and v rows
+that the probe and the certificate row read.
 """
 
 from __future__ import annotations
@@ -298,11 +299,12 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
         if idef.certificate is not None:
             cert = idef.certificate
             for n in range(n_max + 1):
-                if sample_value(cert.u, n, 0, params) - sample_value(cert.v, n, 0, params) == 0:
+                u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
+                if u[0] - v[0] == 0:
                     return False
-                sample_value(cert.u, n, n + 1, params)
+                u[n + 1]
                 for k in range(1, n + 2):
-                    if sample_value(cert.v, n, k, params) == 0:
+                    if v[k] == 0:
                         return False
         return True
     except (Inadmissible, ZeroDivisionError):

@@ -14,7 +14,9 @@ package's core oracle.  ``raw_euler_sum`` is the unnormalized k=1..n form,
 
 Sums maintain running products incrementally (O(n) multiplications), so
 nothing calls prod_range per term: calling it for each of n terms would
-multiply O(n^2) factors.  ``telescoping_terms`` and
+multiply O(n^2) factors.  ``telescoping_terms`` carries its running ratio
+(u_0..u_{k-1}) / (w_0 v_1..v_k) as an unreduced integer pair and builds one
+Fraction per summand, so a summand pays one gcd.  ``telescoping_terms`` and
 ``telescoping_closed_form`` read each u_k and v_k once, keeping u_{k-1} in
 a local, so a costly or memoized u and v is evaluated or looked up once per
 index; ``raw_euler_sum`` reads each once into lists and takes both sides
@@ -51,24 +53,28 @@ def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
     """Yield the summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n.
 
     Each u_k and v_k is read once, in the order u_0, v_0, v_1, u_1, v_2, u_2,
-    ...  Raises ValueError if n < 0, and DivisionByZero if w_0 = 0 or any of
-    v_1..v_n is zero.
+    ...  The running ratio (u_0..u_{k-1}) / (w_0 v_1..v_k) is an unreduced
+    integer pair, and w_k is one too, so each summand is one Fraction and
+    pays one gcd.  Raises ValueError if n < 0, and DivisionByZero if w_0 = 0
+    or any of v_1..v_n is zero.
     """
     u, v, n = p.u, p.v, p.n
     _require_length(n)
     uk, vk = u(0), v(0)
-    w0 = uk - vk
-    if w0 == 0:
+    a, b, c, d = uk.numerator, uk.denominator, vk.numerator, vk.denominator
+    if a * d == c * b:
         raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
-    ratio = ONE  # (u_0 ... u_{k-1}) / (v_1 ... v_k)
+    num, den = b * d, a * d - c * b  # 1 / w_0
     for k in range(n + 1):
         if k > 0:
             vk = v(k)
             if vk == 0:
                 raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
-            ratio = ratio * uk / vk
+            c, d = vk.numerator, vk.denominator
+            num, den = num * a * d, den * b * c
             uk = u(k)
-        yield (uk - vk) / w0 * ratio
+            a, b = uk.numerator, uk.denominator
+        yield Fraction((a * d - c * b) * num, b * d * den)
 
 
 def telescoping_sum(p: TelescopeProblem) -> Fraction:

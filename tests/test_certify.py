@@ -4,12 +4,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from telesum import certify
 from telesum.certify import (Certificate, NormalizedIdentity, SampleMemo, difference_check,
                              natural_termination_check, row_sum_check,
                              telescope_to_zero_check, verify_sample)
 from telesum.corpus import CERTIFIED_KEYS, CORPUS, draw_admissible, normalized
 from telesum.errors import Inadmissible, NoCertificate
 from telesum.report import FAIL, INADMISSIBLE, PASS
+from telesum.runner import run_corpus_item
 from telesum.sampling import rng_for
 
 
@@ -181,10 +183,17 @@ def _counting(fn, calls, name):
     return counted
 
 
-def test_q_dougall_sample_evaluates_each_value_once():
+def test_q_dougall_sample_evaluates_each_value_once(monkeypatch):
     # the admissibility probe and every check share one evaluation per value
     base = CORPUS["q_dougall"]
     calls = Counter()
+    difference_row = certify._difference_row
+
+    def counted_difference_row(F, n, params):
+        calls[("difference_row", tuple(params.items()), n)] += 1
+        return difference_row(F, n, params)
+
+    monkeypatch.setattr(certify, "_difference_row", counted_difference_row)
     idef = dataclasses.replace(
         base, term=_counting(base.term, calls, "term"), rhs=_counting(base.rhs, calls, "rhs"),
         certificate=Certificate(u=_counting(base.certificate.u, calls, "u"),
@@ -204,6 +213,32 @@ def test_q_dougall_sample_evaluates_each_value_once():
     assert {key[2:] for key in seen if key[0] == "rhs"} == {(n,) for n in range(n_max + 2)}
     assert {key[2:] for key in seen if key[0] == "F"} == {
         (n, k) for n in range(n_max + 2) for k in range(min(n, n_max) + 2)}
+    # the difference and telescope_zero checks at n share one difference row
+    assert {key[2:] for key in seen if key[0] == "difference_row"} == {
+        (n,) for n in range(n_max + 1)}
+
+
+def test_corpus_item_reads_u_and_v_only_where_the_probe_needs_them(monkeypatch):
+    # the corpus suite runs no certificate check: its probe reads u(n, 0),
+    # u(n, n + 1) and v(n, k) for k <= n + 1, and nothing else of the rows
+    base = CORPUS["q_dougall"]
+    calls = Counter()
+    monkeypatch.setitem(CORPUS, "q_dougall", dataclasses.replace(base, certificate=Certificate(
+        u=_counting(base.certificate.u, calls, "u"), v=_counting(base.certificate.v, calls, "v"))))
+    samples = 3
+    assert all_pass(run_corpus_item("q_dougall", None, samples, 1729))
+
+    assert max(calls.values()) == 1
+    rows = range(base.n_max + 1)
+    u_probe = {(n, k) for n in rows for k in (0, n + 1)}
+    v_probe = {(n, k) for n in rows for k in range(n + 2)}
+    complete = 0
+    for point in {key[1] for key in calls}:
+        u = {key[2:] for key in calls if key[:2] == ("u", point)}
+        v = {key[2:] for key in calls if key[:2] == ("v", point)}
+        assert u <= u_probe and v <= v_probe
+        complete += (u, v) == (u_probe, v_probe)
+    assert complete == samples  # each accepted draw was probed in full
 
 
 def test_inadmissible_F_gives_the_same_record_on_every_check():

@@ -21,16 +21,25 @@ def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
     assert runner.pool_size(2, 5) == 1
 
 
-def test_cli_import_loads_no_process_pool():
-    """Only a run that starts a pool imports it: a --jobs 1 start pays nothing."""
+def _loaded_after_cli_import(modules: set[str]) -> str:
+    """Which of `modules` a fresh interpreter holds after `import telesum.cli`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = ("import sys, telesum.cli; "
-            "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    code = f"import sys, telesum.cli; print(sorted({sorted(modules)!r} & sys.modules.keys()))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only a run that starts a pool imports it: a --jobs 1 start pays nothing."""
+    assert _loaded_after_cli_import({"concurrent.futures.process", "multiprocessing"}) == "[]"
+
+
+def test_cli_import_loads_no_expression_language():
+    """Only `check` parses configs: a verify or list start never loads exprlang."""
+    assert _loaded_after_cli_import({"telesum.exprlang"}) == "[]"
 
 
 def test_witness_formats_fraction_int_and_tuple_params():
