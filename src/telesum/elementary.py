@@ -23,6 +23,14 @@ gives two testers:
     spans of P size a grid of prime powers, distinct primes per variable,
     which names the witness: the whole grid for a pass, the first grid
     point where P is nonzero for a failure.
+
+Neither tester takes a gcd per operation.  At a point, every monomial and
+every factor (1 - m) is an unreduced integer pair built from the
+coordinates' numerators and denominators, and lhs - rhs is summed as one
+pair and reduced once, to one Fraction per point.  The expansion runs over
+int: a factor (1 - r/s * x^f) multiplies in as s * poly - r * shift(poly),
+each term is scaled to one common denominator L, and P's coefficients are
+Fraction(c, L).
 """
 
 from __future__ import annotations
@@ -31,11 +39,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from operator import add
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DivisionByZero
-from .rational import ONE as F1, ZERO as F0, rat_pow
+from .rational import ONE as F1
 from .report import PASS, CheckRecord, outcome, record
 from .sampling import RETRY_BOUND, retry, rng_for, sample_rational
 
@@ -60,13 +69,6 @@ class Mono:
 
     def __neg__(self) -> "Mono":
         return Mono(-self.coeff, self.exps)
-
-    def value(self, point: tuple[Fraction, ...]) -> Fraction:
-        out = self.coeff
-        for v, e in zip(point, self.exps):
-            if e:
-                out *= rat_pow(v, e)
-        return out
 
 
 @dataclass(frozen=True)
@@ -99,19 +101,52 @@ def _one(n: int) -> Mono:
     return Mono(F1, (0,) * n)
 
 
+def _scaled(num: int, den: int, exps: tuple[int, ...],
+            nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """num/den * prod x_i^exps[i] at x_i = nums[i]/dens[i], as an unreduced
+    pair (numerator, nonzero denominator); 0 to a negative power raises."""
+    for n, d, e in zip(nums, dens, exps):
+        if e > 0:
+            num *= n ** e
+            den *= d ** e
+        elif e:
+            if not n:
+                raise DivisionByZero(f"0 raised to negative power {e}")
+            num *= d ** -e
+            den *= n ** -e
+    return num, den
+
+
+def _sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of (numerator, denominator) pairs, as one unreduced pair."""
+    total_num, total_den = 0, 1
+    for num, den in pairs:
+        total_num = total_num * den + num * total_den
+        total_den *= den
+    return total_num, total_den
+
+
+def _term(t: FTerm, nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """t at x_i = nums[i]/dens[i] as an unreduced pair; a pole raises."""
+    num, den = _scaled(t.coeff.coeff.numerator, t.coeff.coeff.denominator, t.coeff.exps,
+                       nums, dens)
+    for m in t.num:  # times 1 - mn/md = (md - mn)/md
+        mn, md = _scaled(m.coeff.numerator, m.coeff.denominator, m.exps, nums, dens)
+        num *= md - mn
+        den *= md
+    for m in t.den:
+        mn, md = _scaled(m.coeff.numerator, m.coeff.denominator, m.exps, nums, dens)
+        if mn == md:
+            raise DivisionByZero(f"pole: 1 - {m} vanished")
+        num *= md
+        den *= md - mn
+    return num, den
+
+
 def eval_terms(terms: tuple[FTerm, ...], point: tuple[Fraction, ...]) -> Fraction:
-    total = F0
-    for t in terms:
-        value = t.coeff.value(point)
-        for m in t.num:
-            value *= 1 - m.value(point)
-        for m in t.den:
-            d = 1 - m.value(point)
-            if d == 0:
-                raise DivisionByZero(f"pole: 1 - {m} vanished")
-            value /= d
-        total += value
-    return total
+    nums = [v.numerator for v in point]
+    dens = [v.denominator for v in point]
+    return Fraction(*_sum(_term(t, nums, dens) for t in terms))
 
 
 def eval_lhs(ident: ElementaryIdentity, env: Mapping[str, Fraction]) -> Fraction:
@@ -294,21 +329,57 @@ def _cleared_terms(ident: ElementaryIdentity) -> list[tuple[Mono, tuple[Mono, ..
     return [(t.coeff, t.num + tuple((cleared - Counter(t.den)).elements())) for t in terms]
 
 
+def _expand(cleared: list[tuple[Mono, tuple[Mono, ...]]]
+            ) -> tuple[dict[tuple[int, ...], int], int]:
+    """L * P over int as {exponent tuple: coefficient}, zero coefficients
+    dropped, and the common denominator L.
+
+    A term c/b * x^e * prod (1 - r/s * x^f) is 1/(b * prod s) times the
+    integer polynomial c * x^e * prod (s - r * x^f); L is the lcm of the
+    terms' denominators b * prod s, and each term is scaled to it.
+    """
+    terms = []
+    for coeff, factors in cleared:
+        poly = {coeff.exps: coeff.coeff.numerator}
+        den = coeff.coeff.denominator
+        for m in factors:
+            r, s = m.coeff.numerator, m.coeff.denominator
+            den *= s
+            # s = 1 in every built-in table: a copy, not a scaling loop
+            step = dict(poly) if s == 1 else {exps: s * c for exps, c in poly.items()}
+            for exps, c in poly.items():
+                shifted = tuple(map(add, exps, m.exps))
+                step[shifted] = step.get(shifted, 0) - r * c
+            poly = step
+        terms.append((poly, den))
+    common = lcm(*(den for _, den in terms))
+    total: dict[tuple[int, ...], int] = {}
+    for poly, den in terms:
+        scale = common // den
+        for exps, c in poly.items():
+            total[exps] = total.get(exps, 0) + scale * c
+    return {exps: c for exps, c in total.items() if c}, common
+
+
 def expand(ident: ElementaryIdentity) -> dict[tuple[int, ...], Fraction]:
     """P = D * (lhs - rhs) as {exponent tuple: coefficient}, zero
     coefficients dropped; exponents may be negative (a Laurent polynomial)."""
-    total: dict[tuple[int, ...], Fraction] = {}
-    for coeff, factors in _cleared_terms(ident):
-        poly = {coeff.exps: coeff.coeff}
-        for m in factors:
-            step = dict(poly)
-            for exps, c in poly.items():
-                shifted = tuple(map(add, exps, m.exps))
-                step[shifted] = step.get(shifted, 0) - c * m.coeff
-            poly = step
-        for exps, c in poly.items():
-            total[exps] = total.get(exps, 0) + c
-    return {exps: c for exps, c in total.items() if c}
+    poly, common = _expand(_cleared_terms(ident))
+    return {exps: Fraction(c, common) for exps, c in poly.items()}
+
+
+def _degree_spans(cleared: list[tuple[Mono, tuple[Mono, ...]]], nv: int) -> tuple[int, ...]:
+    lo = [0] * nv
+    hi = [0] * nv
+    for coeff, factors in cleared:
+        for i in range(nv):
+            t_lo = t_hi = coeff.exps[i]
+            for m in factors:
+                t_lo += min(0, m.exps[i])
+                t_hi += max(0, m.exps[i])
+            lo[i] = min(lo[i], t_lo)
+            hi[i] = max(hi[i], t_hi)
+    return tuple(h - l for l, h in zip(lo, hi))
 
 
 def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
@@ -319,18 +390,7 @@ def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
     result bounds the true degree, so a nonzero P has a nonzero value on
     any grid with more than span_i points in variable i.
     """
-    nv = len(ident.vars)
-    lo = [0] * nv
-    hi = [0] * nv
-    for coeff, factors in _cleared_terms(ident):
-        for i in range(nv):
-            t_lo = t_hi = coeff.exps[i]
-            for m in factors:
-                t_lo += min(0, m.exps[i])
-                t_hi += max(0, m.exps[i])
-            lo[i] = min(lo[i], t_lo)
-            hi[i] = max(hi[i], t_hi)
-    return tuple(h - l for l, h in zip(lo, hi))
+    return _degree_spans(_cleared_terms(ident), len(ident.vars))
 
 
 def grid_shape(ident: ElementaryIdentity) -> tuple[int, ...]:
@@ -350,7 +410,8 @@ def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
     """
     terms = ident.check_terms()
     nv = len(ident.vars)
-    spans = degree_spans(ident)
+    cleared = _cleared_terms(ident)
+    spans = _degree_spans(cleared, nv)
     # widest span gets the smallest prime; variables in the most factors vary slowest
     by_span = sorted(range(nv), key=lambda i: -spans[i])
     prime_of = {var: prime for prime, var in zip(_PRIMES, by_span)}
@@ -358,13 +419,14 @@ def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
                    for i in range(nv)]
     order = sorted(range(nv), key=lambda i: -touch_count[i])
     shape = "x".join(str(spans[i] + 2) for i in order)
-    poly = expand(ident)
+    poly, _ = _expand(cleared)  # L * P, zero where P is
     if not poly:
         return [record("elementary", ident.key, "grid_zero", ident.citation, PASS, grid=shape)]
-    grids = [[Fraction(prime_of[i] ** (j + 1)) for j in range(spans[i] + 2)] for i in order]
+    grids = [[prime_of[i] ** (j + 1) for j in range(spans[i] + 2)] for i in order]
+    ones = [1] * nv
     for values in product(*grids):
-        point = tuple(v for _, v in sorted(zip(order, values)))
-        if sum(Mono(c, exps).value(point) for exps, c in poly.items()) != 0:
+        nums = [v for _, v in sorted(zip(order, values))]
+        if _sum(_scaled(c, 1, exps, nums, ones) for exps, c in poly.items())[0]:
             return [outcome("elementary", ident.key, "grid_zero", ident.citation, False,
-                            dict(zip(ident.vars, point)), grid=shape)]
+                            {var: Fraction(v) for var, v in zip(ident.vars, nums)}, grid=shape)]
     raise AssertionError(f"{ident.key}: nonzero expansion vanished on its grid")

@@ -8,6 +8,7 @@ from telesum.elementary import (ELEMENTARY, ElementaryIdentity, FTerm, Mono,
                                 grid_shape, grid_zero_check, sampled_zero_check)
 from telesum.report import FAIL, PASS
 from telesum.sampling import rng_for, sample_rational
+from test_elementary_ints import reference_expand, reference_grid_zero_check
 
 
 def test_qchv_elem_spot():
@@ -189,6 +190,23 @@ def test_non_unit_coefficients_are_proved_and_refuted():
     record = grid_zero_check(wrong)[0]
     assert record.status == FAIL
     assert record.witness == {"a": "2", "b": "3", "grid": "3x2"}
+    # coefficients and factor monomials over 2, 3, 4, 5: the cleared terms'
+    # denominators are 24, 80, 3, 8, 12, 16, 80, 12 and 2, their lcm 240
+    mono = lambda c, *exps: Mono(F(c), exps)  # noqa: E731
+    lhs = (FTerm(mono("1/2", 0, 0), num=(mono("2/3", 1, 0),)),
+           FTerm(mono("3/4", 0, 1), num=(mono("1/5", 1, 0),)),
+           FTerm(mono("2/3", 0, 0), den=(mono("3/4", 0, 1),)))
+    rhs = (FTerm(mono("1/2", 0, 0)), FTerm(mono("-1/3", 1, 0)), FTerm(mono("3/4", 0, 1)),
+           FTerm(mono("-3/20", 1, 1)), FTerm(mono("2/3", 0, 0)),
+           FTerm(mono("1/2", 0, 1), den=(mono("3/4", 0, 1),)))
+    mixed = _ident(lhs, rhs)
+    off = replace(mixed, rhs=rhs[:3] + (FTerm(mono("-3/19", 1, 1)),) + rhs[4:])
+    assert expand(mixed) == reference_expand(mixed) == {}
+    assert grid_zero_check(mixed) == reference_grid_zero_check(mixed)
+    assert grid_zero_check(mixed)[0].status == PASS
+    assert expand(off) and expand(off) == reference_expand(off)
+    assert grid_zero_check(off) == reference_grid_zero_check(off)
+    assert grid_zero_check(off)[0].status == FAIL
 
 
 def test_repeated_denominator_factor_is_cleared_to_its_power():
