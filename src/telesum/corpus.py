@@ -7,19 +7,21 @@ hypergeometric and q-hypergeometric sums, the telescoping certificate
 (u(n,k), v(n,k)) of the classical proofs.
 
 The nine certified sums are declared as data, in the rphis notation of
-Gasper and Rahman: a summand is one hypergeometric term
+Gasper and Rahman, by the (upper; lower; argument) lists of one term
 
-    hypergeometric(upper, lower, z, k) = prod (x)_k / prod (y)_k * z^k
+    t(m) = prod (x)_m / prod (y)_m * z^m
 
-given by its (upper; lower; argument) lists, and its closed form is one
-such term taken at n in place of k.  Their certificates are declared the
-same way, as the (factors; argument) lists of a product of linear factors
+with q-shifted factorials (x; q)_m for the q-sums.  A summand's row n is
+such a term read at m = k, and its closed form is the one closed-form row
+read at m = n.  Their certificates are declared the same way, as the
+(factors; argument) lists of a product of linear factors
 
     linear_factors(xs, z, k) = z * prod (x + k)          (classical sums)
     linear_factors(xs, z, k, q) = z * prod (1 - x q^k)   (q-sums)
 
-``hypergeometric``, read a row at a time through ``_TermRow``, and
-``linear_factors`` are the only product code they use.
+Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
+written once in ``_factor_pair``: a row ``_TermRow`` grows column by
+column by the ratio of two such products, and ``linear_factors`` is one.
 
 Conventions:
 
@@ -27,29 +29,32 @@ Conventions:
     integer x is what terminates the classical sums naturally.
   * q_rising_factorial(a, q, m) = (1-a)(1-aq)...(1-a q^(m-1)); the factor
     built from q^(-n) vanishing for k > n terminates the q-sums.  A sum is a
-    q-series exactly when it has a base parameter q.
+    q-series exactly when it has a base parameter q.  Both build their m
+    factors in one block in ``_shifted_product``.
   * The very-well-poised entries carry the factored head
     (1 - a q^(2k))/(1 - a), so no square roots ever appear and every value
     stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.
-  * One Fraction per product: rising_factorial, q_rising_factorial,
-    hypergeometric and linear_factors multiply the factors' numerators and
-    denominators as integers and reduce once at the end, so a product pays
-    one gcd, not one per factor.
-  * One row per summand row: a certified sum's summand row n is built once
-    and grown column by column by its term ratio, t(n, k+1) = t(n, k) *
-    z prod (x + k) / prod (y + k) (or its q-form), so row n costs O(n)
-    factors, not O(n^2).  Each column is the Fraction ``hypergeometric``
-    gives at k, and a pole column raises its DivisionByZero text.
+  * One Fraction per product: rising_factorial, q_rising_factorial, the
+    columns of a row and linear_factors multiply the factors' numerators
+    and denominators as integers and reduce once at the end, so a product
+    pays one gcd, not one per factor.
+  * One row per term: a certified sum's summand row n, and its closed-form
+    row, are each built once and grown column by column by the term ratio,
+    t(m+1) = t(m) * z prod (x + m) / prod (y + m) (or its q-form), so
+    reading columns 0..m costs O(m) factors, not O(m^2).  A pole column
+    raises DivisionByZero with the text "division of <upper product> by
+    zero".
 
 Summands, closed forms and certificate values are read through
 ``certify.sample_value``, so the admissibility probe evaluates each
 term(n, k), rhs(n), u(n, k) and v(n, k) of a sample once, and
 ``evaluate_identity``, ``normalized(...).F`` and the certificate checks
-reuse those values.  The memo also holds, per (sample, n), each certified
-summand's row, the (factors; z) lists of its u and v, and the u and v rows
-that the probe and the certificate row read.
+reuse those values.  The memo also holds, per sample, each certified sum's
+closed-form row and, per (sample, n), its summand row, the (factors; z)
+lists of its u and v, and the u and v rows that the probe and the
+certificate row read.
 """
 
 from __future__ import annotations
@@ -67,94 +72,99 @@ from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
 Params = Mapping[str, object]
-#: (upper, lower, z) of one hypergeometric term, as a function of n and the
-#: parameters by name.
+#: (upper, lower, z) of one ``_TermRow``: a function of the parameters by
+#: name, and of n first for a summand.
 Series = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction], Fraction]]
 #: (factors, z) of one ``linear_factors`` product, as a function of n and the
 #: parameters by name.
 Factors = Callable[..., tuple[Sequence[Fraction], Fraction]]
 
 
-def _shifted_product(xs: Sequence[Fraction], m: int,
-                     q: Fraction | None = None) -> tuple[int, int]:
-    """prod_x (x)_m, or prod_x (x; q)_m when a base q is given, as an
-    unreduced integer pair (num, den) with den > 0.
+def _shifted_product(x: Fraction, m: int, q: Fraction | None = None) -> tuple[int, int]:
+    """(x)_m, or (x; q)_m when a base q is given, as an unreduced integer
+    pair (num, den) with den > 0.
 
     With x = p/d and q = r/s the factors are
 
         x + i       = (p + i d) / d
         1 - x q^i   = (d s^i - p r^i) / (d s^i)
 
-    so the product is one integer numerator over (prod_x d)^m, times
-    s^(m(m-1)/2) per factor for the q-shifted form.  No gcd is taken: the
-    caller builds one Fraction from the pair.
+    so the product is one integer numerator over d^m, times s^(m(m-1)/2)
+    for the q-shifted form.  No gcd is taken: the caller builds one Fraction
+    from the pair.
     """
     if m < 0:
         raise ValueError(f"{'rising' if q is None else 'q-rising'} factorial needs m >= 0")
-    num = den = 1
+    p, d = x.numerator, x.denominator
+    num = 1
     if q is None:
-        for x in xs:
-            p, d = x.numerator, x.denominator
-            for i in range(m):
-                num *= p + i * d
-            den *= d
-        return num, den ** m
+        for i in range(m):
+            num *= p + i * d
+        return num, d ** m
     r, s = q.numerator, q.denominator
-    powers = [(r ** i, s ** i) for i in range(m)]
-    for x in xs:
-        p, d = x.numerator, x.denominator
-        for ri, si in powers:
-            num *= d * si - p * ri
-        den *= d
-    return num, den ** m * s ** (len(xs) * m * (m - 1) // 2)
+    ri = si = 1
+    for _ in range(m):
+        num *= d * si - p * ri
+        ri, si = ri * r, si * s
+    return num, d ** m * s ** (m * (m - 1) // 2)
 
 
 def rising_factorial(x: Fraction, m: int) -> Fraction:
     """(x)_m = x (x+1) ... (x+m-1), with (x)_0 = 1."""
-    return Fraction(*_shifted_product((x,), m))
+    return Fraction(*_shifted_product(x, m))
 
 
 def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
     """(a; q)_m = (1-a)(1-aq)...(1-a q^(m-1)), with (a; q)_0 = 1."""
-    return Fraction(*_shifted_product((a,), m, q))
+    return Fraction(*_shifted_product(a, m, q))
 
 
-def hypergeometric(upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
-                   m: int, q: Fraction | None = None) -> Fraction:
-    """prod_x (x)_m / prod_y (y)_m * z^m over x in upper, y in lower.
+def _factor_pair(xs: Sequence[Fraction], k: int, q: Fraction | None = None) -> tuple[int, int]:
+    """prod_x (x + k), or prod_x (1 - x q^k) when a base q is given, as an
+    unreduced integer pair (num, den) with den > 0.
 
-    (x)_m is the q-shifted factorial (x; q)_m when a base q is given, the
-    rising factorial otherwise.  A zero product of the lower factors raises
-    DivisionByZero, even where an upper factor vanishes too.
+    With x = p/d and q^k = r/s a factor is (p + k d)/d, or (d s - p r)/(d s).
     """
-    num, den = _shifted_product(upper, m, q)
-    lower_num, lower_den = _shifted_product(lower, m, q)
-    if lower_num == 0:
-        raise DivisionByZero(f"division of {format_rational(Fraction(num, den))} by zero")
-    return Fraction(num * lower_den * z.numerator ** m, den * lower_num * z.denominator ** m)
+    num = den = 1
+    if q is None:
+        for x in xs:
+            d = x.denominator
+            num *= x.numerator + k * d
+            den *= d
+        return num, den
+    if k >= 0:
+        r, s = q.numerator ** k, q.denominator ** k
+    else:
+        qk = rat_pow(q, k)
+        r, s = qk.numerator, qk.denominator
+    for x in xs:
+        d = x.denominator
+        num *= d * s - x.numerator * r
+        den *= d * s
+    return num, den
 
 
 class _TermRow:
-    """The columns t(m) = hypergeometric(upper, lower, z, m, q), m = 0, 1, ...,
-    of one row, grown on demand by the term ratio
+    """The columns t(m) = prod_x (x)_m / prod_y (y)_m * z^m, m = 0, 1, ...,
+    of one term over x in upper and y in lower, where (x)_m is the q-shifted
+    factorial (x; q)_m when a base q is given.  They are grown on demand by
+    the term ratio
 
         t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
-        or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given.
+        or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given,
 
-    The running upper and lower products are the unreduced integer pairs that
-    ``_shifted_product`` builds, so column m is the Fraction ``hypergeometric``
-    gives at m.  From the first vanishing lower factor on, every column raises
-    DivisionByZero with ``hypergeometric``'s text, which names the upper
-    product at that column; the text is kept, never the exception.
+    with the running upper, lower and z^m products kept as unreduced integer
+    pairs, so each column is one Fraction.  A zero lower product raises
+    DivisionByZero, even where an upper factor vanishes too: from the first
+    vanishing lower factor on, every column raises with the text
+    "division of <upper product at that column> by zero".  The text is kept,
+    never the exception.
     """
 
     def __init__(self, upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
                  q: Fraction | None = None) -> None:
-        self.upper = [(x.numerator, x.denominator) for x in upper]
-        self.lower = [(y.numerator, y.denominator) for y in lower]
-        self.q = q
-        self.z = z
-        self.products = [1, 1, 1, 1, 1, 1]  # upper, lower and z^m as (num, den) pairs
+        self.upper, self.lower, self.z, self.q = upper, lower, z, q
+        self.products = (1, 1, 1, 1, 1, 1)  # upper, lower and z^m as (num, den) pairs
         self.columns: list[Fraction | str] = [ONE]  # t(m), or the text it raises
 
     def __call__(self, m: int) -> Fraction:
@@ -170,20 +180,11 @@ class _TermRow:
     def _extend(self) -> None:
         """Append t(i + 1) = t(i) * ratio(i) for the last column i."""
         i = len(self.columns) - 1
-        if self.q is None:
-            upper = [(p + i * d, d) for p, d in self.upper]
-            lower = [(p + i * d, d) for p, d in self.lower]
-        else:
-            r, s = self.q.numerator ** i, self.q.denominator ** i
-            upper = [(d * s - p * r, d * s) for p, d in self.upper]
-            lower = [(d * s - p * r, d * s) for p, d in self.lower]
         un, ud, ln, ld, zn, zd = self.products
-        for p, d in upper:
-            un, ud = un * p, ud * d
-        for p, d in lower:
-            ln, ld = ln * p, ld * d
+        upper, lower = _factor_pair(self.upper, i, self.q), _factor_pair(self.lower, i, self.q)
+        un, ud, ln, ld = un * upper[0], ud * upper[1], ln * lower[0], ld * lower[1]
         zn, zd = zn * self.z.numerator, zd * self.z.denominator
-        self.products = [un, ud, ln, ld, zn, zd]
+        self.products = (un, ud, ln, ld, zn, zd)
         if ln == 0:
             self.columns.append(f"division of {format_rational(Fraction(un, ud))} by zero")
         else:
@@ -192,24 +193,9 @@ class _TermRow:
 
 def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
                    q: Fraction | None = None) -> Fraction:
-    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given.
-
-    With x = p/d and q^k = r/s a factor is (p + k d)/d, or (d s - p r)/(d s);
-    the products of numerators and of denominators build one Fraction.
-    """
-    num, den = z.numerator, z.denominator
-    if q is None:
-        for x in xs:
-            num *= x.numerator + k * x.denominator
-            den *= x.denominator
-    else:
-        qk = rat_pow(q, k)
-        r, s = qk.numerator, qk.denominator
-        for x in xs:
-            d = x.denominator
-            num *= d * s - x.numerator * r
-            den *= d * s
-    return Fraction(num, den)
+    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
+    num, den = _factor_pair(xs, k, q)
+    return Fraction(z.numerator * num, z.denominator * den)
 
 
 def factorial(m: int) -> Fraction:
@@ -403,14 +389,15 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     """sum_{k=0}^{n} term(n, k) = rhs(n), with both sides and the certificate
     declared as data.
 
-    summand(n, **params) and closed_form(n, **params) give the (upper,
-    lower, z) of one ``hypergeometric`` term, taken at m = k and at m = n.
-    A very-well-poised summand also carries the head (1 - a q^(2k))/(1 - a).
-    u(n, **params) and v(n, **params) give the (factors, z) of one
-    ``linear_factors`` product, taken at k.
+    summand(n, **params) gives the (upper, lower, z) of the ``_TermRow`` whose
+    column k is term(n, k), and closed_form(**params) those of the one
+    closed-form row, whose column n is rhs(n).  A very-well-poised summand
+    also carries the head (1 - a q^(2k))/(1 - a).  u(n, **params) and
+    v(n, **params) give the (factors, z) of one ``linear_factors`` product,
+    taken at k.
 
-    Each row n of the summand is one ``_TermRow`` in the sample memo, and
-    each row's certificate lists are built once there too.
+    Each row n of the summand, the closed-form row, and each row's
+    certificate lists are built once per sample in the sample memo.
     """
 
     def row(n: int, p: Params) -> _TermRow:
@@ -422,8 +409,11 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
         head = rat_div(1 - p["a"] * rat_pow(p["q"], 2 * k), 1 - p["a"])
         return head * sample_value(row, n, p)(k)
 
+    def closed_row(p: Params) -> _TermRow:
+        return _TermRow(*closed_form(**p), p.get("q"))
+
     def rhs(n: int, p: Params) -> Fraction:
-        return hypergeometric(*closed_form(n, **p), n, p.get("q"))
+        return sample_value(closed_row, p)(n)
 
     def at_k(factors: Factors) -> CertFn:
         def lists(n: int, p: Params) -> tuple[Sequence[Fraction], Fraction]:
@@ -440,21 +430,21 @@ _CERTIFIED = (
     _certified(
         "binomial_x1", "row sums of Pascal's triangle (binomial theorem at x = 1)", (),
         summand=lambda n: ([-n], [1], -1),
-        closed_form=lambda n: ([], [], 2),
+        closed_form=lambda: ([], [], 2),
         u=lambda n: ([-n - 1], -1),
         v=lambda n: ([0], 1),
     ),
     _certified(
         "binomial", "binomial theorem (terminating form)", (Param("x", note="x != 0, -1"),),
         summand=lambda n, x: ([-n], [1], -x),
-        closed_form=lambda n, x: ([], [], 1 + x),
+        closed_form=lambda x: ([], [], 1 + x),
         u=lambda n, x: ([-n - 1], -x),
         v=lambda n, x: ([0], 1),
     ),
     _certified(
         "chu_vandermonde", "Chu (1303)-Vandermonde (1772) sum", (Param("a"), Param("b")),
         summand=lambda n, a, b: ([a, -n], [b, 1], 1),
-        closed_form=lambda n, a, b: ([b - a], [b], 1),
+        closed_form=lambda a, b: ([b - a], [b], 1),
         u=lambda n, a, b: ([a, -n - 1], 1),
         v=lambda n, a, b: ([0, b - 1], 1),
     ),
@@ -462,7 +452,7 @@ _CERTIFIED = (
         "pfaff_saalschutz", "Pfaff (1797)-Saalschutz (1890) sum",
         (Param("a"), Param("b"), Param("c")),
         summand=lambda n, a, b, c: ([a, b, -n], [c, 1 - n + a + b - c, 1], 1),
-        closed_form=lambda n, a, b, c: ([c - a, c - b], [c, c - a - b], 1),
+        closed_form=lambda a, b, c: ([c - a, c - b], [c, c - a - b], 1),
         u=lambda n, a, b, c: ([a, b, -n - 1], 1),
         v=lambda n, a, b, c: ([0, c - 1, a + b - c - n], 1),
     ),
@@ -470,7 +460,7 @@ _CERTIFIED = (
     _certified(
         "q_binomial", "terminating q-binomial sum", (Param("z"), Param("q", kind="q")),
         summand=lambda n, z, q: ([rat_pow(q, -n)], [q], z * rat_pow(q, n)),
-        closed_form=lambda n, z, q: ([z], [], 1),
+        closed_form=lambda z, q: ([z], [], 1),
         u=lambda n, z, q: ([rat_pow(q, -n - 1)], z * rat_pow(q, n)),
         v=lambda n, z, q: ([1], 1),
         n_max=12,
@@ -479,7 +469,7 @@ _CERTIFIED = (
         "q_chu_vandermonde", "a q-analog of the Chu-Vandermonde sum",
         (Param("a"), Param("b"), Param("q", kind="q")),
         summand=lambda n, a, b, q: ([a, rat_pow(q, -n)], [b, q], rat_div(b * rat_pow(q, n), a)),
-        closed_form=lambda n, a, b, q: ([rat_div(b, a)], [b], 1),
+        closed_form=lambda a, b, q: ([rat_div(b, a)], [b], 1),
         u=lambda n, a, b, q: ([a, rat_pow(q, -n - 1)], rat_div(b * rat_pow(q, n), a)),
         v=lambda n, a, b, q: ([rat_div(b, q), 1], 1),
         n_max=12,
@@ -489,7 +479,7 @@ _CERTIFIED = (
         (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
         summand=lambda n, a, b, c, q: (
             [a, b, rat_pow(q, -n)], [c, rat_div(a * b * rat_pow(q, 1 - n), c), q], q),
-        closed_form=lambda n, a, b, c, q: (
+        closed_form=lambda a, b, c, q: (
             [rat_div(c, a), rat_div(c, b)], [c, rat_div(c, a * b)], 1),
         u=lambda n, a, b, c, q: ([a, b, rat_pow(q, -n - 1)], 1),
         v=lambda n, a, b, c, q: ([rat_div(c, q), rat_div(a * b * rat_pow(q, -n), c), 1], 1),
@@ -504,7 +494,7 @@ _CERTIFIED = (
             [rat_div(a * q, b), rat_div(a * q, c), rat_div(a * q, d),
              rat_div(b * c * d * rat_pow(q, -n), a), a * rat_pow(q, n + 1), q],
             q),
-        closed_form=lambda n, a, b, c, d, q: (
+        closed_form=lambda a, b, c, d, q: (
             [a * q, rat_div(a * q, b * c), rat_div(a * q, b * d), rat_div(a * q, c * d)],
             [rat_div(a * q, b), rat_div(a * q, c), rat_div(a * q, d), rat_div(a * q, b * c * d)],
             1),
@@ -525,7 +515,7 @@ _CERTIFIED = (
             [a, b, c, rat_pow(q, -n)],
             [rat_div(a * q, b), rat_div(a * q, c), a * rat_pow(q, n + 1), q],
             rat_div(a * rat_pow(q, n + 1), b * c)),
-        closed_form=lambda n, a, b, c, q: (
+        closed_form=lambda a, b, c, q: (
             [a * q, rat_div(a * q, b * c)], [rat_div(a * q, b), rat_div(a * q, c)], 1),
         u=lambda n, a, b, c, q: (
             [a, b, c, rat_pow(q, -n - 1)], rat_div(a * rat_pow(q, n + 1), b * c)),

@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import DivisionByZero
 from .rational import ONE as F1
@@ -147,16 +147,6 @@ def eval_terms(terms: tuple[FTerm, ...], point: tuple[Fraction, ...]) -> Fractio
     nums = [v.numerator for v in point]
     dens = [v.denominator for v in point]
     return Fraction(*_sum(_term(t, nums, dens) for t in terms))
-
-
-def eval_lhs(ident: ElementaryIdentity, env: Mapping[str, Fraction]) -> Fraction:
-    point = tuple(env[v] for v in ident.vars)
-    return eval_terms(ident.lhs, point)
-
-
-def eval_rhs(ident: ElementaryIdentity, env: Mapping[str, Fraction]) -> Fraction:
-    point = tuple(env[v] for v in ident.vars)
-    return eval_terms(ident.rhs, point)
 
 
 # ---------------------------------------------------------------------------

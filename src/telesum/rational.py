@@ -11,8 +11,9 @@ the report serialization format, and ``prod_range``, the product
 Products defer the gcd: ``prod_range`` multiplies the factors' numerators
 and denominators as plain integers and reduces once, so it returns the same
 canonical Fraction as a factor-by-factor product at one gcd instead of one
-per factor (Knuth, TAOCP Vol. 2, 4.5.1).  The shifted factorials and
-hypergeometric terms of ``corpus`` are built the same way.
+per factor (Knuth, TAOCP Vol. 2, 4.5.1).  ``corpus`` builds its shifted
+factorials, the columns of each term row and its certificate factor products
+the same way.
 """
 
 from __future__ import annotations
@@ -29,13 +30,6 @@ SeqFn = Callable[[int], Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def rat(num: int, den: int = 1) -> Fraction:
-    """Checked rational constructor; den = 0 raises DivisionByZero."""
-    if den == 0:
-        raise DivisionByZero(f"rational {num}/0")
-    return Fraction(num, den)
 
 
 def rat_div(a: Fraction, b: Fraction) -> Fraction:

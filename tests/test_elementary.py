@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from telesum.elementary import (ELEMENTARY, ElementaryIdentity, FTerm, Mono,
-                                degree_spans, eval_lhs, eval_rhs, expand,
+                                degree_spans, eval_terms, expand,
                                 grid_shape, grid_zero_check, sampled_zero_check)
 from telesum.report import FAIL, PASS
 from telesum.sampling import rng_for, sample_rational
@@ -12,15 +12,15 @@ from test_elementary_ints import reference_expand, reference_grid_zero_check
 
 
 def test_qchv_elem_spot():
-    env = {"a": F(2), "b": F(3)}
-    assert eval_lhs(ELEMENTARY["qchv_elem"], env) == -1
-    assert eval_rhs(ELEMENTARY["qchv_elem"], env) == -1
+    ident, point = ELEMENTARY["qchv_elem"], (F(2), F(3))  # (a, b)
+    assert eval_terms(ident.lhs, point) == -1
+    assert eval_terms(ident.rhs, point) == -1
 
 
 def test_dougall_symmetric_spot():
-    env = {"x": F(2), "lam": F(3), "mu": F(5), "nu": F(7)}
-    assert eval_lhs(ELEMENTARY["dougall_symmetric"], env) == F(720, 7)
-    assert eval_rhs(ELEMENTARY["dougall_symmetric"], env) == F(720, 7)
+    ident, point = ELEMENTARY["dougall_symmetric"], (F(2), F(3), F(5), F(7))  # (x, lam, mu, nu)
+    assert eval_terms(ident.lhs, point) == F(720, 7)
+    assert eval_terms(ident.rhs, point) == F(720, 7)
 
 
 # independent transcriptions used as oracles against the term tables
@@ -95,10 +95,9 @@ def test_tables_agree_with_direct_transcriptions():
         ident = ELEMENTARY[key]
         done = 0
         while done < 40:
-            point = [sample_rational(rng) for _ in ident.vars]
+            point = tuple(sample_rational(rng) for _ in ident.vars)
             try:
-                table_delta = eval_lhs(ident, dict(zip(ident.vars, point))) \
-                    - eval_rhs(ident, dict(zip(ident.vars, point)))
+                table_delta = eval_terms(ident.lhs, point) - eval_terms(ident.rhs, point)
                 lhs, rhs = direct(*point)
                 direct_delta = lhs - rhs
             except ZeroDivisionError:

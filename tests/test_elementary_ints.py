@@ -15,7 +15,7 @@ from operator import add
 import pytest
 
 from telesum.elementary import (ELEMENTARY, FTerm, Mono, _PRIMES, _cleared_terms, degree_spans,
-                                eval_lhs, eval_rhs, eval_terms, expand, grid_zero_check)
+                                eval_terms, expand, grid_zero_check)
 from telesum.errors import DivisionByZero
 from telesum.rational import ZERO, rat_pow
 from telesum.report import PASS, outcome, record
@@ -140,11 +140,10 @@ def test_eval_terms_matches_reference(key):
     terms = ident.check_terms()
     seen = {"negative": 0, "value": 0, "0 raised": 0, "pole": 0}
     for point in points(ident, 1000):
-        env = dict(zip(ident.vars, point))
         got = outcome_of(eval_terms, terms, point)
         assert got == outcome_of(reference_eval_terms, terms, point), point
-        for side, ref in ((eval_lhs, ident.lhs), (eval_rhs, ident.rhs)):
-            assert outcome_of(side, ident, env) == outcome_of(reference_eval_terms, ref, point)
+        for side in (ident.lhs, ident.rhs):
+            assert outcome_of(eval_terms, side, point) == outcome_of(reference_eval_terms, side, point)
         seen["negative"] += any(v < 0 for v in point)
         if got[0] == "value":
             assert type(got[1]) is F and got[1] == 0, point

@@ -3,9 +3,11 @@
 The derangement factorials, the config language's ``binom``, Ramanujan's
 Entry 25 and the q-Pell halving product are computed by
 ``rational.prod_range`` and ``corpus.rising_factorial``.  The shifted
-factorials, ``hypergeometric``, ``linear_factors`` and ``prod_range`` build
-one Fraction from integer products instead of one per factor.  A certified
-summand's row is one ``corpus._TermRow``, grown by its term ratio.  Each test
+factorials, the columns of a ``corpus._TermRow``, ``linear_factors`` and
+``prod_range`` build one Fraction from integer products instead of one per
+factor.  A certified summand's row, and its closed form, are each one
+``_TermRow``, grown by its term ratio; ``old_hypergeometric`` below is the
+product each of their columns replaced.  Each test
 below keeps the loop it replaced, verbatim, and requires the same value, or
 the same exception type and message, at seeded points that include zeros,
 negative integers and poles.
@@ -18,11 +20,11 @@ from fractions import Fraction
 
 import pytest
 
-from telesum import sequences
-from telesum.certify import TERMINATION_OVERSHOOT, sample_value
-from telesum.corpus import (CERTIFIED_KEYS, CORPUS, _TermRow, draw_params, hypergeometric,
-                            linear_factors, q_rising_factorial, rising_factorial,
-                            specialization_d_zero_checks)
+from telesum import corpus, sequences
+from telesum.certify import TERMINATION_OVERSHOOT, sample_value, verify_sample
+from telesum.corpus import (CERTIFIED_KEYS, CORPUS, _TermRow, draw_admissible, draw_params,
+                            evaluate_identity, linear_factors, normalized, q_rising_factorial,
+                            rising_factorial, specialization_d_zero_checks)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
 from telesum.rational import ONE, ZERO, prod_range, rat_div, rat_pow
@@ -310,23 +312,6 @@ def hypergeometric_points(i):
     return upper, lower, z, q
 
 
-def test_hypergeometric_matches_the_replaced_loop():
-    raised = both_zero = terminated = 0
-    for i in range(120):
-        upper, lower, z, q = hypergeometric_points(i)
-        for m in range(9):
-            new = outcome_of(hypergeometric, upper, lower, z, m, q)
-            assert new == outcome_of(old_hypergeometric, upper, lower, z, m, q), (i, m)
-            if isinstance(new, tuple):
-                assert new[0] is DivisionByZero
-                raised += 1
-                both_zero += new[1] == "division of 0 by zero"
-            else:
-                assert type(new) is Fraction
-                terminated += new == 0
-    assert raised > 50 and both_zero > 20 and terminated > 100
-
-
 def test_linear_factors_matches_the_replaced_loop():
     zeros = 0
     for i in range(80):
@@ -367,13 +352,22 @@ def test_prod_range_matches_the_replaced_loop():
 
 def old_certified_term(summand, well_poised):
     """A certified summand as it was before rows: the lists rebuilt and one
-    ``hypergeometric`` call at every k."""
+    ``old_hypergeometric`` call at every k."""
     def term(n, k, p):
         q = p.get("q")
         head = rat_div(1 - p["a"] * rat_pow(q, 2 * k), 1 - p["a"]) if well_poised else ONE
-        return head * hypergeometric(*summand(n, **p), k, q)
+        return head * old_hypergeometric(*summand(n, **p), k, q)
 
     return term
+
+
+def old_certified_rhs(closed_form):
+    """A certified closed form as it was before rows: the lists rebuilt and
+    one ``old_hypergeometric`` call at every n."""
+    def rhs(n, p):
+        return old_hypergeometric(*closed_form(**p), n, p.get("q"))
+
+    return rhs
 
 
 def reference_term(idef):
@@ -383,7 +377,14 @@ def reference_term(idef):
     return old_certified_term(summand, declared["well_poised"])
 
 
+def closed_form_of(idef):
+    """The closed_form declaration behind idef.rhs."""
+    closed_row = inspect.getclosurevars(idef.rhs).nonlocals["closed_row"]
+    return inspect.getclosurevars(closed_row).nonlocals["closed_form"]
+
+
 def test_term_row_matches_hypergeometric_in_any_column_order():
+    raised = both_zero = terminated = 0
     for i in range(120):
         upper, lower, z, q = hypergeometric_points(i)
         row = _TermRow(upper, lower, z, q)
@@ -391,8 +392,15 @@ def test_term_row_matches_hypergeometric_in_any_column_order():
         rng_for(7, "row order", i).shuffle(columns)
         for m in columns:
             new = outcome_of(row, m)
-            assert new == outcome_of(hypergeometric, upper, lower, z, m, q), (i, m)
-            assert isinstance(new, tuple) or type(new) is Fraction
+            assert new == outcome_of(old_hypergeometric, upper, lower, z, m, q), (i, m)
+            if isinstance(new, tuple):
+                assert new[0] is (ValueError if m < 0 else DivisionByZero)
+                raised += new[0] is DivisionByZero
+                both_zero += new[1] == "division of 0 by zero"
+            else:
+                assert type(new) is Fraction
+                terminated += new == 0
+    assert raised > 50 and both_zero > 20 and terminated > 100
 
 
 def certified_points(idef, i):
@@ -442,6 +450,48 @@ def test_certified_terms_match_the_replaced_term(key):
         assert seen["DivisionByZero"] > seen["upper 0 at a pole"] > 0, seen
     if key in ("q_dougall", "rogers_6phi5"):
         assert seen["head raised first"] > 0, seen
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_certified_closed_forms_match_the_replaced_rhs(key):
+    idef = CORPUS[key]
+    old_rhs = old_certified_rhs(closed_form_of(idef))
+    seen = Counter()
+    for i in range(24):
+        p = certified_points(idef, i)
+        columns = list(range(idef.n_max + 3))
+        rng_for(7, "rhs order", key, i).shuffle(columns)
+        for n in columns:
+            new = outcome_of(idef.rhs, n, p)
+            assert new == outcome_of(old_rhs, n, p), (p, n)
+            if isinstance(new, tuple):
+                seen[new[0].__name__] += 1
+            else:
+                assert type(new) is Fraction, (p, n)
+                seen["zero" if new == 0 else "nonzero"] += 1
+    assert seen["nonzero"] > 100, seen
+    if key not in ("binomial_x1", "binomial", "q_binomial"):  # no lower entry can vanish
+        assert seen["DivisionByZero"] > 0, seen
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_one_sample_builds_one_closed_form_row(key, monkeypatch):
+    built = []
+
+    class Recorded(_TermRow):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(corpus, "_TermRow", Recorded)
+    idef = CORPUS[key]
+    p = draw_admissible(idef, rng_for(7, "one closed row", key), idef.n_max)
+    assert {r.status for r in verify_sample(normalized(idef), idef.n_max, p)} == {"pass"}
+    for n in range(idef.n_max + 1):
+        lhs, rhs = evaluate_identity(idef, n, p)
+        assert lhs == rhs
+    closed = (*closed_form_of(idef)(**p), p.get("q"))
+    assert built.count(closed) == 1
 
 
 def test_a_pole_column_raises_anew_with_its_own_text():

@@ -3,8 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from telesum.errors import DivisionByZero
-from telesum.rational import (const, format_rational, prod_range, rat, rat_div,
-                              rat_pow, seq)
+from telesum.rational import const, format_rational, prod_range, rat_div, rat_pow, seq
 from telesum.sampling import rng_for, sample_rational
 
 
@@ -18,12 +17,6 @@ def test_negative_integer_power():
 
 def test_inverse_pair():
     assert F(3, 5) * F(5, 3) == 1
-
-
-def test_rat_checked_constructor():
-    assert rat(6, 4) == F(3, 2)
-    with pytest.raises(DivisionByZero):
-        rat(1, 0)
 
 
 def test_rat_div_by_zero():
