@@ -19,25 +19,8 @@ is proportional in k to the difference row F(n+1, k) - F(n, k).  The checks:
                            values u(n, n+1) and v(n, 0) are exactly zero.
   * base_case / row_sum -- sum_k F(0, k) = 1 and sum_k F(n, k) = 1.
 
-All checks are exact; there is no tolerance anywhere.
-
-Every value is computed once per sample.  Summands, closed forms, F and the
-certificate's u and v are read through ``sample_value``, a memo of the
-current parameter point that ``corpus.admissible`` fills while it probes the
-sample.  The checks then reuse the probe's summands and closed forms, and
-each other's F, u and v values, instead of evaluating them again.
-
-The checks read whole rows, so a row is one memo entry per (sample, n): a
-``Row`` of F(n, .), u(n, .) or v(n, .), whose columns are computed at their
-first index and then read by index, not looked up by the full point.  The
-difference row F(n+1, .) - F(n, .) is a Row too, formed once and shared by
-the difference and telescope-to-zero checks.  Rows fill only the columns
-asked for, so every check evaluates the same values, and raises at the same
-(n, k) with the same text, as one that reads point by point.  A certified
-sum's summand row n is one memo entry as well, built once per sample and
-grown by its term ratio, so the probe's summands of row n cost O(n)
-factors; the memo keeps the row, its values and its pole texts, never an
-exception.
+All checks are exact; there is no tolerance anywhere.  Every value they
+read goes through ``sample_value`` (see ``SampleMemo``).
 """
 
 from __future__ import annotations
@@ -97,6 +80,17 @@ class Row(dict):
 
 class SampleMemo:
     """Values f(*args, params) of pure functions at one parameter point.
+
+    Every value is computed once per sample.  Summands, closed forms, F and
+    the certificate's u and v are read through ``sample_value``, which
+    ``corpus.admissible`` fills while it probes the sample; the checks then
+    reuse the probe's values, and each other's, instead of evaluating them
+    again.  The checks read whole rows, so a row is one entry per
+    (sample, n): a ``Row`` of F(n, .), u(n, .) or v(n, .), or the difference
+    row F(n+1, .) - F(n, .), formed once and shared by the difference and
+    telescope-to-zero checks.  Rows fill only the columns asked for, so every
+    check evaluates the same values, and raises at the same (n, k) with the
+    same text, as one that reads point by point.
 
     A value is computed at its first request and served from the memo after
     that.  The key is the function object and its leading arguments, never

@@ -20,8 +20,8 @@ read at m = n.  Their certificates are declared the same way, as the
     linear_factors(xs, z, k, q) = z * prod (1 - x q^k)   (q-sums)
 
 Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
-written once in ``_factor_pair``: a row ``_TermRow`` grows column by
-column by the ratio of two such products, and ``linear_factors`` is one.
+written once in ``_factor_pair``, which ``_TermRow`` and ``linear_factors``
+share.
 
 Conventions:
 
@@ -35,26 +35,11 @@ Conventions:
     (1 - a q^(2k))/(1 - a), so no square roots ever appear and every value
     stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
-    the fly from the free ones, never sampled independently.
-  * One Fraction per product: rising_factorial, q_rising_factorial, the
-    columns of a row and linear_factors multiply the factors' numerators
-    and denominators as integers and reduce once at the end, so a product
-    pays one gcd, not one per factor.
-  * One row per term: a certified sum's summand row n, and its closed-form
-    row, are each built once and grown column by column by the term ratio,
-    t(m+1) = t(m) * z prod (x + m) / prod (y + m) (or its q-form), so
-    reading columns 0..m costs O(m) factors, not O(m^2).  A pole column
-    raises DivisionByZero with the text "division of <upper product> by
-    zero".
+    the fly from the free ones, never sampled independently.  Every declared
+    parameter is drawn by ``draw_params``.
 
 Summands, closed forms and certificate values are read through
-``certify.sample_value``, so the admissibility probe evaluates each
-term(n, k), rhs(n), u(n, k) and v(n, k) of a sample once, and
-``evaluate_identity``, ``normalized(...).F`` and the certificate checks
-reuse those values.  The memo also holds, per sample, each certified sum's
-closed-form row and, per (sample, n), its summand row, the (factors; z)
-lists of its u and v, and the u and v rows that the probe and the
-certificate row read.
+``certify.sample_value`` (see ``certify.SampleMemo``).
 """
 
 from __future__ import annotations
@@ -67,7 +52,6 @@ from typing import Callable, Mapping, Sequence
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       sample_value)
 from .errors import DivisionByZero, Inadmissible
-from .genhyp import OPERATIONS
 from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
@@ -154,7 +138,8 @@ class _TermRow:
         or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given,
 
     with the running upper, lower and z^m products kept as unreduced integer
-    pairs, so each column is one Fraction.  A zero lower product raises
+    pairs, so each column is one Fraction and reading columns 0..m costs
+    O(m) factors, not O(m^2).  A zero lower product raises
     DivisionByZero, even where an upper factor vanishes too: from the first
     vanishing lower factor on, every column raises with the text
     "division of <upper product at that column> by zero".  The text is kept,
@@ -207,7 +192,6 @@ class Param:
     name: str
     kind: str = "rational"  # rational | q | int | sequence
     int_range: tuple[int, int] = (0, 5)
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -248,20 +232,20 @@ def normalized(idef: IdentityDef) -> NormalizedIdentity:
 # Admissible sampling
 # ---------------------------------------------------------------------------
 
-def draw_params(decl, rng: random.Random, bound: int) -> dict[str, object]:
-    """One draw for each of decl.params; bound is the q-sampler's unity
-    bound and the length of a sequence parameter."""
-    params: dict[str, object] = {}
-    for p in decl.params:
+def draw_params(params: Sequence[Param], rng: random.Random, length: int) -> dict[str, object]:
+    """One draw for each declared parameter, in order; length is the length
+    of a sequence parameter."""
+    drawn: dict[str, object] = {}
+    for p in params:
         if p.kind == "q":
-            params[p.name] = sample_q(rng, bound)
+            drawn[p.name] = sample_q(rng)
         elif p.kind == "int":
-            params[p.name] = rng.randint(*p.int_range)
+            drawn[p.name] = rng.randint(*p.int_range)
         elif p.kind == "sequence":
-            params[p.name] = sample_sequence(rng, bound)
+            drawn[p.name] = sample_sequence(rng, length)
         else:
-            params[p.name] = sample_rational(rng)
-    return params
+            drawn[p.name] = sample_rational(rng)
+    return drawn
 
 
 def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
@@ -299,7 +283,7 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
 
 def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[str, object]:
     def attempt() -> dict[str, object] | None:
-        params = draw_params(idef, rng, n_max + 2)
+        params = draw_params(idef.params, rng, n_max + 2)
         return params if admissible(idef, n_max, params) else None
 
     return retry(attempt, f"{idef.key}: no admissible sample in {RETRY_BOUND} tries")
@@ -319,7 +303,7 @@ def _geometric() -> IdentityDef:
     return IdentityDef(
         key="geometric",
         citation="geometric series partial sum",
-        params=(Param("x", note="x != 1"),),
+        params=(Param("x"),),  # x != 1
         term=term, rhs=rhs,
     )
 
@@ -435,7 +419,7 @@ _CERTIFIED = (
         v=lambda n: ([0], 1),
     ),
     _certified(
-        "binomial", "binomial theorem (terminating form)", (Param("x", note="x != 0, -1"),),
+        "binomial", "binomial theorem (terminating form)", (Param("x"),),  # x != 0, -1
         summand=lambda n, x: ([-n], [1], -x),
         closed_form=lambda x: ([], [], 1 + x),
         u=lambda n, x: ([-n - 1], -x),
@@ -537,37 +521,3 @@ CORPUS: dict[str, IdentityDef] = {
 
 #: Identities shipping with a telescoping certificate (the "ez" suite).
 CERTIFIED_KEYS = tuple(k for k, v in CORPUS.items() if v.certificate is not None)
-
-
-# ---------------------------------------------------------------------------
-# The n = 1 specialization link: q-Dougall row -> four-variable identity
-# ---------------------------------------------------------------------------
-
-def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
-                                 c: Fraction, d: Fraction) -> dict[str, bool]:
-    """The n = 1 row of the q-Dougall sum, rearranged exactly.
-
-    With the substitution a -> a/q, the n = 1 row  1 + T_1 = RHS(1)  turns,
-    after multiplication by M = (1-a/b)(1-a/c)(1-a/d)(1-bcd/a) * abcd, into
-    the four-variable identity U - V = W, where U, V and W are the u, v and
-    w of genhyp.OPERATIONS["macdonald_dougall"] at one index, term by term:
-    1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
-    """
-    idef = CORPUS["q_dougall"]
-    sub = {"a": rat_div(a, q), "b": b, "c": c, "d": d, "q": q}
-    t1 = idef.term(1, 1, sub)
-    rhs1 = idef.rhs(1, sub)
-    row_total = idef.term(1, 0, sub) + t1
-
-    op = OPERATIONS["macdonald_dougall"]
-    U, V, W = op.u(a, b, c, d), op.v(a, b, c, d), op.w(a, b, c, d)
-    M = ((1 - rat_div(a, b)) * (1 - rat_div(a, c)) * (1 - rat_div(a, d))
-         * (1 - rat_div(b * c * d, a))) * a * b * c * d
-
-    return {
-        "k0_term": M == -W,
-        "k1_term": t1 * M == U,
-        "rhs": rhs1 * M == V,
-        "elementary": U - V == W,
-        "row": row_total == rhs1,
-    }

@@ -13,17 +13,19 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import elementary as elementary_mod
 from . import genhyp as genhyp_mod
 from . import sequences as sequences_mod
 from .certify import natural_termination_check, verify_sample
-from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, draw_admissible,
-                     evaluate_identity, normalized, specialization_d_zero_checks)
+from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, Param, draw_admissible, draw_params,
+                     evaluate_identity, normalized)
 from .errors import Inadmissible, SampleExhausted
+from .rational import rat_div
 from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
-from .sampling import retry, sample_q, sample_rational, sweep
+from .sampling import retry, sweep
 
 DEFAULT_SEED = 1729
 EZ_DEFAULT_N_MAX = 10
@@ -32,6 +34,7 @@ GENHYP_DEFAULT_N_MAX = 9
 
 SPECIALIZATION_KEY = "q_dougall_n1_link"
 SPECIALIZATION_CITATION = "n = 1 row of the q-Dougall sum rearranged to the four-variable identity"
+SPECIALIZATION_PARAMS = (Param("q", kind="q"), Param("a"), Param("b"), Param("c"), Param("d"))
 
 
 def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int, seed: int,
@@ -75,11 +78,41 @@ def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> lis
     return _sweep(idef, "corpus", eff_n, samples, seed, checks)
 
 
+def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
+                                 c: Fraction, d: Fraction) -> dict[str, bool]:
+    """The n = 1 row of the q-Dougall sum, rearranged exactly.
+
+    With the substitution a -> a/q, the n = 1 row  1 + T_1 = RHS(1)  turns,
+    after multiplication by M = (1-a/b)(1-a/c)(1-a/d)(1-bcd/a) * abcd, into
+    the four-variable identity U - V = W, where U, V and W are the u, v and
+    w of genhyp.OPERATIONS["macdonald_dougall"] at one index, term by term:
+    1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
+    """
+    idef = CORPUS["q_dougall"]
+    sub = {"a": rat_div(a, q), "b": b, "c": c, "d": d, "q": q}
+    t1 = idef.term(1, 1, sub)
+    rhs1 = idef.rhs(1, sub)
+    row_total = idef.term(1, 0, sub) + t1
+
+    op = genhyp_mod.OPERATIONS["macdonald_dougall"]
+    U, V, W = op.u(a, b, c, d), op.v(a, b, c, d), op.w(a, b, c, d)
+    M = ((1 - rat_div(a, b)) * (1 - rat_div(a, c)) * (1 - rat_div(a, d))
+         * (1 - rat_div(b * c * d, a))) * a * b * c * d
+
+    return {
+        "k0_term": M == -W,
+        "k1_term": t1 * M == U,
+        "rhs": rhs1 * M == V,
+        "elementary": U - V == W,
+        "row": row_total == rhs1,
+    }
+
+
 def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
     def draw(rng):
         def attempt():
-            q = sample_q(rng, 4)
-            point = {name: sample_rational(rng) for name in "abcd"}
+            point = draw_params(SPECIALIZATION_PARAMS, rng, 0)
+            q = point.pop("q")
             return q, point, specialization_d_zero_checks(q, **point)
 
         return retry(attempt, "no admissible sample")

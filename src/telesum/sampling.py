@@ -1,8 +1,8 @@
 """Seeded random samplers, and the one sample -> check -> record loop.
 
-Rationals draw numerator from +-1..64 and denominator from 1..64; q-samples
-additionally exclude 0 and any root of unity (q^m = 1 for small m, which for
-rationals just means +-1) because those collapse q-factorials.  All streams
+Rationals draw numerator from +-1..64 and denominator from 1..64, so none is
+0.  A base q is redrawn while |q| = 1: the only rational roots of unity are
++-1, and at those the q-shifted factorials (x; q)_m collapse.  All streams
 are derived from (seed, labels...) through SHA-256 so results never depend
 on PYTHONHASHSEED, process boundaries, or scheduling.  ``sweep`` gives each
 sample of every suite its stream, and ``retry`` is the one redraw policy.
@@ -36,11 +36,11 @@ def sample_rational(rng: random.Random) -> Fraction:
     return Fraction(num, rng.randint(1, 64))
 
 
-def sample_q(rng: random.Random, unity_bound: int) -> Fraction:
-    """A base q avoiding 0 and q^m = 1 for all m <= unity_bound."""
+def sample_q(rng: random.Random) -> Fraction:
+    """A base q: a sampled rational other than +-1."""
     while True:
         q = sample_rational(rng)
-        if not any(q**m == 1 for m in range(1, unity_bound + 1)):
+        if abs(q) != 1:
             return q
 
 

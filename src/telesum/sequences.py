@@ -493,7 +493,7 @@ def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int) ->
 
     def draw(rng):
         def attempt():
-            params = draw_params(family, rng, 16)
+            params = draw_params(family.params, rng, 16)
             return params, family_sides(family, n_max, params)
 
         return retry(attempt, "no admissible sample found")
@@ -508,7 +508,7 @@ def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int) ->
                  parametric=bool(family.params), stream="family")
 
 
-def random_spec(rng: random.Random, n_max: int, name: str = "random") -> RecurrenceSpec:
+def random_spec(rng: random.Random, n_max: int) -> RecurrenceSpec:
     """A random spec admissible for all six generic identities up to n_max.
 
     Nonzero coefficients and initial values, x_2 != 0, and nonzero composite
@@ -523,7 +523,7 @@ def random_spec(rng: random.Random, n_max: int, name: str = "random") -> Recurre
             return None
         if any(a_vals[j - 1] * a_vals[j] + b_vals[j] == 0 for j in range(1, n_max + 1)):
             return None
-        return RecurrenceSpec(name, lambda n, av=a_vals: av[n],
+        return RecurrenceSpec("random", lambda n, av=a_vals: av[n],
                               lambda n, bv=b_vals: bv[n], x0, x1)
 
     return retry(attempt, "could not draw a random recurrence spec")

@@ -106,7 +106,7 @@ def _points(key):
             if rng.random() < 0.5:
                 point[param.name] = rng.choice(special)
             elif param.kind == "q":
-                point[param.name] = sample_q(rng, 8)
+                point[param.name] = sample_q(rng)
             else:
                 point[param.name] = sample_rational(rng)
         yield point

@@ -24,10 +24,11 @@ from telesum import corpus, sequences
 from telesum.certify import TERMINATION_OVERSHOOT, sample_value, verify_sample
 from telesum.corpus import (CERTIFIED_KEYS, CORPUS, _TermRow, draw_admissible, draw_params,
                             evaluate_identity, linear_factors, normalized, q_rising_factorial,
-                            rising_factorial, specialization_d_zero_checks)
+                            rising_factorial)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
 from telesum.rational import ONE, ZERO, prod_range, rat_div, rat_pow
+from telesum.runner import specialization_d_zero_checks
 from telesum.sampling import rng_for, sample_q, sample_rational
 from telesum.sequences import FAMILIES
 
@@ -263,7 +264,7 @@ def shifted_points(i):
     integer (where the classical factorial terminates), or q^(-j) (where the
     q-shifted one does)."""
     rng = rng_for(7, "shifted", i)
-    q = sample_q(rng, 16)
+    q = sample_q(rng)
     x = sample_rational(rng)
     if i % 4 == 1:
         x = -x
@@ -293,7 +294,7 @@ def hypergeometric_points(i):
     plain int entries as the corpus writes them, and every fifth point a lower
     factor that vanishes (every tenth together with an upper factor)."""
     rng = rng_for(7, "hypergeometric", i)
-    q = sample_q(rng, 16) if i % 2 else None
+    q = sample_q(rng) if i % 2 else None
     n = rng.randrange(6)
     upper = [sample_rational(rng) for _ in range(rng.randrange(4))]
     lower = [sample_rational(rng) for _ in range(rng.randrange(4))]
@@ -316,7 +317,7 @@ def test_linear_factors_matches_the_replaced_loop():
     zeros = 0
     for i in range(80):
         rng = rng_for(7, "linear_factors", i)
-        q = sample_q(rng, 16) if i % 2 else None
+        q = sample_q(rng) if i % 2 else None
         xs = [sample_rational(rng) for _ in range(rng.randrange(5))]
         xs += [rng.randrange(-4, 2)] if q is None else [rat_pow(q, -rng.randrange(5))]
         z = sample_rational(rng) if i % 3 else -1
@@ -410,7 +411,7 @@ def certified_points(idef, i):
     a lower entry, a lower one; for the well-poised sums, b = a q^(j+1), so the
     lower entry aq/b is q^(-j); and a = 1, where the head's 1 - a vanishes."""
     rng = rng_for(7, "certified", idef.key, i)
-    p = draw_params(idef, rng, 16)
+    p = draw_params(idef.params, rng, 16)
     q = p.get("q")
     free = [x.name for x in idef.params if x.kind != "q"]
     j = rng.randrange(4)
@@ -523,7 +524,7 @@ def test_specialization_link_matches_the_replaced_term(monkeypatch):
     points = []
     for i in range(30):
         rng = rng_for(7, "specialization", i)
-        q = sample_q(rng, 16)
+        q = sample_q(rng)
         a, b, c, d = (sample_rational(rng) for _ in range(4))
         if i % 5 == 4:
             a = q  # the substituted a/q is 1: the head raises

@@ -9,9 +9,9 @@ import pytest
 
 from telesum import elementary, genhyp, runner
 from telesum.cli import main
-from telesum.corpus import specialization_d_zero_checks
 from telesum.errors import DivisionByZero, SampleExhausted
 from telesum.genhyp import OPERATIONS, SequenceParams
+from telesum.runner import specialization_d_zero_checks
 from telesum.sampling import rng_for, sample_sequence
 
 
