@@ -367,6 +367,11 @@ def _ramanujan_entry25() -> IdentityDef:
 # Certified sums, declared as data
 # ---------------------------------------------------------------------------
 
+def _well_poised_head(k: int, p: Params) -> Fraction:
+    """The very-well-poised head (1 - a q^(2k))/(1 - a), which depends on k alone."""
+    return rat_div(1 - p["a"] * rat_pow(p["q"], 2 * k), 1 - p["a"])
+
+
 def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Series,
                closed_form: Series, u: Factors, v: Factors, well_poised: bool = False,
                n_max: int = 15) -> IdentityDef:
@@ -380,8 +385,8 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     v(n, **params) give the (factors, z) of one ``linear_factors`` product,
     taken at k.
 
-    Each row n of the summand, the closed-form row, and each row's
-    certificate lists are built once per sample in the sample memo.
+    Each row n of the summand, the closed-form row, the head at each k, and
+    each row's certificate lists are built once per sample in the sample memo.
     """
 
     def row(n: int, p: Params) -> _TermRow:
@@ -390,7 +395,7 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     def term(n: int, k: int, p: Params) -> Fraction:
         if not well_poised:
             return sample_value(row, n, p)(k)
-        head = rat_div(1 - p["a"] * rat_pow(p["q"], 2 * k), 1 - p["a"])
+        head = sample_value(_well_poised_head, k, p)  # raises before the row does
         return head * sample_value(row, n, p)(k)
 
     def closed_row(p: Params) -> _TermRow:

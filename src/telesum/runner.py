@@ -3,9 +3,11 @@
 Work is partitioned per identity/family/operation.  Each item runs through
 ``sampling.sweep``, which derives sample i's random stream from (seed,
 stream, item, i) alone, and the merged report is sorted by a stable key, so
-output is identical for any worker count.  Items are small picklable
-tuples, safe for a process pool.  The pool is imported only when a run
-starts one, so a ``--jobs 1`` run never loads ``multiprocessing``.
+output is identical for any worker count.  A ``--jobs N`` run forks N - 1
+children, and they and the parent take items from one shared queue pipe
+(``_fork_run``); each child sends its records back pickled.  No run imports
+an executor or ``multiprocessing``, and a platform without ``os.fork`` runs
+serially.
 """
 
 from __future__ import annotations
@@ -200,8 +202,90 @@ def _execute_item(task: tuple) -> list[CheckRecord]:
 
 
 def pool_size(jobs: int, n_tasks: int) -> int:
-    """Worker processes for a run: never more than the tasks or the CPUs."""
+    """Worker processes for a run: never more than the tasks or the CPUs, and
+    one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(jobs, n_tasks, os.cpu_count() or 1)
+
+
+_INDEX_BYTES = 4  # one task index in the shared queue pipe
+
+
+def _take(tasks: list[tuple], queue: int) -> list[tuple[int, object]]:
+    """(index, records or the exception raised) of each task whose index
+    this process reads from the queue pipe, until the pipe is empty."""
+    done = []
+    while index := os.read(queue, _INDEX_BYTES):
+        i = int.from_bytes(index, "little")
+        try:
+            done.append((i, _execute_item(tasks[i])))
+        except Exception as exc:
+            done.append((i, exc))
+    return done
+
+
+def _fork_run(tasks: list[tuple], workers: int) -> list[list[CheckRecord]]:
+    """Each task's records, in task order, from this process and workers - 1
+    forked children.
+
+    Every task index is written to one queue pipe before the fork (a run has
+    a few dozen tasks, far below a pipe's buffer), and each process reads
+    indices from it until it is empty, so scheduling is dynamic.  A child
+    pickles its (index, records or exception) list to its own result pipe
+    and ends with os._exit, which runs no exit handler and flushes none of
+    the buffers it inherited.  The first task that raised, in task order,
+    raises here, as it would in a serial run; a task no process reported (its
+    child died) raises RuntimeError naming it.  telesum starts no thread, so
+    the fork copies no lock held by another thread.
+    """
+    import pickle  # here, so a --jobs 1 start does not pay for it
+
+    queue, queue_in = os.pipe()
+    os.write(queue_in, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
+    os.close(queue_in)
+    fds, results_out, pids = [queue], [], []  # fds: every pipe end this process holds
+    try:
+        for _ in range(workers - 1):
+            result_out, result_in = os.pipe()
+            fds += (result_out, result_in)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in (*results_out, result_out):  # so the parent alone can read,
+                        os.close(fd)                       # and its closing stops a write
+                    with open(result_in, "wb") as out:
+                        out.write(pickle.dumps(_take(tasks, queue)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            fds.remove(result_in)
+            os.close(result_in)
+            results_out.append(result_out)
+        results = dict(_take(tasks, queue))
+        for result_out in results_out:
+            with open(result_out, "rb", closefd=False) as result:
+                data = result.read()
+            if data:
+                results.update(pickle.loads(data))
+    finally:
+        for fd in fds:
+            os.close(fd)  # a child still writing its results gets EPIPE and exits
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+
+    lost = [task for i, task in enumerate(tasks) if i not in results]
+    if lost:
+        names = ", ".join(f"{suite}/{key}" for suite, key, *_ in lost)
+        codes = ", ".join(str(code) for code in statuses if code)
+        raise RuntimeError(f"a worker process exited (status {codes}) "
+                           f"without reporting task(s) {names}")
+    chunks = [results[i] for i in range(len(tasks))]
+    for chunk in chunks:
+        if isinstance(chunk, Exception):
+            raise chunk
+    return chunks
 
 
 def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None,
@@ -224,10 +308,7 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
 
     workers = pool_size(jobs, len(tasks))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_execute_item, tasks))
+        chunks = _fork_run(tasks, workers)
     else:
         chunks = [_execute_item(task) for task in tasks]
 

@@ -1,8 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 from telesum.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 FALSE_CONFIG = """\
 name: false_claim
@@ -69,12 +76,28 @@ def test_json_determinism_byte_identical():
     assert payload["results"][0]["identity"] == "geometric"
 
 
-def test_json_determinism_across_jobs():
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_json_determinism_across_jobs(jobs, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # every job count forks its workers
     base = ["verify", "--suite", "genhyp", "--format", "json", "--samples", "5",
             "--seed", "11"]
     _, serial = run_cli(base + ["--jobs", "1"])
-    _, parallel = run_cli(base + ["--jobs", "2"])
+    _, parallel = run_cli(base + ["--jobs", str(jobs)])
     assert serial == parallel
+
+
+def test_cli_stdout_bytes_are_the_same_on_two_workers():
+    """The CLI's own stdout, so a child that flushed the buffer it inherited
+    from the parent would show as extra bytes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    outputs = []
+    for jobs in ("1", "2"):
+        run = subprocess.run([sys.executable, "-m", "telesum", "verify", "--suite", "all",
+                              "--samples", "2", "--jobs", jobs, "--format", "json"],
+                             env=env, capture_output=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_check_false_identity_exits_one_with_witness(tmp_path):

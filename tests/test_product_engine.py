@@ -495,6 +495,27 @@ def test_one_sample_builds_one_closed_form_row(key, monkeypatch):
     assert built.count(closed) == 1
 
 
+@pytest.mark.parametrize("key", ["q_dougall", "rogers_6phi5"])
+def test_one_sample_computes_each_well_poised_head_once(key, monkeypatch):
+    head = corpus._well_poised_head
+    computed = Counter()
+
+    def counted(k, p):
+        computed[tuple(p.items()), k] += 1
+        return head(k, p)
+
+    monkeypatch.setattr(corpus, "_well_poised_head", counted)
+    idef = CORPUS[key]
+    p = draw_admissible(idef, rng_for(7, "one head", key), idef.n_max)
+    assert {r.status for r in verify_sample(normalized(idef), idef.n_max, p)} == {"pass"}
+    for n in range(idef.n_max + 1):
+        lhs, rhs = evaluate_identity(idef, n, p)
+        assert lhs == rhs
+    at_p = {k: count for (point, k), count in computed.items() if point == tuple(p.items())}
+    assert set(at_p) >= set(range(idef.n_max + 1))
+    assert set(at_p.values()) == {1}
+
+
 def test_a_pole_column_raises_anew_with_its_own_text():
     idef = CORPUS["chu_vandermonde"]
     p = {"a": Fraction(1, 2), "b": Fraction(-2)}  # (b)_k = 0 from k = 3 on
