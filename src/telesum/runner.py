@@ -8,19 +8,29 @@ children, and they and the parent take items from one shared queue pipe
 (``_fork_run``); each child sends its records back pickled.  No run imports
 an executor or ``multiprocessing``, and a platform without ``os.fork`` runs
 serially.
+
+A start loads ``corpus`` and ``certify`` and binds the elementary, genhyp
+and sequences modules through ``importlib.util.LazyLoader`` (``_deferred``):
+each is a placeholder in ``sys.modules`` and on the package until its first
+attribute access runs it, so a run compiles and executes only the suite
+modules it reads (``verify --suite ez`` none of the three).  Placeholders,
+unlike imports inside functions, keep each module in ``sys.modules`` for
+code that looks it up there, and need no second code path.  A suite's
+citations are built when read, which runs its module; ``run_suite`` reads
+them before a ``--jobs N`` run forks, so no worker runs a module again.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from types import ModuleType
 from typing import Callable
 
-from . import elementary as elementary_mod
-from . import genhyp as genhyp_mod
-from . import sequences as sequences_mod
 from .certify import natural_termination_check, verify_sample
 from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, Param, draw_admissible, draw_params,
                      evaluate_identity, normalized)
@@ -28,6 +38,27 @@ from .errors import Inadmissible, SampleExhausted
 from .rational import rat_div
 from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
 from .sampling import retry, sweep
+
+
+def _deferred(name: str) -> ModuleType:
+    """telesum.<name>, which runs at its first attribute access.
+
+    The placeholder goes into sys.modules and onto the package, as an import
+    would put it, so ``import telesum.<name>`` finds it and binds it.
+    """
+    full = f"{__package__}.{name}"
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+elementary_mod = _deferred("elementary")
+genhyp_mod = _deferred("genhyp")
+sequences_mod = _deferred("sequences")
 
 DEFAULT_SEED = 1729
 EZ_DEFAULT_N_MAX = 10
@@ -162,11 +193,17 @@ def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[C
 
 @dataclass(frozen=True)
 class Suite:
-    """A suite's `telesum list` heading, default samples, {key: citation} and item run."""
+    """A suite's `telesum list` heading, default samples, {key: citation}
+    table and item run.  The table is built when read, so that defining
+    SUITES runs no deferred module."""
     heading: str
     samples: int
-    citations: dict[str, str]
+    table: Callable[[], dict[str, str]]
     run: Callable[[str, int | None, int, int, bool], list[CheckRecord]]
+
+    @property
+    def citations(self) -> dict[str, str]:
+        return self.table()
 
 
 def _citations(table: dict) -> dict[str, str]:
@@ -177,15 +214,17 @@ def _citations(table: dict) -> dict[str, str]:
 # wrapper bound to that name (as perfbench/tracer.py binds one) sees the call.
 SUITES = {
     "corpus": Suite("corpus identities:", 32,
-                    _citations(CORPUS) | {SPECIALIZATION_KEY: SPECIALIZATION_CITATION},
+                    lambda: _citations(CORPUS) | {SPECIALIZATION_KEY: SPECIALIZATION_CITATION},
                     lambda key, n, s, seed, grid: run_corpus_item(key, n, s, seed)),
-    "ez": Suite("certified identities:", 16, {k: CORPUS[k].citation for k in CERTIFIED_KEYS},
+    "ez": Suite("certified identities:", 16,
+                lambda: {k: CORPUS[k].citation for k in CERTIFIED_KEYS},
                 lambda key, n, s, seed, grid: run_ez_item(key, n, s, seed)),
-    "sequences": Suite("sequence families:", 8, _citations(sequences_mod.FAMILIES),
+    "sequences": Suite("sequence families:", 8, lambda: _citations(sequences_mod.FAMILIES),
                        lambda key, n, s, seed, grid: run_sequences_item(key, n, s, seed)),
-    "genhyp": Suite("sequence-parameter sums:", 32, _citations(genhyp_mod.OPERATIONS),
+    "genhyp": Suite("sequence-parameter sums:", 32, lambda: _citations(genhyp_mod.OPERATIONS),
                     lambda key, n, s, seed, grid: run_genhyp_item(key, n, s, seed)),
-    "elementary": Suite("elementary identities:", 200, _citations(elementary_mod.ELEMENTARY),
+    "elementary": Suite("elementary identities:", 200,
+                        lambda: _citations(elementary_mod.ELEMENTARY),
                         lambda key, n, s, seed, grid: run_elementary_item(key, s, seed, grid)),
 }
 
@@ -296,7 +335,7 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
     suites = list(SUITES) if suite == "all" else [suite]
     tasks = []
     for s in suites:
-        keys = suite_items(s)
+        keys = suite_items(s)  # runs the suite's module here, before any fork
         if ids:
             keys = [k for k in keys if k in ids]
         per_suite_samples = SUITES[s].samples if samples is None else samples

@@ -5,7 +5,7 @@ import telesum
 
 
 def test_every_exported_name_resolves():
-    assert set(telesum._EXPRLANG) <= set(telesum.__all__)  # the lazily loaded names
+    assert set(telesum._DEFERRED) <= set(telesum.__all__)  # the names served at first use
     missing = []
     for name in telesum.__all__:
         try:

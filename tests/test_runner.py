@@ -194,10 +194,20 @@ def test_a_child_flushes_none_of_the_parent_buffers():
 
 
 def _loaded_after(modules: set[str], statement: str = "") -> str:
-    """Which of `modules` a fresh interpreter holds after `import telesum.cli`
-    and `statement`."""
-    return _python(f"import sys, telesum.cli\n{statement}\n"
-                   f"print(sorted({sorted(modules)!r} & sys.modules.keys()))").strip()
+    """Which of `modules` a fresh interpreter has run after `import telesum.cli`
+    and `statement`.  A LazyLoader placeholder sits in sys.modules before it
+    runs and turns into a plain module when it does, so its type tells."""
+    return _python(f"import sys, types, telesum.cli\n{statement}\n"
+                   f"print([m for m in {sorted(modules)!r} "
+                   f"if type(sys.modules.get(m)) is types.ModuleType])").strip()
+
+
+def _cli(*argv: str) -> str:
+    """A statement that runs the CLI with `argv` in-process, its output dropped."""
+    return f"import io; telesum.cli.main({list(argv)!r}, out=io.StringIO())"
+
+
+DEFERRED = {"telesum.elementary", "telesum.genhyp", "telesum.sequences"}
 
 
 def test_cli_import_loads_no_process_pool():
@@ -213,6 +223,48 @@ def test_cli_import_loads_no_process_pool():
 def test_cli_import_loads_no_expression_language():
     """Only `check` parses configs: a verify or list start never loads exprlang."""
     assert _loaded_after({"telesum.exprlang"}) == "[]"
+    assert _loaded_after({"telesum.exprlang"}, _cli("list")) == "[]"
+
+
+def test_a_start_runs_only_the_suite_modules_its_run_reads():
+    assert _loaded_after(DEFERRED, _cli("verify", "--suite", "ez", "--samples", "1",
+                                        "--n-max", "2")) == "[]"
+    assert _loaded_after(DEFERRED, _cli("verify", "--suite", "elementary", "--samples", "2")) \
+        == "['telesum.elementary']"
+    everything = str(sorted(DEFERRED))
+    assert _loaded_after(DEFERRED, _cli("list")) == everything
+    assert _loaded_after(DEFERRED, _cli("verify", "--suite", "all", "--samples", "1",
+                                        "--n-max", "2")) == everything
+
+
+def test_a_deferred_module_imported_by_name_is_bound_on_the_package():
+    code = """if True:
+        import telesum.elementary, telesum.genhyp, telesum.sequences
+        print(len(telesum.elementary.ELEMENTARY), len(telesum.genhyp.OPERATIONS),
+              len(telesum.sequences.FAMILIES))
+    """
+    from telesum import ELEMENTARY, FAMILIES, genhyp
+    assert _python(code).split() == [str(len(t)) for t in (ELEMENTARY, genhyp.OPERATIONS,
+                                                          FAMILIES)]
+
+
+def test_a_parallel_run_runs_its_suite_module_before_it_forks():
+    """Else each worker that takes a task would compile the module again."""
+    code = """if True:
+        import os, sys, types
+        from telesum import runner
+        os.cpu_count = lambda: 2
+        fork_run = runner._fork_run
+
+        def entered(tasks, workers):
+            print([m for m in ("telesum.elementary", "telesum.genhyp", "telesum.sequences")
+                   if type(sys.modules[m]) is types.ModuleType])
+            return fork_run(tasks, workers)
+
+        runner._fork_run = entered
+        runner.run_suite("elementary", samples=2, jobs=2)
+    """
+    assert _python(code) == "['telesum.elementary']\n"
 
 
 def test_witness_formats_fraction_int_and_tuple_params():
