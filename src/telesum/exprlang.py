@@ -13,8 +13,26 @@ four call forms:
 Precedence: ^  >  unary -  >  * /  >  + -, with ^ right-associative and the
 binary operators left-associative.  ``BINARY`` declares each binary operator
 (precedence, printed text, operation) and ``FUNCTIONS`` each call form but
-prod (arity, evaluator).  Rational constants are written with / (e.g. 2/3);
+prod (arity, operation).  Rational constants are written with / (e.g. 2/3);
 the token grammar has integer literals only.
+
+Evaluation compiles a syntax tree into closures over unreduced integer
+pairs (num, den), which take one gcd per returned value (``evaluate``):
+
+  * Compile once.  ``config_to_identity`` compiles each section once; a
+    bare tree passed to ``evaluate`` is compiled at that call.
+  * Hoisting.  lhs, cert_u and cert_v read the indices n and k; rhs and
+    require read n.  A non-leaf subterm that reads no prod binder, and
+    fewer of them than its section or the nearest hoisted subterm around
+    it, is computed once per sample and value of the indices it reads
+    (Aho, Lam, Sethi & Ullman, Compilers, 9.5).  Its values are held
+    through ``certify.sample_value``, so the next parameter point drops
+    them; one that raises stores nothing and raises again, with the same
+    text, wherever it is read.
+  * ``MAX_BITS``.  ^, rf, qrf, binom and prod raise ResourceLimit, before
+    they compute, when a bound on their result's bit length exceeds
+    MAX_BITS.  + - * / add at most their operands' bits, so a value has at
+    most about MAX_BITS bits per node of its tree.
 
 Identity config files are line-oriented UTF-8 text, one identity per file:
 
@@ -29,23 +47,23 @@ Identity config files are line-oriented UTF-8 text, one identity per file:
 
 '#' starts a comment; blank lines are ignored; each section is one line.
 A leading UTF-8 byte order mark is skipped.  An error an expression raises
-at a sample point (a non-integer exponent, count or bound, or a count past
-MAX_COUNT) names its section and the n and k it was raised at.
+at a sample point (a non-integer exponent, count or bound, a count past
+MAX_COUNT or a value past MAX_BITS) names its section and the n and k it
+was raised at.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .certify import Certificate
+from .certify import Certificate, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
-from .rational import ONE, format_rational, prod_range, rat_div, rat_pow
+from .rational import ONE, format_rational
 
 
 class ParseError(ValueError):
@@ -72,8 +90,9 @@ class NonIntegerExponent(VerifyError):
 
 
 class ResourceLimit(VerifyError):
-    """An exponent, count or range length beyond MAX_COUNT; it stops the run
-    (an Inadmissible would only reject the draw)."""
+    """An exponent, count or range length beyond MAX_COUNT, or a value
+    beyond MAX_BITS; it stops the run (an Inadmissible would only reject
+    the draw)."""
 
 
 class UndefinedRange(VerifyError):
@@ -84,6 +103,11 @@ class UndefinedRange(VerifyError):
 #: The largest exponent of ^, rf/qrf count, binom lower index and prod or
 #: summation range length a config may ask for.
 MAX_COUNT = 10_000
+
+#: The most bits a value of ^, rf, qrf, binom or prod may need: a bound on
+#: its numerator and denominator, checked before it is computed.  The sums
+#: of the paper reach a few thousand bits.
+MAX_BITS = 2 ** 20
 
 
 # --- AST ------------------------------------------------------------------
@@ -137,28 +161,59 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 Binary = namedtuple("Binary", "prec text apply")
 Function = namedtuple("Function", "arity apply")
 
+#: A value in evaluation: an unreduced integer pair (num, den), den != 0.
+Pair = tuple[int, int]
+
+
+def _add(a: Pair, b: Pair) -> Pair:
+    (an, ad), (bn, bd) = a, b
+    return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+
+
+def _sub(a: Pair, b: Pair) -> Pair:
+    (an, ad), (bn, bd) = a, b
+    return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
+
+
+def _div(a: Pair, b: Pair) -> Pair:
+    if b[0] == 0:
+        raise DivisionByZero(f"division of {format_rational(Fraction(*a))} by zero")
+    return a[0] * b[1], a[1] * b[0]
+
+
 #: Each binary operator, all left-associative: its precedence, its text in
-#: to_source and its exact operation.
+#: to_source and its exact operation on pairs.
 BINARY = {
-    "+": Binary(_PREC_ADD, " + ", operator.add),
-    "-": Binary(_PREC_ADD, " - ", operator.sub),
-    "*": Binary(_PREC_MUL, "*", operator.mul),
-    "/": Binary(_PREC_MUL, "/", rat_div),
+    "+": Binary(_PREC_ADD, " + ", _add),
+    "-": Binary(_PREC_ADD, " - ", _sub),
+    "*": Binary(_PREC_MUL, "*", lambda a, b: (a[0] * b[0], a[1] * b[1])),
+    "/": Binary(_PREC_MUL, "/", _div),
 }
 
 
-def _binom(a: Fraction, b: Fraction) -> Fraction:
+def _rf(x: Pair, m: Pair) -> Pair:
+    x, m = Fraction(*x), _count(m, "rf count")
+    _fits(_rf_bits(x, m), "rf value")
+    return _pair(rising_factorial(x, m))
+
+
+def _qrf(a: Pair, q: Pair, m: Pair) -> Pair:
+    a, q, m = Fraction(*a), Fraction(*q), _count(m, "qrf count")
+    # factor i is at most 2 max(|p|, d) max(|r|, s)^i for a = p/d, q = r/s
+    _fits(m * (_bits(a) + 1) + _bits(q) * (m * (m - 1) // 2), "qrf value")
+    return _pair(q_rising_factorial(a, q, m))
+
+
+def _binom(a: Pair, b: Pair) -> Pair:
     m = _count(b, "binom lower index")
-    return rising_factorial(a - m + 1, m) / rising_factorial(ONE, m)
+    x = Fraction(a[0] - (m - 1) * a[1], a[1])  # a - m + 1
+    _fits(_rf_bits(x, m) + _rf_bits(ONE, m), "binom value")
+    return _div(_pair(rising_factorial(x, m)), _pair(rising_factorial(ONE, m)))
 
 
-#: Each call form but the binder prod: its arity and its evaluator of the
-#: evaluated arguments, which finds the factorials by global name per call.
-FUNCTIONS = {
-    "rf": Function(2, lambda x, m: rising_factorial(x, _count(m, "rf count"))),
-    "qrf": Function(3, lambda a, q, m: q_rising_factorial(a, q, _count(m, "qrf count"))),
-    "binom": Function(2, _binom),
-}
+#: Each call form but the binder prod: its arity and its operation on the
+#: argument pairs, which finds the factorials by global name per call.
+FUNCTIONS = {"rf": Function(2, _rf), "qrf": Function(3, _qrf), "binom": Function(2, _binom)}
 
 
 # --- Tokenizer --------------------------------------------------------------
@@ -414,10 +469,25 @@ def free_vars(e: Expr) -> set[str]:
 
 # --- Evaluation ---------------------------------------------------------------
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise NonIntegerExponent(f"{what} must be an integer, got {format_rational(value)}")
-    return int(value)
+#: A compiled expression: its value at (env, memo) as a Pair.  memo holds the
+#: values of hoisted subterms (see _compile).
+Code = Callable[[Mapping[str, Fraction], dict], Pair]
+
+
+def _pair(x: Fraction) -> Pair:
+    return x.numerator, x.denominator
+
+
+def _negated(num: int, den: int) -> Pair:
+    return -num, den
+
+
+def _as_int(value: Pair, what: str) -> int:
+    num, den = value
+    if num % den:
+        raise NonIntegerExponent(f"{what} must be an integer, got "
+                                 f"{format_rational(Fraction(num, den))}")
+    return num // den
 
 
 def _bounded(size: int, what: str) -> int:
@@ -426,7 +496,7 @@ def _bounded(size: int, what: str) -> int:
     return size
 
 
-def _count(value: Fraction, what: str) -> int:
+def _count(value: Pair, what: str) -> int:
     """A non-negative integer count of at most MAX_COUNT."""
     m = _as_int(value, what)
     if m < 0:
@@ -434,36 +504,139 @@ def _count(value: Fraction, what: str) -> int:
     return _bounded(m, what)
 
 
-def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
-    """Exact evaluation; DivisionByZero marks the point inadmissible."""
+def _bits(x: Fraction) -> int:
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _rf_bits(x: Fraction, m: int) -> int:
+    """A bound on the bits of (x)_m: each factor is at most |p| + m d for x = p/d."""
+    return m * (max(x.numerator.bit_length(), x.denominator.bit_length() + m.bit_length()) + 1)
+
+
+def _fits(bits: int, what: str) -> None:
+    """Raise ResourceLimit if a value bounded by bits bits would exceed MAX_BITS."""
+    if bits > MAX_BITS:
+        raise ResourceLimit(f"{what} may need {bits} bits, beyond the limit of {MAX_BITS}")
+
+
+def _power(base: Code, exponent: Code) -> Code:
+    def power(env, memo):
+        e = _bounded(_as_int(exponent(env, memo), "exponent"), "exponent")
+        num, den = base(env, memo)
+        if e < 0:
+            if num == 0:
+                raise DivisionByZero(f"0 raised to negative power {e}")
+            num, den, e = den, num, -e
+        if e * max(num.bit_length(), den.bit_length()) > MAX_BITS:
+            num, den = _pair(Fraction(num, den))  # the bound is on the value, not the pair
+            _fits(e * max(num.bit_length(), den.bit_length()), "power")
+        return num ** e, den ** e
+
+    return power
+
+
+def _product(var: str, lo: Code, hi: Code, body: Code) -> Code:
+    """prod(var, lo, hi, body) under the extended range convention of
+    rational.prod_range, over reduced factors as prod_range's are."""
+
+    def product(env, memo):
+        first = _as_int(lo(env, memo), "prod lower bound")
+        last = _as_int(hi(env, memo), "prod upper bound")
+        _bounded(last - first, "prod range length")
+        inverted = last < first - 1
+        if inverted:
+            first, last = last + 1, first - 1
+        inner, num, den, bits = dict(env), 1, 1, 0
+        for j in range(first, last + 1):
+            inner[var] = j
+            x = Fraction(*body(inner, memo))
+            bits += _bits(x)
+            _fits(bits, "prod value")
+            num, den = num * x.numerator, den * x.denominator
+        if not inverted:
+            return num, den
+        if num == 0:
+            raise DivisionByZero(f"inverted product over {first}..{last} hit a zero factor")
+        return den, num
+
+    return product
+
+
+def _hoisted(code: Code, reads: frozenset[str]) -> Code:
+    """code with its values kept in memo, one per value of the index it reads."""
+    index = next(iter(reads), None)  # a hoisted subterm reads at most one index
+
+    def hoisted(env, memo):
+        key = code if index is None else (code, env[index])
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = code(env, memo)
+        return value
+
+    return hoisted
+
+
+def _compile(e: Expr, indices: frozenset[str] = frozenset(),
+             binders: frozenset[str] = frozenset()) -> Code:
+    """e as a Code.  A non-leaf subterm that reads none of binders (the
+    enclosing prod binders) and only part of indices is hoisted: its Code
+    keeps one value in memo per value of the indices it reads, and its own
+    subterms are compiled with those indices."""
     if isinstance(e, Lit):
-        return e.value
+        value = _pair(e.value)
+        return lambda env, memo: value
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
+        name = e.name
+
+        def var(env, memo):
+            try:
+                return _pair(env[name])
+            except KeyError:
+                raise UnboundVariable(name) from None
+
+        return var
+    if indices:
+        free = free_vars(e)
+        reads = indices & free
+        if reads < indices and not free & binders:
+            return _hoisted(_compile(e, reads, binders), reads)
+
+    def sub(child: Expr) -> Code:
+        return _compile(child, indices, binders)
+
     if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
+        arg = sub(e.arg)
+        return lambda env, memo: _negated(*arg(env, memo))
     if isinstance(e, Bin):
-        return BINARY[e.op].apply(evaluate(e.left, env), evaluate(e.right, env))
+        left, right, apply = sub(e.left), sub(e.right), BINARY[e.op].apply
+        return lambda env, memo: apply(left(env, memo), right(env, memo))
     if isinstance(e, Pow):
-        exponent = _bounded(_as_int(evaluate(e.exponent, env), "exponent"), "exponent")
-        return rat_pow(evaluate(e.base, env), exponent)
+        return _power(sub(e.base), sub(e.exponent))
     if isinstance(e, Call):
-        return FUNCTIONS[e.func].apply(*[evaluate(a, env) for a in e.args])
+        args, apply = [sub(a) for a in e.args], FUNCTIONS[e.func].apply
+        return lambda env, memo: apply(*[arg(env, memo) for arg in args])
     if isinstance(e, Prod):
-        lo = _as_int(evaluate(e.lo, env), "prod lower bound")
-        hi = _as_int(evaluate(e.hi, env), "prod upper bound")
-        _bounded(hi - lo, "prod range length")
-        inner = dict(env)
-
-        def body(j: int) -> Fraction:
-            inner[e.var] = Fraction(j)
-            return evaluate(e.body, inner)
-
-        return prod_range(body, lo, hi)
+        return _product(e.var, sub(e.lo), sub(e.hi),
+                        _compile(e.body, indices, binders | {e.var}))
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def evaluate(e: Expr | Code, env: Mapping[str, Fraction],
+             memo: dict | None = None) -> Fraction:
+    """The exact value of e at env; DivisionByZero marks the point inadmissible.
+
+    e is a syntax tree, compiled at this call, or a Code that
+    config_to_identity compiled once per section.  A Code works on unreduced
+    integer pairs, so the one gcd of an evaluation is taken here, where the
+    Fraction is built.  memo holds the hoisted values of a section's Code
+    for one parameter point: a subterm that reads no prod binder, and fewer
+    indices than its section or the nearest hoisted subterm around it, is
+    computed once per value of the indices it reads (see _compile).  ^, rf,
+    qrf, binom and prod raise ResourceLimit, before they compute, when
+    their result may exceed MAX_BITS bits.
+    """
+    code = e if callable(e) else _compile(e)
+    return Fraction(*code(env, {} if memo is None else memo))
 
 
 # --- Identity config files -----------------------------------------------------
@@ -590,42 +763,58 @@ def _at_point(exc: VerifyError, section: str, env: Mapping[str, object]) -> Veri
     return type(exc)(f"{exc} (in {section} at {place})")
 
 
-def _evaluate_in(section: str, expr: Expr, env: Mapping[str, Fraction]) -> Fraction:
-    """evaluate(expr, env) for one section of a config file."""
+def _evaluate_in(section: str, code: Code, env: Mapping[str, Fraction], memo: dict) -> Fraction:
+    """evaluate(code, env, memo) for one section of a config file."""
     try:
-        return evaluate(expr, env)
+        return evaluate(code, env, memo)
     except _POINT_ERRORS as exc:
         raise _at_point(exc, section, env) from None
 
 
-def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
-    """An IdentityDef backed by config expressions, usable by every verifier."""
+def _sample_memo(_params: Mapping[str, object]) -> dict:
+    """The hoisted values of one parameter point, an entry of sample_value."""
+    return {}
 
-    def env_of(params: Mapping[str, object], **indices: int) -> dict[str, Fraction]:
-        return {**params, **{name: Fraction(value) for name, value in indices.items()}}
+
+_N, _NK = frozenset("n"), frozenset("nk")
+
+
+def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
+    """An IdentityDef backed by config expressions, usable by every verifier.
+
+    Each section is compiled once, here; its hoisted values are held per
+    parameter point through certify.sample_value, so the next point drops
+    them."""
 
     def at_nk(section: str, expr: Expr) -> Callable[[int, int, Mapping[str, object]], Fraction]:
         """One section's expression as a function of (n, k, params)."""
-        return lambda n, k, params: _evaluate_in(section, expr, env_of(params, n=n, k=k))
+        code = _compile(expr, _NK)
+        return lambda n, k, params: _evaluate_in(section, code, {**params, "n": n, "k": k},
+                                                 sample_value(_sample_memo, params))
+
+    require = [(expr, _compile(expr, _N)) for expr in config.require]
+    rhs_code = _compile(config.rhs, _N)
 
     def rhs(n: int, params: Mapping[str, object]) -> Fraction:
-        env = env_of(params, n=n)
-        for expr in config.require:
-            if _evaluate_in("require", expr, env) == 0:
+        env, memo = {**params, "n": n}, sample_value(_sample_memo, params)
+        for expr, code in require:
+            if _evaluate_in("require", code, env, memo) == 0:
                 raise DivisionByZero(f"requirement {to_source(expr)} = 0")
-        return _evaluate_in("rhs", config.rhs, env)
+        return _evaluate_in("rhs", rhs_code, env, memo)
 
-    def bound(expr: Expr, n: int) -> int:
+    def bound(expr: Expr, code: Code, n: int) -> int:
         try:
-            value = evaluate(expr, {"n": Fraction(n)})
+            value = evaluate(code, {"n": n})
         except DivisionByZero as exc:
             raise UndefinedRange(f"range bound {to_source(expr)} is undefined at n = {n}: "
                                  f"{exc}") from None
-        return _as_int(value, "range bound")
+        return _as_int(_pair(value), "range bound")
+
+    bounds = [(expr, _compile(expr)) for expr in (config.range_lo, config.range_hi)]
 
     def sum_range(n: int) -> tuple[int, int]:
         try:
-            lo, hi = bound(config.range_lo, n), bound(config.range_hi, n)
+            lo, hi = (bound(expr, code, n) for expr, code in bounds)
             _bounded(hi - lo, "range length")
         except _POINT_ERRORS as exc:
             raise _at_point(exc, "range", {"n": n}) from None

@@ -13,7 +13,7 @@ and denominators as plain integers and reduces once, so it returns the same
 canonical Fraction as a factor-by-factor product at one gcd instead of one
 per factor (Knuth, TAOCP Vol. 2, 4.5.1).  ``corpus`` builds its shifted
 factorials, the columns of each term row and its certificate factor products
-the same way.
+the same way, and ``exprlang`` evaluates compiled config expressions so.
 """
 
 from __future__ import annotations

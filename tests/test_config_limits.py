@@ -1,6 +1,7 @@
 """Config input that must exit 2 with a located message, never a traceback:
 syntax trees deeper than MAX_DEPTH, parameters in the summation range,
-exponents, counts or range lengths beyond MAX_COUNT, non-ASCII digits,
+exponents, counts or range lengths beyond MAX_COUNT, values beyond
+MAX_BITS, non-ASCII digits,
 config files that cannot be read as UTF-8 text, and runtime errors, which
 name the section and point they were raised at.  A UTF-8 byte order mark
 is not an error."""
@@ -15,7 +16,7 @@ import pytest
 
 from telesum.cli import main
 from telesum.errors import Inadmissible, VerifyError
-from telesum.exprlang import (MAX_COUNT, MAX_DEPTH, ParseError, ResourceLimit,
+from telesum.exprlang import (MAX_BITS, MAX_COUNT, MAX_DEPTH, ParseError, ResourceLimit,
                               SchemaError, evaluate, parse, parse_config)
 
 
@@ -90,6 +91,32 @@ def test_counts_at_the_cap_evaluate():
     assert evaluate(parse("x^10000"), {"x": F(1)}) == 1
     assert evaluate(parse("binom(x, 10000)"), {"x": F(10000)}) == 1
     assert evaluate(parse("prod(j, 1, 10001, 1)"), {}) == 1
+
+
+@pytest.mark.parametrize("lhs", ["((2^10000)^10000)^10000 * k", "(2^10000)^10000 * k"])
+def test_values_beyond_the_bit_cap_exit_two_at_once(tmp_path, capsys, lhs):
+    # a MemoryError exited 1, and the second config ran for minutes
+    started = time.perf_counter()
+    code, err = run_check(tmp_path, capsys, lhs=lhs)
+    assert (code, err) == (2, f"error: power may need 100010000 bits, beyond the limit of "
+                              f"{MAX_BITS} (in lhs at n = 0, k = 0)\n")
+    assert time.perf_counter() - started < 5
+
+
+@pytest.mark.parametrize("text, what", [
+    ("x^10000", "power"), ("rf(x, 10000)", "rf value"), ("qrf(3, x, 10000)", "qrf value"),
+    ("binom(x, 10000)", "binom value"), ("prod(j, 1, 10000, x)", "prod value")])
+def test_values_beyond_the_bit_cap_raise_resource_limit(text, what):
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimit, match=f"^{what} may need [0-9]+ bits, beyond the limit"):
+        evaluate(parse(text), {"x": F(2 ** 200_000)})
+    assert time.perf_counter() - started < 5
+
+
+def test_values_at_the_bit_cap_evaluate():
+    x = F(2 ** 200_000, 3)
+    assert evaluate(parse("x^5"), {"x": x}) == x ** 5  # 1000005 bits
+    assert evaluate(parse("prod(j, 1, 5, x)"), {"x": x}) == x ** 5
 
 
 def test_summation_range_beyond_the_cap_exits_two(tmp_path, capsys):
