@@ -11,13 +11,8 @@ Exit codes: 0 every check passed, 1 at least one failure or no check at
 all, 2 usage or config error (including --samples < 1 and --n-max < 0).
 For a fixed (suite, seed, flags) triple the JSON report is byte-identical
 across runs and worker counts; the default seed is fixed so CI runs are
-reproducible.  A start loads the corpus and the certificate checks; the
-elementary, genhyp and sequences modules are ``importlib.util.LazyLoader``
-placeholders that run only when a run reads them (``list`` and ``--suite
-all`` read all three, ``--suite ez`` none; see ``runner``), because each
-compiles from source on a start that writes no bytecode.  Only ``check``
-imports the expression language, so a ``verify`` or ``list`` start does
-not load it.
+reproducible.  What a start loads, and how ``--jobs`` runs, is described
+in ``runner``.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ from typing import Callable, Mapping
 from .certify import Certificate, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
-from .rational import ONE, format_rational
+from .rational import ONE, format_rational, prod_range_pair
 
 
 class ParseError(ValueError):
@@ -108,6 +108,9 @@ MAX_COUNT = 10_000
 #: its numerator and denominator, checked before it is computed.  The sums
 #: of the paper reach a few thousand bits.
 MAX_BITS = 2 ** 20
+
+#: The largest n a config identity is checked at when --n-max is not given.
+CONFIG_N_MAX = 10
 
 
 # --- AST ------------------------------------------------------------------
@@ -536,28 +539,24 @@ def _power(base: Code, exponent: Code) -> Code:
 
 
 def _product(var: str, lo: Code, hi: Code, body: Code) -> Code:
-    """prod(var, lo, hi, body) under the extended range convention of
-    rational.prod_range, over reduced factors as prod_range's are."""
+    """prod(var, lo, hi, body) by rational.prod_range_pair, over reduced
+    factors as prod_range's are, with their bits summed against MAX_BITS."""
 
     def product(env, memo):
         first = _as_int(lo(env, memo), "prod lower bound")
         last = _as_int(hi(env, memo), "prod upper bound")
         _bounded(last - first, "prod range length")
-        inverted = last < first - 1
-        if inverted:
-            first, last = last + 1, first - 1
-        inner, num, den, bits = dict(env), 1, 1, 0
-        for j in range(first, last + 1):
+        inner, bits = dict(env), 0
+
+        def factor(j: int) -> Fraction:
+            nonlocal bits
             inner[var] = j
             x = Fraction(*body(inner, memo))
             bits += _bits(x)
             _fits(bits, "prod value")
-            num, den = num * x.numerator, den * x.denominator
-        if not inverted:
-            return num, den
-        if num == 0:
-            raise DivisionByZero(f"inverted product over {first}..{last} hit a zero factor")
-        return den, num
+            return x
+
+        return prod_range_pair(factor, first, last)
 
     return product
 
@@ -779,7 +778,7 @@ def _sample_memo(_params: Mapping[str, object]) -> dict:
 _N, _NK = frozenset("n"), frozenset("nk")
 
 
-def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
+def config_to_identity(config: IdentityConfig) -> IdentityDef:
     """An IdentityDef backed by config expressions, usable by every verifier.
 
     Each section is compiled once, here; its hoisted values are held per
@@ -830,11 +829,11 @@ def config_to_identity(config: IdentityConfig, n_max: int = 10) -> IdentityDef:
         rhs=rhs,
         sum_range=sum_range,
         certificate=certificate,
-        n_max=n_max,
+        n_max=CONFIG_N_MAX,
     )
 
 
-def load_identity_config(path: str | Path, n_max: int = 10) -> IdentityDef:
+def load_identity_config(path: str | Path) -> IdentityDef:
     """Parse a config file into a corpus-compatible IdentityDef."""
     text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a section
-    return config_to_identity(parse_config(text), n_max=n_max)
+    return config_to_identity(parse_config(text))

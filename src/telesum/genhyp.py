@@ -109,18 +109,18 @@ def _rows(op: Operation, p: SequenceParams) -> list[tuple[Fraction, ...]]:
     return list(zip(*(getattr(p, name) for name in op.names)))
 
 
-def problem(key: str, p: SequenceParams) -> TelescopeProblem:
-    """The telescoping problem of operation key over p's indices."""
-    op = OPERATIONS[key]
-    rows = _rows(op, p)
-    return TelescopeProblem(lambda k: op.u(*rows[k]), lambda k: op.v(*rows[k]), p.n)
-
-
 def _values(op: Operation, p: SequenceParams
             ) -> tuple[list[tuple[Fraction, ...]], list[Fraction], list[Fraction]]:
     """(index k's values, u_k, v_k) of op for k = 0..n, each evaluated once."""
     rows = _rows(op, p)
     return rows, [op.u(*row) for row in rows], [op.v(*row) for row in rows]
+
+
+def problem(key: str, p: SequenceParams) -> TelescopeProblem:
+    """The telescoping problem of operation key over p's indices, on u_k and
+    v_k evaluated once each, as _route reads them."""
+    _, u, v = _values(OPERATIONS[key], p)
+    return TelescopeProblem(u.__getitem__, v.__getitem__, p.n)
 
 
 def _fails_at(op: Operation, rows: list[tuple[Fraction, ...]], u: list[Fraction],

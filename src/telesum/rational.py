@@ -8,12 +8,12 @@ the report serialization format, and ``prod_range``, the product
 ``prod(f, lo, hi)`` extended to empty and inverted index ranges so that
 ``prod(f, lo, m-1) * f(m) == prod(f, lo, m)`` holds for *all* integers ``m``.
 
-Products defer the gcd: ``prod_range`` multiplies the factors' numerators
-and denominators as plain integers and reduces once, so it returns the same
-canonical Fraction as a factor-by-factor product at one gcd instead of one
-per factor (Knuth, TAOCP Vol. 2, 4.5.1).  ``corpus`` builds its shifted
-factorials, the columns of each term row and its certificate factor products
-the same way, and ``exprlang`` evaluates compiled config expressions so.
+Products defer the gcd: ``prod_range_pair`` multiplies the factors'
+numerators and denominators as plain integers and ``prod_range`` reduces
+once, so it returns the same canonical Fraction as a factor-by-factor
+product at one gcd instead of one per factor (Knuth, TAOCP Vol. 2, 4.5.1).
+``corpus`` builds its products the same way; ``exprlang`` evaluates config
+expressions so, and its ``prod`` by ``prod_range_pair``.
 """
 
 from __future__ import annotations
@@ -88,15 +88,22 @@ def seq(values: Iterable[Fraction | int], start: int = 0) -> SeqFn:
     return fn
 
 
-def _product_pair(f: SeqFn, lo: int, hi: int) -> tuple[int, int]:
-    """prod f(lo)..f(hi) as an unreduced integer pair (num, den): the
+def prod_range_pair(f: SeqFn, lo: int, hi: int) -> tuple[int, int]:
+    """prod_range(f, lo, hi) as an unreduced integer pair (num, den): the
     factors are evaluated in index order and no gcd is taken."""
+    inverted = hi < lo - 1
+    if inverted:
+        lo, hi = hi + 1, lo - 1
     num = den = 1
     for j in range(lo, hi + 1):
         x = f(j)
         num *= x.numerator
         den *= x.denominator
-    return num, den
+    if not inverted:
+        return num, den
+    if num == 0:
+        raise DivisionByZero(f"inverted product over {lo}..{hi} hit a zero factor")
+    return den, num
 
 
 def prod_range(f: SeqFn, lo: int, hi: int) -> Fraction:
@@ -109,9 +116,4 @@ def prod_range(f: SeqFn, lo: int, hi: int) -> Fraction:
 
     The inverted case raises DivisionByZero when a touched factor is zero.
     """
-    if hi >= lo - 1:
-        return Fraction(*_product_pair(f, lo, hi))
-    num, den = _product_pair(f, hi + 1, lo - 1)
-    if num == 0:
-        raise DivisionByZero(f"inverted product over {hi + 1}..{lo - 1} hit a zero factor")
-    return Fraction(den, num)
+    return Fraction(*prod_range_pair(f, lo, hi))

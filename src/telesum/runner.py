@@ -3,21 +3,26 @@
 Work is partitioned per identity/family/operation.  Each item runs through
 ``sampling.sweep``, which derives sample i's random stream from (seed,
 stream, item, i) alone, and the merged report is sorted by a stable key, so
-output is identical for any worker count.  A ``--jobs N`` run forks N - 1
-children, and they and the parent take items from one shared queue pipe
-(``_fork_run``); each child sends its records back pickled.  No run imports
-an executor or ``multiprocessing``, and a platform without ``os.fork`` runs
-serially.
+output is identical for any worker count.  Every run goes through
+``_fork_run``: a ``--jobs N`` run forks N - 1 children, and they and the
+parent take items from one shared queue pipe; each child sends its records
+back pickled.  At one worker, as on a platform without ``os.fork``, the
+parent runs every task itself and never imports ``pickle``.  No run imports
+an executor or ``multiprocessing``.
 
 A start loads ``corpus`` and ``certify`` and binds the elementary, genhyp
 and sequences modules through ``importlib.util.LazyLoader`` (``_deferred``):
 each is a placeholder in ``sys.modules`` and on the package until its first
 attribute access runs it, so a run compiles and executes only the suite
-modules it reads (``verify --suite ez`` none of the three).  Placeholders,
-unlike imports inside functions, keep each module in ``sys.modules`` for
-code that looks it up there, and need no second code path.  A suite's
-citations are built when read, which runs its module; ``run_suite`` reads
-them before a ``--jobs N`` run forks, so no worker runs a module again.
+modules it reads (``verify --suite ez`` none of the three; ``list`` and
+``--suite all`` all three).  Each suite module compiles from source on a
+start that writes no bytecode (``PYTHONDONTWRITEBYTECODE``), so a module not
+read is time saved.  Placeholders, unlike imports inside functions, keep
+each module in ``sys.modules`` for code that looks it up there, and need no
+second code path.  A suite's citations are built when read, which runs its
+module; ``run_suite`` reads them before a ``--jobs N`` run forks, so no
+worker runs a module again.  Only ``check`` imports the expression language
+(``cli``), so a ``verify`` or ``list`` start does not load it.
 """
 
 from __future__ import annotations
@@ -266,7 +271,7 @@ def _take(tasks: list[tuple], queue: int) -> list[tuple[int, object]]:
 
 def _fork_run(tasks: list[tuple], workers: int) -> list[list[CheckRecord]]:
     """Each task's records, in task order, from this process and workers - 1
-    forked children.
+    forked children; at one worker this process runs every task.
 
     Every task index is written to one queue pipe before the fork (a run has
     a few dozen tasks, far below a pipe's buffer), and each process reads
@@ -274,12 +279,10 @@ def _fork_run(tasks: list[tuple], workers: int) -> list[list[CheckRecord]]:
     pickles its (index, records or exception) list to its own result pipe
     and ends with os._exit, which runs no exit handler and flushes none of
     the buffers it inherited.  The first task that raised, in task order,
-    raises here, as it would in a serial run; a task no process reported (its
+    raises here, whichever process ran it; a task no process reported (its
     child died) raises RuntimeError naming it.  telesum starts no thread, so
     the fork copies no lock held by another thread.
     """
-    import pickle  # here, so a --jobs 1 start does not pay for it
-
     queue, queue_in = os.pipe()
     os.write(queue_in, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
     os.close(queue_in)
@@ -294,6 +297,7 @@ def _fork_run(tasks: list[tuple], workers: int) -> list[list[CheckRecord]]:
                 try:
                     for fd in (*results_out, result_out):  # so the parent alone can read,
                         os.close(fd)                       # and its closing stops a write
+                    import pickle  # here and below, so a --jobs 1 run does not load it
                     with open(result_in, "wb") as out:
                         out.write(pickle.dumps(_take(tasks, queue)))
                     status = 0
@@ -308,6 +312,7 @@ def _fork_run(tasks: list[tuple], workers: int) -> list[list[CheckRecord]]:
             with open(result_out, "rb", closefd=False) as result:
                 data = result.read()
             if data:
+                import pickle
                 results.update(pickle.loads(data))
     finally:
         for fd in fds:
@@ -345,13 +350,7 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
         plural = "s" if len(unknown) > 1 else ""
         raise KeyError(f"unknown id{plural} {', '.join(map(repr, unknown))} in suite {suite!r}")
 
-    workers = pool_size(jobs, len(tasks))
-    if workers > 1:
-        chunks = _fork_run(tasks, workers)
-    else:
-        chunks = [_execute_item(task) for task in tasks]
-
-    return _report(suite, seed, chunks, started)
+    return _report(suite, seed, _fork_run(tasks, pool_size(jobs, len(tasks))), started)
 
 
 def run_config_identity(idef, n_max: int | None = None, samples: int | None = None,

@@ -21,8 +21,8 @@ import pytest
 from telesum import exprlang
 from telesum.cli import main
 from telesum.corpus import q_rising_factorial, rising_factorial
-from telesum.errors import VerifyError
-from telesum.exprlang import (MAX_COUNT, Bin, Call, Expr, IdentityConfig, Lit, Neg,
+from telesum.errors import DivisionByZero, VerifyError
+from telesum.exprlang import (MAX_BITS, MAX_COUNT, Bin, Call, Expr, IdentityConfig, Lit, Neg,
                               NonIntegerExponent, Pow, Prod, ResourceLimit, UnboundVariable,
                               Var, config_to_identity, parse, to_source)
 from telesum.rational import ONE, format_rational, prod_range, rat_div, rat_pow
@@ -210,9 +210,66 @@ def test_random_sections_match_the_tree_walk():
     ("prod(n, 1, k, n + a) * n", "prod(n, 0, 2, n*b) + n"),
     ("prod(k, 0, n, k*b + n + a^2) + k", "prod(k, 1, n, k + a/b)"),
     ("prod(j, 1, 3, j*k + a*n + b)", "prod(j, n, 0, j + b)"),
+    # inverted ranges that touch a zero factor at some points
+    ("prod(j, k, -2, j + n) + k", "prod(j, 3, n, j - 2)"),
 ])
 def test_listed_sections_match_the_tree_walk(lhs, rhs):
     assert_sections_match(parse(lhs), parse(rhs), 0)
+
+
+# --- the compiled prod's own loop before prod_range_pair, verbatim ------------
+
+def old_product(var, lo, hi, body):
+    _as_int, _bounded, _bits, _fits = (exprlang._as_int, exprlang._bounded, exprlang._bits,
+                                       exprlang._fits)
+
+    def product(env, memo):
+        first = _as_int(lo(env, memo), "prod lower bound")
+        last = _as_int(hi(env, memo), "prod upper bound")
+        _bounded(last - first, "prod range length")
+        inverted = last < first - 1
+        if inverted:
+            first, last = last + 1, first - 1
+        inner, num, den, bits = dict(env), 1, 1, 0
+        for j in range(first, last + 1):
+            inner[var] = j
+            x = Fraction(*body(inner, memo))
+            bits += _bits(x)
+            _fits(bits, "prod value")
+            num, den = num * x.numerator, den * x.denominator
+        if not inverted:
+            return num, den
+        if num == 0:
+            raise DivisionByZero(f"inverted product over {first}..{last} hit a zero factor")
+        return den, num
+
+    return product
+
+
+@pytest.mark.parametrize("source, env, raised", [
+    # inverted over -3..0: the third factor is zero, and every factor is read
+    ("prod(j, 1, -4, rf(j + 1, 1))", {},
+     (DivisionByZero, "inverted product over -3..0 hit a zero factor")),
+    # 300,001 bits per factor: the fourth crosses MAX_BITS, the fifth is never read
+    ("prod(j, 1, 6, rf(x + j, 1))", {"x": Fraction(2 ** 300_000)},
+     (ResourceLimit, f"prod value may need 1200004 bits, beyond the limit of {MAX_BITS}")),
+])
+def test_prod_raises_as_the_old_loop_at_the_same_factor(source, env, raised, monkeypatch):
+    read = []
+
+    def counted(x, m):
+        read.append(x)
+        return rising_factorial(x, m)
+
+    monkeypatch.setattr(exprlang, "rising_factorial", counted)
+    tree, compiled = parse(source), exprlang._compile
+    old = old_product(tree.var, compiled(tree.lo), compiled(tree.hi), compiled(tree.body))
+    results = []
+    for code in (compiled(tree), old):
+        read.clear()
+        results.append((outcome(exprlang.evaluate, code, env), read[:]))
+    assert results[0] == results[1]
+    assert results[0][0] == raised
 
 
 def test_one_q_chu_vandermonde_sample_calls_qrf_183_times(monkeypatch):

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from telesum.errors import DivisionByZero
-from telesum.rational import const, format_rational, prod_range, rat_div, rat_pow, seq
+from telesum.rational import (const, format_rational, prod_range, prod_range_pair, rat_div,
+                              rat_pow, seq)
 from telesum.sampling import rng_for, sample_rational
 
 
@@ -60,6 +61,13 @@ def test_prod_range_inverted_single():
 def test_prod_range_forward():
     f = lambda j: F(j)
     assert prod_range(f, 2, 5) == 120
+
+
+def test_prod_range_pair_is_unreduced_and_keeps_the_convention():
+    f = lambda j: F(j, 5 - j)  # 2/3, 3/2, 4
+    assert prod_range_pair(f, 2, 4) == (24, 6)
+    assert prod_range_pair(f, 5, 1) == (6, 24)  # 1 / (f(2) f(3) f(4))
+    assert prod_range_pair(f, 2, 1) == (1, 1)
 
 
 def test_prod_range_inverted_zero_factor():

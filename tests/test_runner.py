@@ -32,8 +32,21 @@ def test_pool_size_is_one_where_the_platform_cannot_fork(monkeypatch):
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
     monkeypatch.delattr(runner.os, "fork")
     assert runner.pool_size(4, 5) == 1
-    report = runner.run_suite("elementary", ids=["qchv_elem", "sears_n1"], samples=3, jobs=2)
-    assert report.records and all(r.status == PASS for r in report.records)
+
+
+def test_every_job_count_gives_equal_records(monkeypatch):
+    """One scheduler path: one worker, two, and a platform without os.fork
+    (where the parent runs every task itself)."""
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+
+    def records(jobs):
+        return runner.run_suite("all", samples=1, n_max=2, jobs=jobs).records
+
+    serial = records(1)
+    assert serial and records(2) == serial
+    _assert_no_child_left()
+    monkeypatch.delattr(runner.os, "fork")
+    assert records(2) == serial
 
 
 def _python(code: str) -> str:
@@ -218,6 +231,13 @@ def test_cli_import_loads_no_process_pool():
     parallel = ("import os; os.cpu_count = lambda: 2; from telesum import runner; "
                 "runner.run_suite('elementary', samples=2, jobs=2)")
     assert _loaded_after(pools, parallel) == "[]"
+
+
+def test_a_jobs_1_run_loads_no_pickle_or_process_pool():
+    """A --jobs 1 run sends no records through a pipe, so it never pickles."""
+    modules = {"pickle", "concurrent.futures", "multiprocessing"}
+    assert _loaded_after(modules, _cli("verify", "--suite", "all", "--samples", "1",
+                                       "--n-max", "2", "--jobs", "1")) == "[]"
 
 
 def test_cli_import_loads_no_expression_language():
