@@ -19,20 +19,30 @@ is proportional in k to the difference row F(n+1, k) - F(n, k).  The checks:
                            values u(n, n+1) and v(n, 0) are exactly zero.
   * base_case / row_sum -- sum_k F(0, k) = 1 and sum_k F(n, k) = 1.
 
-All checks are exact; there is no tolerance anywhere.  Every value they
-read goes through ``sample_value`` (see ``SampleMemo``).
+All checks are exact; there is no tolerance anywhere, and every comparison
+is between integers.  F(n, k) = t(n, k) / r(n) for the F of
+``corpus.normalized`` (a ``Quotient``: summand over closed form), and
+r(n) = 1 for any other F.  Each row n is read as its summands and one
+closed form (``Summands``), so the row sum is sum_k t(n, k) = r(n), the
+difference check compares t(n+1, k) r(n) - t(n, k) r(n+1) with its k = 0
+value times T(n, k), T being the kernel's integer pair, and the telescope
+check compares the two rows' running sums times the other row's r.  u and
+v are integer pairs too.  A Fraction is built only for a value that a
+failing record prints.  Every value the checks read goes through
+``sample_value`` (see ``SampleMemo``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Mapping
 
-from .errors import Inadmissible, NoCertificate
-from .rational import ZERO
+from .errors import DivisionByZero, Inadmissible, NoCertificate
+from .rational import format_rational, rat_div
 from .report import INADMISSIBLE, CheckRecord, outcome, record
-from .telescope import TelescopeProblem, telescoping_terms
+from .telescope import telescoping_pairs
 
 Params = Mapping[str, object]
 CertFn = Callable[[int, int, Params], Fraction]
@@ -53,7 +63,11 @@ class Certificate:
 
 @dataclass(frozen=True)
 class NormalizedIdentity:
-    """An identity in sum_k F(n, k) = 1 form, with an optional certificate."""
+    """An identity in sum_k F(n, k) = 1 form, with an optional certificate.
+
+    F is any exact function of (n, k, params); ``corpus.normalized`` gives a
+    ``Quotient``, whose summand and closed form the checks read apart.
+    """
 
     key: str
     F: Callable[[int, int, Params], Fraction]
@@ -69,11 +83,11 @@ class Row(dict):
     raises again, with the same message, at every index that asks for it.
     """
 
-    def __init__(self, cell: Callable[[int], Fraction]) -> None:
+    def __init__(self, cell: Callable[[int], Any]) -> None:
         super().__init__()
         self.cell = cell
 
-    def __missing__(self, k: int) -> Fraction:
+    def __missing__(self, k: int) -> Any:
         value = self[k] = self.cell(k)
         return value
 
@@ -85,12 +99,16 @@ class SampleMemo:
     the certificate's u and v are read through ``sample_value``, which
     ``corpus.admissible`` fills while it probes the sample; the checks then
     reuse the probe's values, and each other's, instead of evaluating them
-    again.  The checks read whole rows, so a row is one entry per
-    (sample, n): a ``Row`` of F(n, .), u(n, .) or v(n, .), or the difference
-    row F(n+1, .) - F(n, .), formed once and shared by the difference and
-    telescope-to-zero checks.  Rows fill only the columns asked for, so every
-    check evaluates the same values, and raises at the same (n, k) with the
-    same text, as one that reads point by point.
+    again.  A row is one entry per (sample, n): ``row`` gives the summands
+    t(n, .) (or F(n, .)) as a ``Row``, and ``pairs`` gives u(n, .) or v(n, .)
+    as a ``Row`` of unreduced integer pairs (num, den).  The probe,
+    ``corpus.evaluate_identity``, F and every check read the same rows.  A
+    function made by ``by_row`` (or ``by_pair_row``) builds its row n from
+    columns(n, params), which reads whatever the row shares (its factor
+    lists, a summand's ``corpus._TermRow``) once; any other function is
+    called once per column.  Rows fill only the columns asked for, so
+    every check evaluates the same values, and raises at the same (n, k)
+    with the same text, as one that reads point by point.
 
     A value is computed at its first request and served from the memo after
     that.  The key is the function object and its leading arguments, never
@@ -119,9 +137,43 @@ class SampleMemo:
         """fn(n, k, params) for k = 0, 1, ... as one entry: a Row."""
         return self(_row, fn, n, params)
 
+    def pairs(self, fn: CertFn, n: int, params: Params) -> Row:
+        """fn(n, k, params) for k = 0, 1, ... as unreduced integer pairs."""
+        return self(_pair_row, fn, n, params)
+
 
 def _row(fn: CertFn, n: int, params: Params) -> Row:
-    return Row(lambda k: fn(n, k, params))
+    columns = getattr(fn, "columns", None)
+    return Row(columns(n, params) if columns else lambda k: fn(n, k, params))
+
+
+def _pair_row(fn: CertFn, n: int, params: Params) -> Row:
+    columns = getattr(fn, "pair_columns", None)
+    if columns:
+        return Row(columns(n, params))
+    values = sample_value.row(fn, n, params)
+    return Row(lambda k: (values[k].numerator, values[k].denominator))
+
+
+def by_row(columns: Callable[[int, Params], Callable[[int], Any]]) -> CertFn:
+    """fn(n, k, params), read through its row n, which columns(n, params) builds."""
+
+    def fn(n: int, k: int, params: Params) -> Any:
+        return sample_value.row(fn, n, params)[k]
+
+    fn.columns = columns
+    return fn
+
+
+def by_pair_row(columns: Callable[[int, Params], Callable[[int], tuple[int, int]]]) -> CertFn:
+    """fn(n, k, params) as a Fraction, read through its row n of integer pairs,
+    which columns(n, params) builds."""
+
+    def fn(n: int, k: int, params: Params) -> Fraction:
+        return Fraction(*sample_value.pairs(fn, n, params)[k])
+
+    fn.pair_columns = columns
+    return fn
 
 
 #: The memo every evaluation of a summand, closed form, F, u or v goes through.
@@ -130,59 +182,146 @@ def _row(fn: CertFn, n: int, params: Params) -> Row:
 sample_value = SampleMemo()
 
 
-def _difference_row(F: CertFn, n: int, params: Params) -> Row:
-    """F(n+1, k) - F(n, k) for k = 0, 1, ..., over the memo's F rows."""
-    upper, lower = sample_value.row(F, n + 1, params), sample_value.row(F, n, params)
-    return Row(lambda k: upper[k] - lower[k])
+class Quotient:
+    """F(n, k) = term(n, k) / rhs(n): the F of ``corpus.normalized``.
+
+    Called, it reads the summand row and the closed form through
+    ``sample_value`` and divides.  The checks read the two separately, and
+    compare integers (see ``Summands``).
+    """
+
+    def __init__(self, term: Callable[[int, int, Params], Fraction],
+                 rhs: Callable[[int, Params], Fraction]) -> None:
+        self.term, self.rhs = term, rhs
+
+    def __call__(self, n: int, k: int, params: Params) -> Fraction:
+        return rat_div(sample_value.row(self.term, n, params)[k],
+                       sample_value(self.rhs, n, params))
 
 
-def telescoping_row(cert: Certificate, n: int, params: Params, k_max: int) -> list[Fraction]:
-    """T(n, k) for k = 0..k_max: the kernel's telescoping summands over
-    u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises DivisionByZero."""
-    u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
-    return list(telescoping_terms(TelescopeProblem(u.__getitem__, v.__getitem__, k_max)))
+class Summands:
+    """Row n of F = t/r, read as integers: the summands t(n, k), the closed
+    form r(n) as a pair (num, den), and the running sums of the summands.
+
+    For a ``Quotient`` F, t is its summand row and r its closed form; any
+    other F is its own summand row, over r = 1.  ``value(k)`` reads F(n, k):
+    t(n, k), then r(n), and "division of <t(n, k)> by zero" when r(n) = 0.
+    ``total(m)`` is the sum of t(n, k) for k <= m, as an integer pair over the
+    lcm of the summands' denominators; reading it reads F(n, 0..m) in order.
+    """
+
+    def __init__(self, F: Callable[[int, int, Params], Fraction], n: int,
+                 params: Params) -> None:
+        if isinstance(F, Quotient):
+            self.t, self.closed, self.rhs = sample_value.row(F.term, n, params), F.rhs, None
+        else:
+            self.t, self.rhs = sample_value.row(F, n, params), (1, 1)
+        self.n, self.params = n, params
+        self.sums: list[tuple[int, int]] = []
+
+    def value(self, k: int) -> Fraction:
+        t = self.t[k]
+        if self.rhs is None:
+            r = sample_value(self.closed, self.n, self.params)
+            if r == 0:
+                raise DivisionByZero(f"division of {format_rational(t)} by zero")
+            self.rhs = r.numerator, r.denominator
+        return t
+
+    def total(self, m: int) -> tuple[int, int]:
+        sums = self.sums
+        num, den = sums[-1] if sums else (0, 1)
+        for k in range(len(sums), m + 1):
+            t = self.value(k)
+            a, b = t.numerator, t.denominator
+            g = gcd(den, b)
+            num, den = num * (b // g) + a * (den // g), den * (b // g)
+            sums.append((num, den))
+        return sums[m]
+
+
+def telescoping_row(cert: Certificate, n: int, params: Params,
+                    k_max: int) -> list[tuple[int, int]]:
+    """T(n, k) for k = 0..k_max as integer pairs: the kernel's telescoping
+    summands over u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises
+    DivisionByZero."""
+    u, v = sample_value.pairs(cert.u, n, params), sample_value.pairs(cert.v, n, params)
+    return list(telescoping_pairs(u.__getitem__, v.__getitem__, k_max))
 
 
 def difference_check(idn: NormalizedIdentity, n: int, params: Params,
                      suite: str = "ez", sample: int | None = None) -> list[CheckRecord]:
-    """Verify F(n+1,k) - F(n,k) = c(n) * T(n,k) for every 0 <= k <= n+1."""
+    """Verify F(n+1,k) - F(n,k) = c(n) * T(n,k) for every 0 <= k <= n+1.
+
+    Times r(n) r(n+1), the left side is D(k) = t(n+1, k) r(n) - t(n, k) r(n+1),
+    and c(n) is D(0): the check is D(k) = D(0) T(k), cross-multiplied.
+    """
     if idn.certificate is None:
         raise NoCertificate(idn.key)
     t_row = telescoping_row(idn.certificate, n, params, n + 1)
-    diff = sample_value(_difference_row, idn.F, n, params)
-    c = diff[0]  # T(n, 0) = 1
+    upper = sample_value(Summands, idn.F, n + 1, params)
+    lower = sample_value(Summands, idn.F, n, params)
     for k in range(n + 2):
-        if diff[k] != c * t_row[k]:
+        t1, t0 = upper.value(k), lower.value(k)  # F(n+1, k) before F(n, k)
+        if k == 0:
+            (r1, s1), (r0, s0) = upper.rhs, lower.rhs
+            up, down = r0 * s1, r1 * s0
+        b1, b0 = t1.denominator, t0.denominator
+        x, y = t1.numerator * up * b0 - t0.numerator * down * b1, b0 * b1  # D(k) = x / y
+        if k == 0:
+            x0, y0 = x, y
+        p, q = t_row[k]
+        if x * y0 * q != x0 * p * y:
+            scale = r0 * r1  # F(n+1, k) - F(n, k) = D(k) / (r(n) r(n+1)), numerators
             return [outcome(suite, idn.key, "difference", idn.citation, False, params, n=n,
-                            sample=sample, k=k, difference=diff[k], expected=c * t_row[k])]
+                            sample=sample, k=k, difference=Fraction(x, y * scale),
+                            expected=Fraction(x0 * p, y0 * q * scale))]
     return [outcome(suite, idn.key, "difference", idn.citation, True, n=n, sample=sample)]
 
 
 def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
                             suite: str = "ez", sample: int | None = None) -> list[CheckRecord]:
-    """Difference row sums to zero; u(n, n+1) and v(n, 0) vanish."""
+    """Difference row sums to zero; u(n, n+1) and v(n, 0) vanish.
+
+    The row sums to zero when sum_k t(n+1, k) r(n) = sum_k t(n, k) r(n+1),
+    over k <= n+1, cross-multiplied.
+    """
     cert = idn.certificate
     if cert is None:
         raise NoCertificate(idn.key)
-    u_top = sample_value.row(cert.u, n, params)[n + 1]
-    v_bot = sample_value.row(cert.v, n, params)[0]
-    if u_top != 0 or v_bot != 0:
+    u_top = sample_value.pairs(cert.u, n, params)[n + 1]
+    v_bot = sample_value.pairs(cert.v, n, params)[0]
+    if u_top[0] != 0 or v_bot[0] != 0:
         return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
-                        sample=sample, u_at_n_plus_1=u_top, v_at_0=v_bot)]
-    diff = sample_value(_difference_row, idn.F, n, params)
-    total = sum((diff[k] for k in range(n + 2)), ZERO)
-    return [outcome(suite, idn.key, "telescope_zero", idn.citation, total == 0, params, n=n,
+                        sample=sample, u_at_n_plus_1=Fraction(*u_top),
+                        v_at_0=Fraction(*v_bot))]
+    upper = sample_value(Summands, idn.F, n + 1, params)
+    lower = sample_value(Summands, idn.F, n, params)
+    for k in range(n + 2):  # F(n+1, k) before F(n, k)
+        upper.total(k)
+        lower.total(k)
+    (a1, b1), (a0, b0) = upper.sums[n + 1], lower.sums[n + 1]
+    (r1, s1), (r0, s0) = upper.rhs, lower.rhs
+    if a1 * s1 * b0 * r0 == a0 * s0 * b1 * r1:
+        return [outcome(suite, idn.key, "telescope_zero", idn.citation, True, n=n,
+                        sample=sample)]
+    total = Fraction(a1 * s1, b1 * r1) - Fraction(a0 * s0, b0 * r0)
+    return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
                     sample=sample, row_sum=total)]
 
 
 def row_sum_check(idn: NormalizedIdentity, n: int, params: Params,
                   suite: str = "ez", sample: int | None = None,
                   check: str = "row_sum") -> list[CheckRecord]:
-    """sum_{k=0}^{n} F(n, k) = 1 (check="base_case" is the n = 0 instance)."""
-    F = sample_value.row(idn.F, n, params)
-    total = sum((F[k] for k in range(n + 1)), ZERO)
-    return [outcome(suite, idn.key, check, idn.citation, total == 1, params, n=n,
-                    sample=sample, row_sum=total)]
+    """sum_{k=0}^{n} F(n, k) = 1, as sum_k t(n, k) = r(n) (check="base_case"
+    is the n = 0 instance)."""
+    row = sample_value(Summands, idn.F, n, params)
+    a, b = row.total(n)
+    r, s = row.rhs
+    if a * s == r * b:
+        return [outcome(suite, idn.key, check, idn.citation, True, n=n, sample=sample)]
+    return [outcome(suite, idn.key, check, idn.citation, False, params, n=n,
+                    sample=sample, row_sum=Fraction(a * s, b * r))]
 
 
 def verify_sample(idn: NormalizedIdentity, n_max: int, params: Params,
@@ -218,10 +357,12 @@ def natural_termination_check(idn: NormalizedIdentity, n: int, params: Params,
                               sample: int | None = None) -> list[CheckRecord]:
     """F(n, k) = 0 for n < k <= n + TERMINATION_OVERSHOOT (the zero-factor
     mechanism)."""
-    F = sample_value.row(idn.F, n, params)
+    row = sample_value(Summands, idn.F, n, params)
     for k in range(n + 1, n + TERMINATION_OVERSHOOT + 1):
-        value = F[k]
-        if value != 0:
+        t = row.value(k)
+        if t.numerator != 0:
+            r, s = row.rhs
             return [outcome(suite, idn.key, "termination", idn.citation, False, params, n=n,
-                            sample=sample, k=k, value=value)]
+                            sample=sample, k=k, value=Fraction(t.numerator * s,
+                                                               t.denominator * r))]
     return [outcome(suite, idn.key, "termination", idn.citation, True, n=n, sample=sample)]

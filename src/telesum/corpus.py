@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
-                      sample_value)
+                      Quotient, by_pair_row, by_row, sample_value)
 from .errors import DivisionByZero, Inadmissible
 from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
@@ -176,11 +176,17 @@ class _TermRow:
             self.columns.append(Fraction(un * ld * zn, ud * ln * zd))
 
 
+def _linear_pair(xs: Sequence[Fraction], z: Fraction, k: int,
+                 q: Fraction | None = None) -> tuple[int, int]:
+    """``linear_factors`` as an unreduced integer pair (num, den), den > 0."""
+    num, den = _factor_pair(xs, k, q)
+    return z.numerator * num, z.denominator * den
+
+
 def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
                    q: Fraction | None = None) -> Fraction:
     """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
-    num, den = _factor_pair(xs, k, q)
-    return Fraction(z.numerator * num, z.denominator * den)
+    return Fraction(*_linear_pair(xs, z, k, q))
 
 
 def factorial(m: int) -> Fraction:
@@ -214,18 +220,15 @@ class IdentityDef:
 def evaluate_identity(idef: IdentityDef, n: int, params: Params) -> tuple[Fraction, Fraction]:
     """(LHS sum, RHS closed form); equality is the caller's assertion."""
     lo, hi = idef.sum_range(n)
-    lhs = sum((sample_value(idef.term, n, k, params) for k in range(lo, hi + 1)), ZERO)
-    return lhs, sample_value(idef.rhs, n, params)
+    row = sample_value.row(idef.term, n, params)
+    return sum((row[k] for k in range(lo, hi + 1)), ZERO), sample_value(idef.rhs, n, params)
 
 
 def normalized(idef: IdentityDef) -> NormalizedIdentity:
-    """The identity divided through by its right side: sum_k F(n, k) = 1."""
-
-    def F(n: int, k: int, params: Params) -> Fraction:
-        return rat_div(sample_value(idef.term, n, k, params), sample_value(idef.rhs, n, params))
-
-    return NormalizedIdentity(key=idef.key, F=F, certificate=idef.certificate,
-                              citation=idef.citation)
+    """The identity divided through by its right side: sum_k F(n, k) = 1,
+    with F = term/rhs a ``certify.Quotient``."""
+    return NormalizedIdentity(key=idef.key, F=Quotient(idef.term, idef.rhs),
+                              certificate=idef.certificate, citation=idef.citation)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +267,19 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
             if idef.certificate is not None and r == 0:
                 return False
             lo, hi = idef.sum_range(n)
+            row = sample_value.row(idef.term, n, params)
             for k in range(lo, hi + 1 + overshoot):
-                sample_value(idef.term, n, k, params)
+                row[k]
         if idef.certificate is not None:
             cert = idef.certificate
             for n in range(n_max + 1):
-                u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
-                if u[0] - v[0] == 0:
+                u, v = sample_value.pairs(cert.u, n, params), sample_value.pairs(cert.v, n, params)
+                (a, b), (c, d) = u[0], v[0]
+                if a * d == c * b:
                     return False
                 u[n + 1]
                 for k in range(1, n + 2):
-                    if v[k] == 0:
+                    if v[k][0] == 0:
                         return False
         return True
     except (Inadmissible, ZeroDivisionError):
@@ -386,17 +391,20 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     taken at k.
 
     Each row n of the summand, the closed-form row, the head at each k, and
-    each row's certificate lists are built once per sample in the sample memo.
+    each row n of u and v are built once per sample in the sample memo: a
+    summand row reads its ``_TermRow`` once, and a u or v row takes its
+    factor lists once and gives integer pairs (num, den).
     """
 
     def row(n: int, p: Params) -> _TermRow:
         return _TermRow(*summand(n, **p), p.get("q"))
 
-    def term(n: int, k: int, p: Params) -> Fraction:
+    def columns(n: int, p: Params) -> Callable[[int], Fraction]:
+        t = sample_value(row, n, p)
         if not well_poised:
-            return sample_value(row, n, p)(k)
-        head = sample_value(_well_poised_head, k, p)  # raises before the row does
-        return head * sample_value(row, n, p)(k)
+            return t
+        # the head raises before the row does
+        return lambda k: sample_value(_well_poised_head, k, p) * t(k)
 
     def closed_row(p: Params) -> _TermRow:
         return _TermRow(*closed_form(**p), p.get("q"))
@@ -405,13 +413,15 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
         return sample_value(closed_row, p)(n)
 
     def at_k(factors: Factors) -> CertFn:
-        def lists(n: int, p: Params) -> tuple[Sequence[Fraction], Fraction]:
-            return factors(n, **p)
+        def pair_columns(n: int, p: Params) -> Callable[[int], tuple[int, int]]:
+            xs, z = factors(n, **p)
+            q = p.get("q")
+            return lambda k: _linear_pair(xs, z, k, q)
 
-        return lambda n, k, p: linear_factors(*sample_value(lists, n, p), k, p.get("q"))
+        return by_pair_row(pair_columns)
 
-    return IdentityDef(key=key, citation=citation, params=params, term=term, rhs=rhs,
-                       certificate=Certificate(at_k(u), at_k(v)), n_max=n_max)
+    return IdentityDef(key=key, citation=citation, params=params, term=by_row(columns),
+                       rhs=rhs, certificate=Certificate(at_k(u), at_k(v)), n_max=n_max)
 
 
 _CERTIFIED = (

@@ -60,7 +60,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .certify import Certificate, sample_value
+from .certify import Certificate, by_row, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
 from .rational import ONE, format_rational, prod_range_pair
@@ -786,10 +786,20 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
     them."""
 
     def at_nk(section: str, expr: Expr) -> Callable[[int, int, Mapping[str, object]], Fraction]:
-        """One section's expression as a function of (n, k, params)."""
+        """One section's expression as a function of (n, k, params), read
+        through its row n: the row takes the hoisted values and its env once."""
         code = _compile(expr, _NK)
-        return lambda n, k, params: _evaluate_in(section, code, {**params, "n": n, "k": k},
-                                                 sample_value(_sample_memo, params))
+
+        def columns(n: int, params: Mapping[str, object]) -> Callable[[int], Fraction]:
+            env, memo = {**params, "n": n}, sample_value(_sample_memo, params)
+
+            def cell(k: int) -> Fraction:
+                env["k"] = k
+                return _evaluate_in(section, code, env, memo)
+
+            return cell
+
+        return by_row(columns)
 
     require = [(expr, _compile(expr, _N)) for expr in config.require]
     rhs_code = _compile(config.rhs, _N)

@@ -14,9 +14,10 @@ package's core oracle.  ``raw_euler_sum`` is the unnormalized k=1..n form,
 
 Sums maintain running products incrementally (O(n) multiplications), so
 nothing calls prod_range per term: calling it for each of n terms would
-multiply O(n^2) factors.  ``telescoping_terms`` carries its running ratio
-(u_0..u_{k-1}) / (w_0 v_1..v_k) as an unreduced integer pair and builds one
-Fraction per summand, so a summand pays one gcd.  ``telescoping_terms`` and
+multiply O(n^2) factors.  ``telescoping_pairs`` carries its running ratio
+(u_0..u_{k-1}) / (w_0 v_1..v_k) as an unreduced integer pair and yields each
+summand as one, for the certificate checks; ``telescoping_terms`` builds one
+Fraction from each, so a summand pays one gcd.  ``telescoping_pairs`` and
 ``telescoping_closed_form`` read each u_k and v_k once, keeping u_{k-1} in
 a local, so a costly or memoized u and v is evaluated or looked up once per
 index; ``raw_euler_sum`` reads each once into lists and takes both sides
@@ -28,10 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import DivisionByZero
 from .rational import ONE, SeqFn, ZERO
+
+#: A sequence of rationals given as unreduced integer pairs (num, den), den != 0.
+PairFn = Callable[[int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -49,32 +53,48 @@ def _require_length(n: int) -> None:
         raise ValueError(f"telescoping sums need n >= 0, got n = {n}")
 
 
-def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
-    """Yield the summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n.
+def telescoping_pairs(u: PairFn, v: PairFn, n: int) -> Iterator[tuple[int, int]]:
+    """The summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n, as
+    unreduced integer pairs (num, den), over u and v given as such pairs.
 
     Each u_k and v_k is read once, in the order u_0, v_0, v_1, u_1, v_2, u_2,
     ...  The running ratio (u_0..u_{k-1}) / (w_0 v_1..v_k) is an unreduced
-    integer pair, and w_k is one too, so each summand is one Fraction and
-    pays one gcd.  Raises ValueError if n < 0, and DivisionByZero if w_0 = 0
-    or any of v_1..v_n is zero.
+    integer pair, and so is w_k; the k = 0 pair has equal entries.  Raises
+    ValueError if n < 0, and DivisionByZero if w_0 = 0 or any of v_1..v_n
+    is zero.
     """
-    u, v, n = p.u, p.v, p.n
     _require_length(n)
-    uk, vk = u(0), v(0)
-    a, b, c, d = uk.numerator, uk.denominator, vk.numerator, vk.denominator
+    a, b = u(0)
+    c, d = v(0)
     if a * d == c * b:
         raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
     num, den = b * d, a * d - c * b  # 1 / w_0
     for k in range(n + 1):
         if k > 0:
-            vk = v(k)
-            if vk == 0:
+            c, d = v(k)
+            if c == 0:
                 raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
-            c, d = vk.numerator, vk.denominator
             num, den = num * a * d, den * b * c
-            uk = u(k)
-            a, b = uk.numerator, uk.denominator
-        yield Fraction((a * d - c * b) * num, b * d * den)
+            a, b = u(k)
+        yield (a * d - c * b) * num, b * d * den
+
+
+def _as_pairs(f: SeqFn) -> PairFn:
+    def pair(k: int) -> tuple[int, int]:
+        x = f(k)
+        return x.numerator, x.denominator
+
+    return pair
+
+
+def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
+    """Yield the summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n.
+
+    The summands of ``telescoping_pairs``, each one Fraction, so a summand
+    pays one gcd: the same read order and the same raises.
+    """
+    for num, den in telescoping_pairs(_as_pairs(p.u), _as_pairs(p.v), p.n):
+        yield Fraction(num, den)
 
 
 def telescoping_sum(p: TelescopeProblem) -> Fraction:

@@ -187,13 +187,13 @@ def test_q_dougall_sample_evaluates_each_value_once(monkeypatch):
     # the admissibility probe and every check share one evaluation per value
     base = CORPUS["q_dougall"]
     calls = Counter()
-    difference_row = certify._difference_row
+    summands = certify.Summands
 
-    def counted_difference_row(F, n, params):
-        calls[("difference_row", tuple(params.items()), n)] += 1
-        return difference_row(F, n, params)
+    def counted_summands(F, n, params):
+        calls[("summands", tuple(params.items()), n)] += 1
+        return summands(F, n, params)
 
-    monkeypatch.setattr(certify, "_difference_row", counted_difference_row)
+    monkeypatch.setattr(certify, "Summands", counted_summands)
     idef = dataclasses.replace(
         base, term=_counting(base.term, calls, "term"), rhs=_counting(base.rhs, calls, "rhs"),
         certificate=Certificate(u=_counting(base.certificate.u, calls, "u"),
@@ -213,9 +213,9 @@ def test_q_dougall_sample_evaluates_each_value_once(monkeypatch):
     assert {key[2:] for key in seen if key[0] == "rhs"} == {(n,) for n in range(n_max + 2)}
     assert {key[2:] for key in seen if key[0] == "F"} == {
         (n, k) for n in range(n_max + 2) for k in range(min(n, n_max) + 2)}
-    # the difference and telescope_zero checks at n share one difference row
-    assert {key[2:] for key in seen if key[0] == "difference_row"} == {
-        (n,) for n in range(n_max + 1)}
+    # every check reads row n's summands and running sums from one entry
+    assert {key[2:] for key in seen if key[0] == "summands"} == {
+        (n,) for n in range(n_max + 2)}
 
 
 def test_corpus_item_reads_u_and_v_only_where_the_probe_needs_them(monkeypatch):

@@ -1,9 +1,12 @@
-"""The row-based certificate checks against the point-by-point reference.
+"""The integer certificate checks against two references.
 
-The reference functions below are the checks and the kernel loop as they
-were when every F, u and v value was looked up by its full point through
-``sample_value``, and the kernel's running ratio was a Fraction.  The row
-code must give the same records, values, or exception type and text.
+The point-by-point reference below is the checks and the kernel loop as
+they were when every F, u and v value was looked up by its full point
+through ``sample_value``, and the kernel's running ratio was a Fraction.
+The Fraction reference is the four checks as they were when they read
+Fraction rows: F(n, .), u(n, .), v(n, .) and the difference row
+F(n+1, .) - F(n, .).  The integer checks must give the same records, or
+the same exception type and text.
 """
 
 import dataclasses
@@ -11,13 +14,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from telesum.certify import (TERMINATION_OVERSHOOT, Certificate, NormalizedIdentity,
-                             difference_check, natural_termination_check, row_sum_check,
-                             sample_value, telescope_to_zero_check, telescoping_row)
+from pathlib import Path
+
+from telesum.certify import (TERMINATION_OVERSHOOT, Certificate, NormalizedIdentity, Quotient,
+                             Row, difference_check, natural_termination_check, row_sum_check,
+                             sample_value, telescope_to_zero_check, telescoping_row,
+                             verify_sample)
 from telesum.corpus import CERTIFIED_KEYS, CORPUS, draw_admissible, normalized
 from telesum.errors import DivisionByZero, Inadmissible, NoCertificate
+from telesum.exprlang import load_identity_config
 from telesum.rational import ONE, ZERO
-from telesum.report import FAIL, outcome
+from telesum.report import FAIL, PASS, outcome
 from telesum.sampling import rng_for, sample_rational
 from telesum.telescope import TelescopeProblem, telescoping_terms
 
@@ -106,7 +113,7 @@ PAIRS = (
     (difference_check, reference_difference_check),
     (telescope_to_zero_check, reference_telescope_to_zero_check),
     (natural_termination_check, reference_natural_termination_check),
-    (lambda idn, n, params: telescoping_row(idn.certificate, n, params, n + 1),
+    (lambda idn, n, params: [F(*t) for t in telescoping_row(idn.certificate, n, params, n + 1)],
      lambda idn, n, params: reference_telescoping_row(idn.certificate, n, params, n + 1)),
 )
 
@@ -266,3 +273,259 @@ def test_terms_match_reference_on_random_problems():
         raised += isinstance(results[0][0][-1], tuple)
         big += any(x.numerator.bit_length() > 2000 for x in us + vs)
     assert raised > 100 and big > 100  # both the raise paths and the bignums ran
+
+
+# ---------------------------------------------------------------------------
+# The Fraction-row reference: the four checks as they were, verbatim
+# ---------------------------------------------------------------------------
+
+def fraction_difference_row(F, n, params):
+    """F(n+1, k) - F(n, k) for k = 0, 1, ..., over the memo's F rows."""
+    upper, lower = sample_value.row(F, n + 1, params), sample_value.row(F, n, params)
+    return Row(lambda k: upper[k] - lower[k])
+
+
+def fraction_telescoping_row(cert, n, params, k_max):
+    """T(n, k) for k = 0..k_max: the kernel's telescoping summands over
+    u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises DivisionByZero."""
+    u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
+    return list(telescoping_terms(TelescopeProblem(u.__getitem__, v.__getitem__, k_max)))
+
+
+def fraction_difference_check(idn, n, params, suite="ez", sample=None):
+    """Verify F(n+1,k) - F(n,k) = c(n) * T(n,k) for every 0 <= k <= n+1."""
+    if idn.certificate is None:
+        raise NoCertificate(idn.key)
+    t_row = fraction_telescoping_row(idn.certificate, n, params, n + 1)
+    diff = sample_value(fraction_difference_row, idn.F, n, params)
+    c = diff[0]  # T(n, 0) = 1
+    for k in range(n + 2):
+        if diff[k] != c * t_row[k]:
+            return [outcome(suite, idn.key, "difference", idn.citation, False, params, n=n,
+                            sample=sample, k=k, difference=diff[k], expected=c * t_row[k])]
+    return [outcome(suite, idn.key, "difference", idn.citation, True, n=n, sample=sample)]
+
+
+def fraction_telescope_to_zero_check(idn, n, params, suite="ez", sample=None):
+    """Difference row sums to zero; u(n, n+1) and v(n, 0) vanish."""
+    cert = idn.certificate
+    if cert is None:
+        raise NoCertificate(idn.key)
+    u_top = sample_value.row(cert.u, n, params)[n + 1]
+    v_bot = sample_value.row(cert.v, n, params)[0]
+    if u_top != 0 or v_bot != 0:
+        return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
+                        sample=sample, u_at_n_plus_1=u_top, v_at_0=v_bot)]
+    diff = sample_value(fraction_difference_row, idn.F, n, params)
+    total = sum((diff[k] for k in range(n + 2)), ZERO)
+    return [outcome(suite, idn.key, "telescope_zero", idn.citation, total == 0, params, n=n,
+                    sample=sample, row_sum=total)]
+
+
+def fraction_row_sum_check(idn, n, params, suite="ez", sample=None, check="row_sum"):
+    """sum_{k=0}^{n} F(n, k) = 1 (check="base_case" is the n = 0 instance)."""
+    F = sample_value.row(idn.F, n, params)
+    total = sum((F[k] for k in range(n + 1)), ZERO)
+    return [outcome(suite, idn.key, check, idn.citation, total == 1, params, n=n,
+                    sample=sample, row_sum=total)]
+
+
+def fraction_natural_termination_check(idn, n, params, suite="ez", sample=None):
+    """F(n, k) = 0 for n < k <= n + TERMINATION_OVERSHOOT (the zero-factor
+    mechanism)."""
+    F = sample_value.row(idn.F, n, params)
+    for k in range(n + 1, n + TERMINATION_OVERSHOOT + 1):
+        value = F[k]
+        if value != 0:
+            return [outcome(suite, idn.key, "termination", idn.citation, False, params, n=n,
+                            sample=sample, k=k, value=value)]
+    return [outcome(suite, idn.key, "termination", idn.citation, True, n=n, sample=sample)]
+
+
+#: In verify_sample's order at each n, then the termination check.
+FRACTION_PAIRS = (
+    (row_sum_check, fraction_row_sum_check),
+    (difference_check, fraction_difference_check),
+    (telescope_to_zero_check, fraction_telescope_to_zero_check),
+    (natural_termination_check, fraction_natural_termination_check),
+)
+
+
+def _assert_same_as_fraction_checks(idn, params, n_max, reverse=False):
+    """Every integer check agrees with its Fraction reference for n <= n_max,
+    record for record or raise for raise; the results, in order."""
+    results = []
+    for n in range(n_max + 1):
+        for new, ref in (FRACTION_PAIRS[::-1] if reverse else FRACTION_PAIRS):
+            got, want = _result(new, idn, n, params), _result(ref, idn, n, params)
+            assert got == want, (idn.key, n, ref.__name__)
+            results.append(got)
+    return results
+
+
+def _statuses(results):
+    return {r[0].status if isinstance(r, list) else r[0] for r in results}
+
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "configs").glob("*.tkid"))
+
+
+def _sums():
+    """(name, IdentityDef) of the nine certified sums and the benchmark configs."""
+    return [(key, CORPUS[key]) for key in CERTIFIED_KEYS] + [
+        (path.stem, load_identity_config(path)) for path in CONFIGS]
+
+
+def test_integer_checks_match_fraction_checks_on_seeded_draws():
+    assert len(CONFIGS) == 2
+    for name, idef in _sums():
+        for i in range(2):
+            n_max = 6
+            params = draw_admissible(idef, rng_for(2401, "fraction-rows", name, i), n_max)
+            results = _assert_same_as_fraction_checks(normalized(idef), params, n_max,
+                                                      reverse=i == 1)
+            assert _statuses(results) == {PASS}, name
+
+
+@pytest.mark.parametrize("corrupt", range(len(CORRUPTIONS)))
+def test_integer_checks_match_fraction_checks_on_corrupted_certificates(corrupt):
+    for name, idef in _sums():
+        params = draw_admissible(idef, rng_for(2402, "fraction-mutate", name), 5)
+        mutated = NormalizedIdentity(key=f"{name}+{corrupt}", F=normalized(idef).F,
+                                     certificate=CORRUPTIONS[corrupt](idef.certificate))
+        results = _assert_same_as_fraction_checks(mutated, params, 5)
+        assert FAIL in _statuses(results), name
+
+
+SKEWS = {"n+2": lambda n, p: n + 2, "1+q": lambda n, p: 1 + p["q"]}
+
+
+@pytest.mark.parametrize("skew", sorted(SKEWS))
+def test_integer_checks_match_fraction_checks_on_skewed_closed_forms(skew):
+    for name, idef in _sums():
+        if skew == "1+q" and "q" not in {p.name for p in idef.params}:
+            continue
+        params = draw_admissible(idef, rng_for(2403, "fraction-skew", name), 5)
+        rhs = idef.rhs
+        skewed = Quotient(idef.term, lambda n, p: rhs(n, p) * SKEWS[skew](n, p))
+        idn = NormalizedIdentity(f"{name}+{skew}", skewed, idef.certificate)
+        results = _assert_same_as_fraction_checks(idn, params, 5)
+        assert FAIL in _statuses(results), name
+
+
+def _raising_term(term, points, exc):
+    def raising(n, k, p):
+        if (n, k) in points:
+            raise exc(f"pole at {(n, k)}")
+        return term(n, k, p)
+    return raising
+
+
+def _raising_rhs(rhs, rows, exc):
+    def raising(n, p):
+        if n in rows:
+            raise exc(f"pole at n = {n}")
+        return rhs(n, p)
+    return raising
+
+
+@pytest.mark.parametrize("exc", [Inadmissible, DivisionByZero])
+@pytest.mark.parametrize("points", [
+    {(0, 0)}, {(3, 0)}, {(3, 2)}, {(4, 2)}, {(3, 2), (4, 2)}, {(3, 3), (4, 1)}, {(4, 5)},
+    {(3, 4)}, {(5, 6), (5, 3)}])
+def test_integer_checks_match_fraction_checks_when_a_summand_raises(points, exc):
+    for key in ("chu_vandermonde", "q_dougall"):
+        idef = CORPUS[key]
+        params = draw_admissible(idef, rng_for(2404, "fraction-raise", key), 6)
+        idn = NormalizedIdentity(key, Quotient(_raising_term(idef.term, points, exc), idef.rhs),
+                                 idef.certificate)
+        results = _assert_same_as_fraction_checks(idn, params, 6)
+        raised = {r for r in results if isinstance(r, tuple)}
+        assert raised and raised <= {(exc, f"pole at {point}") for point in points}
+
+
+@pytest.mark.parametrize("exc", [Inadmissible, DivisionByZero])
+@pytest.mark.parametrize("rows", [{0}, {3}, {4}, {3, 4}, {7}])
+def test_integer_checks_match_fraction_checks_when_a_closed_form_raises(rows, exc):
+    idef = CORPUS["q_chu_vandermonde"]
+    params = draw_admissible(idef, rng_for(2405, "fraction-raise-rhs"), 6)
+    idn = NormalizedIdentity("qcv", Quotient(idef.term, _raising_rhs(idef.rhs, rows, exc)),
+                             idef.certificate)
+    results = _assert_same_as_fraction_checks(idn, params, 6)
+    assert {r for r in results if isinstance(r, tuple)} == {
+        (exc, f"pole at n = {n}") for n in rows}
+
+
+@pytest.mark.parametrize("rows", [{0}, {2}, {2, 3}, {6}])
+def test_integer_checks_match_fraction_checks_when_a_closed_form_is_zero(rows):
+    # F(n, k) = t(n, k) / 0 raises "division of <t(n, k)> by zero" at each k read
+    idef = CORPUS["pfaff_saalschutz"]
+    params = draw_admissible(idef, rng_for(2406, "fraction-zero-rhs"), 6)
+    rhs = idef.rhs
+    idn = NormalizedIdentity("ps", Quotient(idef.term, lambda n, p: 0 * rhs(n, p) if n in rows
+                                            else rhs(n, p)), idef.certificate)
+    results = _assert_same_as_fraction_checks(idn, params, 6)
+    # t(n, 0) = 1 is read first by the sums, t(n, n + 1) = 0 by the termination check
+    assert {r[1] for r in results if isinstance(r, tuple)} == {
+        "division of 1 by zero", "division of 0 by zero"}
+
+
+def test_integer_checks_match_fraction_checks_past_the_last_column():
+    # a summand nonzero at k = n + 1 enters the difference row, the telescoping
+    # sum and the termination check, never the row sum
+    for key in ("binomial", "rogers_6phi5"):
+        idef = CORPUS[key]
+        params = draw_admissible(idef, rng_for(2407, "fraction-tail", key), 6)
+        term = idef.term
+        tail = Quotient(lambda n, k, p: term(n, k, p) + (k if k == n + 1 else 0), idef.rhs)
+        for reverse in (False, True):
+            idn = NormalizedIdentity(f"{key}+tail{reverse}", tail, idef.certificate)
+            results = _assert_same_as_fraction_checks(idn, params, 6, reverse=reverse)
+            failed = {r[0].check for r in results if isinstance(r, list) and r[0].status == FAIL}
+            assert failed == {"difference", "telescope_zero", "termination"}, key
+
+
+def test_integer_checks_match_fraction_checks_on_a_library_F():
+    # an F with no summand/closed-form split is read as its own summand over 1
+    for key in ("binomial", "q_chu_vandermonde"):
+        idef = CORPUS[key]
+        params = draw_admissible(idef, rng_for(2408, "fraction-library", key), 6)
+        term, rhs = idef.term, idef.rhs
+        exact = NormalizedIdentity(key, lambda n, k, p: term(n, k, p) / rhs(n, p),
+                                   idef.certificate)
+        assert _statuses(_assert_same_as_fraction_checks(exact, params, 6)) == {PASS}
+        skewed = NormalizedIdentity(key, lambda n, k, p: term(n, k, p) / (rhs(n, p) * (n + 2)),
+                                    idef.certificate)
+        assert FAIL in _statuses(_assert_same_as_fraction_checks(skewed, params, 6))
+        poles = NormalizedIdentity(key, _raising_term(exact.F, {(2, 1), (3, 1)}, Inadmissible),
+                                   idef.certificate)
+        assert Inadmissible in _statuses(_assert_same_as_fraction_checks(poles, params, 6))
+        ints = NormalizedIdentity(key, lambda n, k, p: k - n, CORRUPTIONS[2](idef.certificate))
+        assert FAIL in _statuses(_assert_same_as_fraction_checks(ints, params, 6))
+
+
+_FRACTION_METHODS = ("__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__rpow__",
+                     "__neg__")
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_a_passing_sample_builds_no_fraction(key, monkeypatch):
+    # the probe evaluates every summand, closed form and head; the checks of
+    # an accepted sample then compare integers only
+    idef = CORPUS[key]
+    n_max = min(idef.n_max, 8)
+    params = draw_admissible(idef, rng_for(2409, "no-fraction", key), n_max)
+    built = []
+    for name in _FRACTION_METHODS:
+        method = getattr(F, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            built.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(F, name, counted)
+    records = verify_sample(normalized(idef), n_max, params)
+    monkeypatch.undo()
+    assert {r.status for r in records} == {PASS}
+    assert built == []

@@ -373,7 +373,7 @@ def old_certified_rhs(closed_form):
 
 def reference_term(idef):
     """old_certified_term over the summand declaration behind idef.term."""
-    declared = inspect.getclosurevars(idef.term).nonlocals
+    declared = inspect.getclosurevars(idef.term.columns).nonlocals
     summand = inspect.getclosurevars(declared["row"]).nonlocals["summand"]
     return old_certified_term(summand, declared["well_poised"])
 
