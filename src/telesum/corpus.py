@@ -21,7 +21,9 @@ read at m = n.  Their certificates are declared the same way, as the
 
 Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
 written once in ``_factor_pair``, which ``_TermRow`` and ``linear_factors``
-share.
+share.  It takes q^k as an integer pair computed once per column: a
+``_TermRow`` column's upper and lower lists share it, and a sample's u and v
+rows read one row of powers (``_q_powers``).
 
 Conventions:
 
@@ -50,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
-                      Quotient, by_pair_row, by_row, sample_value)
+                      Quotient, Row, by_pair_row, by_row, sample_value)
 from .errors import DivisionByZero, Inadmissible
 from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
@@ -103,24 +105,38 @@ def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
     return Fraction(*_shifted_product(a, m, q))
 
 
-def _factor_pair(xs: Sequence[Fraction], k: int, q: Fraction | None = None) -> tuple[int, int]:
-    """prod_x (x + k), or prod_x (1 - x q^k) when a base q is given, as an
-    unreduced integer pair (num, den) with den > 0.
+def _power_pair(q: Fraction | None, k: int) -> tuple[int, int] | None:
+    """q^k as an integer pair (r, s) with s > 0, or None without a base q."""
+    if q is None:
+        return None
+    if k >= 0:
+        return q.numerator ** k, q.denominator ** k
+    qk = rat_pow(q, k)
+    return qk.numerator, qk.denominator
+
+
+def _q_powers(p: Params) -> Row | None:
+    """The sample's q^k pairs, k = 0, 1, ..., each computed at its first
+    index; None when the sample has no base q."""
+    q = p.get("q")
+    return None if q is None else Row(lambda k: _power_pair(q, k))
+
+
+def _factor_pair(xs: Sequence[Fraction], k: int,
+                 qk: tuple[int, int] | None = None) -> tuple[int, int]:
+    """prod_x (x + k), or prod_x (1 - x q^k) when the pair qk = (r, s) of
+    q^k is given, as an unreduced integer pair (num, den) with den > 0.
 
     With x = p/d and q^k = r/s a factor is (p + k d)/d, or (d s - p r)/(d s).
     """
     num = den = 1
-    if q is None:
+    if qk is None:
         for x in xs:
             d = x.denominator
             num *= x.numerator + k * d
             den *= d
         return num, den
-    if k >= 0:
-        r, s = q.numerator ** k, q.denominator ** k
-    else:
-        qk = rat_pow(q, k)
-        r, s = qk.numerator, qk.denominator
+    r, s = qk
     for x in xs:
         d = x.denominator
         num *= d * s - x.numerator * r
@@ -166,7 +182,8 @@ class _TermRow:
         """Append t(i + 1) = t(i) * ratio(i) for the last column i."""
         i = len(self.columns) - 1
         un, ud, ln, ld, zn, zd = self.products
-        upper, lower = _factor_pair(self.upper, i, self.q), _factor_pair(self.lower, i, self.q)
+        qk = _power_pair(self.q, i)
+        upper, lower = _factor_pair(self.upper, i, qk), _factor_pair(self.lower, i, qk)
         un, ud, ln, ld = un * upper[0], ud * upper[1], ln * lower[0], ld * lower[1]
         zn, zd = zn * self.z.numerator, zd * self.z.denominator
         self.products = (un, ud, ln, ld, zn, zd)
@@ -177,16 +194,17 @@ class _TermRow:
 
 
 def _linear_pair(xs: Sequence[Fraction], z: Fraction, k: int,
-                 q: Fraction | None = None) -> tuple[int, int]:
-    """``linear_factors`` as an unreduced integer pair (num, den), den > 0."""
-    num, den = _factor_pair(xs, k, q)
+                 qk: tuple[int, int] | None = None) -> tuple[int, int]:
+    """``linear_factors`` as an unreduced integer pair (num, den), den > 0,
+    given q^k as the pair qk."""
+    num, den = _factor_pair(xs, k, qk)
     return z.numerator * num, z.denominator * den
 
 
 def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
                    q: Fraction | None = None) -> Fraction:
     """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
-    return Fraction(*_linear_pair(xs, z, k, q))
+    return Fraction(*_linear_pair(xs, z, k, _power_pair(q, k)))
 
 
 def factorial(m: int) -> Fraction:
@@ -393,7 +411,8 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     Each row n of the summand, the closed-form row, the head at each k, and
     each row n of u and v are built once per sample in the sample memo: a
     summand row reads its ``_TermRow`` once, and a u or v row takes its
-    factor lists once and gives integer pairs (num, den).
+    factor lists once, reads the sample's q^k pairs (``_q_powers``) and
+    gives integer pairs (num, den).
     """
 
     def row(n: int, p: Params) -> _TermRow:
@@ -415,8 +434,10 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     def at_k(factors: Factors) -> CertFn:
         def pair_columns(n: int, p: Params) -> Callable[[int], tuple[int, int]]:
             xs, z = factors(n, **p)
-            q = p.get("q")
-            return lambda k: _linear_pair(xs, z, k, q)
+            powers = sample_value(_q_powers, p)
+            if powers is None:
+                return lambda k: _linear_pair(xs, z, k)
+            return lambda k: _linear_pair(xs, z, k, powers[k])
 
         return by_pair_row(pair_columns)
 

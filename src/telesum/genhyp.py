@@ -24,6 +24,19 @@ values and the relation check adds w_k; the d = 0 check evaluates the
 Dougall row at d = 0 itself, through ``dougall_terms(with_d_zero(p))``,
 and compares it term by term with the companion's summands.  The values
 do not outlive their draw.
+
+A draw is evaluated on ``rational.Pair``, an unreduced integer pair that
+takes no gcd: its sequences become Pairs, and the OPERATIONS lambdas,
+written once for any exact operands, give Pairs for u_k, v_k and w_k (a
+Fraction that a replaced u or v gives is read as it is).  The termwise
+side is ``telescope.telescoping_pair_sum``'s pair, the closed form is one
+Fraction from ``telescoping_closed_form``, and every comparison
+(identity, relation, relabel, d = 0) cross-multiplies.
+``relabeled_for_permutation``, ``with_d_zero``, ``problem``,
+``dougall_terms`` and ``ps_terms`` give values of the kind they are given:
+Pairs inside a draw, the same Fractions as ever for Fraction sequences.
+A Fraction is built only for a closed form, a public return value, or a
+failing record's witness.
 """
 
 from __future__ import annotations
@@ -33,20 +46,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .rational import ZERO, rat_div
+from .rational import ZERO, Exact, Pair, as_pair, rat_div
 from .report import CheckRecord, outcome
 from .sampling import RETRY_BOUND, retry, sample_sequence, sweep
-from .telescope import TelescopeProblem, telescoping_closed_form, telescoping_terms
+from .telescope import (TelescopeProblem, telescoping_closed_form, telescoping_pair_sum,
+                        telescoping_pairs)
 
 
 @dataclass(frozen=True)
 class SequenceParams:
-    """Sequence parameters over indices 0..n (c, d optional per operation)."""
+    """Sequence parameters over indices 0..n (c, d optional per operation);
+    a draw's own copy holds Pairs (``_exact``)."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
-    c: tuple[Fraction, ...] | None = None
-    d: tuple[Fraction, ...] | None = None
+    a: tuple[Exact, ...]
+    b: tuple[Exact, ...]
+    c: tuple[Exact, ...] | None = None
+    d: tuple[Exact, ...] | None = None
 
     def __post_init__(self) -> None:
         lengths = {name: len(seq) for name, seq in vars(self).items() if seq is not None}
@@ -65,9 +80,9 @@ class Operation:
     of the named sequences, in the order of ``names``."""
 
     names: tuple[str, ...]
-    u: Callable[..., Fraction]
-    v: Callable[..., Fraction]
-    w: Callable[..., Fraction]
+    u: Callable[..., Exact]
+    v: Callable[..., Exact]
+    w: Callable[..., Exact]
     citation: str
 
 
@@ -99,7 +114,7 @@ OPERATIONS = {
 }
 
 
-def _rows(op: Operation, p: SequenceParams) -> list[tuple[Fraction, ...]]:
+def _rows(op: Operation, p: SequenceParams) -> list[tuple[Exact, ...]]:
     """Index k's values of op's sequences, for k = 0..n; a ValueError names
     each sequence op needs that p does not give."""
     missing = [name for name in op.names if getattr(p, name) is None]
@@ -110,7 +125,7 @@ def _rows(op: Operation, p: SequenceParams) -> list[tuple[Fraction, ...]]:
 
 
 def _values(op: Operation, p: SequenceParams
-            ) -> tuple[list[tuple[Fraction, ...]], list[Fraction], list[Fraction]]:
+            ) -> tuple[list[tuple[Exact, ...]], list[Exact], list[Exact]]:
     """(index k's values, u_k, v_k) of op for k = 0..n, each evaluated once."""
     rows = _rows(op, p)
     return rows, [op.u(*row) for row in rows], [op.v(*row) for row in rows]
@@ -123,8 +138,8 @@ def problem(key: str, p: SequenceParams) -> TelescopeProblem:
     return TelescopeProblem(u.__getitem__, v.__getitem__, p.n)
 
 
-def _fails_at(op: Operation, rows: list[tuple[Fraction, ...]], u: list[Fraction],
-              v: list[Fraction]) -> int | None:
+def _fails_at(op: Operation, rows: list[tuple[Exact, ...]], u: list[Exact],
+              v: list[Exact]) -> int | None:
     """The first k with u[k] - v[k] != w_k, or None."""
     return next((k for k, row in enumerate(rows) if u[k] - v[k] != op.w(*row)), None)
 
@@ -138,26 +153,54 @@ def relation_fails_at(key: str, p: SequenceParams) -> int | None:
 
 @dataclass(frozen=True)
 class _Route:
-    """One operation evaluated over one point: index k's values, u_k, v_k,
-    the summands and (termwise sum, closed form), all from one evaluation."""
+    """One operation evaluated over one point of Pairs: the point, index k's
+    values, u_k, v_k and (termwise sum, closed form), all from one
+    evaluation."""
 
-    rows: list[tuple[Fraction, ...]]
-    u: list[Fraction]
-    v: list[Fraction]
-    terms: list[Fraction]
-    sides: tuple[Fraction, Fraction]
+    p: SequenceParams
+    rows: list[tuple[Exact, ...]]
+    u: list[Exact]
+    v: list[Exact]
+    sides: tuple[Pair, Fraction]
+
+    def terms(self) -> list[Pair]:
+        """The summands, from the route's u_k and v_k."""
+        return _summands(TelescopeProblem(self.u.__getitem__, self.v.__getitem__, self.p.n), Pair)
+
+
+def _pair_fn(f: Callable[[int], Exact]) -> Callable[[int], tuple[int, int]]:
+    return lambda k: as_pair(f(k))
+
+
+def _summands(prob: TelescopeProblem, kind: type) -> list:
+    """prob's summands, each kind(num, den): Pairs, or the Fractions of
+    ``telescoping_terms``."""
+    return [kind(*t) for t in telescoping_pairs(_pair_fn(prob.u), _pair_fn(prob.v), prob.n)]
+
+
+def _kind(p: SequenceParams) -> type:
+    """The kind of p's values: Pair for a draw's own point, else Fraction."""
+    return Pair if isinstance(p.a[0], Pair) else Fraction
+
+
+def _exact(p: SequenceParams) -> SequenceParams:
+    """p with every value a Pair."""
+    return SequenceParams(**{name: tuple(map(Pair.of, seq)) for name, seq in vars(p).items()
+                             if seq is not None})
 
 
 def _route(op: Operation, p: SequenceParams) -> _Route:
-    """Evaluate op over p once; a zero w_0 or v_k raises DivisionByZero."""
+    """Evaluate op over p, a point of Pairs, once; a zero w_0 or v_k raises
+    DivisionByZero."""
     rows, u, v = _values(op, p)
-    prob = TelescopeProblem(u.__getitem__, v.__getitem__, p.n)
-    terms = list(telescoping_terms(prob))
-    return _Route(rows, u, v, terms, (sum(terms, ZERO), telescoping_closed_form(prob)))
+    lhs = Pair(*telescoping_pair_sum(_pair_fn(u.__getitem__), _pair_fn(v.__getitem__), p.n))
+    rhs = telescoping_closed_form(TelescopeProblem(u.__getitem__, v.__getitem__, p.n))
+    return _Route(p, rows, u, v, (lhs, rhs))
 
 
 def _sides(key: str, p: SequenceParams, n: int | None) -> tuple[Fraction, Fraction]:
-    return _route(OPERATIONS[key], _truncate(p, n)).sides
+    lhs, rhs = _route(OPERATIONS[key], _exact(_truncate(p, n))).sides
+    return lhs.fraction(), rhs
 
 
 def macdonald_cv(p: SequenceParams, n: int | None = None) -> tuple[Fraction, Fraction]:
@@ -192,20 +235,21 @@ def _truncate(p: SequenceParams, n: int | None) -> SequenceParams:
 def relabeled_for_permutation(p: SequenceParams) -> SequenceParams:
     """a_k -> a_k / b_k, b_k -> 1 / b_k (needs b_k != 0 throughout)."""
     a = tuple(rat_div(ak, bk) for ak, bk in zip(p.a, p.b))
-    b = tuple(rat_div(Fraction(1), bk) for bk in p.b)
+    b = tuple(rat_div(1, bk) for bk in p.b)
     return SequenceParams(a=a, b=b)
 
 
 def with_d_zero(p: SequenceParams) -> SequenceParams:
-    return SequenceParams(a=p.a, b=p.b, c=p.c, d=tuple(Fraction(0) for _ in p.a))
+    zero = Pair(0) if _kind(p) is Pair else ZERO
+    return SequenceParams(a=p.a, b=p.b, c=p.c, d=(zero,) * len(p.a))
 
 
-def dougall_terms(p: SequenceParams) -> list[Fraction]:
-    return list(telescoping_terms(problem("macdonald_dougall", p)))
+def dougall_terms(p: SequenceParams) -> list[Exact]:
+    return _summands(problem("macdonald_dougall", p), _kind(p))
 
 
-def ps_terms(p: SequenceParams) -> list[Fraction]:
-    return list(telescoping_terms(problem("macdonald_ps", p)))
+def ps_terms(p: SequenceParams) -> list[Exact]:
+    return _summands(problem("macdonald_ps", p), _kind(p))
 
 
 def _companion(key: str, p: SequenceParams) -> _Route | None:
@@ -222,12 +266,14 @@ def _companion(key: str, p: SequenceParams) -> _Route | None:
 def _draw(rng: random.Random, length: int,
           key: str) -> tuple[SequenceParams, _Route, _Route | None]:
     """(p, route, companion route) of the first draw admissible for operation
-    key and its companion route; the checks read these values."""
+    key and its companion route, the routes over p's Pairs; the checks read
+    these values."""
     op = OPERATIONS[key]
 
     def attempt():
         p = SequenceParams(**{name: sample_sequence(rng, length) for name in op.names})
-        return p, _route(op, p), _companion(key, p)
+        exact = _exact(p)
+        return p, _route(op, exact), _companion(key, exact)
 
     return retry(attempt, f"{key}: no admissible sequence tuple in {RETRY_BOUND} tries")
 
@@ -265,7 +311,7 @@ def verify_operation_suite(key: str, n_max: int, samples: int, seed: int) -> lis
                                   relabel=companion.sides[0]))
         if key == "macdonald_dougall":
             records.append(record("d_zero_termwise",
-                                  dougall_terms(with_d_zero(p)) == companion.terms,
+                                  dougall_terms(with_d_zero(route.p)) == companion.terms(),
                                   reason="termwise mismatch"))
         return records
 

@@ -1,8 +1,9 @@
 """Exact rational scalars and the extended product convention.
 
-Every quantity in this package is a :class:`fractions.Fraction`: unbounded
-integers, canonical form (gcd(num, den) = 1, den > 0) after every operation,
-and exact field arithmetic.  This module adds the checked operations that
+Every quantity a public function takes or returns is a
+:class:`fractions.Fraction`: unbounded integers, canonical form
+(gcd(num, den) = 1, den > 0) after every operation, and exact field
+arithmetic.  This module adds the checked operations that
 turn Python's ``ZeroDivisionError`` into a typed :class:`DivisionByZero`,
 the report serialization format, and ``prod_range``, the product
 ``prod(f, lo, hi)`` extended to empty and inverted index ranges so that
@@ -14,12 +15,19 @@ once, so it returns the same canonical Fraction as a factor-by-factor
 product at one gcd instead of one per factor (Knuth, TAOCP Vol. 2, 4.5.1).
 ``corpus`` builds its products the same way; ``exprlang`` evaluates config
 expressions so, and its ``prod`` by ``prod_range_pair``.
+
+``Pair`` is the one exact value type beside Fraction: a rational kept as an
+unreduced integer pair num/den.  Its ``+ - * /``, integer ``**`` and ``==``
+take no gcd (``==`` cross-multiplies), and its operands may be Pairs, ints
+or Fractions.  ``sequences`` and ``genhyp`` compute on Pairs; a caller
+builds a Fraction (``Pair.fraction``) only for a value it returns or
+prints, and ``format_rational`` reduces a Pair before it prints it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Union
 
 from .errors import DivisionByZero
 
@@ -32,22 +40,168 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rat_div(a: Fraction, b: Fraction) -> Fraction:
-    """a / b with a typed error instead of ZeroDivisionError."""
+class Pair:
+    """An exact rational num/den as an unreduced integer pair, den != 0.
+
+    No operation takes a gcd: each multiplies the parts out, so a value's
+    parts are a common multiple of its reduced ones and den may be negative.
+    An operand may be a Pair, an int or a Fraction, and the result is a
+    Pair; a float is refused.  ``==`` cross-multiplies, and hashing reduces,
+    so a Pair equals and hashes like the Fraction of the same value.  A zero
+    divisor, or zero raised to a negative power, raises DivisionByZero.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: int, den: int = 1) -> None:
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def of(x: "Exact") -> "Pair":
+        """x as a Pair: itself if it is one, else its numerator and denominator."""
+        if isinstance(x, Pair):
+            return x
+        return Pair(x.numerator, x.denominator)
+
+    def fraction(self) -> Fraction:
+        """The reduced Fraction of the same value."""
+        return Fraction(self.num, self.den)
+
+    def __add__(self, other):
+        if isinstance(other, Pair):
+            c, d = other.num, other.den
+        elif type(other) is int:
+            return Pair(self.num + other * self.den, self.den)
+        else:
+            c, d = _parts(other)
+            if d is None:
+                return NotImplemented
+        return Pair(self.num * d + c * self.den, self.den * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Pair):
+            c, d = other.num, other.den
+        elif type(other) is int:
+            return Pair(self.num - other * self.den, self.den)
+        else:
+            c, d = _parts(other)
+            if d is None:
+                return NotImplemented
+        return Pair(self.num * d - c * self.den, self.den * d)
+
+    def __rsub__(self, other):
+        if type(other) is int:
+            return Pair(other * self.den - self.num, self.den)
+        c, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        return Pair(c * self.den - self.num * d, d * self.den)
+
+    def __mul__(self, other):
+        if isinstance(other, Pair):
+            return Pair(self.num * other.num, self.den * other.den)
+        if type(other) is int:
+            return Pair(self.num * other, self.den)
+        c, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        return Pair(self.num * c, self.den * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Pair):
+            c, d = other.num, other.den
+        else:
+            c, d = _parts(other)
+            if d is None:
+                return NotImplemented
+        if c == 0:
+            raise DivisionByZero(f"division of {format_rational(self)} by zero")
+        return Pair(self.num * d, self.den * c)
+
+    def __rtruediv__(self, other):
+        c, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        if self.num == 0:
+            raise DivisionByZero(f"division of {format_rational(other)} by zero")
+        return Pair(c * self.den, d * self.num)
+
+    def __neg__(self) -> "Pair":
+        return Pair(-self.num, self.den)
+
+    def __pow__(self, e: int) -> "Pair":
+        if type(e) is not int:
+            return NotImplemented
+        if e >= 0:
+            return Pair(self.num ** e, self.den ** e)
+        if self.num == 0:
+            raise DivisionByZero(f"0 raised to negative power {e}")
+        return Pair(self.den ** -e, self.num ** -e)
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if isinstance(other, Pair):
+            return self.num * other.den == other.num * self.den
+        if type(other) is int:
+            return self.num == other * self.den
+        c, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        return self.num * d == c * self.den
+
+    def __hash__(self) -> int:
+        return hash(self.fraction())
+
+    def __bool__(self) -> bool:
+        return self.num != 0
+
+    def __repr__(self) -> str:
+        return f"Pair({self.num}, {self.den})"
+
+
+#: An exact value: a Fraction, an int, or an unreduced Pair.
+Exact = Union[Fraction, int, Pair]
+
+
+def _parts(x: object) -> tuple[int, int] | tuple[None, None]:
+    """as_pair(x) for an exact x; (None, None) for anything else."""
+    return as_pair(x) if isinstance(x, (Pair, int, Fraction)) else (None, None)
+
+
+def as_pair(x: Exact) -> tuple[int, int]:
+    """x's parts (num, den): a Pair's as they stand, an int's or a Fraction's
+    reduced."""
+    if isinstance(x, Pair):
+        return x.num, x.den
+    return x.numerator, x.denominator
+
+
+def rat_div(a: Exact, b: Exact) -> Exact:
+    """a / b with a typed error instead of ZeroDivisionError; a Pair
+    operand gives a Pair."""
     if b == 0:
         raise DivisionByZero(f"division of {format_rational(a)} by zero")
     return a / b
 
 
-def rat_pow(x: Fraction, e: int) -> Fraction:
+def rat_pow(x: Exact, e: int) -> Exact:
     """x**e for integer e; negative exponents require x != 0."""
     if e < 0 and x == 0:
         raise DivisionByZero(f"0 raised to negative power {e}")
     return x ** e
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize as "num/den", collapsing integers to "n" (e.g. "-5/8", "3")."""
+def format_rational(x: Exact) -> str:
+    """Serialize as "num/den", collapsing integers to "n" (e.g. "-5/8", "3");
+    a Pair is reduced first."""
+    if isinstance(x, Pair):
+        x = x.fraction()
     if x.denominator == 1:
         return _decimal(x.numerator)
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"

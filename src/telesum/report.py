@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .rational import format_rational
+from .rational import Pair, format_rational
 
 PASS = "pass"
 FAIL = "fail"
@@ -49,7 +49,8 @@ class CheckRecord:
 
 def witness(params: Mapping[str, object], **extra: object) -> dict[str, str]:
     """Each parameter, then each extra value, as text: "num/den" or "n" for a
-    rational or integer, "(x0, x1, ...)" for a sequence, str() otherwise."""
+    rational (a Pair reduced) or integer, "(x0, x1, ...)" for a sequence,
+    str() otherwise."""
     out: dict[str, str] = {}
     for name, value in params.items():
         if isinstance(value, tuple):
@@ -57,7 +58,8 @@ def witness(params: Mapping[str, object], **extra: object) -> dict[str, str]:
         else:
             out[name] = format_rational(value)  # type: ignore[arg-type]
     for name, value in extra.items():
-        out[name] = format_rational(value) if isinstance(value, Fraction) else str(value)
+        out[name] = (format_rational(value) if isinstance(value, (Fraction, Pair))
+                     else str(value))
     return out
 
 

@@ -19,6 +19,19 @@ Everything is exact.  A family with parameters is checked at a few seeded
 random rational samples of them (8 in the sequences suite by default),
 each identity at every n <= n_max; a pass shows exact equality at those
 points, not a proof for all parameter values.
+
+The families are evaluated on ``rational.Pair``, an unreduced integer pair
+that takes no gcd.  ``family_sides`` reads a draw's parameters once, as the
+draw's one ``certify.sample_value`` entry: each rational parameter a Pair
+that keeps its powers p^e and the prefix rows of the running products over
+it ((a; q)_m with base q, the q-Pell halving product), so each is computed
+once per draw.  The recurrence reduces each x_n once (one gcd per x, in
+``generate`` too), and the printed terms and right sides, written once for
+any exact operands, give Pairs.  The running sum S(n) is compared with
+R(n) by cross-multiplying; once S(n) == R(n) has passed, the sum goes on
+from R(n)'s pair, the same rational, so its parts do not grow with every
+term.  A Fraction is built only for a public return value (``generate``,
+``lucas_gen_sides``) or a failing record's witness.
 """
 
 from __future__ import annotations
@@ -26,18 +39,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, gcd, prod
 from typing import Callable, Mapping, Sequence
 
 from .certify import sample_value
-from .corpus import Param, draw_params, factorial, q_rising_factorial as qrf
+from .corpus import Param, draw_params, q_rising_factorial
 from .errors import Inadmissible
-from .rational import ONE, SeqFn, ZERO, prod_range, rat_div, rat_pow
+from .rational import ONE, Exact, Pair, SeqFn, ZERO, prod_range, rat_div, rat_pow
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .sampling import retry, sample_rational, sample_sequence, sweep
 
 Params = Mapping[str, object]
-Values = Sequence[Fraction]
+Values = Sequence[Exact]
 
 
 @dataclass(frozen=True)
@@ -51,6 +64,9 @@ class RecurrenceSpec:
     x1: Fraction
 
 
+_ZERO = Pair(0)
+
+
 def _require_size(name: str, value: int) -> None:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {name} = {value}")
@@ -58,10 +74,27 @@ def _require_size(name: str, value: int) -> None:
 
 def generate(spec: RecurrenceSpec, N: int) -> list[Fraction]:
     """x_0 .. x_N, exactly."""
+    return _generate(spec, N, Fraction)
+
+
+def _reduced(num: int, den: int) -> Pair:
+    """num/den in lowest terms, den > 0: one gcd."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return Pair(num // g, den // g)
+
+
+def _generate(spec: RecurrenceSpec, N: int, exact: Callable[[int, int], Exact]) -> list:
+    """x_0 .. x_N, each made by one exact(num, den) call, which reduces it:
+    a Fraction, or ``_reduced``'s Pair.  The recurrence runs on Pairs."""
     _require_size("N", N)
-    xs = [Fraction(spec.x0), Fraction(spec.x1)]
+    prev, cur = Pair.of(spec.x0), Pair.of(spec.x1)
+    xs = [exact(prev.num, prev.den), exact(cur.num, cur.den)]
     for n in range(N - 1):
-        xs.append(spec.a(n) * xs[n + 1] + spec.b(n) * xs[n])
+        x = cur * spec.a(n) + prev * spec.b(n)
+        xs.append(exact(x.num, x.den))
+        prev, cur = cur, Pair.of(xs[-1])
     return xs[: N + 1]
 
 
@@ -69,16 +102,24 @@ def _binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def _partial_sums(k_start: int, n_max: int, term: Callable[[int], Fraction],
-                  rhs: Callable[[int], Fraction]) -> list[tuple[int, Fraction, Fraction]]:
+def _partial_sums(k_start: int, n_max: int, term: Callable[[int], Exact],
+                  rhs: Callable[[int], Exact], zero: Exact) -> list[tuple[int, Exact, Exact]]:
     """(n, sum_{k_start <= k <= n} term(k), rhs(n)) for n <= n_max, evaluating
-    each term once, then rhs(n), in index order."""
-    sides, lhs, k = [], ZERO, k_start
+    each term once, then rhs(n), in index order, the sum starting at zero.
+
+    Where the sum equals rhs(n), it goes on from rhs(n)'s value, the same
+    rational: a sum of Pairs then carries one right side's parts instead of
+    the product of every term's denominator.
+    """
+    sides, lhs, k = [], zero, k_start
     for n in range(n_max + 1):
         while k <= n:
-            lhs += term(k)
+            lhs = lhs + term(k)
             k += 1
-        sides.append((n, lhs, rhs(n)))
+        r = rhs(n)
+        if lhs == r:
+            lhs = r
+        sides.append((n, lhs, r))
     return sides
 
 
@@ -144,7 +185,7 @@ def lucas_gen_sides(spec: RecurrenceSpec, which: int, n_max: int) -> list[tuple[
         c.append(c[-1] * gen.g(k, spec))
     N, X0 = prod(xs[i] for i in gen.norm), gen.X(0, xs)
     return _partial_sums(1, n_max, lambda k: c[k] * gen.w(k, xs, spec) / N,
-                         lambda n: (c[n] * gen.X(n, xs) - X0) / N)
+                         lambda n: (c[n] * gen.X(n, xs) - X0) / N, ZERO)
 
 
 def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
@@ -165,9 +206,12 @@ def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
 
 @dataclass(frozen=True)
 class PrintedIdentity:
+    """term(k, xs, p) and rhs(n, xs, p), written once for any exact operands:
+    Fractions give Fractions, and the Pairs of ``family_sides`` give Pairs."""
+
     name: str
-    term: Callable[[int, Values, Params], Fraction]
-    rhs: Callable[[int, Values, Params], Fraction]
+    term: Callable[[int, Values, Params], Exact]
+    rhs: Callable[[int, Values, Params], Exact]
     k_start: int = 1
 
 
@@ -179,13 +223,58 @@ class Family:
     key: str
     citation: str
     params: tuple[Param, ...]
-    a: Callable[[int, Params], Fraction]
-    b: Callable[[int, Params], Fraction]
+    a: Callable[[int, Params], Exact]
+    b: Callable[[int, Params], Exact]
     printed: tuple[PrintedIdentity, ...]
 
     def make(self, p: Params) -> RecurrenceSpec:
         """The family's recurrence at parameters p."""
         return RecurrenceSpec(self.key, lambda n: self.a(n, p), lambda n: self.b(n, p), ZERO, ONE)
+
+
+class _Param(Pair):
+    """One rational parameter of a draw, as a Pair that keeps its powers and
+    the rows of running products over it, so each is computed once in the
+    draw.  Arithmetic on it gives plain Pairs."""
+
+    __slots__ = ("powers", "rows")
+
+    def __init__(self, x: Fraction) -> None:
+        super().__init__(x.numerator, x.denominator)
+        self.powers: dict[int, Pair] = {}
+        self.rows: dict[object, list[Exact]] = {}
+
+    def __pow__(self, e: int) -> Pair:
+        power = self.powers.get(e)
+        if power is None:
+            power = self.powers[e] = Pair.__pow__(self, e)
+        return power
+
+
+def _exact_params(params: Params) -> dict[str, object]:
+    """params with each rational a ``_Param``: a draw's one sample_value entry."""
+    return {name: _Param(value) if isinstance(value, Fraction) else value
+            for name, value in params.items()}
+
+
+def _running_product(q: _Param, key: object, factor: Callable[[int], Exact], m: int) -> Exact:
+    """factor(1) * ... * factor(m), from the row of prefix products that q
+    keeps under key, extended one factor at a time.  A factor that raises
+    leaves the row as it was, so it raises again, with the same message, at
+    every call that needs it."""
+    row = q.rows.get(key)
+    if row is None:
+        row = q.rows[key] = [1]
+    while len(row) <= m:
+        row.append(row[-1] * factor(len(row)))
+    return row[m]
+
+
+def _qrf(a: Exact, q: Exact, m: int) -> Exact:
+    """(a; q)_m; over a draw's base q its prefix row is kept per value of a."""
+    if not isinstance(q, _Param):
+        return q_rising_factorial(a, q, m)
+    return _running_product(q, (a.num, a.den), lambda i: 1 - a * q ** (i - 1), m)
 
 
 def _fibonacci_printed() -> tuple[PrintedIdentity, ...]:
@@ -204,18 +293,18 @@ def _fibonacci_printed() -> tuple[PrintedIdentity, ...]:
                         lambda n, xs, p: xs[n] * xs[n + 1]),
         PrintedIdentity("alternating_sum",
                         lambda k, xs, p: (-1) ** (k + 1) * xs[k + 1],
-                        lambda n, xs, p: (-1) ** (n - 1) * xs[n]),
+                        lambda n, xs, p: (-1) ** (n + 1) * xs[n]),
         PrintedIdentity("halving_sum",
-                        lambda k, xs, p: xs[k - 1] / Fraction(2) ** k,
-                        lambda n, xs, p: 1 - rat_div(xs[n + 2], Fraction(2) ** n)),
+                        lambda k, xs, p: xs[k - 1] / 2 ** k,
+                        lambda n, xs, p: 1 - rat_div(xs[n + 2], 2 ** n)),
     )
 
 
 def _derangement_printed() -> tuple[PrintedIdentity, ...]:
-    def odd_fact(j: int) -> Fraction:  # 1 * 3 * ... * (2j - 1)
-        return prod_range(lambda i: 2 * i - 1, 1, j)
+    def odd_fact(j: int) -> int:  # 1 * 3 * ... * (2j - 1)
+        return prod(range(1, 2 * j, 2))
 
-    def even_fact(j: int) -> Fraction:  # 2 * 4 * ... * (2j)
+    def even_fact(j: int) -> int:  # 2 * 4 * ... * (2j)
         return 2 ** j * factorial(j)
 
     return (
@@ -243,8 +332,8 @@ def _derangement_printed() -> tuple[PrintedIdentity, ...]:
 def _pell_printed() -> tuple[PrintedIdentity, ...]:
     return (
         PrintedIdentity("prefix_sum",
-                        lambda k, xs, p: xs[k] / Fraction(2) ** (k + 1),
-                        lambda n, xs, p: xs[n + 2] / Fraction(2) ** (n + 1) - 1),
+                        lambda k, xs, p: xs[k] / 2 ** (k + 1),
+                        lambda n, xs, p: xs[n + 2] / 2 ** (n + 1) - 1),
         PrintedIdentity("even_sum",
                         lambda k, xs, p: 2 * xs[2 * k],
                         lambda n, xs, p: xs[2 * n + 1] - 1),
@@ -255,12 +344,12 @@ def _pell_printed() -> tuple[PrintedIdentity, ...]:
                         lambda k, xs, p: 2 * xs[k] ** 2,
                         lambda n, xs, p: xs[n] * xs[n + 1]),
         PrintedIdentity("alternating_sum",
-                        lambda k, xs, p: (-1) ** k * Fraction(2) ** (k - 1) * xs[k + 2],
-                        lambda n, xs, p: (-1) ** n * Fraction(2) ** n * xs[n + 1],
+                        lambda k, xs, p: (-1) ** k * 2 ** k * xs[k + 2] / 2,
+                        lambda n, xs, p: (-1) ** n * 2 ** n * xs[n + 1],
                         k_start=0),
         PrintedIdentity("halving_sum",
-                        lambda k, xs, p: Fraction(2, 5) ** k * xs[k - 1] / 4,
-                        lambda n, xs, p: 1 - Fraction(2, 5) ** n * xs[n + 2] / 2),
+                        lambda k, xs, p: 2 ** k * xs[k - 1] / (4 * 5 ** k),
+                        lambda n, xs, p: 1 - 2 ** n * xs[n + 2] / (2 * 5 ** n)),
     )
 
 
@@ -283,17 +372,17 @@ def _schur_printed() -> tuple[PrintedIdentity, ...]:
                         lambda n, xs, p: rat_pow(q_of(p), -_binom2(n) - (n - 1) * p["a"]) * xs[n] * xs[n + 1]),
         PrintedIdentity("alternating_sum",
                         lambda k, xs, p: (-1) ** (k - 1) * rat_pow(q_of(p), -_binom2(k) - (k - 1) * p["a"]) * xs[k + 1],
-                        lambda n, xs, p: (-1) ** (n - 1) * rat_pow(q_of(p), -_binom2(n) - (n - 1) * p["a"]) * xs[n]),
+                        lambda n, xs, p: (-1) ** (n + 1) * rat_pow(q_of(p), -_binom2(n) - (n - 1) * p["a"]) * xs[n]),
         PrintedIdentity("halving_sum",
                         lambda k, xs, p: rat_pow(q_of(p), 2 * k - 1 + 2 * p["a"])
-                        * rat_div(xs[k - 1], qrf(-rat_pow(q_of(p), p["a"] + 1), q_of(p), k)),
-                        lambda n, xs, p: 1 - rat_div(xs[n + 2], qrf(-rat_pow(q_of(p), p["a"] + 1), q_of(p), n))),
+                        * rat_div(xs[k - 1], _qrf(-rat_pow(q_of(p), p["a"] + 1), q_of(p), k)),
+                        lambda n, xs, p: 1 - rat_div(xs[n + 2], _qrf(-rat_pow(q_of(p), p["a"] + 1), q_of(p), n))),
     )
 
 
 def _q_pell_printed() -> tuple[PrintedIdentity, ...]:
     def neg_q_fact(q, m):  # (-q; q)_m
-        return qrf(-q, q, m)
+        return _qrf(-q, q, m)
 
     return (
         PrintedIdentity("prefix_sum",
@@ -319,36 +408,29 @@ def _q_pell_printed() -> tuple[PrintedIdentity, ...]:
     )
 
 
-def _q_pell_halving_factor(j: int, q: Fraction) -> Fraction:
+def _q_pell_halving_factor(j: int, q: Exact) -> Exact:
     den = 1 + 2 * rat_pow(q, j) + rat_pow(q, j + 1) + rat_pow(q, 2 * j + 1)
     return rat_div(1 + rat_pow(q, j), den)
 
 
-def _q_pell_halving_prefix(p: Params) -> list[Fraction]:
-    """The running products of _q_pell_halving_prod at p, from n = 0; the
-    sample memo holds one such list per parameter point."""
-    return [ONE]
-
-
-def _q_pell_halving_prod(n: int, p: Params) -> Fraction:
+def _q_pell_halving_prod(n: int, p: Params) -> Exact:
     """prod_{j=1}^{n} (1 + q^j) / (1 + 2 q^j + q^(j+1) + q^(2j+1)).
 
-    The halving sum reads this product at every k and every n, so the point's
-    running products are kept in the sample memo and extended one factor at
-    a time: a row costs O(n) factors, not O(n^2).  A factor that raises
-    leaves the list as it was, so it raises again, with the same message,
-    at every call that needs it.
+    The halving sum reads this product at every k and every n, so a draw's
+    q keeps its row of running products (``_running_product``): a row costs
+    O(n) factors, not O(n^2).  A Fraction q gives the product itself.
     """
     q = p["q"]
-    if n < 0:
-        return prod_range(lambda j: _q_pell_halving_factor(j, q), 1, n)
-    prods = sample_value(_q_pell_halving_prefix, p)
-    while len(prods) <= n:
-        prods.append(prods[-1] * _q_pell_halving_factor(len(prods), q))
-    return prods[n]
+
+    def factor(j: int) -> Exact:
+        return _q_pell_halving_factor(j, q)
+
+    if n < 0 or not isinstance(q, _Param):
+        return prod_range(factor, 1, n)
+    return _running_product(q, _q_pell_halving_factor, factor, n)
 
 
-def _q_pell_halving_term(k: int, xs: Values, p: Params) -> Fraction:
+def _q_pell_halving_term(k: int, xs: Values, p: Params) -> Exact:
     q = p["q"]
     head = rat_div(rat_pow(q, 2 * k - 1), 1 + rat_pow(q, k))
     return head * _q_pell_halving_prod(k, p) * rat_div(xs[k - 1], 1 + q)
@@ -401,11 +483,11 @@ def _goyt_sagan_printed() -> tuple[PrintedIdentity, ...]:
     def gs6_term(k, xs, p):
         x, y, q = xyq(p)
         base = rat_div(x * q, y)
-        return rat_pow(base, k - 2) * rat_div(xs[k - 1], qrf(-rat_div(q * x * x, y), q, k))
+        return rat_pow(base, k - 2) * rat_div(xs[k - 1], _qrf(-rat_div(q * x * x, y), q, k))
 
     def gs6_rhs(n, xs, p):
         x, y, q = xyq(p)
-        return 1 - rat_pow(x, n - 1) * rat_pow(y, -n) * rat_div(xs[n + 2], qrf(-rat_div(q * x * x, y), q, n))
+        return 1 - rat_pow(x, n - 1) * rat_pow(y, -n) * rat_div(xs[n + 2], _qrf(-rat_div(q * x * x, y), q, n))
 
     return (
         PrintedIdentity("prefix_sum", gs1_term, gs1_rhs),
@@ -447,15 +529,15 @@ FAMILIES: dict[str, Family] = {
     family.key: family
     for family in (
         Family("fibonacci", "Fibonacci numbers; prefix-sum identity due to Lucas (1876)", (),
-               a=lambda n, p: ONE, b=lambda n, p: ONE, printed=_fibonacci_printed()),
+               a=lambda n, p: 1, b=lambda n, p: 1, printed=_fibonacci_printed()),
         Family("pell", "Pell numbers (cf. Horadam-Mahon; Bicknell)", (),
-               a=lambda n, p: Fraction(2), b=lambda n, p: ONE, printed=_pell_printed()),
+               a=lambda n, p: 2, b=lambda n, p: 1, printed=_pell_printed()),
         Family("shifted_derangement", "shifted derangement numbers D_n = d_{n+1}", (),
-               a=lambda n, p: Fraction(n + 2), b=lambda n, p: Fraction(n + 2),
+               a=lambda n, p: n + 2, b=lambda n, p: n + 2,
                printed=_derangement_printed()),
         Family("schur_q_fib", "Schur's (shifted) q-Fibonacci numbers (cf. Andrews; Garrett)",
                (Param("a", kind="int", int_range=(0, 4)), Param("q", kind="q")),
-               a=lambda n, p: ONE, b=lambda n, p: rat_pow(p["q"], n + p["a"]),
+               a=lambda n, p: 1, b=lambda n, p: rat_pow(p["q"], n + p["a"]),
                printed=_schur_printed()),
         Family("q_pell", "q-Pell numbers (cf. Santos-Sills; Briggs-Little-Sellers)",
                (Param("q", kind="q"),),
@@ -476,15 +558,17 @@ FAMILIES: dict[str, Family] = {
 
 
 def family_sides(family: Family, n_max: int,
-                 params: Params) -> list[tuple[str, int, Fraction, Fraction]]:
-    """(identity name, n, LHS, RHS) of every printed identity for n <= n_max;
+                 params: Params) -> list[tuple[str, int, Pair, Pair]]:
+    """(identity name, n, LHS, RHS) of every printed identity for n <= n_max,
+    the sides as Pairs (the LHS is the RHS's own Pair where they agree);
     raises Inadmissible on any pole, ValueError on n_max < 0."""
     _require_size("n_max", n_max)
-    xs = generate(family.make(params), 2 * n_max + 2)
+    point = sample_value(_exact_params, params)
+    xs = _generate(family.make(point), 2 * n_max + 2, _reduced)
     return [(ident.name, n, lhs, rhs) for ident in family.printed
             for n, lhs, rhs in _partial_sums(ident.k_start, n_max,
-                                             lambda k: ident.term(k, xs, params),
-                                             lambda n: ident.rhs(n, xs, params))]
+                                             lambda k: ident.term(k, xs, point),
+                                             lambda n: ident.rhs(n, xs, point), _ZERO)]
 
 
 def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int) -> list[CheckRecord]:

@@ -17,12 +17,20 @@ nothing calls prod_range per term: calling it for each of n terms would
 multiply O(n^2) factors.  ``telescoping_pairs`` carries its running ratio
 (u_0..u_{k-1}) / (w_0 v_1..v_k) as an unreduced integer pair and yields each
 summand as one, for the certificate checks; ``telescoping_terms`` builds one
-Fraction from each, so a summand pays one gcd.  ``telescoping_pairs`` and
-``telescoping_closed_form`` read each u_k and v_k once, keeping u_{k-1} in
-a local, so a costly or memoized u and v is evaluated or looked up once per
-index; ``raw_euler_sum`` reads each once into lists and takes both sides
-from the kernel.  The lemma's sums run over k = 0..n, so every function
-here raises ValueError for n < 0.
+Fraction from each, so a summand pays one gcd.  ``telescoping_pair_sum``
+nests the same sum by Horner's rule,
+
+    sum = X_0 / w_0,   X_n = w_n,   X_k = w_k + (u_k / v_{k+1}) X_{k+1},
+
+on unreduced integer pairs, so its parts grow by one index's factors per
+step instead of by a whole summand's denominator; ``telescoping_sum`` and
+``telescoping_closed_form`` each build one Fraction at the end.  u and v
+may give Fractions, ints or ``rational.Pair`` values.  Every function here
+reads each u_k and v_k once, keeping u_{k-1} in a local, so a costly or
+memoized u and v is evaluated or looked up once per index;
+``raw_euler_sum`` reads each once into lists and takes both sides from the
+kernel.  The lemma's sums run over k = 0..n, so every function here raises
+ValueError for n < 0.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import DivisionByZero
-from .rational import ONE, SeqFn, ZERO
+from .rational import ONE, SeqFn, ZERO, as_pair
 
 #: A sequence of rationals given as unreduced integer pairs (num, den), den != 0.
 PairFn = Callable[[int], tuple[int, int]]
@@ -79,10 +87,42 @@ def telescoping_pairs(u: PairFn, v: PairFn, n: int) -> Iterator[tuple[int, int]]
         yield (a * d - c * b) * num, b * d * den
 
 
+def telescoping_pair_sum(u: PairFn, v: PairFn, n: int) -> tuple[int, int]:
+    """The sum of telescoping_pairs(u, v, n) as one unreduced integer pair,
+    by Horner's rule: X_n = w_n, X_k = w_k + (u_k / v_{k+1}) X_{k+1}, and
+    the sum is X_0 / w_0.
+
+    u and v are read, and their zeros raise, in telescoping_pairs' order
+    and with its messages, before the sum is formed.
+    """
+    _require_length(n)
+    a, b = u(0)
+    c, d = v(0)
+    if a * d == c * b:
+        raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
+    us, vs = [(a, b)], [(c, d)]
+    for k in range(1, n + 1):
+        c, d = v(k)
+        if c == 0:
+            raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
+        vs.append((c, d))
+        us.append(u(k))
+    a, b = us[n]
+    c, d = vs[n]
+    num, den = a * d - c * b, b * d  # X_n
+    for k in range(n - 1, -1, -1):
+        a, b = us[k]
+        c, d = vs[k]
+        e, f = vs[k + 1]
+        num, den = (a * d - c * b) * e * den + a * f * d * num, b * d * e * den
+    a, b = us[0]
+    c, d = vs[0]
+    return num * b * d, den * (a * d - c * b)
+
+
 def _as_pairs(f: SeqFn) -> PairFn:
     def pair(k: int) -> tuple[int, int]:
-        x = f(k)
-        return x.numerator, x.denominator
+        return as_pair(f(k))
 
     return pair
 
@@ -98,8 +138,8 @@ def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
 
 
 def telescoping_sum(p: TelescopeProblem) -> Fraction:
-    """Left side of the lemma, summed termwise."""
-    return sum(telescoping_terms(p), ZERO)
+    """Left side of the lemma, summed by ``telescoping_pair_sum``."""
+    return Fraction(*telescoping_pair_sum(_as_pairs(p.u), _as_pairs(p.v), p.n))
 
 
 def telescoping_closed_form(p: TelescopeProblem) -> Fraction:
@@ -111,23 +151,21 @@ def telescoping_closed_form(p: TelescopeProblem) -> Fraction:
     """
     u, v, n = p.u, p.v, p.n
     _require_length(n)
-    u0, v0 = u(0), v(0)
-    w0 = u0 - v0
-    if w0 == 0:
+    a, b = as_pair(u(0))
+    c, d = as_pair(v(0))
+    if a * d == c * b:
         raise DivisionByZero("closed form requires w_0 != 0")
-    ratio = ONE
+    num = den = 1  # the ratio (u_1 ... u_n) / (v_1 ... v_n)
     for j in range(1, n + 1):
-        vj = v(j)
-        if vj == 0:
+        e, f = as_pair(v(j))
+        if e == 0:
             raise DivisionByZero(f"closed form requires v_{j} != 0")
-        ratio = ratio * u(j) / vj
-    if v0 == 0:
-        second = ZERO
-    else:
-        if u0 == 0:
-            raise DivisionByZero("closed form requires u_0 != 0 when v_0 != 0")
-        second = v0 / u0
-    return u0 / w0 * (ratio - second)
+        g, h = as_pair(u(j))
+        num, den = num * g * f, den * h * e
+    if c != 0 and a == 0:
+        raise DivisionByZero("closed form requires u_0 != 0 when v_0 != 0")
+    # u_0 / w_0 * (num / den - v_0 / u_0) with u_0 = a/b, v_0 = c/d
+    return Fraction(num * a * d - c * b * den, (a * d - c * b) * den)
 
 
 def raw_euler_sum(u: SeqFn, v: SeqFn, n: int) -> tuple[Fraction, Fraction]:

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from telesum.errors import DivisionByZero
-from telesum.rational import (const, format_rational, prod_range, prod_range_pair, rat_div,
-                              rat_pow, seq)
+from telesum.rational import (Pair, as_pair, const, format_rational, prod_range,
+                              prod_range_pair, rat_div, rat_pow, seq)
 from telesum.sampling import rng_for, sample_rational
 
 
@@ -112,3 +112,70 @@ def test_seq_is_defined_only_on_its_range():
     assert (g(1), g(2)) == (5, 6)
     with pytest.raises(IndexError):
         g(0)
+
+
+# --- Pair: the unreduced exact value ---------------------------------------------
+
+def _operands(rng):
+    x = sample_rational(rng)
+    return [x, Pair(x.numerator * 6, x.denominator * 6), Pair(-x.numerator, -x.denominator),
+            rng.randint(-5, 5)]
+
+
+def test_pair_arithmetic_matches_fraction_arithmetic():
+    ops = [lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b]
+    for i in range(200):
+        rng = rng_for(2601, "pair ops", i)
+        for a in _operands(rng):
+            for b in _operands(rng):
+                if not (isinstance(a, Pair) or isinstance(b, Pair)):
+                    continue
+                fa, fb = F(*as_pair(a)), F(*as_pair(b))
+                for op in ops[:3] + ops[3:] * (fb != 0):
+                    got = op(a, b)
+                    assert type(got) is Pair
+                    assert got == op(fa, fb) and op(fa, fb) == got
+            if isinstance(a, Pair):
+                for e in range(-3, 4):
+                    if e >= 0 or a != 0:
+                        assert a ** e == F(*as_pair(a)) ** e
+
+
+def test_pair_takes_no_gcd_and_formats_reduced():
+    x = Pair(6, 4) * Pair(2, 2)
+    assert (x.num, x.den) == (12, 8)
+    assert x == F(3, 2) and x != F(2, 3) and x == Pair(-3, -2)
+    assert format_rational(Pair(12, -8)) == "-3/2" and format_rational(Pair(0, -7)) == "0"
+    assert Pair(12, -8).fraction() == F(-3, 2) and type(Pair(4, 2).fraction()) is F
+    assert hash(Pair(4, 2)) == hash(2) and hash(Pair(-3, -6)) == hash(F(1, 2))
+    assert -Pair(1, 3) == F(-1, 3) and 1 - Pair(1, 3) == F(2, 3) and 1 / Pair(2, 3) == F(3, 2)
+    assert not Pair(0, 5) and Pair(1, 5)
+    assert Pair.of(F(3, 4)) == Pair(3, 4) and Pair.of(5) == 5
+
+
+def test_pair_refuses_a_float():
+    with pytest.raises(TypeError):
+        Pair(1, 2) * -1.0
+    with pytest.raises(TypeError):
+        -1.0 * Pair(1, 2)
+    with pytest.raises(TypeError):
+        Pair(1, 2) + 0.5
+
+
+def test_pair_zero_divisor_raises_division_by_zero():
+    with pytest.raises(DivisionByZero, match=r"^division of 3/2 by zero$"):
+        Pair(6, 4) / Pair(0, 3)
+    with pytest.raises(DivisionByZero, match=r"^division of -1/3 by zero$"):
+        Pair(2, -6) / 0
+    with pytest.raises(DivisionByZero, match=r"^division of 5 by zero$"):
+        5 / Pair(0, 2)
+    with pytest.raises(DivisionByZero, match=r"^division of 2/3 by zero$"):
+        F(2, 3) / Pair(0, 1)
+    with pytest.raises(DivisionByZero, match=r"^0 raised to negative power -2$"):
+        Pair(0, 4) ** -2
+    # rat_div and rat_pow give the Fraction texts for Pairs too
+    for a, b in ((Pair(6, 4), Pair(0, 3)), (F(3, 2), F(0))):
+        with pytest.raises(DivisionByZero, match=r"^division of 3/2 by zero$"):
+            rat_div(a, b)
+    with pytest.raises(DivisionByZero, match=r"^0 raised to negative power -1$"):
+        rat_pow(Pair(0, 3), -1)

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from telesum.corpus import draw_params
 from telesum.errors import Inadmissible
-from telesum.rational import ONE, ZERO, const
-from telesum.sampling import rng_for, sample_rational
+from telesum.rational import ONE, ZERO, Pair, const
+from telesum.sampling import retry, rng_for, sample_rational
 from telesum.sequences import (FAMILIES, RecurrenceSpec, family_sides, generate,
                                lucas_gen_sides, random_spec, verify_family_suite,
                                verify_lucas_gen)
@@ -177,3 +178,22 @@ def test_negative_sizes_raise_value_error_naming_the_argument():
     with pytest.raises(ValueError, match="n_max must be >= 0, got n_max = -2"):
         family_sides(family, -2, {})
     assert generate(spec, 0) == [0]
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_every_side_of_every_family_is_exact(key):
+    # no float anywhere: (-1) ** (n - 1) at n = 0 was the float -1.0, and
+    # made the alternating sums' right side -0.0
+    family, n_max = FAMILIES[key], 12
+    rng = rng_for(2611, key)
+    params, sides = retry(lambda: (p := draw_params(family.params, rng, 16),
+                                   family_sides(family, n_max, p)), "no admissible sample")
+    assert len(sides) == (n_max + 1) * len(family.printed)
+    assert all(type(lhs) is Pair and type(rhs) is Pair for _, _, lhs, rhs in sides)
+    # the printed identities given Fractions compute in Fractions
+    xs = generate(family.make(params), 2 * n_max + 2)
+    for ident in family.printed:
+        for n in range(n_max + 1):
+            assert type(ident.rhs(n, xs, params)) is F, (ident.name, n)
+            if n >= ident.k_start:
+                assert type(ident.term(n, xs, params)) is F, (ident.name, n)
