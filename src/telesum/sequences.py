@@ -31,7 +31,9 @@ any exact operands, give Pairs.  The running sum S(n) is compared with
 R(n) by cross-multiplying; once S(n) == R(n) has passed, the sum goes on
 from R(n)'s pair, the same rational, so its parts do not grow with every
 term.  A Fraction is built only for a public return value (``generate``,
-``lucas_gen_sides``) or a failing record's witness.
+``lucas_gen_sides``, the coefficients of ``Family.make``'s spec) or a
+failing record's witness.  A constant coefficient is a plain int, so the
+generic identities divide coefficients as Fractions, never int by int.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def _require_size(name: str, value: int) -> None:
 
 def generate(spec: RecurrenceSpec, N: int) -> list[Fraction]:
     """x_0 .. x_N, exactly."""
-    return _generate(spec, N, Fraction)
+    return _generate(spec.a, spec.b, spec.x0, spec.x1, N, Fraction)
 
 
 def _reduced(num: int, den: int) -> Pair:
@@ -85,14 +87,16 @@ def _reduced(num: int, den: int) -> Pair:
     return Pair(num // g, den // g)
 
 
-def _generate(spec: RecurrenceSpec, N: int, exact: Callable[[int, int], Exact]) -> list:
-    """x_0 .. x_N, each made by one exact(num, den) call, which reduces it:
-    a Fraction, or ``_reduced``'s Pair.  The recurrence runs on Pairs."""
+def _generate(a: Callable[[int], Exact], b: Callable[[int], Exact], x0: Exact, x1: Exact,
+              N: int, exact: Callable[[int, int], Exact]) -> list:
+    """x_0 .. x_N of x_{n+2} = a(n) x_{n+1} + b(n) x_n, each made by one
+    exact(num, den) call, which reduces it: a Fraction, or ``_reduced``'s
+    Pair.  The recurrence runs on Pairs."""
     _require_size("N", N)
-    prev, cur = Pair.of(spec.x0), Pair.of(spec.x1)
+    prev, cur = Pair.of(x0), Pair.of(x1)
     xs = [exact(prev.num, prev.den), exact(cur.num, cur.den)]
     for n in range(N - 1):
-        x = cur * spec.a(n) + prev * spec.b(n)
+        x = cur * a(n) + prev * b(n)
         xs.append(exact(x.num, x.den))
         prev, cur = cur, Pair.of(xs[-1])
     return xs[: N + 1]
@@ -143,7 +147,7 @@ def _divided_ratio(k: int, s: RecurrenceSpec) -> Fraction:
     den = s.a(k - 1) * s.a(k) + s.b(k)
     if den == 0:
         raise Inadmissible(f"{s.name}: a_{k - 1} a_{k} + b_{k} = 0 at j = {k}")
-    return s.a(k - 1) / den
+    return Fraction(s.a(k - 1), den)
 
 
 GENERIC: dict[int, Generic] = {
@@ -155,7 +159,7 @@ GENERIC: dict[int, Generic] = {
                lambda k, x, s: s.a(2 * k) * x[2 * k + 1], norm=(2,)),
     4: Generic(lambda k, s: ONE / s.b(k), lambda k, x: x[k + 1] * x[k + 2],  # squared-term
                lambda k, x, s: s.a(k) * x[k + 1] ** 2, norm=(2, 1)),
-    5: Generic(lambda k, s: -s.a(k) / s.b(k), lambda k, x: x[k + 1],  # alternating
+    5: Generic(lambda k, s: Fraction(-s.a(k), s.b(k)), lambda k, x: x[k + 1],  # alternating
                lambda k, x, s: x[k + 2] / s.a(k), norm=(1,)),
     6: Generic(_divided_ratio, lambda k, x: -x[k + 2],  # divided form
                lambda k, x, s: s.b(k - 1) * s.b(k) * x[k - 1] / s.a(k - 1), norm=(2,)),
@@ -218,7 +222,11 @@ class PrintedIdentity:
 @dataclass(frozen=True)
 class Family:
     """x_{n+2} = a(n, p) x_{n+1} + b(n, p) x_n with x_0 = 0, x_1 = 1, at
-    parameters p drawn from `params`, and its printed identities."""
+    parameters p drawn from `params`, and its printed identities.
+
+    a and b are written for any exact operands, like the printed
+    identities; a constant coefficient is a plain int, so ``family_sides``
+    builds no Fraction for it."""
 
     key: str
     citation: str
@@ -228,8 +236,9 @@ class Family:
     printed: tuple[PrintedIdentity, ...]
 
     def make(self, p: Params) -> RecurrenceSpec:
-        """The family's recurrence at parameters p."""
-        return RecurrenceSpec(self.key, lambda n: self.a(n, p), lambda n: self.b(n, p), ZERO, ONE)
+        """The family's recurrence at parameters p, its coefficients Fractions."""
+        return RecurrenceSpec(self.key, lambda n: Fraction(self.a(n, p)),
+                              lambda n: Fraction(self.b(n, p)), ZERO, ONE)
 
 
 class _Param(Pair):
@@ -564,7 +573,8 @@ def family_sides(family: Family, n_max: int,
     raises Inadmissible on any pole, ValueError on n_max < 0."""
     _require_size("n_max", n_max)
     point = sample_value(_exact_params, params)
-    xs = _generate(family.make(point), 2 * n_max + 2, _reduced)
+    xs = _generate(lambda n: family.a(n, point), lambda n: family.b(n, point), ZERO, ONE,
+                   2 * n_max + 2, _reduced)
     return [(ident.name, n, lhs, rhs) for ident in family.printed
             for n, lhs, rhs in _partial_sums(ident.k_start, n_max,
                                              lambda k: ident.term(k, xs, point),

@@ -29,8 +29,9 @@ from telesum.genhyp import (OPERATIONS, SequenceParams, dougall_terms, macdonald
 from telesum.rational import ONE, ZERO, Pair, format_rational, rat_div
 from telesum.report import outcome
 from telesum.sampling import RETRY_BOUND, retry, rng_for, sample_rational, sweep
-from telesum.sequences import (FAMILIES, _require_size, family_sides, generate,
-                               lucas_gen_sides, random_spec, verify_family_suite)
+from telesum.sequences import (FAMILIES, RecurrenceSpec, _require_size, family_sides,
+                               generate, lucas_gen_sides, random_spec, verify_family_suite,
+                               verify_lucas_gen)
 from telesum.telescope import TelescopeProblem, telescoping_terms
 
 
@@ -219,6 +220,30 @@ def test_public_sequence_functions_return_the_reference_fractions():
             sides = lucas_gen_sides(spec, which, 6)
             assert all(type(v) is F for _, lhs, rhs in sides for v in (lhs, rhs))
             assert all(lhs == rhs for _, lhs, rhs in sides)
+
+
+@pytest.mark.parametrize("key", sorted(FAMILIES))
+def test_the_generic_identities_of_every_family_give_fractions(key):
+    # a family's constant coefficients are ints: its public spec must still
+    # give Fractions, and the generic identities must divide them exactly
+    family = FAMILIES[key]
+    params = draw_params(family.params, rng_for(2533, key), 16)
+    spec = family.make(params)
+    assert all(type(c) is F for n in range(14) for c in (spec.a(n), spec.b(n)))
+    for which in range(1, 7):
+        sides = lucas_gen_sides(spec, which, 6)
+        assert all(type(v) is F for _, lhs, rhs in sides for v in (lhs, rhs)), (key, which)
+        assert all(lhs == rhs for _, lhs, rhs in sides), (key, which)
+        records = verify_lucas_gen(spec, which, 6)
+        assert {r.status for r in records} == {"pass"}, (key, which)
+
+
+def test_the_generic_identities_divide_int_coefficients_exactly():
+    spec = RecurrenceSpec("ints", lambda n: 2, lambda n: n + 3, ZERO, ONE)
+    for which in range(1, 7):
+        sides = lucas_gen_sides(spec, which, 6)
+        assert all(type(v) is F for _, lhs, rhs in sides for v in (lhs, rhs)), which
+        assert all(lhs == rhs for _, lhs, rhs in sides), which
 
 
 # ---------------------------------------------------------------------------
