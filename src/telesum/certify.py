@@ -36,11 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any, Callable, Mapping
 
-from .errors import DivisionByZero, Inadmissible, NoCertificate
-from .rational import format_rational, rat_div
+from .errors import Inadmissible, NoCertificate
+from .rational import as_pair, pair_lcm_add, rat_div, zero_divisor
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .telescope import telescoping_pairs
 
@@ -152,7 +151,7 @@ def _pair_row(fn: CertFn, n: int, params: Params) -> Row:
     if columns:
         return Row(columns(n, params))
     values = sample_value.row(fn, n, params)
-    return Row(lambda k: (values[k].numerator, values[k].denominator))
+    return Row(lambda k: as_pair(values[k]))
 
 
 def by_row(columns: Callable[[int, Params], Callable[[int], Any]]) -> CertFn:
@@ -224,19 +223,15 @@ class Summands:
         if self.rhs is None:
             r = sample_value(self.closed, self.n, self.params)
             if r == 0:
-                raise DivisionByZero(f"division of {format_rational(t)} by zero")
+                raise zero_divisor(t)
             self.rhs = r.numerator, r.denominator
         return t
 
     def total(self, m: int) -> tuple[int, int]:
         sums = self.sums
-        num, den = sums[-1] if sums else (0, 1)
         for k in range(len(sums), m + 1):
             t = self.value(k)
-            a, b = t.numerator, t.denominator
-            g = gcd(den, b)
-            num, den = num * (b // g) + a * (den // g), den * (b // g)
-            sums.append((num, den))
+            sums.append(pair_lcm_add(sums[-1] if sums else (0, 1), as_pair(t)))
         return sums[m]
 
 

@@ -53,8 +53,9 @@ from typing import Callable, Mapping, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       Quotient, Row, by_pair_row, by_row, sample_value)
-from .errors import DivisionByZero, Inadmissible
-from .rational import ONE, ZERO, format_rational, prod_range, rat_div, rat_pow
+from .errors import Inadmissible
+from .rational import (ONE, ZERO, as_pair, pair_mul, pair_pow, prod_range, rat_div, rat_pow,
+                       zero_divisor)
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
 Params = Mapping[str, object]
@@ -106,13 +107,8 @@ def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
 
 
 def _power_pair(q: Fraction | None, k: int) -> tuple[int, int] | None:
-    """q^k as an integer pair (r, s) with s > 0, or None without a base q."""
-    if q is None:
-        return None
-    if k >= 0:
-        return q.numerator ** k, q.denominator ** k
-    qk = rat_pow(q, k)
-    return qk.numerator, qk.denominator
+    """q^k as an integer pair (r, s), or None without a base q."""
+    return None if q is None else pair_pow(as_pair(q), k)
 
 
 def _q_powers(p: Params) -> Row | None:
@@ -125,7 +121,7 @@ def _q_powers(p: Params) -> Row | None:
 def _factor_pair(xs: Sequence[Fraction], k: int,
                  qk: tuple[int, int] | None = None) -> tuple[int, int]:
     """prod_x (x + k), or prod_x (1 - x q^k) when the pair qk = (r, s) of
-    q^k is given, as an unreduced integer pair (num, den) with den > 0.
+    q^k is given, as an unreduced integer pair (num, den), den != 0.
 
     With x = p/d and q^k = r/s a factor is (p + k d)/d, or (d s - p r)/(d s).
     """
@@ -153,20 +149,21 @@ class _TermRow:
         t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
         or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given,
 
-    with the running upper, lower and z^m products kept as unreduced integer
-    pairs, so each column is one Fraction and reading columns 0..m costs
-    O(m) factors, not O(m^2).  A zero lower product raises
+    with the running upper product and the running t(m) kept as unreduced
+    integer pairs, so each step multiplies one index's factors into them,
+    each column is one Fraction, and reading columns 0..m costs O(m)
+    factors, not O(m^2).  A zero lower product raises
     DivisionByZero, even where an upper factor vanishes too: from the first
-    vanishing lower factor on, every column raises with the text
-    "division of <upper product at that column> by zero".  The text is kept,
+    vanishing lower factor on, every column raises ``rational.zero_divisor``
+    of the upper product at that column.  That product is kept as a pair,
     never the exception.
     """
 
     def __init__(self, upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
                  q: Fraction | None = None) -> None:
         self.upper, self.lower, self.z, self.q = upper, lower, z, q
-        self.products = (1, 1, 1, 1, 1, 1)  # upper, lower and z^m as (num, den) pairs
-        self.columns: list[Fraction | str] = [ONE]  # t(m), or the text it raises
+        self.products = (1, 1, 1, 1)  # the upper product and t(m) as (num, den) pairs
+        self.columns: list[Fraction | tuple[int, int]] = [ONE]  # t(m), or the pair it divides
 
     def __call__(self, m: int) -> Fraction:
         if m < 0:
@@ -174,41 +171,34 @@ class _TermRow:
         while len(self.columns) <= m:
             self._extend()
         value = self.columns[m]
-        if isinstance(value, str):
-            raise DivisionByZero(value)
+        if isinstance(value, tuple):
+            raise zero_divisor(Fraction(*value))
         return value
 
     def _extend(self) -> None:
         """Append t(i + 1) = t(i) * ratio(i) for the last column i."""
         i = len(self.columns) - 1
-        un, ud, ln, ld, zn, zd = self.products
+        un, ud, tn, td = self.products
         qk = _power_pair(self.q, i)
-        upper, lower = _factor_pair(self.upper, i, qk), _factor_pair(self.lower, i, qk)
-        un, ud, ln, ld = un * upper[0], ud * upper[1], ln * lower[0], ld * lower[1]
-        zn, zd = zn * self.z.numerator, zd * self.z.denominator
-        self.products = (un, ud, ln, ld, zn, zd)
-        if ln == 0:
-            self.columns.append(f"division of {format_rational(Fraction(un, ud))} by zero")
-        else:
-            self.columns.append(Fraction(un * ld * zn, ud * ln * zd))
+        (a, b), (c, d) = _factor_pair(self.upper, i, qk), _factor_pair(self.lower, i, qk)
+        un, ud = un * a, ud * b
+        tn, td = tn * a * d * self.z.numerator, td * b * c * self.z.denominator
+        self.products = (un, ud, tn, td)
+        # td is 0 from the first vanishing lower factor on
+        self.columns.append((un, ud) if td == 0 else Fraction(tn, td))
 
 
 def _linear_pair(xs: Sequence[Fraction], z: Fraction, k: int,
                  qk: tuple[int, int] | None = None) -> tuple[int, int]:
-    """``linear_factors`` as an unreduced integer pair (num, den), den > 0,
+    """``linear_factors`` as an unreduced integer pair (num, den), den != 0,
     given q^k as the pair qk."""
-    num, den = _factor_pair(xs, k, qk)
-    return z.numerator * num, z.denominator * den
+    return pair_mul(as_pair(z), _factor_pair(xs, k, qk))
 
 
 def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
                    q: Fraction | None = None) -> Fraction:
     """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
     return Fraction(*_linear_pair(xs, z, k, _power_pair(q, k)))
-
-
-def factorial(m: int) -> Fraction:
-    return rising_factorial(ONE, m)
 
 
 @dataclass(frozen=True)
@@ -352,7 +342,8 @@ def _reciprocal_rising_fact_sum() -> IdentityDef:
 
     def rhs(n, p):
         m = p["m"]
-        return Fraction(1, m) * (rat_div(ONE, factorial(m)) - rat_div(ONE, rising_factorial(Fraction(n + 1), m)))
+        return Fraction(1, m) * (rat_div(ONE, rising_factorial(ONE, m))
+                                 - rat_div(ONE, rising_factorial(Fraction(n + 1), m)))
 
     return IdentityDef(
         key="reciprocal_rising_fact_sum",

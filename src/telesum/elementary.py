@@ -27,7 +27,8 @@ gives two testers:
 Neither tester takes a gcd per operation.  At a point, every monomial and
 every factor (1 - m) is an unreduced integer pair built from the
 coordinates' numerators and denominators, and lhs - rhs is summed as one
-pair and reduced once, to one Fraction per point.  The expansion runs over
+pair, over the lcm of the terms' denominators (``rational.pair_lcm_add``),
+and reduced once, to one Fraction per point.  The expansion runs over
 int: a factor (1 - r/s * x^f) multiplies in as s * poly - r * shift(poly),
 each term is scaled to one common denominator L, and P's coefficients are
 Fraction(c, L).
@@ -38,13 +39,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable
 
 from .errors import DivisionByZero
-from .rational import ONE as F1
+from .rational import ONE as F1, pair_lcm_add, zero_to_negative_power
 from .report import PASS, CheckRecord, outcome, record
 from .sampling import RETRY_BOUND, retry, rng_for, sample_rational
 
@@ -104,26 +106,20 @@ def _one(n: int) -> Mono:
 def _scaled(num: int, den: int, exps: tuple[int, ...],
             nums: list[int], dens: list[int]) -> tuple[int, int]:
     """num/den * prod x_i^exps[i] at x_i = nums[i]/dens[i], as an unreduced
-    pair (numerator, nonzero denominator); 0 to a negative power raises."""
+    pair (numerator, nonzero denominator); 0 to a negative power raises.
+
+    The powers are taken inline, not by ``rational.pair_pow``: the two
+    calls per coordinate would make a sampled point 1.8 times slower."""
     for n, d, e in zip(nums, dens, exps):
         if e > 0:
             num *= n ** e
             den *= d ** e
         elif e:
             if not n:
-                raise DivisionByZero(f"0 raised to negative power {e}")
+                raise zero_to_negative_power(e)
             num *= d ** -e
             den *= n ** -e
     return num, den
-
-
-def _sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of (numerator, denominator) pairs, as one unreduced pair."""
-    total_num, total_den = 0, 1
-    for num, den in pairs:
-        total_num = total_num * den + num * total_den
-        total_den *= den
-    return total_num, total_den
 
 
 def _term(t: FTerm, nums: list[int], dens: list[int]) -> tuple[int, int]:
@@ -146,7 +142,7 @@ def _term(t: FTerm, nums: list[int], dens: list[int]) -> tuple[int, int]:
 def eval_terms(terms: tuple[FTerm, ...], point: tuple[Fraction, ...]) -> Fraction:
     nums = [v.numerator for v in point]
     dens = [v.denominator for v in point]
-    return Fraction(*_sum(_term(t, nums, dens) for t in terms))
+    return Fraction(*reduce(pair_lcm_add, (_term(t, nums, dens) for t in terms), (0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +412,8 @@ def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
     ones = [1] * nv
     for values in product(*grids):
         nums = [v for _, v in sorted(zip(order, values))]
-        if _sum(_scaled(c, 1, exps, nums, ones) for exps, c in poly.items())[0]:
+        if reduce(pair_lcm_add, (_scaled(c, 1, exps, nums, ones) for exps, c in poly.items()),
+                  (0, 1))[0]:
             return [outcome("elementary", ident.key, "grid_zero", ident.citation, False,
                             {var: Fraction(v) for var, v in zip(ident.vars, nums)}, grid=shape)]
     raise AssertionError(f"{ident.key}: nonzero expansion vanished on its grid")

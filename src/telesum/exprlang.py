@@ -17,7 +17,11 @@ prod (arity, operation).  Rational constants are written with / (e.g. 2/3);
 the token grammar has integer literals only.
 
 Evaluation compiles a syntax tree into closures over unreduced integer
-pairs (num, den), which take one gcd per returned value (``evaluate``):
+pairs (num, den), which take one gcd per returned value (``evaluate``).
+Their arithmetic is the ``rational`` pair layer: ``BINARY`` holds its
+``pair_add``, ``pair_sub``, ``pair_mul`` and ``pair_div``, and ^ is its
+``pair_pow``, so a zero divisor or 0 to a negative power raises the text
+every suite raises.  Three more rules:
 
   * Compile once.  ``config_to_identity`` compiles each section once; a
     bare tree passed to ``evaluate`` is compiled at that call.
@@ -63,7 +67,8 @@ from typing import Callable, Mapping
 from .certify import Certificate, by_row, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
-from .rational import ONE, format_rational, prod_range_pair
+from .rational import (ONE, IntPair, as_pair, format_rational, pair_add, pair_div, pair_mul,
+                       pair_pow, pair_sub, prod_range_pair)
 
 
 class ParseError(ValueError):
@@ -164,54 +169,34 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 Binary = namedtuple("Binary", "prec text apply")
 Function = namedtuple("Function", "arity apply")
 
-#: A value in evaluation: an unreduced integer pair (num, den), den != 0.
-Pair = tuple[int, int]
-
-
-def _add(a: Pair, b: Pair) -> Pair:
-    (an, ad), (bn, bd) = a, b
-    return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
-
-
-def _sub(a: Pair, b: Pair) -> Pair:
-    (an, ad), (bn, bd) = a, b
-    return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
-
-
-def _div(a: Pair, b: Pair) -> Pair:
-    if b[0] == 0:
-        raise DivisionByZero(f"division of {format_rational(Fraction(*a))} by zero")
-    return a[0] * b[1], a[1] * b[0]
-
-
 #: Each binary operator, all left-associative: its precedence, its text in
-#: to_source and its exact operation on pairs.
+#: to_source and its exact operation on integer pairs, a rational primitive.
 BINARY = {
-    "+": Binary(_PREC_ADD, " + ", _add),
-    "-": Binary(_PREC_ADD, " - ", _sub),
-    "*": Binary(_PREC_MUL, "*", lambda a, b: (a[0] * b[0], a[1] * b[1])),
-    "/": Binary(_PREC_MUL, "/", _div),
+    "+": Binary(_PREC_ADD, " + ", pair_add),
+    "-": Binary(_PREC_ADD, " - ", pair_sub),
+    "*": Binary(_PREC_MUL, "*", pair_mul),
+    "/": Binary(_PREC_MUL, "/", pair_div),
 }
 
 
-def _rf(x: Pair, m: Pair) -> Pair:
+def _rf(x: IntPair, m: IntPair) -> IntPair:
     x, m = Fraction(*x), _count(m, "rf count")
     _fits(_rf_bits(x, m), "rf value")
-    return _pair(rising_factorial(x, m))
+    return as_pair(rising_factorial(x, m))
 
 
-def _qrf(a: Pair, q: Pair, m: Pair) -> Pair:
+def _qrf(a: IntPair, q: IntPair, m: IntPair) -> IntPair:
     a, q, m = Fraction(*a), Fraction(*q), _count(m, "qrf count")
     # factor i is at most 2 max(|p|, d) max(|r|, s)^i for a = p/d, q = r/s
     _fits(m * (_bits(a) + 1) + _bits(q) * (m * (m - 1) // 2), "qrf value")
-    return _pair(q_rising_factorial(a, q, m))
+    return as_pair(q_rising_factorial(a, q, m))
 
 
-def _binom(a: Pair, b: Pair) -> Pair:
+def _binom(a: IntPair, b: IntPair) -> IntPair:
     m = _count(b, "binom lower index")
     x = Fraction(a[0] - (m - 1) * a[1], a[1])  # a - m + 1
     _fits(_rf_bits(x, m) + _rf_bits(ONE, m), "binom value")
-    return _div(_pair(rising_factorial(x, m)), _pair(rising_factorial(ONE, m)))
+    return pair_div(as_pair(rising_factorial(x, m)), as_pair(rising_factorial(ONE, m)))
 
 
 #: Each call form but the binder prod: its arity and its operation on the
@@ -472,20 +457,12 @@ def free_vars(e: Expr) -> set[str]:
 
 # --- Evaluation ---------------------------------------------------------------
 
-#: A compiled expression: its value at (env, memo) as a Pair.  memo holds the
-#: values of hoisted subterms (see _compile).
-Code = Callable[[Mapping[str, Fraction], dict], Pair]
+#: A compiled expression: its value at (env, memo) as an integer pair.  memo
+#: holds the values of hoisted subterms (see _compile).
+Code = Callable[[Mapping[str, Fraction], dict], IntPair]
 
 
-def _pair(x: Fraction) -> Pair:
-    return x.numerator, x.denominator
-
-
-def _negated(num: int, den: int) -> Pair:
-    return -num, den
-
-
-def _as_int(value: Pair, what: str) -> int:
+def _as_int(value: IntPair, what: str) -> int:
     num, den = value
     if num % den:
         raise NonIntegerExponent(f"{what} must be an integer, got "
@@ -499,7 +476,7 @@ def _bounded(size: int, what: str) -> int:
     return size
 
 
-def _count(value: Pair, what: str) -> int:
+def _count(value: IntPair, what: str) -> int:
     """A non-negative integer count of at most MAX_COUNT."""
     m = _as_int(value, what)
     if m < 0:
@@ -526,14 +503,11 @@ def _power(base: Code, exponent: Code) -> Code:
     def power(env, memo):
         e = _bounded(_as_int(exponent(env, memo), "exponent"), "exponent")
         num, den = base(env, memo)
-        if e < 0:
-            if num == 0:
-                raise DivisionByZero(f"0 raised to negative power {e}")
-            num, den, e = den, num, -e
-        if e * max(num.bit_length(), den.bit_length()) > MAX_BITS:
-            num, den = _pair(Fraction(num, den))  # the bound is on the value, not the pair
-            _fits(e * max(num.bit_length(), den.bit_length()), "power")
-        return num ** e, den ** e
+        if abs(e) * max(num.bit_length(), den.bit_length()) > MAX_BITS:
+            x = Fraction(num, den)  # the bound is on the value, not the pair
+            _fits(abs(e) * _bits(x), "power")
+            num, den = as_pair(x)
+        return pair_pow((num, den), e)
 
     return power
 
@@ -582,14 +556,14 @@ def _compile(e: Expr, indices: frozenset[str] = frozenset(),
     keeps one value in memo per value of the indices it reads, and its own
     subterms are compiled with those indices."""
     if isinstance(e, Lit):
-        value = _pair(e.value)
+        value = as_pair(e.value)
         return lambda env, memo: value
     if isinstance(e, Var):
         name = e.name
 
         def var(env, memo):
             try:
-                return _pair(env[name])
+                return as_pair(env[name])
             except KeyError:
                 raise UnboundVariable(name) from None
 
@@ -605,7 +579,7 @@ def _compile(e: Expr, indices: frozenset[str] = frozenset(),
 
     if isinstance(e, Neg):
         arg = sub(e.arg)
-        return lambda env, memo: _negated(*arg(env, memo))
+        return lambda env, memo: pair_sub((0, 1), arg(env, memo))
     if isinstance(e, Bin):
         left, right, apply = sub(e.left), sub(e.right), BINARY[e.op].apply
         return lambda env, memo: apply(left(env, memo), right(env, memo))
@@ -817,7 +791,7 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
         except DivisionByZero as exc:
             raise UndefinedRange(f"range bound {to_source(expr)} is undefined at n = {n}: "
                                  f"{exc}") from None
-        return _as_int(_pair(value), "range bound")
+        return _as_int(as_pair(value), "range bound")
 
     bounds = [(expr, _compile(expr)) for expr in (config.range_lo, config.range_hi)]
 

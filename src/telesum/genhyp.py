@@ -28,9 +28,10 @@ do not outlive their draw.
 A draw is evaluated on ``rational.Pair``, an unreduced integer pair that
 takes no gcd: its sequences become Pairs, and the OPERATIONS lambdas,
 written once for any exact operands, give Pairs for u_k, v_k and w_k (a
-Fraction that a replaced u or v gives is read as it is).  The termwise
-side is ``telescope.telescoping_pair_sum``'s pair, the closed form is one
-Fraction from ``telescoping_closed_form``, and every comparison
+Fraction that a replaced u or v gives is read as it is).  One walk of the
+kernel (``telescope._read``) reads u_k and v_k, and both sides come from
+its values: the termwise side as a Pair, summed by Horner's rule, and the
+closed form as one Fraction.  Every comparison
 (identity, relation, relabel, d = 0) cross-multiplies.
 ``relabeled_for_permutation``, ``with_d_zero``, ``problem``,
 ``dougall_terms`` and ``ps_terms`` give values of the kind they are given:
@@ -46,10 +47,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .rational import ZERO, Exact, Pair, as_pair, rat_div
+from .rational import ZERO, Exact, Pair, as_pairs, rat_div
 from .report import CheckRecord, outcome
 from .sampling import RETRY_BOUND, retry, sample_sequence, sweep
-from .telescope import (TelescopeProblem, telescoping_closed_form, telescoping_pair_sum,
+from .telescope import (TelescopeProblem, _horner, _read, telescoping_closed_form,
                         telescoping_pairs)
 
 
@@ -168,14 +169,10 @@ class _Route:
         return _summands(TelescopeProblem(self.u.__getitem__, self.v.__getitem__, self.p.n), Pair)
 
 
-def _pair_fn(f: Callable[[int], Exact]) -> Callable[[int], tuple[int, int]]:
-    return lambda k: as_pair(f(k))
-
-
 def _summands(prob: TelescopeProblem, kind: type) -> list:
     """prob's summands, each kind(num, den): Pairs, or the Fractions of
     ``telescoping_terms``."""
-    return [kind(*t) for t in telescoping_pairs(_pair_fn(prob.u), _pair_fn(prob.v), prob.n)]
+    return [kind(*t) for t in telescoping_pairs(as_pairs(prob.u), as_pairs(prob.v), prob.n)]
 
 
 def _kind(p: SequenceParams) -> type:
@@ -193,9 +190,8 @@ def _route(op: Operation, p: SequenceParams) -> _Route:
     """Evaluate op over p, a point of Pairs, once; a zero w_0 or v_k raises
     DivisionByZero."""
     rows, u, v = _values(op, p)
-    lhs = Pair(*telescoping_pair_sum(_pair_fn(u.__getitem__), _pair_fn(v.__getitem__), p.n))
-    rhs = telescoping_closed_form(TelescopeProblem(u.__getitem__, v.__getitem__, p.n))
-    return _Route(p, rows, u, v, (lhs, rhs))
+    read = _read(as_pairs(u.__getitem__), as_pairs(v.__getitem__), p.n)
+    return _Route(p, rows, u, v, (Pair(*_horner(*read)), telescoping_closed_form(read)))
 
 
 def _sides(key: str, p: SequenceParams, n: int | None) -> tuple[Fraction, Fraction]:

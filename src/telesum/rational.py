@@ -1,4 +1,4 @@
-"""Exact rational scalars and the extended product convention.
+"""Exact rational scalars, the one pair layer, and the extended product.
 
 Every quantity a public function takes or returns is a
 :class:`fractions.Fraction`: unbounded integers, canonical form
@@ -9,24 +9,23 @@ the report serialization format, and ``prod_range``, the product
 ``prod(f, lo, hi)`` extended to empty and inverted index ranges so that
 ``prod(f, lo, m-1) * f(m) == prod(f, lo, m)`` holds for *all* integers ``m``.
 
-Products defer the gcd: ``prod_range_pair`` multiplies the factors'
-numerators and denominators as plain integers and ``prod_range`` reduces
-once, so it returns the same canonical Fraction as a factor-by-factor
-product at one gcd instead of one per factor (Knuth, TAOCP Vol. 2, 4.5.1).
-``corpus`` builds its products the same way; ``exprlang`` evaluates config
-expressions so, and its ``prod`` by ``prod_range_pair``.
-
-``Pair`` is the one exact value type beside Fraction: a rational kept as an
-unreduced integer pair num/den.  Its ``+ - * /``, integer ``**`` and ``==``
-take no gcd (``==`` cross-multiplies), and its operands may be Pairs, ints
-or Fractions.  ``sequences`` and ``genhyp`` compute on Pairs; a caller
-builds a Fraction (``Pair.fraction``) only for a value it returns or
-prints, and ``format_rational`` reduces a Pair before it prints it.
+Inside the checks a rational is an unreduced integer pair (num, den), an
+``IntPair``, and its arithmetic is written once, here: ``pair_add``,
+``pair_sub``, ``pair_mul``, ``pair_div``, ``pair_pow``, and
+``pair_lcm_add``, the one step of a running sum, which alone takes a gcd
+(Knuth, TAOCP Vol. 2, 4.5.1).  ``zero_divisor`` and
+``zero_to_negative_power`` build the two zero texts every layer raises.
+``prod_range_pair`` multiplies factors' parts as plain integers, so
+``prod_range`` reduces once instead of once per factor.  ``Pair`` is the
+same pair as an object, for the ``sequences`` and ``genhyp`` code written
+once for any exact operands; a caller builds a Fraction only for a value
+it returns or prints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Union
 
 from .errors import DivisionByZero
@@ -40,15 +39,69 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+#: A rational as an unreduced integer pair (num, den), den != 0.
+IntPair = tuple[int, int]
+
+#: A sequence of rationals given as such pairs.
+PairFn = Callable[[int], IntPair]
+
+
+def zero_divisor(x: "Exact") -> DivisionByZero:
+    """The error of dividing x by zero."""
+    return DivisionByZero(f"division of {format_rational(x)} by zero")
+
+
+def zero_to_negative_power(e: int) -> DivisionByZero:
+    """The error of raising zero to the negative power e."""
+    return DivisionByZero(f"0 raised to negative power {e}")
+
+
+def pair_add(a: IntPair, b: IntPair) -> IntPair:  # over a shared denominator if equal
+    (an, ad), (bn, bd) = a, b
+    return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+
+
+def pair_sub(a: IntPair, b: IntPair) -> IntPair:
+    (an, ad), (bn, bd) = a, b
+    return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
+
+
+def pair_mul(a: IntPair, b: IntPair) -> IntPair:
+    return a[0] * b[0], a[1] * b[1]
+
+
+def pair_div(a: IntPair, b: IntPair) -> IntPair:
+    if b[0] == 0:
+        raise zero_divisor(Fraction(*a))
+    return a[0] * b[1], a[1] * b[0]
+
+
+def pair_pow(a: IntPair, e: int) -> IntPair:  # for an integer e
+    num, den = a
+    if e >= 0:
+        return num ** e, den ** e
+    if num == 0:
+        raise zero_to_negative_power(e)
+    return den ** -e, num ** -e
+
+
+def pair_lcm_add(total: IntPair, b: IntPair) -> IntPair:
+    """total + b over the lcm of the denominators, for terms that share factors."""
+    (num, den), (bn, bd) = total, b
+    g = gcd(den, bd)
+    return num * (bd // g) + bn * (den // g), den * (bd // g)
+
+
 class Pair:
     """An exact rational num/den as an unreduced integer pair, den != 0.
 
     No operation takes a gcd: each multiplies the parts out, so a value's
-    parts are a common multiple of its reduced ones and den may be negative.
-    An operand may be a Pair, an int or a Fraction, and the result is a
-    Pair; a float is refused.  ``==`` cross-multiplies, and hashing reduces,
-    so a Pair equals and hashes like the Fraction of the same value.  A zero
-    divisor, or zero raised to a negative power, raises DivisionByZero.
+    parts are a common multiple of its reduced ones and den may be
+    negative.  An operand may be a Pair, an int or a Fraction, and
+    the result is a Pair; a float is refused.  ``==`` cross-multiplies, and
+    hashing reduces, so a Pair equals and hashes like the Fraction of the
+    same value.  A zero divisor, or zero raised to a negative power, raises
+    DivisionByZero.
     """
 
     __slots__ = ("num", "den")
@@ -68,6 +121,8 @@ class Pair:
         """The reduced Fraction of the same value."""
         return Fraction(self.num, self.den)
 
+    # + - * are written out: calling pair_add, pair_sub and pair_mul made the
+    # sequence-parameter suite about 15 % slower.  / and ** call the primitives.
     def __add__(self, other):
         if isinstance(other, Pair):
             c, d = other.num, other.den
@@ -113,23 +168,16 @@ class Pair:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Pair):
-            c, d = other.num, other.den
-        else:
-            c, d = _parts(other)
-            if d is None:
-                return NotImplemented
-        if c == 0:
-            raise DivisionByZero(f"division of {format_rational(self)} by zero")
-        return Pair(self.num * d, self.den * c)
+        c, d = _parts(other)
+        if d is None:
+            return NotImplemented
+        return Pair(*pair_div((self.num, self.den), (c, d)))
 
     def __rtruediv__(self, other):
         c, d = _parts(other)
         if d is None:
             return NotImplemented
-        if self.num == 0:
-            raise DivisionByZero(f"division of {format_rational(other)} by zero")
-        return Pair(c * self.den, d * self.num)
+        return Pair(*pair_div((c, d), (self.num, self.den)))
 
     def __neg__(self) -> "Pair":
         return Pair(-self.num, self.den)
@@ -137,11 +185,7 @@ class Pair:
     def __pow__(self, e: int) -> "Pair":
         if type(e) is not int:
             return NotImplemented
-        if e >= 0:
-            return Pair(self.num ** e, self.den ** e)
-        if self.num == 0:
-            raise DivisionByZero(f"0 raised to negative power {e}")
-        return Pair(self.den ** -e, self.num ** -e)
+        return Pair(*pair_pow((self.num, self.den), e))
 
     def __eq__(self, other) -> bool:
         if other is self:
@@ -169,12 +213,12 @@ class Pair:
 Exact = Union[Fraction, int, Pair]
 
 
-def _parts(x: object) -> tuple[int, int] | tuple[None, None]:
+def _parts(x: object) -> IntPair | tuple[None, None]:
     """as_pair(x) for an exact x; (None, None) for anything else."""
     return as_pair(x) if isinstance(x, (Pair, int, Fraction)) else (None, None)
 
 
-def as_pair(x: Exact) -> tuple[int, int]:
+def as_pair(x: Exact) -> IntPair:
     """x's parts (num, den): a Pair's as they stand, an int's or a Fraction's
     reduced."""
     if isinstance(x, Pair):
@@ -182,18 +226,23 @@ def as_pair(x: Exact) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def as_pairs(f: Callable[[int], Exact]) -> PairFn:
+    """The sequence f, each value read as its parts (``as_pair``)."""
+    return lambda k: as_pair(f(k))
+
+
 def rat_div(a: Exact, b: Exact) -> Exact:
     """a / b with a typed error instead of ZeroDivisionError; a Pair
     operand gives a Pair."""
     if b == 0:
-        raise DivisionByZero(f"division of {format_rational(a)} by zero")
+        raise zero_divisor(a)
     return a / b
 
 
 def rat_pow(x: Exact, e: int) -> Exact:
     """x**e for integer e; negative exponents require x != 0."""
     if e < 0 and x == 0:
-        raise DivisionByZero(f"0 raised to negative power {e}")
+        raise zero_to_negative_power(e)
     return x ** e
 
 

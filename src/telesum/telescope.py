@@ -12,38 +12,26 @@ package's core oracle.  ``raw_euler_sum`` is the unnormalized k=1..n form,
 ``sum_to_telescope`` embeds an arbitrary telescoping sum f(k+1) - f(k), and
 ``solve_linear_recurrence`` solves x_{m+1} = b_m x_m + c_m in closed form.
 
-Sums maintain running products incrementally (O(n) multiplications), so
-nothing calls prod_range per term: calling it for each of n terms would
-multiply O(n^2) factors.  ``telescoping_pairs`` carries its running ratio
-(u_0..u_{k-1}) / (w_0 v_1..v_k) as an unreduced integer pair and yields each
-summand as one, for the certificate checks; ``telescoping_terms`` builds one
-Fraction from each, so a summand pays one gcd.  ``telescoping_pair_sum``
-nests the same sum by Horner's rule,
-
-    sum = X_0 / w_0,   X_n = w_n,   X_k = w_k + (u_k / v_{k+1}) X_{k+1},
-
-on unreduced integer pairs, so its parts grow by one index's factors per
-step instead of by a whole summand's denominator; ``telescoping_sum`` and
-``telescoping_closed_form`` each build one Fraction at the end.  u and v
-may give Fractions, ints or ``rational.Pair`` values.  Every function here
-reads each u_k and v_k once, keeping u_{k-1} in a local, so a costly or
-memoized u and v is evaluated or looked up once per index;
-``raw_euler_sum`` reads each once into lists and takes both sides from the
-kernel.  The lemma's sums run over k = 0..n, so every function here raises
-ValueError for n < 0.
+One walk, ``_walk``, reads u and v as ``rational.IntPair`` values, each
+once, and tests w_0 != 0 and each v_k != 0 with its caller's texts.  Its
+readers: ``telescoping_pairs`` yields each summand as an integer pair as
+soon as its index is read (``telescoping_terms`` makes it a Fraction);
+``_horner`` sums by Horner's rule, X_n = w_n, X_k = w_k + (u_k / v_{k+1})
+X_{k+1}, sum = X_0 / w_0, so its parts grow by one index's factors per
+step; ``_closed`` forms the right side.  ``genhyp`` and ``raw_euler_sum``
+take both sides from one ``_read``, which ``telescoping_closed_form``
+accepts in place of a problem.  The lemma's sums run over k = 0..n, so
+every function here raises ValueError for n < 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DivisionByZero
-from .rational import ONE, SeqFn, ZERO, as_pair
-
-#: A sequence of rationals given as unreduced integer pairs (num, den), den != 0.
-PairFn = Callable[[int], tuple[int, int]]
+from .rational import ONE, ZERO, IntPair, PairFn, SeqFn, as_pair, as_pairs
 
 
 @dataclass(frozen=True)
@@ -61,70 +49,91 @@ def _require_length(n: int) -> None:
         raise ValueError(f"telescoping sums need n >= 0, got n = {n}")
 
 
-def telescoping_pairs(u: PairFn, v: PairFn, n: int) -> Iterator[tuple[int, int]]:
+#: The texts of a zero w_0 and of a zero v_k ({k}), per side of the lemma.
+_SUM_TEXTS = ("telescoping sum requires w_0 = u_0 - v_0 != 0",
+              "telescoping sum requires v_{k} != 0")
+_CLOSED_TEXTS = ("closed form requires w_0 != 0", "closed form requires v_{k} != 0")
+
+
+def _walk(u: PairFn, v: PairFn, n: int,
+          texts: tuple[str, str]) -> Iterator[tuple[IntPair, IntPair]]:
+    """(u_k, v_k) for k = 0..n, read in the order u_0, v_0, v_1, u_1, v_2,
+    u_2, ...; DivisionByZero with texts[0] if w_0 = 0 and with texts[1] if
+    v_k = 0 for some k >= 1, before u_k is read."""
+    _require_length(n)
+    a, b = u0 = u(0)
+    c, d = v0 = v(0)
+    if a * d == c * b:
+        raise DivisionByZero(texts[0])
+    yield u0, v0
+    for k in range(1, n + 1):
+        vk = v(k)
+        if vk[0] == 0:
+            raise DivisionByZero(texts[1].format(k=k))
+        yield u(k), vk
+
+
+def telescoping_pairs(u: PairFn, v: PairFn, n: int) -> Iterator[IntPair]:
     """The summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n, as
     unreduced integer pairs (num, den), over u and v given as such pairs.
 
-    Each u_k and v_k is read once, in the order u_0, v_0, v_1, u_1, v_2, u_2,
-    ...  The running ratio (u_0..u_{k-1}) / (w_0 v_1..v_k) is an unreduced
-    integer pair, and so is w_k; the k = 0 pair has equal entries.  Raises
-    ValueError if n < 0, and DivisionByZero if w_0 = 0 or any of v_1..v_n
-    is zero.
+    Each summand is yielded as soon as its u_k and v_k are read (``_walk``'s
+    order).  The running ratio (u_0..u_{k-1}) / (w_0 v_1..v_k) is an
+    unreduced integer pair, and so is w_k; the k = 0 pair has equal entries.
+    Raises ValueError if n < 0, and DivisionByZero if w_0 = 0 or any of
+    v_1..v_n is zero.
     """
-    _require_length(n)
-    a, b = u(0)
-    c, d = v(0)
-    if a * d == c * b:
-        raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
+    walk = _walk(u, v, n, _SUM_TEXTS)
+    (a, b), (c, d) = next(walk)
     num, den = b * d, a * d - c * b  # 1 / w_0
-    for k in range(n + 1):
-        if k > 0:
-            c, d = v(k)
-            if c == 0:
-                raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
-            num, den = num * a * d, den * b * c
-            a, b = u(k)
+    yield (a * d - c * b) * num, b * d * den
+    for (e, f), (c, d) in walk:
+        num, den = num * a * d, den * b * c  # times u_{k-1} / v_k
+        a, b = e, f
         yield (a * d - c * b) * num, b * d * den
 
 
-def telescoping_pair_sum(u: PairFn, v: PairFn, n: int) -> tuple[int, int]:
-    """The sum of telescoping_pairs(u, v, n) as one unreduced integer pair,
-    by Horner's rule: X_n = w_n, X_k = w_k + (u_k / v_{k+1}) X_{k+1}, and
-    the sum is X_0 / w_0.
-
-    u and v are read, and their zeros raise, in telescoping_pairs' order
-    and with its messages, before the sum is formed.
-    """
-    _require_length(n)
-    a, b = u(0)
-    c, d = v(0)
-    if a * d == c * b:
-        raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
-    us, vs = [(a, b)], [(c, d)]
-    for k in range(1, n + 1):
-        c, d = v(k)
-        if c == 0:
-            raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
-        vs.append((c, d))
-        us.append(u(k))
-    a, b = us[n]
-    c, d = vs[n]
+def _horner(us: Sequence[IntPair], vs: Sequence[IntPair]) -> IntPair:
+    """The left side over u_0..u_n and v_0..v_n, by Horner's rule: X_n = w_n,
+    X_k = w_k + (u_k / v_{k+1}) X_{k+1}, and the sum is X_0 / w_0."""
+    (a, b), (c, d) = us[-1], vs[-1]
     num, den = a * d - c * b, b * d  # X_n
-    for k in range(n - 1, -1, -1):
-        a, b = us[k]
-        c, d = vs[k]
-        e, f = vs[k + 1]
+    for k in range(len(us) - 2, -1, -1):
+        (a, b), (c, d), (e, f) = us[k], vs[k], vs[k + 1]
         num, den = (a * d - c * b) * e * den + a * f * d * num, b * d * e * den
-    a, b = us[0]
-    c, d = vs[0]
+    (a, b), (c, d) = us[0], vs[0]
     return num * b * d, den * (a * d - c * b)
 
 
-def _as_pairs(f: SeqFn) -> PairFn:
-    def pair(k: int) -> tuple[int, int]:
-        return as_pair(f(k))
+def _closed(us: Sequence[IntPair], vs: Sequence[IntPair]) -> IntPair:
+    """The right side (u_0/w_0) * (prod u / prod v - v_0/u_0) over the same
+    values.  The -v_0/u_0 term is skipped when v_0 = 0 (it is exactly zero
+    then); otherwise u_0 = 0 raises DivisionByZero."""
+    num = den = 1  # the ratio (u_1 ... u_n) / (v_1 ... v_n)
+    for (g, h), (e, f) in zip(us[1:], vs[1:]):
+        num, den = num * g * f, den * h * e
+    (a, b), (c, d) = us[0], vs[0]
+    if c != 0 and a == 0:
+        raise DivisionByZero("closed form requires u_0 != 0 when v_0 != 0")
+    # u_0 / w_0 * (num / den - v_0 / u_0) with u_0 = a/b, v_0 = c/d
+    return num * a * d - c * b * den, (a * d - c * b) * den
 
-    return pair
+
+class _Read(NamedTuple):
+    """u_0..u_n and v_0..v_n as one walk read them: integer pairs, w_0 and
+    each v_k tested."""
+
+    us: tuple[IntPair, ...]
+    vs: tuple[IntPair, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.us) - 1
+
+
+def _read(u: PairFn, v: PairFn, n: int, texts: tuple[str, str] = _SUM_TEXTS) -> _Read:
+    """One walk's values, for every reader to share."""
+    return _Read(*zip(*_walk(u, v, n, texts)))
 
 
 def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
@@ -133,39 +142,26 @@ def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
     The summands of ``telescoping_pairs``, each one Fraction, so a summand
     pays one gcd: the same read order and the same raises.
     """
-    for num, den in telescoping_pairs(_as_pairs(p.u), _as_pairs(p.v), p.n):
+    for num, den in telescoping_pairs(as_pairs(p.u), as_pairs(p.v), p.n):
         yield Fraction(num, den)
 
 
 def telescoping_sum(p: TelescopeProblem) -> Fraction:
-    """Left side of the lemma, summed by ``telescoping_pair_sum``."""
-    return Fraction(*telescoping_pair_sum(_as_pairs(p.u), _as_pairs(p.v), p.n))
+    """Left side of the lemma, summed by Horner's rule (``_horner``)."""
+    return Fraction(*_horner(*_read(as_pairs(p.u), as_pairs(p.v), p.n)))
 
 
-def telescoping_closed_form(p: TelescopeProblem) -> Fraction:
+def telescoping_closed_form(p: TelescopeProblem | _Read) -> Fraction:
     """Right side of the lemma: (u_0/w_0) * (prod u / prod v - v_0/u_0).
 
-    Raises ValueError if n < 0.  The -v_0/u_0 term is skipped when v_0 = 0
-    (it is exactly zero then); otherwise u_0 = 0 raises DivisionByZero, as
-    do w_0 = 0 and zero v's.
+    p is a problem, or the ``_Read`` of one whose other side is taken from
+    the same walk.  Raises ValueError if n < 0.  The -v_0/u_0 term is
+    skipped when v_0 = 0 (it is exactly zero then); otherwise u_0 = 0
+    raises DivisionByZero, as do w_0 = 0 and zero v's.
     """
-    u, v, n = p.u, p.v, p.n
-    _require_length(n)
-    a, b = as_pair(u(0))
-    c, d = as_pair(v(0))
-    if a * d == c * b:
-        raise DivisionByZero("closed form requires w_0 != 0")
-    num = den = 1  # the ratio (u_1 ... u_n) / (v_1 ... v_n)
-    for j in range(1, n + 1):
-        e, f = as_pair(v(j))
-        if e == 0:
-            raise DivisionByZero(f"closed form requires v_{j} != 0")
-        g, h = as_pair(u(j))
-        num, den = num * g * f, den * h * e
-    if c != 0 and a == 0:
-        raise DivisionByZero("closed form requires u_0 != 0 when v_0 != 0")
-    # u_0 / w_0 * (num / den - v_0 / u_0) with u_0 = a/b, v_0 = c/d
-    return Fraction(num * a * d - c * b * den, (a * d - c * b) * den)
+    if not isinstance(p, _Read):
+        p = _read(as_pairs(p.u), as_pairs(p.v), p.n, _CLOSED_TEXTS)
+    return Fraction(*_closed(*p))
 
 
 def raw_euler_sum(u: SeqFn, v: SeqFn, n: int) -> tuple[Fraction, Fraction]:
@@ -177,10 +173,10 @@ def raw_euler_sum(u: SeqFn, v: SeqFn, n: int) -> tuple[Fraction, Fraction]:
     n = 0.  Each u_k and v_k is read once.  Raises ValueError if n < 0, and
     DivisionByZero if any of v_1..v_n is zero.
     """
-    us = [ONE] + [u(k) for k in range(1, n + 1)]
-    vs = [ZERO] + [v(k) for k in range(1, n + 1)]
-    p = TelescopeProblem(us.__getitem__, vs.__getitem__, n)
-    return telescoping_sum(p) - 1, telescoping_closed_form(p) - 1
+    us = [(1, 1)] + [as_pair(u(k)) for k in range(1, n + 1)]
+    vs = [(0, 1)] + [as_pair(v(k)) for k in range(1, n + 1)]
+    read = _read(us.__getitem__, vs.__getitem__, n)
+    return Fraction(*_horner(*read)) - 1, telescoping_closed_form(read) - 1
 
 
 def sum_to_telescope(f: SeqFn, n: int) -> tuple[Fraction, Fraction]:

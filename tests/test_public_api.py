@@ -1,5 +1,9 @@
 """Every name in ``telesum.__all__`` resolves, so a deletion that leaves an
-export behind fails here rather than at a user's import."""
+export behind fails here rather than at a user's import; and the shared
+zero texts are built in one place."""
+
+import re
+from pathlib import Path
 
 import telesum
 
@@ -13,3 +17,15 @@ def test_every_exported_name_resolves():
         except AttributeError:
             missing.append(name)
     assert missing == []
+
+
+def test_each_zero_text_is_written_once():
+    # every layer raises its zero divisor and its zero to a negative power
+    # through rational.zero_divisor and rational.zero_to_negative_power
+    src = Path(telesum.__file__).parent
+    for text in ("division of", "0 raised to negative power"):
+        pattern = re.compile(rf"""\bf["']{text}""")
+        places = [(path.name, line) for path in sorted(src.glob("*.py"))
+                  for line in path.read_text(encoding="utf-8").splitlines()
+                  if pattern.search(line)]
+        assert len(places) == 1 and places[0][0] == "rational.py", (text, places)

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from telesum.errors import DivisionByZero
-from telesum.rational import (Pair, as_pair, const, format_rational, prod_range,
+from telesum.rational import (Pair, as_pair, const, format_rational, pair_add, pair_div,
+                              pair_lcm_add, pair_mul, pair_pow, pair_sub, prod_range,
                               prod_range_pair, rat_div, rat_pow, seq)
 from telesum.sampling import rng_for, sample_rational
 
@@ -179,3 +180,49 @@ def test_pair_zero_divisor_raises_division_by_zero():
             rat_div(a, b)
     with pytest.raises(DivisionByZero, match=r"^0 raised to negative power -1$"):
         rat_pow(Pair(0, 3), -1)
+
+
+# --- The pair primitives ----------------------------------------------------------
+
+def _random_pair(rng):
+    """An unreduced pair: a sampled value, zero now and then, its parts scaled
+    by a common factor of either sign."""
+    x = sample_rational(rng) if rng.random() < 0.8 else F(0)
+    scale = rng.choice([1, -1, 2, -3, 6, 35])
+    return x.numerator * scale, x.denominator * scale
+
+
+def test_pair_primitives_match_fraction():
+    binary = {pair_add: F.__add__, pair_sub: F.__sub__, pair_mul: F.__mul__,
+              pair_lcm_add: F.__add__}
+    rng = rng_for(2601, "primitives")
+    for _ in range(500):
+        a, b = _random_pair(rng), _random_pair(rng)
+        fa, fb = F(*a), F(*b)
+        for primitive, op in binary.items():
+            got = primitive(a, b)
+            assert got[1] != 0 and F(*got) == op(fa, fb)
+        if fb != 0:
+            assert F(*pair_div(a, b)) == fa / fb
+        for e in range(-4, 5):
+            if e >= 0 or fa != 0:
+                assert F(*pair_pow(a, e)) == fa ** e
+
+
+def test_pair_primitives_take_no_gcd_but_the_running_sum():
+    assert pair_add((1, 6), (1, 6)) == (2, 6)  # a shared denominator is kept
+    assert pair_sub((1, 4), (1, 6)) == (2, 24)
+    assert pair_mul((2, 4), (3, -6)) == (6, -24)
+    assert pair_div((2, 4), (3, -6)) == (-12, 12)
+    assert pair_pow((2, -4), -3) == (-64, 8)
+    assert pair_lcm_add((1, 4), (1, 6)) == (5, 12)  # over lcm(4, 6)
+
+
+def test_pair_primitives_raise_the_shared_texts():
+    with pytest.raises(DivisionByZero) as exc:
+        pair_div((6, -4), (0, 7))
+    assert str(exc.value) == "division of -3/2 by zero"
+    with pytest.raises(DivisionByZero) as exc:
+        pair_pow((0, 5), -3)
+    assert str(exc.value) == "0 raised to negative power -3"
+    assert pair_pow((0, 5), 0) == (1, 1) and pair_pow((0, 5), 2) == (0, 25)

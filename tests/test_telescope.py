@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from telesum import telescope
 from telesum.errors import DivisionByZero
-from telesum.rational import const, seq
+from telesum.rational import as_pairs, const, seq
 from telesum.sampling import rng_for, sample_rational
 from telesum.telescope import (TelescopeProblem, raw_euler_sum,
                                solve_linear_recurrence, sum_to_telescope,
@@ -187,6 +188,21 @@ def test_terms_and_closed_form_read_each_u_and_v_once():
         log.clear()
         assert telescoping_closed_form(_logged_problem(p, log)) == sum(terms, F(0))
         assert log == order
+
+
+def test_one_walk_gives_both_sides_reading_u_and_v_once():
+    # genhyp._route and raw_euler_sum take the Horner sum and the closed form
+    # from one _read, and no reader walks u and v again
+    rng = rng_for(2601, "one walk")
+    for _ in range(100):
+        p = random_problem(rng)
+        order = [("u", 0), ("v", 0)] + [x for k in range(1, p.n + 1) for x in (("v", k), ("u", k))]
+        log = []
+        logged = _logged_problem(p, log)
+        read = telescope._read(as_pairs(logged.u), as_pairs(logged.v), p.n)
+        lhs, rhs = F(*telescope._horner(*read)), telescoping_closed_form(read)
+        assert log == order
+        assert lhs == telescoping_sum(p) and rhs == telescoping_closed_form(p)
 
 
 @pytest.mark.parametrize("u_vals, v_vals, message, reads", [
