@@ -41,7 +41,12 @@ Conventions:
     parameter is drawn by ``draw_params``.
 
 Summands, closed forms and certificate values are read through
-``certify.sample_value`` (see ``certify.SampleMemo``).
+``certify.sample_value`` (see ``certify.SampleMemo``).  The four sums
+without a certificate have summands free of n: each column is one cell(k),
+read through one row per sample that every row n shares (``_n_free``).
+Ramanujan's Entry 25 is the lemma at u_j = a_j, v_j = x + a_j: its cells
+and closed form read the lemma's running products, one row per sample
+(``_entry25_products``).  The other cells are x^k, (k)_m and 1/(k)_(m+1).
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Callable, Mapping, Sequence
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       Quotient, Row, by_pair_row, by_row, sample_value)
 from .errors import Inadmissible
-from .rational import (ONE, ZERO, as_pair, pair_mul, pair_pow, prod_range, rat_div, rat_pow,
+from .rational import (ONE, ZERO, IntPair, as_pair, pair_div, pair_mul, pair_pow, rat_div, rat_pow,
                        zero_divisor)
 from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
 
@@ -303,81 +308,6 @@ def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[s
 
 
 # ---------------------------------------------------------------------------
-# Sums without a certificate
-# ---------------------------------------------------------------------------
-
-def _geometric() -> IdentityDef:
-    def term(n, k, p):
-        return rat_pow(p["x"], k)
-
-    def rhs(n, p):
-        return rat_div(rat_pow(p["x"], n + 1) - 1, p["x"] - 1)
-
-    return IdentityDef(
-        key="geometric",
-        citation="geometric series partial sum",
-        params=(Param("x"),),  # x != 1
-        term=term, rhs=rhs,
-    )
-
-
-def _rising_fact_sum() -> IdentityDef:
-    def term(n, k, p):
-        return rising_factorial(Fraction(k), p["m"])
-
-    def rhs(n, p):
-        return rising_factorial(Fraction(n), p["m"] + 1) / (p["m"] + 1)
-
-    return IdentityDef(
-        key="rising_fact_sum",
-        citation="sum of rising factorials k(k+1)...(k+m-1)",
-        params=(Param("m", kind="int", int_range=(0, 5)),),
-        term=term, rhs=rhs, sum_range=lambda n: (1, n),
-    )
-
-
-def _reciprocal_rising_fact_sum() -> IdentityDef:
-    def term(n, k, p):
-        return rat_div(ONE, rising_factorial(Fraction(k), p["m"] + 1))
-
-    def rhs(n, p):
-        m = p["m"]
-        return Fraction(1, m) * (rat_div(ONE, rising_factorial(ONE, m))
-                                 - rat_div(ONE, rising_factorial(Fraction(n + 1), m)))
-
-    return IdentityDef(
-        key="reciprocal_rising_fact_sum",
-        citation="sum of reciprocals 1/(k(k+1)...(k+m))",
-        params=(Param("m", kind="int", int_range=(1, 5)),),
-        term=term, rhs=rhs, sum_range=lambda n: (1, n),
-    )
-
-
-def _ramanujan_entry25() -> IdentityDef:
-    # params: x and a sequence a_1, a_2, ... (1-indexed into the tuple)
-    def a(p, j):
-        return p["a"][j - 1]
-
-    def term(n, k, p):
-        x = p["x"]
-        num = prod_range(lambda j: a(p, j), 1, k)
-        return rat_div(num, prod_range(lambda j: x + a(p, j), 1, k + 1))
-
-    def rhs(n, p):
-        x = p["x"]
-        num = prod_range(lambda j: a(p, j), 1, n + 1)
-        den = x * prod_range(lambda j: x + a(p, j), 1, n + 1)
-        return rat_div(ONE, x) - rat_div(num, den)
-
-    return IdentityDef(
-        key="ramanujan_entry25",
-        citation="Ramanujan's Notebooks, Vol. 4, Entry 25",
-        params=(Param("x"), Param("a", kind="sequence")),
-        term=term, rhs=rhs,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Certified sums, declared as data
 # ---------------------------------------------------------------------------
 
@@ -535,16 +465,82 @@ _CERTIFIED = (
     ),
 )
 
-CORPUS: dict[str, IdentityDef] = {
-    idef.key: idef
-    for idef in (
-        _geometric(),
-        _rising_fact_sum(),
-        _reciprocal_rising_fact_sum(),
-        _ramanujan_entry25(),
-        *_CERTIFIED,
-    )
-}
+
+# ---------------------------------------------------------------------------
+# Sums without a certificate, whose summands do not depend on n
+# ---------------------------------------------------------------------------
+
+def _n_free(cell: Callable[[int, Params], Fraction]) -> CertFn:
+    """term(n, k) = cell(k, params), read through one ``Row`` per sample that
+    every row n shares, so each column is evaluated once per sample."""
+
+    def shared(p: Params) -> Row:
+        return Row(lambda k: cell(k, p))
+
+    return by_row(lambda n, p: sample_value(shared, p).__getitem__)
+
+
+def _entry25_products(p: Params) -> Callable[[int], tuple[IntPair, IntPair]]:
+    """(U_j, V_j) = (a_1 ... a_j, (x + a_1) ... (x + a_j)), j = 0, 1, ..., as
+    unreduced integer pairs, each computed at its first index; a is indexed
+    lazily, so reading past its end raises."""
+    x, a = p["x"], p["a"]
+    products = [((1, 1), (1, 1))]
+
+    def at(j: int) -> tuple[IntPair, IntPair]:
+        while len(products) <= j:
+            aj = a[len(products) - 1]
+            u, v = products[-1]
+            products.append((pair_mul(u, as_pair(aj)), pair_mul(v, as_pair(x + aj))))
+        return products[j]
+
+    return at
+
+
+def _entry25_term(k: int, p: Params) -> Fraction:
+    """U_k / V_(k+1), the lemma's summand k + 1 at u_0 = 1, v_0 = 1 + x."""
+    at = sample_value(_entry25_products, p)
+    (u, _), (_, v) = at(k), at(k + 1)
+    return Fraction(*pair_div(u, v))
+
+
+def _entry25_rhs(n: int, p: Params) -> Fraction:
+    """1/x - U_(n+1) / (x V_(n+1)), the lemma's sum to n + 1, less 1."""
+    u, v = sample_value(_entry25_products, p)(n + 1)
+    return rat_div(ONE, p["x"]) - Fraction(*pair_div(u, pair_mul(as_pair(p["x"]), v)))
+
+
+_UNCERTIFIED = (
+    IdentityDef(
+        key="geometric", citation="geometric series partial sum",
+        params=(Param("x"),),  # x != 1
+        term=_n_free(lambda k, p: rat_pow(p["x"], k)),
+        rhs=lambda n, p: rat_div(rat_pow(p["x"], n + 1) - 1, p["x"] - 1),
+    ),
+    IdentityDef(
+        key="rising_fact_sum", citation="sum of rising factorials k(k+1)...(k+m-1)",
+        params=(Param("m", kind="int", int_range=(0, 5)),),
+        term=_n_free(lambda k, p: rising_factorial(Fraction(k), p["m"])),
+        rhs=lambda n, p: rising_factorial(Fraction(n), p["m"] + 1) / (p["m"] + 1),
+        sum_range=lambda n: (1, n),
+    ),
+    IdentityDef(
+        key="reciprocal_rising_fact_sum", citation="sum of reciprocals 1/(k(k+1)...(k+m))",
+        params=(Param("m", kind="int", int_range=(1, 5)),),
+        term=_n_free(lambda k, p: rat_div(ONE, rising_factorial(Fraction(k), p["m"] + 1))),
+        rhs=lambda n, p: Fraction(1, p["m"]) * (
+            rat_div(ONE, rising_factorial(ONE, p["m"]))
+            - rat_div(ONE, rising_factorial(Fraction(n + 1), p["m"]))),
+        sum_range=lambda n: (1, n),
+    ),
+    IdentityDef(
+        key="ramanujan_entry25", citation="Ramanujan's Notebooks, Vol. 4, Entry 25",
+        params=(Param("x"), Param("a", kind="sequence")),  # a_j is a[j - 1]
+        term=_n_free(_entry25_term), rhs=_entry25_rhs,
+    ),
+)
+
+CORPUS: dict[str, IdentityDef] = {idef.key: idef for idef in (*_UNCERTIFIED, *_CERTIFIED)}
 
 #: Identities shipping with a telescoping certificate (the "ez" suite).
 CERTIFIED_KEYS = tuple(k for k, v in CORPUS.items() if v.certificate is not None)

@@ -1,8 +1,9 @@
 """The product helpers are calls to the one product engine.
 
-The derangement factorials, the config language's ``binom``, Ramanujan's
-Entry 25 and the q-Pell halving product are computed by
-``rational.prod_range`` and ``corpus.rising_factorial``.  The shifted
+The derangement factorials, the config language's ``binom`` and the q-Pell
+halving product are computed by ``rational.prod_range`` and
+``corpus.rising_factorial``; Ramanujan's Entry 25 reads one row per sample
+of its running products a_1...a_j and (x+a_1)...(x+a_j).  The shifted
 factorials, the columns of a ``corpus._TermRow``, ``linear_factors`` and
 ``prod_range`` build one Fraction from integer products instead of one per
 factor.  A certified summand's row, and its closed form, are each one
