@@ -8,17 +8,26 @@
                   [--format text|json]
 
 Exit codes: 0 every check passed, 1 at least one failure or no check at
-all, 2 usage or config error (including --samples < 1 and --n-max < 0).
+all, 2 usage or config error (including --samples < 1 and --n-max < 0) or
+a report that cannot be written (a full device, a closed pipe), which
+prints one ``error: cannot write output`` line on stderr.
 For a fixed (suite, seed, flags) triple the JSON report is byte-identical
 across runs and worker counts; the default seed is fixed so CI runs are
 reproducible.  What a start loads, and how ``--jobs`` runs, is described
 in ``runner``.
+
+``run`` is the process entry of the ``telesum`` script and of ``python -m
+telesum``: it flushes the output and ends with ``os._exit``, so the process
+skips the interpreter's teardown.  ``main`` is the in-process entry and
+returns the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import NoReturn
 
 from .errors import VerifyError
 from .report import FAIL, INADMISSIBLE, PASS, Report
@@ -92,11 +101,22 @@ def _render_text(report: Report, out) -> None:
           f"{report.wall_time:.2f}s)", file=out)
 
 
+def _cannot_write(exc: OSError) -> int:
+    try:
+        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return EXIT_USAGE
+
+
 def _emit(report: Report, fmt: str, flags: dict, out) -> int:
-    if fmt == "json":
-        out.write(report.to_json(flags))
-    else:
-        _render_text(report, out)
+    try:
+        if fmt == "json":
+            out.write(report.to_json(flags))
+        else:
+            _render_text(report, out)
+    except OSError as exc:
+        return _cannot_write(exc)
     if not report.records:
         print("error: no checks were run", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -114,10 +134,13 @@ def _flag_error(args: argparse.Namespace) -> str | None:
 
 
 def _run_list(out) -> int:
-    for suite in SUITES.values():
-        print(suite.heading, file=out)
-        for key, citation in suite.citations.items():
-            print(f"  {key:28s} {citation}", file=out)
+    try:
+        for suite in SUITES.values():
+            print(suite.heading, file=out)
+            for key, citation in suite.citations.items():
+                print(f"  {key:28s} {citation}", file=out)
+    except OSError as exc:
+        return _cannot_write(exc)
     return EXIT_OK
 
 
@@ -173,5 +196,23 @@ def main(argv: list[str] | None = None, out=None) -> int:
     return EXIT_USAGE
 
 
+def run() -> NoReturn:
+    """Run ``main`` as a whole process: flush its output, then end with
+    ``os._exit``, which frees no module or object on the way out.  A flush
+    that fails exits 2 with one error line, unless main already failed with
+    exit 2 and said why.  A --jobs N run has reaped its workers by now."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != EXIT_USAGE:
+            code = _cannot_write(exc)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

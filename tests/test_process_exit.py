@@ -1,0 +1,120 @@
+"""The CLI as a whole process: ``python -m telesum`` ends through ``cli.run``,
+which flushes the output and calls ``os._exit``.  Each case starts the CLI as
+a subprocess and holds it to what in-process ``main()`` writes and returns."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from telesum.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+FALSE_CONFIG = str(ROOT / "tests" / "golden" / "failures" / "false_binomial.tkid")
+
+
+def _env(unbuffered: bool = False) -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _cli(argv) -> list[str]:
+    return [sys.executable, "-m", "telesum", *argv]
+
+
+def in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode("utf-8"), err.getvalue()
+
+
+def as_process(argv):
+    run = subprocess.run(_cli(argv), env=_env(), capture_output=True, timeout=120)
+    return run.returncode, run.stdout, run.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["list"], 0),
+    (["verify", "--suite", "ez", "--id", "binomial", "--samples", "1", "--format", "json"], 0),
+    (["verify", "--suite", "genhyp", "--samples", "2", "--jobs", "2", "--format", "json"], 0),
+    (["check", "--config", FALSE_CONFIG, "--samples", "2", "--format", "json"], 1),
+    (["verify", "--no-such-flag"], 2),
+    (["--help"], 0),
+], ids=["list", "verify", "jobs2", "false-config", "unknown-flag", "help"])
+def test_process_matches_in_process_main(argv, code):
+    expected = in_process(argv)
+    assert expected[0] == code
+    assert as_process(argv) == expected
+
+
+def test_malformed_config_process_matches_in_process_main(tmp_path):
+    config = tmp_path / "malformed.tkid"
+    config.write_text("name: broken\nparams: x\nlhs: binom(n, k\nrange: 0 .. n\nrhs: 1\n",
+                      encoding="utf-8")
+    argv = ["check", "--config", str(config), "--format", "json"]
+    expected = in_process(argv)
+    assert expected[0] == 2 and expected[2].startswith("error: ")
+    assert as_process(argv) == expected
+
+
+def test_report_larger_than_a_pipe_buffer_arrives_whole():
+    argv = ["verify", "--suite", "sequences", "--format", "json"]
+    code, out, err = as_process(argv)
+    assert (code, err) == (0, "")
+    assert len(out) > 1 << 16
+    assert out == in_process(argv)[1]
+
+
+def test_jobs_run_leaves_no_process_in_its_group():
+    proc = subprocess.Popen(_cli(["verify", "--suite", "genhyp", "--samples", "2",
+                                  "--jobs", "2", "--format", "json"]),
+                            env=_env(), stdout=subprocess.DEVNULL, start_new_session=True)
+    assert proc.wait(timeout=120) == 0
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def _assert_cannot_write(run):
+    err = run.stderr.decode("utf-8")
+    assert run.returncode == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("error: cannot write output: ")
+    assert err.count("\n") == 1
+
+
+WRITERS = [["list"],
+           ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1", "--format", "json"],
+           ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1"]]
+WRITER_IDS = ["list", "json", "text"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_full_device_exits_two_with_one_error_line(argv, unbuffered):
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(_cli(argv), env=_env(unbuffered), stdout=full,
+                             stderr=subprocess.PIPE, timeout=120)
+    _assert_cannot_write(run)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_closed_pipe_exits_two_with_one_error_line(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader at all, so the first write fails
+    try:
+        run = subprocess.run(_cli(argv), env=_env(unbuffered), stdout=write_end,
+                             stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    _assert_cannot_write(run)
