@@ -17,11 +17,11 @@ from .corpus import (CORPUS, IdentityDef, Param, evaluate_identity, normalized,
                      q_rising_factorial, rising_factorial)
 from .errors import (DivisionByZero, Inadmissible, NoCertificate, SampleExhausted,
                      VerifyError)
-from .rational import Rational, SeqFn, format_rational, prod_range
+from .rational import Rational, SeqFn, format_rational
 from .report import CheckRecord, Report
 from .runner import run_suite
 from .telescope import (TelescopeProblem, raw_euler_sum, solve_linear_recurrence,
-                        sum_to_telescope, telescoping_closed_form, telescoping_sum)
+                        telescoping_closed_form, telescoping_sum)
 
 __version__ = "0.1.0"
 
@@ -55,8 +55,7 @@ __all__ = [
     "eval_expr", "evaluate_identity", "format_rational", "generate",
     "load_identity_config", "lucas_gen_sides",
     "macdonald_cv", "macdonald_cv_permuted", "macdonald_dougall", "macdonald_ps",
-    "normalized", "parse", "prod_range", "q_rising_factorial", "raw_euler_sum",
-    "rising_factorial", "run_suite", "solve_linear_recurrence", "sum_to_telescope",
-    "telescoping_closed_form", "telescoping_sum", "to_source", "verify_family_suite",
-    "verify_lucas_gen", "verify_sample",
+    "normalized", "parse", "q_rising_factorial", "raw_euler_sum", "rising_factorial",
+    "run_suite", "solve_linear_recurrence", "telescoping_closed_form", "telescoping_sum",
+    "to_source", "verify_family_suite", "verify_lucas_gen", "verify_sample",
 ]

@@ -9,8 +9,11 @@
 
 Exit codes: 0 every check passed, 1 at least one failure or no check at
 all, 2 usage or config error (including --samples < 1 and --n-max < 0) or
-a report that cannot be written (a full device, a closed pipe), which
-prints one ``error: cannot write output`` line on stderr.
+output that cannot be written (a full device, a closed pipe or a closed
+descriptor, on stdout or stderr).  Every byte the CLI prints, argparse's
+help, usage and errors included, goes through ``_write``, where a failed
+write becomes exit 2 with at most one ``error: cannot write output`` line
+on stderr.
 For a fixed (suite, seed, flags) triple the JSON report is byte-identical
 across runs and worker counts; the default seed is fixed so CI runs are
 reproducible.  What a start loads, and how ``--jobs`` runs, is described
@@ -29,7 +32,7 @@ import os
 import sys
 from typing import NoReturn
 
-from .errors import VerifyError
+from .errors import UnknownItem, VerifyError
 from .report import FAIL, INADMISSIBLE, PASS, Report
 from .runner import DEFAULT_SEED, SUITES, run_config_identity, run_suite
 
@@ -38,8 +41,48 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+class _Unwritable(Exception):
+    """A write to stdout or stderr failed; ``main`` exits 2."""
+
+
+def _write(text: str, file) -> None:
+    """Write and flush text: the one path of every byte the CLI prints.
+
+    A stream that is None (its descriptor was closed when the process
+    started) or whose write fails is unwritable: unless stderr is the one at
+    fault, one ``error: cannot write output`` line goes there, and
+    _Unwritable ends the run with exit 2."""
+    try:
+        if file is None:
+            raise OSError("the stream is closed")
+        file.write(text)
+        file.flush()
+    except OSError as exc:
+        if file is not sys.stderr:
+            _write(f"error: cannot write output: {exc.strerror or exc}\n", sys.stderr)
+        raise _Unwritable from None
+
+
+def _error(problem: object) -> int:
+    _write(f"error: {problem}\n", sys.stderr)
+    return EXIT_USAGE
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes its help, usage and errors through ``_write``.  The stock
+    parser drops a failed write, sends text meant for a None stdout to
+    stderr, and the usage meant for a None stderr to stdout."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            _write(message, file)
+
+    def print_usage(self, file=None) -> None:  # error() passes sys.stderr
+        self._print_message(self.format_usage(), file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="telesum",
         description="Exact verification of telescoping identities.",
     )
@@ -80,7 +123,8 @@ def _flags_dict(args: argparse.Namespace) -> dict:
     return flags
 
 
-def _render_text(report: Report, out) -> None:
+def _render_text(report: Report) -> str:
+    lines = []
     totals = report.totals()
     by_identity: dict[tuple[str, str], dict[str, int]] = {}
     for r in report.sorted_records():
@@ -89,36 +133,23 @@ def _render_text(report: Report, out) -> None:
     for (suite, identity), counts in sorted(by_identity.items()):
         marker = "ok " if counts[FAIL] == 0 else "FAIL"
         extra = f", {counts[INADMISSIBLE]} inadmissible" if counts[INADMISSIBLE] else ""
-        print(f"[{marker}] {suite}/{identity}: {counts[PASS]} pass, "
-              f"{counts[FAIL]} fail{extra}", file=out)
+        lines.append(f"[{marker}] {suite}/{identity}: {counts[PASS]} pass, "
+                     f"{counts[FAIL]} fail{extra}")
     for r in report.failures()[:20]:
         parts = [f"counterexample {r.suite}/{r.identity}", f"[{r.check}]"]
         parts += [f"{name}={value}" for name, value in (("n", r.n), ("sample", r.sample))
                   if value is not None]
-        print(f"  {' '.join(parts)}: {r.witness}", file=out)
-    print(f"total: {totals['checks']} checks, {totals[PASS]} pass, {totals[FAIL]} fail, "
-          f"{totals[INADMISSIBLE]} inadmissible  (seed {report.seed}, "
-          f"{report.wall_time:.2f}s)", file=out)
-
-
-def _cannot_write(exc: OSError) -> int:
-    try:
-        print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
-    except OSError:
-        pass
-    return EXIT_USAGE
+        lines.append(f"  {' '.join(parts)}: {r.witness}")
+    lines.append(f"total: {totals['checks']} checks, {totals[PASS]} pass, {totals[FAIL]} fail, "
+                 f"{totals[INADMISSIBLE]} inadmissible  (seed {report.seed}, "
+                 f"{report.wall_time:.2f}s)")
+    return "\n".join(lines) + "\n"
 
 
 def _emit(report: Report, fmt: str, flags: dict, out) -> int:
-    try:
-        if fmt == "json":
-            out.write(report.to_json(flags))
-        else:
-            _render_text(report, out)
-    except OSError as exc:
-        return _cannot_write(exc)
+    _write(report.to_json(flags) if fmt == "json" else _render_text(report), out)
     if not report.records:
-        print("error: no checks were run", file=sys.stderr)
+        _error("no checks were run")
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -134,18 +165,22 @@ def _flag_error(args: argparse.Namespace) -> str | None:
 
 
 def _run_list(out) -> int:
-    try:
-        for suite in SUITES.values():
-            print(suite.heading, file=out)
-            for key, citation in suite.citations.items():
-                print(f"  {key:28s} {citation}", file=out)
-    except OSError as exc:
-        return _cannot_write(exc)
+    lines = []
+    for suite in SUITES.values():
+        lines.append(suite.heading)
+        lines += [f"  {key:28s} {citation}" for key, citation in suite.citations.items()]
+    _write("\n".join(lines) + "\n", out)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    try:
+        return _main(argv, out if out is not None else sys.stdout)
+    except _Unwritable:
+        return EXIT_USAGE
+
+
+def _main(argv: list[str] | None, out) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -157,17 +192,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
 
     problem = _flag_error(args)
     if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(problem)
 
     if args.command == "verify":
         try:
             report = run_suite(args.suite, ids=args.ids, n_max=args.n_max,
                                samples=args.samples, seed=args.seed,
                                grid=args.grid, jobs=args.jobs)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return EXIT_USAGE
+        except UnknownItem as exc:
+            return _error(exc.args[0])
         return _emit(report, args.format, _flags_dict(args), out)
 
     if args.command == "check":
@@ -176,41 +209,35 @@ def main(argv: list[str] | None = None, out=None) -> int:
         try:
             idef = load_identity_config(args.config)
         except FileNotFoundError:
-            print(f"error: config file not found: {args.config}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(f"config file not found: {args.config}")
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
-            print(f"error: cannot read config file {args.config}: {reason}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(f"cannot read config file {args.config}: {reason}")
         except (ParseError, SchemaError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(exc)
         try:
             report = run_config_identity(idef, n_max=args.n_max, samples=args.samples,
                                          seed=args.seed)
         except VerifyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(exc)
         return _emit(report, args.format, _flags_dict(args), out)
 
     return EXIT_USAGE
 
 
 def run() -> NoReturn:
-    """Run ``main`` as a whole process: flush its output, then end with
+    """Run ``main`` as a whole process: flush stdout, then end with
     ``os._exit``, which frees no module or object on the way out.  A flush
     that fails exits 2 with one error line, unless main already failed with
-    exit 2 and said why.  A --jobs N run has reaped its workers by now."""
+    exit 2 and said why.  stderr needs no flush: ``_write`` flushes every
+    line it writes there, and stderr is line-buffered for any other writer.
+    A --jobs N run has reaped its workers by now."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as exc:
-        if code != EXIT_USAGE:
-            code = _cannot_write(exc)
-    try:
-        sys.stderr.flush()
-    except OSError:
-        pass
+    if code != EXIT_USAGE:
+        try:
+            _write("", sys.stdout)
+        except _Unwritable:
+            code = EXIT_USAGE
     os._exit(code)
 
 

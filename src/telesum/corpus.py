@@ -16,11 +16,11 @@ such a term read at m = k, and its closed form is the one closed-form row
 read at m = n.  Their certificates are declared the same way, as the
 (factors; argument) lists of a product of linear factors
 
-    linear_factors(xs, z, k) = z * prod (x + k)          (classical sums)
-    linear_factors(xs, z, k, q) = z * prod (1 - x q^k)   (q-sums)
+    z * prod (x + k)          (classical sums)
+    z * prod (1 - x q^k)      (q-sums)
 
 Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
-written once in ``_factor_pair``, which ``_TermRow`` and ``linear_factors``
+written once in ``_factor_pair``, which ``_TermRow`` and ``_linear_pair``
 share.  It takes q^k as an integer pair computed once per column: a
 ``_TermRow`` column's upper and lower lists share it, and a sample's u and v
 rows read one row of powers (``_q_powers``).
@@ -67,7 +67,7 @@ Params = Mapping[str, object]
 #: (upper, lower, z) of one ``_TermRow``: a function of the parameters by
 #: name, and of n first for a summand.
 Series = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction], Fraction]]
-#: (factors, z) of one ``linear_factors`` product, as a function of n and the
+#: (factors, z) of one ``_linear_pair`` product, as a function of n and the
 #: parameters by name.
 Factors = Callable[..., tuple[Sequence[Fraction], Fraction]]
 
@@ -195,15 +195,9 @@ class _TermRow:
 
 def _linear_pair(xs: Sequence[Fraction], z: Fraction, k: int,
                  qk: tuple[int, int] | None = None) -> tuple[int, int]:
-    """``linear_factors`` as an unreduced integer pair (num, den), den != 0,
-    given q^k as the pair qk."""
+    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when q^k is given as the
+    pair qk, as an unreduced integer pair (num, den), den != 0."""
     return pair_mul(as_pair(z), _factor_pair(xs, k, qk))
-
-
-def linear_factors(xs: Sequence[Fraction], z: Fraction, k: int,
-                   q: Fraction | None = None) -> Fraction:
-    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when a base q is given."""
-    return Fraction(*_linear_pair(xs, z, k, _power_pair(q, k)))
 
 
 @dataclass(frozen=True)
@@ -326,7 +320,7 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     column k is term(n, k), and closed_form(**params) those of the one
     closed-form row, whose column n is rhs(n).  A very-well-poised summand
     also carries the head (1 - a q^(2k))/(1 - a).  u(n, **params) and
-    v(n, **params) give the (factors, z) of one ``linear_factors`` product,
+    v(n, **params) give the (factors, z) of one ``_linear_pair`` product,
     taken at k.
 
     Each row n of the summand, the closed-form row, the head at each k, and

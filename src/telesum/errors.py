@@ -26,3 +26,8 @@ class NoCertificate(VerifyError):
 class SampleExhausted(VerifyError):
     """Every draw of ``sampling.retry`` was rejected: no admissible
     parameters, or no pole-free point, within its bound."""
+
+
+class UnknownItem(KeyError):
+    """An ``--id`` that no selected suite has: a usage error, and a KeyError
+    for callers that catch one."""

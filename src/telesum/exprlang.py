@@ -514,7 +514,7 @@ def _power(base: Code, exponent: Code) -> Code:
 
 def _product(var: str, lo: Code, hi: Code, body: Code) -> Code:
     """prod(var, lo, hi, body) by rational.prod_range_pair, over reduced
-    factors as prod_range's are, with their bits summed against MAX_BITS."""
+    factors, with their bits summed against MAX_BITS."""
 
     def product(env, memo):
         first = _as_int(lo(env, memo), "prod lower bound")

@@ -170,8 +170,7 @@ class _Route:
 
 
 def _summands(prob: TelescopeProblem, kind: type) -> list:
-    """prob's summands, each kind(num, den): Pairs, or the Fractions of
-    ``telescoping_terms``."""
+    """prob's summands, each kind(num, den): Pairs or Fractions."""
     return [kind(*t) for t in telescoping_pairs(as_pairs(prob.u), as_pairs(prob.v), prob.n)]
 
 

@@ -5,7 +5,7 @@ Every quantity a public function takes or returns is a
 (gcd(num, den) = 1, den > 0) after every operation, and exact field
 arithmetic.  This module adds the checked operations that
 turn Python's ``ZeroDivisionError`` into a typed :class:`DivisionByZero`,
-the report serialization format, and ``prod_range``, the product
+the report serialization format, and ``prod_range_pair``, the product
 ``prod(f, lo, hi)`` extended to empty and inverted index ranges so that
 ``prod(f, lo, m-1) * f(m) == prod(f, lo, m)`` holds for *all* integers ``m``.
 
@@ -15,11 +15,10 @@ Inside the checks a rational is an unreduced integer pair (num, den), an
 ``pair_lcm_add``, the one step of a running sum, which alone takes a gcd
 (Knuth, TAOCP Vol. 2, 4.5.1).  ``zero_divisor`` and
 ``zero_to_negative_power`` build the two zero texts every layer raises.
-``prod_range_pair`` multiplies factors' parts as plain integers, so
-``prod_range`` reduces once instead of once per factor.  ``Pair`` is the
-same pair as an object, for the ``sequences`` and ``genhyp`` code written
-once for any exact operands; a caller builds a Fraction only for a value
-it returns or prints.
+``prod_range_pair`` multiplies factors' parts as plain integers and
+takes no gcd.  ``Pair`` is the same pair as an object, for the
+``sequences`` and ``genhyp`` code written once for any exact operands; a
+caller builds a Fraction only for a value it returns or prints.
 """
 
 from __future__ import annotations
@@ -292,8 +291,17 @@ def seq(values: Iterable[Fraction | int], start: int = 0) -> SeqFn:
 
 
 def prod_range_pair(f: SeqFn, lo: int, hi: int) -> tuple[int, int]:
-    """prod_range(f, lo, hi) as an unreduced integer pair (num, den): the
-    factors are evaluated in index order and no gcd is taken."""
+    """Product of f(lo)..f(hi) under the extended range convention, as an
+    unreduced integer pair (num, den): the factors are evaluated in index
+    order and no gcd is taken.
+
+    - hi >= lo:      ordinary product f(lo) * f(lo+1) * ... * f(hi)
+    - hi == lo - 1:  empty product, 1
+    - hi <= lo - 2:  reciprocal of the forward product over hi+1..lo-1
+                     (so e.g. prod(f, 1, -1) == 1 / f(0))
+
+    The inverted case raises DivisionByZero when a touched factor is zero.
+    """
     inverted = hi < lo - 1
     if inverted:
         lo, hi = hi + 1, lo - 1
@@ -307,16 +315,3 @@ def prod_range_pair(f: SeqFn, lo: int, hi: int) -> tuple[int, int]:
     if num == 0:
         raise DivisionByZero(f"inverted product over {lo}..{hi} hit a zero factor")
     return den, num
-
-
-def prod_range(f: SeqFn, lo: int, hi: int) -> Fraction:
-    """Product of f(lo)..f(hi) under the extended range convention.
-
-    - hi >= lo:      ordinary product f(lo) * f(lo+1) * ... * f(hi)
-    - hi == lo - 1:  empty product, 1
-    - hi <= lo - 2:  reciprocal of the forward product over hi+1..lo-1
-                     (so e.g. prod(f, 1, -1) == 1 / f(0))
-
-    The inverted case raises DivisionByZero when a touched factor is zero.
-    """
-    return Fraction(*prod_range_pair(f, lo, hi))

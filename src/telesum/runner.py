@@ -39,7 +39,7 @@ from typing import Callable
 from .certify import natural_termination_check, verify_sample
 from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, Param, draw_admissible, draw_params,
                      evaluate_identity, normalized)
-from .errors import Inadmissible, SampleExhausted
+from .errors import Inadmissible, SampleExhausted, UnknownItem
 from .rational import rat_div
 from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
 from .sampling import retry, sweep
@@ -348,7 +348,7 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
     unknown = sorted(set(ids or ()) - {t[1] for t in tasks})
     if unknown:
         plural = "s" if len(unknown) > 1 else ""
-        raise KeyError(f"unknown id{plural} {', '.join(map(repr, unknown))} in suite {suite!r}")
+        raise UnknownItem(f"unknown id{plural} {', '.join(map(repr, unknown))} in suite {suite!r}")
 
     return _report(suite, seed, _fork_run(tasks, pool_size(jobs, len(tasks))), started)
 

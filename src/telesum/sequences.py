@@ -47,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 from .certify import sample_value
 from .corpus import Param, draw_params, q_rising_factorial
 from .errors import Inadmissible
-from .rational import ONE, Exact, Pair, SeqFn, ZERO, prod_range, rat_div, rat_pow
+from .rational import ONE, Exact, Pair, SeqFn, ZERO, prod_range_pair, rat_div, rat_pow
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .sampling import retry, sample_rational, sample_sequence, sweep
 
@@ -435,7 +435,7 @@ def _q_pell_halving_prod(n: int, p: Params) -> Exact:
         return _q_pell_halving_factor(j, q)
 
     if n < 0 or not isinstance(q, _Param):
-        return prod_range(factor, 1, n)
+        return Fraction(*prod_range_pair(factor, 1, n))
     return _running_product(q, _q_pell_halving_factor, factor, n)
 
 

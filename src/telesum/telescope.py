@@ -1,6 +1,6 @@
 """The telescoping kernel.
 
-Everything here is one identity viewed four ways.  For sequences u, v and
+Everything here is one identity, Euler's telescoping lemma.  For sequences u, v and
 w = u - v (always derived, never a third input):
 
     sum_{k=0}^{n} (w_k / w_0) * (u_0 ... u_{k-1}) / (v_1 ... v_k)
@@ -9,16 +9,14 @@ w = u - v (always derived, never a third input):
 ``telescoping_sum`` evaluates the left side termwise, ``telescoping_closed_form``
 the right side; they must agree on every admissible input, which is the
 package's core oracle.  ``raw_euler_sum`` is the unnormalized k=1..n form,
-``sum_to_telescope`` embeds an arbitrary telescoping sum f(k+1) - f(k), and
-``solve_linear_recurrence`` solves x_{m+1} = b_m x_m + c_m in closed form.
+and ``solve_linear_recurrence`` solves x_{m+1} = b_m x_m + c_m in closed form.
 
 One walk, ``_walk``, reads u and v as ``rational.IntPair`` values, each
 once, and tests w_0 != 0 and each v_k != 0 with its caller's texts.  Its
 readers: ``telescoping_pairs`` yields each summand as an integer pair as
-soon as its index is read (``telescoping_terms`` makes it a Fraction);
-``_horner`` sums by Horner's rule, X_n = w_n, X_k = w_k + (u_k / v_{k+1})
-X_{k+1}, sum = X_0 / w_0, so its parts grow by one index's factors per
-step; ``_closed`` forms the right side.  ``genhyp`` and ``raw_euler_sum``
+soon as its index is read; ``_horner`` sums by Horner's rule, X_n = w_n,
+X_k = w_k + (u_k / v_{k+1}) X_{k+1}, sum = X_0 / w_0, so its parts grow by
+one index's factors per step; ``_closed`` forms the right side.  ``genhyp`` and ``raw_euler_sum``
 take both sides from one ``_read``, which ``telescoping_closed_form``
 accepts in place of a problem.  The lemma's sums run over k = 0..n, so
 every function here raises ValueError for n < 0.
@@ -136,16 +134,6 @@ def _read(u: PairFn, v: PairFn, n: int, texts: tuple[str, str] = _SUM_TEXTS) -> 
     return _Read(*zip(*_walk(u, v, n, texts)))
 
 
-def telescoping_terms(p: TelescopeProblem) -> Iterator[Fraction]:
-    """Yield the summands (w_k/w_0) * (u_0..u_{k-1})/(v_1..v_k) for k = 0..n.
-
-    The summands of ``telescoping_pairs``, each one Fraction, so a summand
-    pays one gcd: the same read order and the same raises.
-    """
-    for num, den in telescoping_pairs(as_pairs(p.u), as_pairs(p.v), p.n):
-        yield Fraction(num, den)
-
-
 def telescoping_sum(p: TelescopeProblem) -> Fraction:
     """Left side of the lemma, summed by Horner's rule (``_horner``)."""
     return Fraction(*_horner(*_read(as_pairs(p.u), as_pairs(p.v), p.n)))
@@ -177,19 +165,6 @@ def raw_euler_sum(u: SeqFn, v: SeqFn, n: int) -> tuple[Fraction, Fraction]:
     vs = [(0, 1)] + [as_pair(v(k)) for k in range(1, n + 1)]
     read = _read(us.__getitem__, vs.__getitem__, n)
     return Fraction(*_horner(*read)) - 1, telescoping_closed_form(read) - 1
-
-
-def sum_to_telescope(f: SeqFn, n: int) -> tuple[Fraction, Fraction]:
-    """Embed a plain telescoping sum: returns (f(n+1) - f(0), sum of gaps).
-
-    Setting u_k = f(k+1), v_k = f(k) reduces any telescoping sum to the
-    lemma, so the two components must always be equal.  Raises ValueError
-    if n < 0.
-    """
-    _require_length(n)
-    collapsed = f(n + 1) - f(0)
-    gaps = sum((f(k + 1) - f(k) for k in range(n + 1)), ZERO)
-    return collapsed, gaps
 
 
 def solve_linear_recurrence(b: SeqFn, c: SeqFn, x0: Fraction, n: int) -> Fraction:

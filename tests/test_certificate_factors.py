@@ -1,7 +1,7 @@
 """The declared certificates against the hand-written product code they replace.
 
 Each certified sum declares u and v as (factors, z) lists evaluated by
-``corpus.linear_factors``.  The reference below is the closure-per-certificate
+``corpus._linear_pair``.  The reference below is the closure-per-certificate
 transcription of the same proofs; the two must give equal values, and raise
 the same exception types, at every point with q != 0.  (At q = 0 a declared
 q^(-n-1) factor raises at k = n + 1 too; no sampler draws q = 0.)
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from telesum.corpus import CERTIFIED_KEYS, CORPUS, linear_factors
+from telesum.corpus import CERTIFIED_KEYS, CORPUS
 from telesum.rational import rat_div, rat_pow
 from telesum.sampling import rng_for, sample_q, sample_rational
 
@@ -136,11 +136,3 @@ def test_declared_certificate_matches_reference(key):
                     assert got == want, (key, n, k, params)
                     raised += isinstance(want, type)
     assert (raised > 0) == (key in DIVIDING)
-
-
-def test_linear_factors_forms():
-    # (2 + 3)(-1/2 + 3) * -2 and (1 - 2 * 3^2)(1 - 1/9 * 3^2) * 5
-    assert linear_factors([Fraction(2), Fraction(-1, 2)], -2, 3) == -25
-    assert linear_factors([Fraction(2), Fraction(1, 9)], 5, 2, q=Fraction(3)) == 0
-    assert linear_factors([], Fraction(7, 3), 4) == Fraction(7, 3)
-    assert isinstance(linear_factors([0], 1, 2), Fraction)

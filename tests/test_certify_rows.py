@@ -23,10 +23,10 @@ from telesum.certify import (TERMINATION_OVERSHOOT, Certificate, NormalizedIdent
 from telesum.corpus import CERTIFIED_KEYS, CORPUS, draw_admissible, normalized
 from telesum.errors import DivisionByZero, Inadmissible, NoCertificate
 from telesum.exprlang import load_identity_config
-from telesum.rational import ONE, ZERO
+from telesum.rational import ONE, ZERO, as_pairs
 from telesum.report import FAIL, PASS, outcome
 from telesum.sampling import rng_for, sample_rational
-from telesum.telescope import TelescopeProblem, telescoping_terms
+from telesum.telescope import TelescopeProblem, telescoping_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +242,12 @@ def _logged(values, name, log):
     return read
 
 
+def kernel_terms(p):
+    """The kernel's summands over p, each a Fraction of a telescoping_pairs pair."""
+    for t in telescoping_pairs(as_pairs(p.u), as_pairs(p.v), p.n):
+        yield F(*t)
+
+
 def _terms(gen, p, log):
     """The summands, or the raised type and text, with the read log."""
     out = []
@@ -265,7 +271,7 @@ def test_terms_match_reference_on_random_problems():
         if rng.random() < 0.5:
             vs = [v if k == 0 or v != 0 else F(k) for k, v in enumerate(vs)]
         results = []
-        for gen in (telescoping_terms, reference_terms):
+        for gen in (kernel_terms, reference_terms):
             log = []
             results.append(_terms(gen, TelescopeProblem(_logged(us, "u", log),
                                                         _logged(vs, "v", log), n), log))
@@ -286,10 +292,11 @@ def fraction_difference_row(F, n, params):
 
 
 def fraction_telescoping_row(cert, n, params, k_max):
-    """T(n, k) for k = 0..k_max: the kernel's telescoping summands over
-    u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises DivisionByZero."""
+    """T(n, k) for k = 0..k_max: the telescoping summands over u(n, .) and
+    v(n, .), by the Fraction loop ``reference_terms``; a zero w(n, 0) or
+    v(n, k) raises DivisionByZero."""
     u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
-    return list(telescoping_terms(TelescopeProblem(u.__getitem__, v.__getitem__, k_max)))
+    return list(reference_terms(TelescopeProblem(u.__getitem__, v.__getitem__, k_max)))
 
 
 def fraction_difference_check(idn, n, params, suite="ez", sample=None):

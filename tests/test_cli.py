@@ -242,3 +242,45 @@ def test_counterexample_without_n_has_single_spaces():
     line = next(line for line in text.splitlines() if "counterexample" in line)
     assert line.startswith("  counterexample check/never_admissible [sampling] sample=0: ")
     assert "  " not in line.strip()
+
+
+def test_unknown_id_is_a_key_error_for_library_callers():
+    from telesum.errors import UnknownItem
+    from telesum.runner import run_suite
+
+    with pytest.raises(KeyError) as exc:
+        run_suite("ez", ids=["nope"])
+    assert type(exc.value) is UnknownItem
+    assert exc.value.args[0] == "unknown id 'nope' in suite 'ez'"
+
+
+def test_key_error_inside_a_check_is_not_a_usage_error(monkeypatch):
+    from telesum import runner
+
+    def run_ez_item(key, n_max, samples, seed):
+        raise KeyError("q")  # say, a declaration reading a parameter it does not draw
+
+    monkeypatch.setattr(runner, "run_ez_item", run_ez_item)
+    with pytest.raises(KeyError) as exc:
+        main(["verify", "--suite", "ez", "--id", "binomial", "--samples", "1"], out=io.StringIO())
+    assert type(exc.value) is KeyError and exc.value.args == ("q",)
+
+
+# a descriptor closed when the process started leaves sys.stdout or sys.stderr None
+
+@pytest.mark.parametrize("argv", [
+    ["list"], ["--help"], ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1"],
+], ids=["list", "help", "verify"])
+def test_a_none_stdout_is_unwritable(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write output: the stream is closed\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--samples", "0"], ["verify", "--no-such-flag"],
+                                  ["verify", "--suite", "ez", "--id", "nope"]],
+                         ids=["samples-0", "unknown-flag", "unknown-id"])
+def test_a_none_stderr_is_unwritable(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""

@@ -25,7 +25,7 @@ from telesum.errors import DivisionByZero, VerifyError
 from telesum.exprlang import (MAX_BITS, MAX_COUNT, Bin, Call, Expr, IdentityConfig, Lit, Neg,
                               NonIntegerExponent, Pow, Prod, ResourceLimit, UnboundVariable,
                               Var, config_to_identity, parse, to_source)
-from telesum.rational import ONE, format_rational, prod_range, rat_div, rat_pow
+from telesum.rational import ONE, format_rational, rat_div, rat_pow
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -109,6 +109,24 @@ def evaluate(e: Expr, env: Mapping[str, Fraction]) -> Fraction:
 
         return prod_range(body, lo, hi)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def prod_range(f, lo: int, hi: int) -> Fraction:
+    """f(lo)...f(hi) as a Fraction loop, with the empty product 1 at hi = lo - 1
+    and the reciprocal of f(hi+1)...f(lo-1) for hi <= lo - 2."""
+    if hi >= lo:
+        p = ONE
+        for j in range(lo, hi + 1):
+            p *= f(j)
+        return p
+    if hi == lo - 1:
+        return ONE
+    p = ONE
+    for j in range(hi + 1, lo):
+        p *= f(j)
+    if p == 0:
+        raise DivisionByZero(f"inverted product over {hi + 1}..{lo - 1} hit a zero factor")
+    return 1 / p
 
 
 # --- random expressions ------------------------------------------------------

@@ -21,7 +21,8 @@ from telesum.elementary import ELEMENTARY, FTerm
 from telesum.errors import DivisionByZero, Inadmissible
 from telesum.genhyp import OPERATIONS
 from telesum.sequences import FAMILIES
-from telesum.telescope import TelescopeProblem, telescoping_terms
+from telesum.rational import as_pairs
+from telesum.telescope import telescoping_pairs
 
 FAILURES = Path(__file__).parent / "golden" / "failures"
 SMALL = ["--samples", "2", "--n-max", "3"]
@@ -147,8 +148,8 @@ def genhyp_wrong_v(monkeypatch):
 
     def wrong_dougall_terms(p):
         prob = genhyp.problem("macdonald_dougall", p)
-        wrong = TelescopeProblem(prob.u, lambda k: prob.v(k) * 2, prob.n)
-        return list(telescoping_terms(wrong))
+        wrong_v = as_pairs(lambda k: prob.v(k) * 2)
+        return [Fraction(*t) for t in telescoping_pairs(as_pairs(prob.u), wrong_v, prob.n)]
 
     monkeypatch.setattr(genhyp, "dougall_terms", wrong_dougall_terms)
     return ["verify", "--suite", "genhyp", "--id", "macdonald_cv_permuted",

@@ -3,7 +3,7 @@ their Fraction references.
 
 The references below are ``generate``, ``_partial_sums`` and
 ``family_sides`` of ``sequences``, and ``_route``, ``_companion``, ``_draw``
-and the checks of ``genhyp`` (with ``telescope.telescoping_closed_form``),
+and the checks of ``genhyp`` (with the kernel's summands and closed form),
 as they were when both modules computed in Fractions.  The printed
 identities and ``OPERATIONS`` are shared: they are written once for any
 exact operands, so given Fractions they compute in Fractions.  The Pair
@@ -32,7 +32,7 @@ from telesum.sampling import RETRY_BOUND, retry, rng_for, sample_rational, sweep
 from telesum.sequences import (FAMILIES, RecurrenceSpec, _require_size, family_sides,
                                generate, lucas_gen_sides, random_spec, verify_family_suite,
                                verify_lucas_gen)
-from telesum.telescope import TelescopeProblem, telescoping_terms
+from telesum.telescope import TelescopeProblem
 
 
 def outcome_of(fn, *args):
@@ -250,6 +250,26 @@ def test_the_generic_identities_divide_int_coefficients_exactly():
 # The genhyp reference
 # ---------------------------------------------------------------------------
 
+def ref_terms(p):
+    """The kernel's summands, each a Fraction, by its Fraction loop."""
+    u, v, n = p.u, p.v, p.n
+    if n < 0:
+        raise ValueError(f"telescoping sums need n >= 0, got n = {n}")
+    uk, vk = u(0), v(0)
+    w0 = uk - vk
+    if w0 == 0:
+        raise DivisionByZero("telescoping sum requires w_0 = u_0 - v_0 != 0")
+    ratio = ONE  # (u_0 ... u_{k-1}) / (v_1 ... v_k)
+    for k in range(n + 1):
+        if k > 0:
+            vk = v(k)
+            if vk == 0:
+                raise DivisionByZero(f"telescoping sum requires v_{k} != 0")
+            ratio = ratio * uk / vk
+            uk = u(k)
+        yield (uk - vk) / w0 * ratio
+
+
 def ref_closed_form(p):
     u, v, n = p.u, p.v, p.n
     if n < 0:
@@ -285,7 +305,7 @@ class RefRoute:
 def ref_route(op, p):
     rows, u, v = genhyp._values(op, p)
     prob = TelescopeProblem(u.__getitem__, v.__getitem__, p.n)
-    terms = list(telescoping_terms(prob))
+    terms = list(ref_terms(prob))
     return RefRoute(rows, u, v, terms, (sum(terms, ZERO), ref_closed_form(prob)))
 
 
@@ -425,7 +445,7 @@ def test_public_genhyp_functions_match_the_reference(key):
                               for name in "abcd"})
         for fn, op in ((dougall_terms, "macdonald_dougall"), (ps_terms, "macdonald_ps")):
             _, u, v = genhyp._values(OPERATIONS[op], p)
-            want = outcome_of(lambda: list(telescoping_terms(
+            want = outcome_of(lambda: list(ref_terms(
                 TelescopeProblem(u.__getitem__, v.__getitem__, p.n))))
             got = outcome_of(fn, p)
             assert got == want

@@ -93,8 +93,9 @@ def _assert_cannot_write(run):
 
 WRITERS = [["list"],
            ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1", "--format", "json"],
-           ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1"]]
-WRITER_IDS = ["list", "json", "text"]
+           ["verify", "--suite", "ez", "--id", "binomial", "--samples", "1"],
+           ["--help"]]
+WRITER_IDS = ["list", "json", "text", "help"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
@@ -118,3 +119,46 @@ def test_closed_pipe_exits_two_with_one_error_line(argv, unbuffered):
     finally:
         os.close(write_end)
     _assert_cannot_write(run)
+
+
+def _closing(fd: int, argv) -> list[str]:
+    """The CLI started with descriptor fd closed, as a shell's `fd>&-` does."""
+    return ["sh", "-c", f'exec "$@" {fd}>&-', "sh", *_cli(argv)]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITERS, ids=WRITER_IDS)
+def test_closed_stdout_exits_two_with_one_error_line(argv, unbuffered):
+    run = subprocess.run(_closing(1, argv), env=_env(unbuffered), stderr=subprocess.PIPE,
+                         timeout=120)
+    _assert_cannot_write(run)
+    assert run.stderr.endswith(b": the stream is closed\n")
+
+
+#: Runs whose one output is an error line on stderr.
+STDERR_WRITERS = [["verify", "--samples", "0"],
+                  ["verify", "--suite", "ez", "--id", "nope"],
+                  ["check", "--config", "/nonexistent/config.tkid"],
+                  ["verify", "--no-such-flag"]]
+STDERR_WRITER_IDS = ["samples-0", "unknown-id", "missing-config", "unknown-flag"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDERR_WRITERS, ids=STDERR_WRITER_IDS)
+def test_full_stderr_exits_two(argv, unbuffered):
+    assert in_process(argv)[0] == 2
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run(_cli(argv), env=_env(unbuffered), stdout=subprocess.PIPE,
+                             stderr=full, timeout=120)
+    assert (run.returncode, run.stdout) == (2, b"")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", STDERR_WRITERS, ids=STDERR_WRITER_IDS)
+def test_closed_stderr_exits_two(argv, unbuffered):
+    run = subprocess.run(_closing(2, argv), env=_env(unbuffered), stdout=subprocess.PIPE,
+                         timeout=120)
+    assert (run.returncode, run.stdout) == (2, b"")

@@ -1,15 +1,15 @@
 """The product helpers are calls to the one product engine.
 
 The derangement factorials, the config language's ``binom`` and the q-Pell
-halving product are computed by ``rational.prod_range`` and
+halving product are computed by ``rational.prod_range_pair`` and
 ``corpus.rising_factorial``; Ramanujan's Entry 25 reads one row per sample
 of its running products a_1...a_j and (x+a_1)...(x+a_j).  The shifted
-factorials, the columns of a ``corpus._TermRow``, ``linear_factors`` and
-``prod_range`` build one Fraction from integer products instead of one per
-factor.  A certified summand's row, and its closed form, are each one
-``_TermRow``, grown by its term ratio; ``old_hypergeometric`` below is the
-product each of their columns replaced.  Each test
-below keeps the loop it replaced, verbatim, and requires the same value, or
+factorials and the columns of a ``corpus._TermRow`` build one Fraction from
+integer products instead of one per factor, and ``corpus._linear_pair`` and
+``rational.prod_range_pair`` build none.  A certified summand's row, and its
+closed form, are each one ``_TermRow``, grown by its term ratio;
+``old_hypergeometric`` below is the product each of their columns replaced.
+Each test below keeps the loop it replaced, verbatim, and requires the same value, or
 the same exception type and message, at seeded points that include zeros,
 negative integers and poles.
 """
@@ -24,11 +24,11 @@ import pytest
 from telesum import corpus, sequences
 from telesum.certify import TERMINATION_OVERSHOOT, sample_value, verify_sample
 from telesum.corpus import (CERTIFIED_KEYS, CORPUS, _TermRow, draw_admissible, draw_params,
-                            evaluate_identity, linear_factors, normalized, q_rising_factorial,
-                            rising_factorial)
+                            _linear_pair, _power_pair, evaluate_identity, normalized,
+                            q_rising_factorial, rising_factorial)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
-from telesum.rational import ONE, ZERO, prod_range, rat_div, rat_pow
+from telesum.rational import ONE, ZERO, prod_range_pair, rat_div, rat_pow
 from telesum.runner import specialization_d_zero_checks
 from telesum.sampling import rng_for, sample_q, sample_rational
 from telesum.sequences import FAMILIES
@@ -323,11 +323,16 @@ def test_linear_factors_matches_the_replaced_loop():
         xs += [rng.randrange(-4, 2)] if q is None else [rat_pow(q, -rng.randrange(5))]
         z = sample_rational(rng) if i % 3 else -1
         for k in range(-2, 9):
-            new = linear_factors(xs, z, k, q)
+            num, den = _linear_pair(xs, z, k, _power_pair(q, k))
+            assert type(num) is int and type(den) is int
+            new = Fraction(num, den)
             assert new == old_linear_factors(xs, z, k, q), (i, k)
-            assert type(new) is Fraction
             zeros += new == 0
     assert zeros > 20
+
+
+def _prod_range(f, lo, hi):
+    return Fraction(*prod_range_pair(f, lo, hi))
 
 
 def test_prod_range_matches_the_replaced_loop():
@@ -347,7 +352,7 @@ def test_prod_range_matches_the_replaced_loop():
         for lo in range(-3, 5):
             for hi in range(-4, 7):
                 new_calls, old_calls = [], []
-                new = outcome_of(prod_range, lambda j: f(j, new_calls), lo, hi)
+                new = outcome_of(_prod_range, lambda j: f(j, new_calls), lo, hi)
                 assert new == outcome_of(old_prod_range, lambda j: f(j, old_calls), lo, hi)
                 assert new_calls == old_calls
 

@@ -4,8 +4,8 @@ import pytest
 
 from telesum.errors import DivisionByZero
 from telesum.rational import (Pair, as_pair, const, format_rational, pair_add, pair_div,
-                              pair_lcm_add, pair_mul, pair_pow, pair_sub, prod_range,
-                              prod_range_pair, rat_div, rat_pow, seq)
+                              pair_lcm_add, pair_mul, pair_pow, pair_sub, prod_range_pair,
+                              rat_div, rat_pow, seq)
 from telesum.sampling import rng_for, sample_rational
 
 
@@ -51,17 +51,17 @@ def test_field_axioms_spot_checked():
 
 def test_prod_range_empty():
     f = const(F(9))
-    assert prod_range(f, 1, 0) == 1
+    assert prod_range_pair(f, 1, 0) == (1, 1)
 
 
 def test_prod_range_inverted_single():
     f = seq([F(5)], start=0)
-    assert prod_range(f, 1, -1) == F(1, 5)
+    assert prod_range_pair(f, 1, -1) == (1, 5)
 
 
 def test_prod_range_forward():
     f = lambda j: F(j)
-    assert prod_range(f, 2, 5) == 120
+    assert prod_range_pair(f, 2, 5) == (120, 1)
 
 
 def test_prod_range_pair_is_unreduced_and_keeps_the_convention():
@@ -74,7 +74,7 @@ def test_prod_range_pair_is_unreduced_and_keeps_the_convention():
 def test_prod_range_inverted_zero_factor():
     f = lambda j: F(j)  # f(0) = 0
     with pytest.raises(DivisionByZero):
-        prod_range(f, 1, -1)
+        prod_range_pair(f, 1, -1)
 
 
 def test_prod_range_extension_law_exhaustive():
@@ -84,7 +84,7 @@ def test_prod_range_extension_law_exhaustive():
     f = lambda j: values[j]
     for lo in range(-8, 9):
         for m in range(-8, 9):
-            assert prod_range(f, lo, m - 1) * f(m) == prod_range(f, lo, m)
+            assert F(*prod_range_pair(f, lo, m - 1)) * f(m) == F(*prod_range_pair(f, lo, m))
 
 
 def test_format_rational():

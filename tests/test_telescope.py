@@ -7,9 +7,8 @@ from telesum.errors import DivisionByZero
 from telesum.rational import as_pairs, const, seq
 from telesum.sampling import rng_for, sample_rational
 from telesum.telescope import (TelescopeProblem, raw_euler_sum,
-                               solve_linear_recurrence, sum_to_telescope,
-                               telescoping_closed_form, telescoping_sum,
-                               telescoping_terms)
+                               solve_linear_recurrence, telescoping_closed_form,
+                               telescoping_pairs, telescoping_sum)
 
 
 def fib(n: int) -> F:
@@ -115,23 +114,6 @@ def test_raw_euler_sum_seeded_equality():
         assert lhs == rhs
 
 
-def test_sum_to_telescope_examples():
-    f_sq = lambda k: F(k * k)
-    assert sum_to_telescope(f_sq, 3) == (16, 16)
-    assert sum_to_telescope(const(7), 9) == (0, 0)
-    collapsed, gaps = sum_to_telescope(lambda k: fib(k), 5)
-    assert collapsed == gaps == 8  # F_6 - F_0
-
-
-def test_sum_to_telescope_seeded_equality():
-    rng = rng_for(6, "tel")
-    for _ in range(200):
-        n = rng.randint(0, 12)
-        vals = [sample_rational(rng) for _ in range(n + 2)]
-        collapsed, gaps = sum_to_telescope(seq(vals), n)
-        assert collapsed == gaps
-
-
 def test_solve_linear_recurrence_derangements():
     b = lambda m: F(m)
     c = lambda m: F((-1) ** m)
@@ -177,13 +159,19 @@ def _logged_problem(p, log):
     return TelescopeProblem(_logged(p.u, "u", log), _logged(p.v, "v", log), p.n)
 
 
+def _terms(p):
+    """p's summands, each a Fraction, as telescoping_pairs yields them."""
+    for t in telescoping_pairs(as_pairs(p.u), as_pairs(p.v), p.n):
+        yield F(*t)
+
+
 def test_terms_and_closed_form_read_each_u_and_v_once():
     rng = rng_for(102, "once")
     for _ in range(100):
         p = random_problem(rng)
         order = [("u", 0), ("v", 0)] + [x for k in range(1, p.n + 1) for x in (("v", k), ("u", k))]
         log = []
-        terms = list(telescoping_terms(_logged_problem(p, log)))
+        terms = list(_terms(_logged_problem(p, log)))
         assert log == order
         log.clear()
         assert telescoping_closed_form(_logged_problem(p, log)) == sum(terms, F(0))
@@ -217,7 +205,7 @@ def test_terms_raise_at_the_first_bad_index(u_vals, v_vals, message, reads):
                          len(u_vals) - 1)
     yielded = []
     with pytest.raises(DivisionByZero) as exc:
-        for term in telescoping_terms(_logged_problem(p, log)):
+        for term in _terms(_logged_problem(p, log)):
             yielded.append(term)
     assert str(exc.value) == message
     assert log == reads
@@ -225,7 +213,7 @@ def test_terms_raise_at_the_first_bad_index(u_vals, v_vals, message, reads):
 
 
 def _terms_list(p):
-    return list(telescoping_terms(p))
+    return list(_terms(p))
 
 
 @pytest.mark.parametrize("fn", [_terms_list, telescoping_sum, telescoping_closed_form])
@@ -236,12 +224,6 @@ def test_negative_n_is_rejected(fn, n):
     with pytest.raises(ValueError, match=f"n = {n}"):
         fn(p)
     assert log == []  # no k = 0 term and no value is read
-
-
-def test_sum_to_telescope_rejects_negative_n():
-    with pytest.raises(ValueError, match="n = -3"):
-        sum_to_telescope(lambda k: F(k * k), -3)
-    assert sum_to_telescope(lambda k: F(k * k), 0) == (1, 1)
 
 
 def test_raw_euler_sum_reads_each_value_once():

@@ -14,11 +14,11 @@ from fractions import Fraction
 from telesum import corpus, rational
 from telesum.corpus import CORPUS, draw_admissible
 from telesum.errors import DivisionByZero
-from telesum.rational import format_rational
+from telesum.rational import as_pairs, format_rational
 from telesum.report import PASS
 from telesum.runner import run_corpus_item
 from telesum.sampling import rng_for, sample_rational
-from telesum.telescope import TelescopeProblem, telescoping_closed_form, telescoping_terms
+from telesum.telescope import TelescopeProblem, telescoping_closed_form, telescoping_pairs
 
 
 def outcome_of(fn, *args):
@@ -49,7 +49,7 @@ def test_ramanujan_entry25_is_the_lemma():
             return 1 + x if j == 0 else x + a[j - 1]
 
         for n in range(11):
-            lemma = list(telescoping_terms(TelescopeProblem(u, v, n + 1)))
+            lemma = [Fraction(*t) for t in telescoping_pairs(as_pairs(u), as_pairs(v), n + 1)]
             assert [idef.term(n, k, p) for k in range(n + 1)] == lemma[1:], (p, n)
             closed = telescoping_closed_form(TelescopeProblem(u, v, n + 1))
             assert idef.rhs(n, p) == closed - 1, (p, n)
