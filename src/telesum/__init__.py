@@ -8,35 +8,40 @@ recurrence engine with the classical combinatorial families, sums with
 sequence parameters, a deterministic rational-identity tester, and a small
 expression language for user-defined identities.  Every computation is in
 exact rational arithmetic; every check is exact equality.
+
+``import telesum`` runs no submodule.  Each name in ``__all__`` is served at
+its first read by the module that defines it (``_DEFERRED``), so a CLI start,
+which imports ``telesum.cli`` through this package, pays only for the
+modules its run reads (see ``runner``).
 """
 
 from importlib import import_module
 
-from .certify import Certificate, NormalizedIdentity, verify_sample
-from .corpus import (CORPUS, IdentityDef, Param, evaluate_identity, normalized,
-                     q_rising_factorial, rising_factorial)
-from .errors import (DivisionByZero, Inadmissible, NoCertificate, SampleExhausted,
-                     VerifyError)
-from .rational import Rational, SeqFn, format_rational
-from .report import CheckRecord, Report
-from .runner import run_suite
-from .telescope import (TelescopeProblem, raw_euler_sum, solve_linear_recurrence,
-                        telescoping_closed_form, telescoping_sum)
-
 __version__ = "0.1.0"
 
-#: Every export served at first use, by the module that defines it ("module.name"
-#: where the export is renamed).  A start runs none of these modules until a run
-#: or a caller reads one of their names; ``runner`` binds the suite modules.
+#: The module that defines each export ("module.name" where the export is
+#: renamed).
 _DEFERRED = {
+    "Certificate": "certify", "NormalizedIdentity": "certify", "verify_sample": "certify",
+    "CORPUS": "corpus", "IdentityDef": "corpus", "Param": "corpus",
+    "evaluate_identity": "corpus", "normalized": "corpus", "q_rising_factorial": "corpus",
+    "rising_factorial": "corpus",
     "ELEMENTARY": "elementary",
+    "DivisionByZero": "errors", "Inadmissible": "errors", "NoCertificate": "errors",
+    "SampleExhausted": "errors", "VerifyError": "errors",
+    "eval_expr": "exprlang.evaluate", "load_identity_config": "exprlang",
+    "parse": "exprlang", "to_source": "exprlang",
     "SequenceParams": "genhyp", "macdonald_cv": "genhyp", "macdonald_cv_permuted": "genhyp",
     "macdonald_dougall": "genhyp", "macdonald_ps": "genhyp",
+    "Rational": "rational", "SeqFn": "rational", "format_rational": "rational",
+    "CheckRecord": "report", "Report": "report",
+    "run_suite": "runner",
     "FAMILIES": "sequences", "RecurrenceSpec": "sequences", "generate": "sequences",
     "lucas_gen_sides": "sequences", "verify_family_suite": "sequences",
     "verify_lucas_gen": "sequences",
-    "eval_expr": "exprlang.evaluate", "load_identity_config": "exprlang",
-    "parse": "exprlang", "to_source": "exprlang",
+    "TelescopeProblem": "telescope", "raw_euler_sum": "telescope",
+    "solve_linear_recurrence": "telescope", "telescoping_closed_form": "telescope",
+    "telescoping_sum": "telescope",
 }
 
 

@@ -10,19 +10,22 @@
 Exit codes: 0 every check passed, 1 at least one failure or no check at
 all, 2 usage or config error (including --samples < 1 and --n-max < 0) or
 output that cannot be written (a full device, a closed pipe or a closed
-descriptor, on stdout or stderr).  Every byte the CLI prints, argparse's
-help, usage and errors included, goes through ``_write``, where a failed
-write becomes exit 2 with at most one ``error: cannot write output`` line
-on stderr.
+descriptor, on stdout or stderr), 3 internal error: an exception that
+escaped a check, a worker or a module's first load, printed as its
+traceback on stderr, so that a crash never reads as exit 1.  Every byte
+the CLI prints, argparse's help, usage and errors included, goes through
+``_write``, where a failed write becomes exit 2 with at most one ``error:
+cannot write output`` line on stderr.
 For a fixed (suite, seed, flags) triple the JSON report is byte-identical
 across runs and worker counts; the default seed is fixed so CI runs are
 reproducible.  What a start loads, and how ``--jobs`` runs, is described
 in ``runner``.
 
 ``run`` is the process entry of the ``telesum`` script and of ``python -m
-telesum``: it flushes the output and ends with ``os._exit``, so the process
-skips the interpreter's teardown.  ``main`` is the in-process entry and
-returns the exit code.
+telesum``: it turns an unexpected exception into exit 3, flushes the output
+and ends with ``os._exit``, so the process skips the interpreter's teardown.
+``main`` is the in-process entry, returns the exit code and lets an
+unexpected exception propagate.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .runner import DEFAULT_SEED, SUITES, run_config_identity, run_suite
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class _Unwritable(Exception):
@@ -227,13 +231,23 @@ def _main(argv: list[str] | None, out) -> int:
 
 def run() -> NoReturn:
     """Run ``main`` as a whole process: flush stdout, then end with
-    ``os._exit``, which frees no module or object on the way out.  A flush
-    that fails exits 2 with one error line, unless main already failed with
-    exit 2 and said why.  stderr needs no flush: ``_write`` flushes every
-    line it writes there, and stderr is line-buffered for any other writer.
-    A --jobs N run has reaped its workers by now."""
-    code = main()
-    if code != EXIT_USAGE:
+    ``os._exit``, which frees no module or object on the way out.  An
+    exception out of main writes its traceback to stderr and exits 3.  A
+    flush that fails exits 2 with one error line, unless main already failed
+    with exit 2 or 3 and said why.  stderr needs no flush: ``_write`` flushes
+    every line it writes there, and stderr is line-buffered for any other
+    writer.  A --jobs N run has reaped its workers by now."""
+    try:
+        code = main()
+    except Exception:
+        import traceback
+
+        code = EXIT_INTERNAL
+        try:
+            _write(traceback.format_exc(), sys.stderr)
+        except _Unwritable:
+            pass
+    if code in (EXIT_OK, EXIT_FAIL):
         try:
             _write("", sys.stdout)
         except _Unwritable:

@@ -37,13 +37,12 @@ Fraction(c, L).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DivisionByZero
 from .rational import ONE as F1, pair_lcm_add, zero_to_negative_power
@@ -51,8 +50,8 @@ from .report import PASS, CheckRecord, outcome, record
 from .sampling import RETRY_BOUND, retry, rng_for, sample_rational
 
 
-@dataclass(frozen=True)
-class Mono:
+# The term tables are NamedTuples, as report's records are: no dataclass on a start.
+class Mono(NamedTuple):
     """coeff * prod x_i^exps[i]."""
 
     coeff: Fraction
@@ -73,8 +72,7 @@ class Mono:
         return Mono(-self.coeff, self.exps)
 
 
-@dataclass(frozen=True)
-class FTerm:
+class FTerm(NamedTuple):
     """coeff * prod(1 - m for m in num) / prod(1 - m for m in den)."""
 
     coeff: Mono
@@ -82,8 +80,7 @@ class FTerm:
     den: tuple[Mono, ...] = ()
 
 
-@dataclass(frozen=True)
-class ElementaryIdentity:
+class ElementaryIdentity(NamedTuple):
     key: str
     citation: str
     vars: tuple[str, ...]

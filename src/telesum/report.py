@@ -7,15 +7,15 @@ seed that produced them.  Record order is normalized by a stable sort key
 so that reports are identical regardless of worker count or scheduling;
 the JSON rendering is byte-identical for a fixed (suite, seed, flags)
 triple.  Wall time is tracked for the text rendering only and never enters
-the JSON.
+the JSON.  A record is a NamedTuple and a Report a plain class: a start that
+imports ``dataclasses`` also loads ``inspect``, ``dis`` and ``ast``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .rational import Pair, format_rational
 
@@ -26,8 +26,7 @@ INADMISSIBLE = "inadmissible"
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     suite: str
     identity: str
     check: str
@@ -85,12 +84,13 @@ def outcome(suite: str, identity: str, check: str, citation: str, ok: bool,
                   **extra)
 
 
-@dataclass
 class Report:
-    suite: str
-    seed: int
-    records: list[CheckRecord] = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, suite: str, seed: int, records: list[CheckRecord] | None = None,
+                 wall_time: float = 0.0) -> None:
+        self.suite = suite
+        self.seed = seed
+        self.records = [] if records is None else records
+        self.wall_time = wall_time
 
     def extend(self, records: list[CheckRecord]) -> None:
         self.records.extend(records)

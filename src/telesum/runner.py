@@ -10,19 +10,24 @@ back pickled.  At one worker, as on a platform without ``os.fork``, the
 parent runs every task itself and never imports ``pickle``.  No run imports
 an executor or ``multiprocessing``.
 
-A start loads ``corpus`` and ``certify`` and binds the elementary, genhyp
-and sequences modules through ``importlib.util.LazyLoader`` (``_deferred``):
-each is a placeholder in ``sys.modules`` and on the package until its first
-attribute access runs it, so a run compiles and executes only the suite
-modules it reads (``verify --suite ez`` none of the three; ``list`` and
-``--suite all`` all three).  Each suite module compiles from source on a
-start that writes no bytecode (``PYTHONDONTWRITEBYTECODE``), so a module not
-read is time saved.  Placeholders, unlike imports inside functions, keep
-each module in ``sys.modules`` for code that looks it up there, and need no
-second code path.  A suite's citations are built when read, which runs its
-module; ``run_suite`` reads them before a ``--jobs N`` run forks, so no
-worker runs a module again.  Only ``check`` imports the expression language
-(``cli``), so a ``verify`` or ``list`` start does not load it.
+A start binds the corpus, certify, elementary, genhyp and sequences modules
+through ``importlib.util.LazyLoader`` (``_deferred``): each is a placeholder
+in ``sys.modules`` and on the package until its first attribute access runs
+it, and this module looks their names up on them when it calls, so a run
+compiles and executes only the modules it reads.  ``verify --suite
+elementary`` runs elementary alone, ``--suite genhyp`` genhyp (and
+telescope), ``--suite ez`` and ``--suite corpus`` corpus and certify (and
+telescope), ``list`` and ``--suite all`` all five.  Each module compiles
+from source on a start that writes no bytecode (``PYTHONDONTWRITEBYTECODE``),
+so a module not read is time saved.  Placeholders, unlike imports inside
+functions, keep each module in ``sys.modules`` for code that looks it up
+there, and need no second code path.  ``evaluate_identity``,
+``draw_params`` and ``SPECIALIZATION_PARAMS`` are read from corpus on use,
+and stay names here that a caller can patch.  A suite's citations are built
+when read, which runs its module; ``run_suite`` reads them before a
+``--jobs N`` run forks, so no worker runs a module again.  Only ``check``
+imports the expression language (``cli``), so a ``verify`` or ``list`` start
+does not load it.
 """
 
 from __future__ import annotations
@@ -31,14 +36,11 @@ import importlib.util
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import ModuleType
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .certify import natural_termination_check, verify_sample
-from .corpus import (CERTIFIED_KEYS, CORPUS, IdentityDef, Param, draw_admissible, draw_params,
-                     evaluate_identity, normalized)
 from .errors import Inadmissible, SampleExhausted, UnknownItem
 from .rational import rat_div
 from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
@@ -49,9 +51,12 @@ def _deferred(name: str) -> ModuleType:
     """telesum.<name>, which runs at its first attribute access.
 
     The placeholder goes into sys.modules and onto the package, as an import
-    would put it, so ``import telesum.<name>`` finds it and binds it.
+    would put it, so ``import telesum.<name>`` finds it and binds it.  A
+    module already imported is returned as it is.
     """
     full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
     spec = importlib.util.find_spec(full)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
@@ -61,6 +66,11 @@ def _deferred(name: str) -> ModuleType:
     return module
 
 
+if TYPE_CHECKING:
+    from .corpus import IdentityDef, Param
+
+corpus_mod = _deferred("corpus")
+certify_mod = _deferred("certify")
 elementary_mod = _deferred("elementary")
 genhyp_mod = _deferred("genhyp")
 sequences_mod = _deferred("sequences")
@@ -72,14 +82,35 @@ GENHYP_DEFAULT_N_MAX = 9
 
 SPECIALIZATION_KEY = "q_dougall_n1_link"
 SPECIALIZATION_CITATION = "n = 1 row of the q-Dougall sum rearranged to the four-variable identity"
-SPECIALIZATION_PARAMS = (Param("q", kind="q"), Param("a"), Param("b"), Param("c"), Param("d"))
+
+
+@cache
+def _specialization_params() -> tuple[Param, ...]:
+    return (corpus_mod.Param("q", kind="q"), *map(corpus_mod.Param, "abcd"))
+
+
+def __getattr__(name: str):
+    # SPECIALIZATION_PARAMS is built at its first read, which runs corpus
+    if name == "SPECIALIZATION_PARAMS":
+        return _specialization_params()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# corpus's functions, looked up on each call: this module calls them by these
+# names, which a caller can patch
+def draw_params(params: tuple[Param, ...], rng, length: int) -> dict:
+    return corpus_mod.draw_params(params, rng, length)
+
+
+def evaluate_identity(idef: IdentityDef, n: int, params: dict) -> tuple:
+    return corpus_mod.evaluate_identity(idef, n, params)
 
 
 def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int, seed: int,
            checks: Callable[[dict, int | None], list[CheckRecord]]) -> list[CheckRecord]:
     """checks(params, sample) on each admissible sample of one identity."""
     return sweep(suite, idef.key, idef.citation, seed, samples,
-                 lambda rng: draw_admissible(idef, rng, n_max), checks,
+                 lambda rng: corpus_mod.draw_admissible(idef, rng, n_max), checks,
                  parametric=bool(idef.params))
 
 
@@ -102,15 +133,15 @@ def _identity_rows(idef: IdentityDef, suite: str, n_max: int, params: dict,
 def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
     if key == SPECIALIZATION_KEY:
         return _run_specialization(samples, seed)
-    idef = CORPUS[key]
+    idef = corpus_mod.CORPUS[key]
     eff_n = idef.n_max if n_max is None else n_max
-    idn = normalized(idef)
+    idn = corpus_mod.normalized(idef)
 
     def checks(params, sample):
         records = _identity_rows(idef, "corpus", eff_n, params, sample)
         if idef.terminating:
-            records += natural_termination_check(idn, eff_n, params, suite="corpus",
-                                                 sample=sample)
+            records += certify_mod.natural_termination_check(idn, eff_n, params,
+                                                             suite="corpus", sample=sample)
         return records
 
     return _sweep(idef, "corpus", eff_n, samples, seed, checks)
@@ -126,7 +157,7 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
     w of genhyp.OPERATIONS["macdonald_dougall"] at one index, term by term:
     1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
     """
-    idef = CORPUS["q_dougall"]
+    idef = corpus_mod.CORPUS["q_dougall"]
     sub = {"a": rat_div(a, q), "b": b, "c": c, "d": d, "q": q}
     t1 = idef.term(1, 1, sub)
     rhs1 = idef.rhs(1, sub)
@@ -149,7 +180,7 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
 def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
     def draw(rng):
         def attempt():
-            point = draw_params(SPECIALIZATION_PARAMS, rng, 0)
+            point = draw_params(_specialization_params(), rng, 0)
             q = point.pop("q")
             return q, point, specialization_d_zero_checks(q, **point)
 
@@ -166,12 +197,12 @@ def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
 
 
 def run_ez_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
-    idef = CORPUS[key]
+    idef = corpus_mod.CORPUS[key]
     eff_n = EZ_DEFAULT_N_MAX if n_max is None else n_max
-    idn = normalized(idef)
+    idn = corpus_mod.normalized(idef)
     return _sweep(idef, "ez", eff_n, samples, seed,
-                  lambda params, sample: verify_sample(idn, eff_n, params, suite="ez",
-                                                       sample=sample))
+                  lambda params, sample: certify_mod.verify_sample(idn, eff_n, params,
+                                                                   suite="ez", sample=sample))
 
 
 def run_sequences_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -196,8 +227,7 @@ def run_elementary_item(key: str, samples: int, seed: int, grid: bool) -> list[C
     return records
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """A suite's `telesum list` heading, default samples, {key: citation}
     table and item run.  The table is built when read, so that defining
     SUITES runs no deferred module."""
@@ -219,10 +249,11 @@ def _citations(table: dict) -> dict[str, str]:
 # wrapper bound to that name (as perfbench/tracer.py binds one) sees the call.
 SUITES = {
     "corpus": Suite("corpus identities:", 32,
-                    lambda: _citations(CORPUS) | {SPECIALIZATION_KEY: SPECIALIZATION_CITATION},
+                    lambda: (_citations(corpus_mod.CORPUS)
+                             | {SPECIALIZATION_KEY: SPECIALIZATION_CITATION}),
                     lambda key, n, s, seed, grid: run_corpus_item(key, n, s, seed)),
     "ez": Suite("certified identities:", 16,
-                lambda: {k: CORPUS[k].citation for k in CERTIFIED_KEYS},
+                lambda: {k: corpus_mod.CORPUS[k].citation for k in corpus_mod.CERTIFIED_KEYS},
                 lambda key, n, s, seed, grid: run_ez_item(key, n, s, seed)),
     "sequences": Suite("sequence families:", 8, lambda: _citations(sequences_mod.FAMILIES),
                        lambda key, n, s, seed, grid: run_sequences_item(key, n, s, seed)),
@@ -360,12 +391,13 @@ def run_config_identity(idef, n_max: int | None = None, samples: int | None = No
     started = time.perf_counter()
     eff_n = idef.n_max if n_max is None else n_max
     eff_samples = 16 if samples is None else samples
-    idn = normalized(idef)
+    idn = corpus_mod.normalized(idef)
 
     def checks(params, sample):
         records = _identity_rows(idef, "check", eff_n, params, sample)
         if idef.certificate is not None:
-            records += verify_sample(idn, eff_n, params, suite="check", sample=sample)
+            records += certify_mod.verify_sample(idn, eff_n, params, suite="check",
+                                                 sample=sample)
         return records
 
     return _report("check", seed, [_sweep(idef, "check", eff_n, eff_samples, seed, checks)],

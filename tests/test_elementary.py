@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -129,7 +128,7 @@ def test_grid_shapes_are_reasonable():
 def test_grid_detects_mutation():
     ident = ELEMENTARY["dougall_symmetric"]
     t = ident.rhs[0]
-    mutated = replace(ident, rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
+    mutated = ident._replace(rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
     assert grid_zero_check(mutated)[0].status == FAIL
     assert sampled_zero_check(mutated, seed=3, samples=20)[0].status == FAIL
 
@@ -137,7 +136,7 @@ def test_grid_detects_mutation():
 def test_sampled_detects_mutation_with_witness():
     ident = ELEMENTARY["qchv_elem"]
     t = ident.rhs[0]
-    mutated = replace(ident, rhs=(FTerm(t.coeff ** 2, t.num, t.den),) + ident.rhs[1:])
+    mutated = ident._replace(rhs=(FTerm(t.coeff ** 2, t.num, t.den),) + ident.rhs[1:])
     record = sampled_zero_check(mutated, seed=4, samples=20)[0]
     assert record.status == FAIL
     assert "delta" in record.witness
@@ -151,7 +150,7 @@ def test_every_identity_expands_to_zero():
 def test_mutation_leaves_nonzero_coefficients():
     ident = ELEMENTARY["dougall_symmetric"]
     t = ident.rhs[0]
-    mutated = replace(ident, rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
+    mutated = ident._replace(rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
     poly = expand(mutated)
     assert len(poly) == 16
     assert all(c != 0 for c in poly.values())
@@ -185,7 +184,7 @@ def test_non_unit_coefficients_are_proved_and_refuted():
     for ident in (halved, geometric):
         assert expand(ident) == {}
         assert grid_zero_check(ident)[0].status == PASS
-    wrong = replace(geometric, rhs=(FTerm(Mono(F(3), (1, 0)), den=(two_a,)),))
+    wrong = geometric._replace(rhs=(FTerm(Mono(F(3), (1, 0)), den=(two_a,)),))
     record = grid_zero_check(wrong)[0]
     assert record.status == FAIL
     assert record.witness == {"a": "2", "b": "3", "grid": "3x2"}
@@ -199,7 +198,7 @@ def test_non_unit_coefficients_are_proved_and_refuted():
            FTerm(mono("-3/20", 1, 1)), FTerm(mono("2/3", 0, 0)),
            FTerm(mono("1/2", 0, 1), den=(mono("3/4", 0, 1),)))
     mixed = _ident(lhs, rhs)
-    off = replace(mixed, rhs=rhs[:3] + (FTerm(mono("-3/19", 1, 1)),) + rhs[4:])
+    off = mixed._replace(rhs=rhs[:3] + (FTerm(mono("-3/19", 1, 1)),) + rhs[4:])
     assert expand(mixed) == reference_expand(mixed) == {}
     assert grid_zero_check(mixed) == reference_grid_zero_check(mixed)
     assert grid_zero_check(mixed)[0].status == PASS
@@ -213,6 +212,6 @@ def test_repeated_denominator_factor_is_cleared_to_its_power():
     ident = _ident((FTerm(ONE, den=(A, A)), FTerm(-ONE, den=(A,))), (FTerm(A, den=(A, A)),))
     assert expand(ident) == {}
     assert grid_zero_check(ident)[0].status == PASS
-    wrong = replace(ident, rhs=(FTerm(A, den=(A,)),))
+    wrong = ident._replace(rhs=(FTerm(A, den=(A,)),))
     assert grid_zero_check(wrong)[0].status == FAIL
     assert sampled_zero_check(wrong, seed=3, samples=5)[0].status == FAIL

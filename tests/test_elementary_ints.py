@@ -7,7 +7,6 @@ must give the same values, expansions and records, or raise the same
 exception type with the same text.
 """
 
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 from operator import add
@@ -101,7 +100,7 @@ def outcome_of(fn, *args):
 def mutant(ident):
     """ident with the last factor of its last lhs term dropped: a false identity."""
     t = ident.lhs[-1]
-    return replace(ident, lhs=ident.lhs[:-1] + (FTerm(t.coeff, t.num[:-1], t.den),))
+    return ident._replace(lhs=ident.lhs[:-1] + (FTerm(t.coeff, t.num[:-1], t.den),))
 
 
 # small values meet poles and zero coordinates; sample_rational gives the rest

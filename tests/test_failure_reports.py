@@ -173,7 +173,7 @@ def genhyp_exhausted(monkeypatch):
 def elementary_wrong_term(monkeypatch):
     ident = ELEMENTARY["qchv_elem"]
     a, b = ident.rhs[0].coeff, -ident.rhs[1].coeff
-    _replace(monkeypatch, ELEMENTARY, "qchv_elem", rhs=(FTerm(a), FTerm(-(b * b))))
+    monkeypatch.setitem(ELEMENTARY, "qchv_elem", ident._replace(rhs=(FTerm(a), FTerm(-(b * b)))))
     return ["verify", "--suite", "elementary", "--id", "qchv_elem", "--samples", "5", "--grid"]
 
 

@@ -162,3 +162,28 @@ def test_closed_stderr_exits_two(argv, unbuffered):
     run = subprocess.run(_closing(2, argv), env=_env(unbuffered), stdout=subprocess.PIPE,
                          timeout=120)
     assert (run.returncode, run.stdout) == (2, b"")
+
+
+_RAISING_CHECK = """if True:
+    import os
+    from telesum import cli, runner
+    os.cpu_count = lambda: 2
+    def run_ez_item(key, n_max, samples, seed):
+        raise KeyError("q")  # say, a declaration reading a parameter it does not draw
+    runner.run_ez_item = run_ez_item
+    cli.run()
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_exception_in_a_check_exits_three_with_one_traceback(jobs):
+    """Exit 1 means a false identity; a crash, in the CLI's process or in a
+    worker, exits 3 with its traceback on stderr and prints no report."""
+    argv = ["verify", "--suite", "ez", "--id", "binomial", "--id", "chu_vandermonde",
+            "--samples", "1", "--n-max", "2", "--jobs", jobs]
+    run = subprocess.run([sys.executable, "-c", _RAISING_CHECK, *argv], env=_env(),
+                         capture_output=True, timeout=120)
+    err = run.stderr.decode("utf-8")
+    assert (run.returncode, run.stdout) == (3, b""), err
+    assert err.count("Traceback (most recent call last):") == 1
+    assert err.endswith("KeyError: 'q'\n")
