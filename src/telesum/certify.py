@@ -99,15 +99,17 @@ class SampleMemo:
     ``corpus.admissible`` fills while it probes the sample; the checks then
     reuse the probe's values, and each other's, instead of evaluating them
     again.  A row is one entry per (sample, n): ``row`` gives the summands
-    t(n, .) (or F(n, .)) as a ``Row``, and ``pairs`` gives u(n, .) or v(n, .)
-    as a ``Row`` of unreduced integer pairs (num, den).  The probe,
-    ``corpus.evaluate_identity``, F and every check read the same rows.  A
-    function made by ``by_row`` (or ``by_pair_row``) builds its row n from
-    columns(n, params), which reads whatever the row shares (its factor
-    lists, a summand's ``corpus._TermRow``) once; any other function is
-    called once per column.  Rows fill only the columns asked for, so
-    every check evaluates the same values, and raises at the same (n, k)
-    with the same text, as one that reads point by point.
+    t(n, .) (or F(n, .)), and ``pairs`` gives u(n, .) or v(n, .) as
+    unreduced integer pairs (num, den), each indexed by k.  The probe,
+    ``corpus.evaluate_identity``, F and every check read the same rows.
+    For a function made by ``by_row`` (or ``by_pair_row``), columns(n,
+    params) returns the row itself, which is stored as it is: a ``Row``, or
+    a summand's ``corpus._TermRow``, or one row that every n shares.  So
+    each value is held by one row, never copied into a second.  Any other
+    function gets a ``Row`` that calls it once per column.  Rows fill only
+    the columns asked for, so every check evaluates the same values, and
+    raises at the same (n, k) with the same text, as one that reads point
+    by point.
 
     A value is computed at its first request and served from the memo after
     that.  The key is the function object and its leading arguments, never
@@ -143,19 +145,17 @@ class SampleMemo:
 
 def _row(fn: CertFn, n: int, params: Params) -> Row:
     columns = getattr(fn, "columns", None)
-    return Row(columns(n, params) if columns else lambda k: fn(n, k, params))
+    return columns(n, params) if columns else Row(lambda k: fn(n, k, params))
 
 
 def _pair_row(fn: CertFn, n: int, params: Params) -> Row:
     columns = getattr(fn, "pair_columns", None)
-    if columns:
-        return Row(columns(n, params))
-    values = sample_value.row(fn, n, params)
-    return Row(lambda k: as_pair(values[k]))
+    return columns(n, params) if columns else Row(lambda k: as_pair(fn(n, k, params)))
 
 
-def by_row(columns: Callable[[int, Params], Callable[[int], Any]]) -> CertFn:
-    """fn(n, k, params), read through its row n, which columns(n, params) builds."""
+def by_row(columns: Callable[[int, Params], Any]) -> CertFn:
+    """fn(n, k, params), read through its row n: columns(n, params) returns
+    that row, indexed by k, and the memo holds it once, unwrapped."""
 
     def fn(n: int, k: int, params: Params) -> Any:
         return sample_value.row(fn, n, params)[k]
@@ -164,9 +164,9 @@ def by_row(columns: Callable[[int, Params], Callable[[int], Any]]) -> CertFn:
     return fn
 
 
-def by_pair_row(columns: Callable[[int, Params], Callable[[int], tuple[int, int]]]) -> CertFn:
-    """fn(n, k, params) as a Fraction, read through its row n of integer pairs,
-    which columns(n, params) builds."""
+def by_pair_row(columns: Callable[[int, Params], Row]) -> CertFn:
+    """fn(n, k, params) as a Fraction, read through its row n of integer
+    pairs: columns(n, params) returns that row, held once, unwrapped."""
 
     def fn(n: int, k: int, params: Params) -> Fraction:
         return Fraction(*sample_value.pairs(fn, n, params)[k])

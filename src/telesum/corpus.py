@@ -6,8 +6,9 @@ admissibility handled by an evaluation probe, and, for the terminating
 hypergeometric and q-hypergeometric sums, the telescoping certificate
 (u(n,k), v(n,k)) of the classical proofs.
 
-The nine certified sums are declared as data, in the rphis notation of
-Gasper and Rahman, by the (upper; lower; argument) lists of one term
+The nine certified sums are declared as data, one ``Declaration`` record
+each in the table ``DECLARED``, in the rphis notation of Gasper and
+Rahman, by the (upper; lower; argument) lists of one term
 
     t(m) = prod (x)_m / prod (y)_m * z^m
 
@@ -19,6 +20,8 @@ read at m = n.  Their certificates are declared the same way, as the
     z * prod (x + k)          (classical sums)
     z * prod (1 - x q^k)      (q-sums)
 
+A record's ``identity`` builds its IdentityDef; these lists live nowhere
+else, so a test reads and changes them on the record (``_replace``).
 Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
 written once in ``_factor_pair``, which ``_TermRow`` and ``_linear_pair``
 share.  It takes q^k as an integer pair computed once per column: a
@@ -41,9 +44,10 @@ Conventions:
     parameter is drawn by ``draw_params``.
 
 Summands, closed forms and certificate values are read through
-``certify.sample_value`` (see ``certify.SampleMemo``).  The four sums
+``certify.sample_value`` (see ``certify.SampleMemo``): a certified
+summand's row n is its ``_TermRow`` itself, one memo entry.  The four sums
 without a certificate have summands free of n: each column is one cell(k),
-read through one row per sample that every row n shares (``_n_free``).
+held in one row per sample that is every row n (``_n_free``).
 Ramanujan's Entry 25 is the lemma at u_j = a_j, v_j = x + a_j: its cells
 and closed form read the lemma's running products, one row per sample
 (``_entry25_products``).  The other cells are x^k, (k)_m and 1/(k)_(m+1).
@@ -54,7 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       Quotient, Row, by_pair_row, by_row, sample_value)
@@ -148,8 +152,9 @@ def _factor_pair(xs: Sequence[Fraction], k: int,
 class _TermRow:
     """The columns t(m) = prod_x (x)_m / prod_y (y)_m * z^m, m = 0, 1, ...,
     of one term over x in upper and y in lower, where (x)_m is the q-shifted
-    factorial (x; q)_m when a base q is given.  They are grown on demand by
-    the term ratio
+    factorial (x; q)_m when a base q is given, read as row[m] (a summand's
+    row in the sample memo) or row(m).  They are grown on demand by the
+    term ratio
 
         t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
         or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given,
@@ -170,7 +175,7 @@ class _TermRow:
         self.products = (1, 1, 1, 1)  # the upper product and t(m) as (num, den) pairs
         self.columns: list[Fraction | tuple[int, int]] = [ONE]  # t(m), or the pair it divides
 
-    def __call__(self, m: int) -> Fraction:
+    def __getitem__(self, m: int) -> Fraction:
         if m < 0:
             raise ValueError(f"{'rising' if self.q is None else 'q-rising'} factorial needs m >= 0")
         while len(self.columns) <= m:
@@ -179,6 +184,8 @@ class _TermRow:
         if isinstance(value, tuple):
             raise zero_divisor(Fraction(*value))
         return value
+
+    __call__ = __getitem__
 
     def _extend(self) -> None:
         """Append t(i + 1) = t(i) * ratio(i) for the last column i."""
@@ -310,9 +317,7 @@ def _well_poised_head(k: int, p: Params) -> Fraction:
     return rat_div(1 - p["a"] * rat_pow(p["q"], 2 * k), 1 - p["a"])
 
 
-def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Series,
-               closed_form: Series, u: Factors, v: Factors, well_poised: bool = False,
-               n_max: int = 15) -> IdentityDef:
+class Declaration(NamedTuple):
     """sum_{k=0}^{n} term(n, k) = rhs(n), with both sides and the certificate
     declared as data.
 
@@ -321,69 +326,83 @@ def _certified(key: str, citation: str, params: tuple[Param, ...], summand: Seri
     closed-form row, whose column n is rhs(n).  A very-well-poised summand
     also carries the head (1 - a q^(2k))/(1 - a).  u(n, **params) and
     v(n, **params) give the (factors, z) of one ``_linear_pair`` product,
-    taken at k.
-
-    Each row n of the summand, the closed-form row, the head at each k, and
-    each row n of u and v are built once per sample in the sample memo: a
-    summand row reads its ``_TermRow`` once, and a u or v row takes its
-    factor lists once, reads the sample's q^k pairs (``_q_powers``) and
-    gives integer pairs (num, den).
+    taken at k.  ``identity`` builds the sum's IdentityDef.
     """
 
-    def row(n: int, p: Params) -> _TermRow:
-        return _TermRow(*summand(n, **p), p.get("q"))
+    key: str
+    citation: str
+    params: tuple[Param, ...]
+    summand: Series
+    closed_form: Series
+    u: Factors
+    v: Factors
+    well_poised: bool = False
+    n_max: int = 15
 
-    def columns(n: int, p: Params) -> Callable[[int], Fraction]:
-        t = sample_value(row, n, p)
-        if not well_poised:
-            return t
-        # the head raises before the row does
-        return lambda k: sample_value(_well_poised_head, k, p) * t(k)
+    def identity(self) -> IdentityDef:
+        """The IdentityDef that reads this declaration.
 
-    def closed_row(p: Params) -> _TermRow:
-        return _TermRow(*closed_form(**p), p.get("q"))
+        Each row n of the summand, the closed-form row, the head at each k,
+        and each row n of u and v are one entry of the sample memo: a summand
+        row is its ``_TermRow`` (for a very-well-poised sum, a ``Row`` of the
+        head times its column), and a u or v row is a ``Row`` of integer
+        pairs (num, den) over the sample's q^k pairs (``_q_powers``).
+        """
 
-    def rhs(n: int, p: Params) -> Fraction:
-        return sample_value(closed_row, p)(n)
+        def columns(n: int, p: Params) -> _TermRow | Row:
+            t = _TermRow(*self.summand(n, **p), p.get("q"))
+            if not self.well_poised:
+                return t
+            # the head raises before the row does
+            return Row(lambda k: sample_value(_well_poised_head, k, p) * t(k))
 
-    def at_k(factors: Factors) -> CertFn:
-        def pair_columns(n: int, p: Params) -> Callable[[int], tuple[int, int]]:
-            xs, z = factors(n, **p)
-            powers = sample_value(_q_powers, p)
-            if powers is None:
-                return lambda k: _linear_pair(xs, z, k)
-            return lambda k: _linear_pair(xs, z, k, powers[k])
+        def closed_row(p: Params) -> _TermRow:
+            return _TermRow(*self.closed_form(**p), p.get("q"))
 
-        return by_pair_row(pair_columns)
+        def rhs(n: int, p: Params) -> Fraction:
+            return sample_value(closed_row, p)(n)
 
-    return IdentityDef(key=key, citation=citation, params=params, term=by_row(columns),
-                       rhs=rhs, certificate=Certificate(at_k(u), at_k(v)), n_max=n_max)
+        def at_k(factors: Factors) -> CertFn:
+            def pair_columns(n: int, p: Params) -> Row:
+                xs, z = factors(n, **p)
+                powers = sample_value(_q_powers, p)
+                if powers is None:
+                    return Row(lambda k: _linear_pair(xs, z, k))
+                return Row(lambda k: _linear_pair(xs, z, k, powers[k]))
+
+            return by_pair_row(pair_columns)
+
+        return IdentityDef(key=self.key, citation=self.citation, params=self.params,
+                           term=by_row(columns), rhs=rhs,
+                           certificate=Certificate(at_k(self.u), at_k(self.v)),
+                           n_max=self.n_max)
 
 
-_CERTIFIED = (
+#: The nine certified sums by key, each declared once.
+DECLARED: dict[str, Declaration] = {decl.key: decl for decl in (
     # classical hypergeometric sums: u and v are products of (x + k)
-    _certified(
+    Declaration(
         "binomial_x1", "row sums of Pascal's triangle (binomial theorem at x = 1)", (),
         summand=lambda n: ([-n], [1], -1),
         closed_form=lambda: ([], [], 2),
         u=lambda n: ([-n - 1], -1),
         v=lambda n: ([0], 1),
     ),
-    _certified(
+    Declaration(
         "binomial", "binomial theorem (terminating form)", (Param("x"),),  # x != 0, -1
         summand=lambda n, x: ([-n], [1], -x),
         closed_form=lambda x: ([], [], 1 + x),
         u=lambda n, x: ([-n - 1], -x),
         v=lambda n, x: ([0], 1),
     ),
-    _certified(
+    Declaration(
         "chu_vandermonde", "Chu (1303)-Vandermonde (1772) sum", (Param("a"), Param("b")),
         summand=lambda n, a, b: ([a, -n], [b, 1], 1),
         closed_form=lambda a, b: ([b - a], [b], 1),
         u=lambda n, a, b: ([a, -n - 1], 1),
         v=lambda n, a, b: ([0, b - 1], 1),
     ),
-    _certified(
+    Declaration(
         "pfaff_saalschutz", "Pfaff (1797)-Saalschutz (1890) sum",
         (Param("a"), Param("b"), Param("c")),
         summand=lambda n, a, b, c: ([a, b, -n], [c, 1 - n + a + b - c, 1], 1),
@@ -392,7 +411,7 @@ _CERTIFIED = (
         v=lambda n, a, b, c: ([0, c - 1, a + b - c - n], 1),
     ),
     # q-hypergeometric sums: u and v are products of (1 - x q^k)
-    _certified(
+    Declaration(
         "q_binomial", "terminating q-binomial sum", (Param("z"), Param("q", kind="q")),
         summand=lambda n, z, q: ([rat_pow(q, -n)], [q], z * rat_pow(q, n)),
         closed_form=lambda z, q: ([z], [], 1),
@@ -400,7 +419,7 @@ _CERTIFIED = (
         v=lambda n, z, q: ([1], 1),
         n_max=12,
     ),
-    _certified(
+    Declaration(
         "q_chu_vandermonde", "a q-analog of the Chu-Vandermonde sum",
         (Param("a"), Param("b"), Param("q", kind="q")),
         summand=lambda n, a, b, q: ([a, rat_pow(q, -n)], [b, q], rat_div(b * rat_pow(q, n), a)),
@@ -409,7 +428,7 @@ _CERTIFIED = (
         v=lambda n, a, b, q: ([rat_div(b, q), 1], 1),
         n_max=12,
     ),
-    _certified(
+    Declaration(
         "q_pfaff_saalschutz", "q-Pfaff-Saalschutz sum (Jackson, 1910)",
         (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
         summand=lambda n, a, b, c, q: (
@@ -420,7 +439,7 @@ _CERTIFIED = (
         v=lambda n, a, b, c, q: ([rat_div(c, q), rat_div(a * b * rat_pow(q, -n), c), 1], 1),
         n_max=12,
     ),
-    _certified(
+    Declaration(
         "q_dougall",
         "q-Dougall sum (Jackson, 1921): terminating balanced very-well-poised 8phi7",
         (Param("a"), Param("b"), Param("c"), Param("d"), Param("q", kind="q")),
@@ -443,7 +462,7 @@ _CERTIFIED = (
     # The d-free reduction of the 8phi7 certificate, with the n-dependent
     # argument aq^(n+1)/bc attached to u the same way bq^n/a is in the
     # q-Chu-Vandermonde certificate.  Validated by the full check sweep.
-    _certified(
+    Declaration(
         "rogers_6phi5", "Rogers' terminating very-well-poised 6phi5 sum",
         (Param("a"), Param("b"), Param("c"), Param("q", kind="q")),
         summand=lambda n, a, b, c, q: (
@@ -457,7 +476,7 @@ _CERTIFIED = (
         v=lambda n, a, b, c, q: ([rat_div(a, b), rat_div(a, c), a * rat_pow(q, n + 1), 1], 1),
         well_poised=True, n_max=12,
     ),
-)
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +485,12 @@ _CERTIFIED = (
 
 def _n_free(cell: Callable[[int, Params], Fraction]) -> CertFn:
     """term(n, k) = cell(k, params), read through one ``Row`` per sample that
-    every row n shares, so each column is evaluated once per sample."""
+    is every row n, so each column is evaluated and held once per sample."""
 
     def shared(p: Params) -> Row:
         return Row(lambda k: cell(k, p))
 
-    return by_row(lambda n, p: sample_value(shared, p).__getitem__)
+    return by_row(lambda n, p: sample_value(shared, p))
 
 
 def _entry25_products(p: Params) -> Callable[[int], tuple[IntPair, IntPair]]:
@@ -534,7 +553,8 @@ _UNCERTIFIED = (
     ),
 )
 
-CORPUS: dict[str, IdentityDef] = {idef.key: idef for idef in (*_UNCERTIFIED, *_CERTIFIED)}
+CORPUS: dict[str, IdentityDef] = {idef.key: idef for idef in (
+    *_UNCERTIFIED, *(decl.identity() for decl in DECLARED.values()))}
 
 #: Identities shipping with a telescoping certificate (the "ez" suite).
 CERTIFIED_KEYS = tuple(k for k, v in CORPUS.items() if v.certificate is not None)

@@ -64,7 +64,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .certify import Certificate, by_row, sample_value
+from .certify import Certificate, Row, by_pair_row, by_row, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
 from .rational import (ONE, IntPair, as_pair, format_rational, pair_add, pair_div, pair_mul,
@@ -759,21 +759,24 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
     parameter point through certify.sample_value, so the next point drops
     them."""
 
-    def at_nk(section: str, expr: Expr) -> Callable[[int, int, Mapping[str, object]], Fraction]:
+    def at_nk(section: str, expr: Expr,
+              pairs: bool = False) -> Callable[[int, int, Mapping[str, object]], Fraction]:
         """One section's expression as a function of (n, k, params), read
-        through its row n: the row takes the hoisted values and its env once."""
+        through its row n: the row takes the hoisted values and its env once.
+        With pairs, the row holds integer pairs (num, den), the form the
+        certificate checks read, so no value is held twice."""
         code = _compile(expr, _NK)
 
-        def columns(n: int, params: Mapping[str, object]) -> Callable[[int], Fraction]:
+        def columns(n: int, params: Mapping[str, object]) -> Row:
             env, memo = {**params, "n": n}, sample_value(_sample_memo, params)
 
             def cell(k: int) -> Fraction:
                 env["k"] = k
                 return _evaluate_in(section, code, env, memo)
 
-            return cell
+            return Row((lambda k: as_pair(cell(k))) if pairs else cell)
 
-        return by_row(columns)
+        return by_pair_row(columns) if pairs else by_row(columns)
 
     require = [(expr, _compile(expr, _N)) for expr in config.require]
     rhs_code = _compile(config.rhs, _N)
@@ -803,8 +806,8 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
             raise _at_point(exc, "range", {"n": n}) from None
         return lo, hi
 
-    certificate = None if config.cert_u is None or config.cert_v is None else \
-        Certificate(u=at_nk("cert_u", config.cert_u), v=at_nk("cert_v", config.cert_v))
+    certificate = None if config.cert_u is None or config.cert_v is None else Certificate(
+        u=at_nk("cert_u", config.cert_u, pairs=True), v=at_nk("cert_v", config.cert_v, pairs=True))
     return IdentityDef(
         key=config.name,
         citation=f"user-defined identity '{config.name}'",

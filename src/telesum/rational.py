@@ -10,15 +10,27 @@ the report serialization format, and ``prod_range_pair``, the product
 ``prod(f, lo, m-1) * f(m) == prod(f, lo, m)`` holds for *all* integers ``m``.
 
 Inside the checks a rational is an unreduced integer pair (num, den), an
-``IntPair``, and its arithmetic is written once, here: ``pair_add``,
-``pair_sub``, ``pair_mul``, ``pair_div``, ``pair_pow``, and
-``pair_lcm_add``, the one step of a running sum, which alone takes a gcd
-(Knuth, TAOCP Vol. 2, 4.5.1).  ``zero_divisor`` and
-``zero_to_negative_power`` build the two zero texts every layer raises.
-``prod_range_pair`` multiplies factors' parts as plain integers and
-takes no gcd.  ``Pair`` is the same pair as an object, for the
-``sequences`` and ``genhyp`` code written once for any exact operands; a
-caller builds a Fraction only for a value it returns or prints.
+``IntPair``.  Its primitives are here: ``pair_add``, ``pair_sub``,
+``pair_mul``, ``pair_div``, ``pair_pow``, and ``pair_lcm_add``, the one
+step of a running sum, which alone takes a gcd (Knuth, TAOCP Vol. 2,
+4.5.1).  Not every layer calls them:
+
+  * ``exprlang``'s operators are the five arithmetic primitives, and
+    ``corpus`` takes its q^k powers, its certificate products and Entry
+    25's running products with ``pair_pow``, ``pair_mul`` and ``pair_div``;
+  * ``certify`` and ``elementary`` call only ``pair_lcm_add``; elementary
+    takes its powers inline (``elementary._scaled``, measured faster);
+  * ``Pair`` writes out its + - * (measured faster, see there), and its
+    / and ** call ``pair_div`` and ``pair_pow``;
+  * the kernel, ``telescope``, calls none: its one walk, its Horner sum
+    and its closed form multiply the pairs' parts inline.
+
+``zero_divisor`` and ``zero_to_negative_power`` build the two zero texts
+every layer raises.  ``prod_range_pair`` multiplies factors' parts as
+plain integers and takes no gcd.  ``Pair`` is the pair as an object, for
+the ``sequences`` and ``genhyp`` code written once for any exact
+operands; a caller builds a Fraction only for a value it returns or
+prints.
 """
 
 from __future__ import annotations

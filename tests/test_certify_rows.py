@@ -10,6 +10,7 @@ the same exception type and text.
 """
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -20,11 +21,12 @@ from telesum.certify import (TERMINATION_OVERSHOOT, Certificate, NormalizedIdent
                              Row, difference_check, natural_termination_check, row_sum_check,
                              sample_value, telescope_to_zero_check, telescoping_row,
                              verify_sample)
-from telesum.corpus import CERTIFIED_KEYS, CORPUS, draw_admissible, normalized
+from telesum.corpus import CERTIFIED_KEYS, CORPUS, _TermRow, draw_admissible, normalized
 from telesum.errors import DivisionByZero, Inadmissible, NoCertificate
 from telesum.exprlang import load_identity_config
 from telesum.rational import ONE, ZERO, as_pairs
 from telesum.report import FAIL, PASS, outcome
+from telesum.runner import run_config_identity, run_corpus_item
 from telesum.sampling import rng_for, sample_rational
 from telesum.telescope import TelescopeProblem, telescoping_pairs
 
@@ -536,3 +538,41 @@ def test_a_passing_sample_builds_no_fraction(key, monkeypatch):
     monkeypatch.undo()
     assert {r.status for r in records} == {PASS}
     assert built == []
+
+
+@pytest.mark.parametrize("key", ["binomial", "geometric"])
+def test_each_summand_value_is_held_by_one_row(key):
+    """A summand row is one memo entry, not a copy of another row: after a
+    corpus sample, each summand value read is held by exactly one row (an
+    n-free summand's rows n are all one shared row)."""
+    idef = CORPUS[key]
+    assert {r.status for r in run_corpus_item(key, None, 1, 1729)} == {PASS}
+    params = dict(sample_value.point)
+    rows = {id(value): value for value in sample_value.values.values()
+            if isinstance(value, (Row, _TermRow))}
+    holders = Counter()
+    for row in rows.values():
+        cells = row.values() if isinstance(row, Row) else row.columns
+        holders.update({id(cell) for cell in cells})
+    read = 0
+    for n in range(idef.n_max + 1):
+        row = sample_value.row(idef.term, n, params)
+        for k in range(1, idef.sum_range(n)[1] + 1):  # column 0 can be the shared ONE
+            assert holders[id(row[k])] == 1, (n, k)
+            read += 1
+    assert read == idef.n_max * (idef.n_max + 1) // 2
+
+
+def test_a_config_certificate_is_held_once_as_pairs():
+    """A config's u and v rows hold the integer pairs the checks read, and
+    no Fraction row of the same values."""
+    for path in CONFIGS:
+        idef = load_identity_config(path)
+        assert run_config_identity(idef, samples=1).ok
+        cert = idef.certificate
+        held = [value for key, value in sample_value.values.items()
+                if cert.u in key or cert.v in key]
+        assert len(held) == 2 * (idef.n_max + 1), path.stem
+        for row in held:
+            assert isinstance(row, Row) and row, path.stem
+            assert all(type(cell) is tuple for cell in row.values()), path.stem

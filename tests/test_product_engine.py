@@ -15,7 +15,6 @@ negative integers and poles.
 """
 
 import dataclasses
-import inspect
 from collections import Counter
 from fractions import Fraction
 
@@ -23,8 +22,8 @@ import pytest
 
 from telesum import corpus, sequences
 from telesum.certify import TERMINATION_OVERSHOOT, sample_value, verify_sample
-from telesum.corpus import (CERTIFIED_KEYS, CORPUS, _TermRow, draw_admissible, draw_params,
-                            _linear_pair, _power_pair, evaluate_identity, normalized,
+from telesum.corpus import (CERTIFIED_KEYS, CORPUS, DECLARED, _TermRow, draw_admissible,
+                            draw_params, _linear_pair, _power_pair, evaluate_identity, normalized,
                             q_rising_factorial, rising_factorial)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
@@ -378,16 +377,14 @@ def old_certified_rhs(closed_form):
 
 
 def reference_term(idef):
-    """old_certified_term over the summand declaration behind idef.term."""
-    declared = inspect.getclosurevars(idef.term.columns).nonlocals
-    summand = inspect.getclosurevars(declared["row"]).nonlocals["summand"]
-    return old_certified_term(summand, declared["well_poised"])
+    """old_certified_term over idef's summand declaration."""
+    declared = DECLARED[idef.key]
+    return old_certified_term(declared.summand, declared.well_poised)
 
 
 def closed_form_of(idef):
-    """The closed_form declaration behind idef.rhs."""
-    closed_row = inspect.getclosurevars(idef.rhs).nonlocals["closed_row"]
-    return inspect.getclosurevars(closed_row).nonlocals["closed_form"]
+    """idef's closed_form declaration."""
+    return DECLARED[idef.key].closed_form
 
 
 def test_term_row_matches_hypergeometric_in_any_column_order():

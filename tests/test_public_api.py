@@ -1,6 +1,6 @@
 """Every name in ``telesum.__all__`` resolves, so a deletion that leaves an
-export behind fails here rather than at a user's import; and the shared
-zero texts are built in one place."""
+export behind fails here rather than at a user's import; the shared zero
+texts are built in one place; and no test reads data out of a closure."""
 
 import re
 from pathlib import Path
@@ -29,3 +29,11 @@ def test_each_zero_text_is_written_once():
                   for line in path.read_text(encoding="utf-8").splitlines()
                   if pattern.search(line)]
         assert len(places) == 1 and places[0][0] == "rational.py", (text, places)
+
+
+def test_no_test_reads_data_out_of_closures():
+    # transcribed data, such as corpus.DECLARED, stays reachable as data
+    here = Path(__file__)
+    callers = [path.name for path in sorted(here.parent.rglob("*.py"))
+               if path != here and "getclosurevars" in path.read_text(encoding="utf-8")]
+    assert callers == []
