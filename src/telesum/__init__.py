@@ -12,7 +12,8 @@ exact rational arithmetic; every check is exact equality.
 ``import telesum`` runs no submodule.  Each name in ``__all__`` is served at
 its first read by the module that defines it (``_DEFERRED``), so a CLI start,
 which imports ``telesum.cli`` through this package, pays only for the
-modules its run reads (see ``runner``).
+modules its run reads (see ``runner``).  ``Param`` is defined in ``point``,
+with the parameter draw and the sample memo, and corpus re-exports it.
 """
 
 from importlib import import_module
@@ -23,7 +24,7 @@ __version__ = "0.1.0"
 #: renamed).
 _DEFERRED = {
     "Certificate": "certify", "NormalizedIdentity": "certify", "verify_sample": "certify",
-    "CORPUS": "corpus", "IdentityDef": "corpus", "Param": "corpus",
+    "CORPUS": "corpus", "IdentityDef": "corpus", "Param": "point",
     "evaluate_identity": "corpus", "normalized": "corpus", "q_rising_factorial": "corpus",
     "rising_factorial": "corpus",
     "ELEMENTARY": "elementary",

@@ -29,16 +29,17 @@ value times T(n, k), T being the kernel's integer pair, and the telescope
 check compares the two rows' running sums times the other row's r.  u and
 v are integer pairs too.  A Fraction is built only for a value that a
 failing record prints.  Every value the checks read goes through
-``sample_value`` (see ``SampleMemo``).
+``sample_value`` (see ``point.SampleMemo``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import Inadmissible, NoCertificate
+from .point import Row, SampleMemo, sample_value  # SampleMemo: re-exported
 from .rational import as_pair, pair_lcm_add, rat_div, zero_divisor
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .telescope import telescoping_pairs
@@ -52,8 +53,7 @@ CertFn = Callable[[int, int, Params], Fraction]
 TERMINATION_OVERSHOOT = 3
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """The (u, v) pair witnessing that the difference row telescopes."""
 
     u: CertFn
@@ -65,92 +65,16 @@ class NormalizedIdentity:
     """An identity in sum_k F(n, k) = 1 form, with an optional certificate.
 
     F is any exact function of (n, k, params); ``corpus.normalized`` gives a
-    ``Quotient``, whose summand and closed form the checks read apart.
+    ``Quotient``, whose summand and closed form the checks read apart.  It
+    stays a dataclass, as ``corpus.IdentityDef`` does: the benchmark's
+    tracer (``perfbench/tracer.py``) rebuilds both with
+    ``dataclasses.replace``.
     """
 
     key: str
     F: Callable[[int, int, Params], Fraction]
     certificate: Certificate | None = None
     citation: str = ""
-
-
-class Row(dict):
-    """The columns cell(k) of one row, each computed at its first index.
-
-    A row is one memo entry, so the checks index it instead of looking each
-    value up by its full point.  A column that raises stores nothing, so it
-    raises again, with the same message, at every index that asks for it.
-    """
-
-    def __init__(self, cell: Callable[[int], Any]) -> None:
-        super().__init__()
-        self.cell = cell
-
-    def __missing__(self, k: int) -> Any:
-        value = self[k] = self.cell(k)
-        return value
-
-
-class SampleMemo:
-    """Values f(*args, params) of pure functions at one parameter point.
-
-    Every value is computed once per sample.  Summands, closed forms, F and
-    the certificate's u and v are read through ``sample_value``, which
-    ``corpus.admissible`` fills while it probes the sample; the checks then
-    reuse the probe's values, and each other's, instead of evaluating them
-    again.  A row is one entry per (sample, n): ``row`` gives the summands
-    t(n, .) (or F(n, .)), and ``pairs`` gives u(n, .) or v(n, .) as
-    unreduced integer pairs (num, den), each indexed by k.  The probe,
-    ``corpus.evaluate_identity``, F and every check read the same rows.
-    For a function made by ``by_row`` (or ``by_pair_row``), columns(n,
-    params) returns the row itself, which is stored as it is: a ``Row``, or
-    a summand's ``corpus._TermRow``, or one row that every n shares.  So
-    each value is held by one row, never copied into a second.  Any other
-    function gets a ``Row`` that calls it once per column.  Rows fill only
-    the columns asked for, so every check evaluates the same values, and
-    raises at the same (n, k) with the same text, as one that reads point
-    by point.
-
-    A value is computed at its first request and served from the memo after
-    that.  The key is the function object and its leading arguments, never
-    an identity's name, so two different functions (a certificate and its
-    mutation, a summand and a skewed F) never share values.  Only the current
-    point's values are held: a request at other parameter values drops them.
-    An evaluation that raises stores nothing, so it raises again, with the
-    same message, at every call that asks for it.
-    """
-
-    def __init__(self) -> None:
-        self.point: tuple | None = None
-        self.values: dict[tuple, object] = {}
-
-    def __call__(self, fn: Callable[..., Any], *args) -> Any:
-        point = tuple(args[-1].items())
-        if point != self.point:
-            self.point, self.values = point, {}
-        values = self.values
-        key = (fn, *args[:-1])
-        if key not in values:
-            values[key] = fn(*args)
-        return values[key]
-
-    def row(self, fn: CertFn, n: int, params: Params) -> Row:
-        """fn(n, k, params) for k = 0, 1, ... as one entry: a Row."""
-        return self(_row, fn, n, params)
-
-    def pairs(self, fn: CertFn, n: int, params: Params) -> Row:
-        """fn(n, k, params) for k = 0, 1, ... as unreduced integer pairs."""
-        return self(_pair_row, fn, n, params)
-
-
-def _row(fn: CertFn, n: int, params: Params) -> Row:
-    columns = getattr(fn, "columns", None)
-    return columns(n, params) if columns else Row(lambda k: fn(n, k, params))
-
-
-def _pair_row(fn: CertFn, n: int, params: Params) -> Row:
-    columns = getattr(fn, "pair_columns", None)
-    return columns(n, params) if columns else Row(lambda k: as_pair(fn(n, k, params)))
 
 
 def by_row(columns: Callable[[int, Params], Any]) -> CertFn:
@@ -173,12 +97,6 @@ def by_pair_row(columns: Callable[[int, Params], Row]) -> CertFn:
 
     fn.pair_columns = columns
     return fn
-
-
-#: The memo every evaluation of a summand, closed form, F, u or v goes through.
-#: It is one per process because term, rhs, F, u and v keep their
-#: (..., params) signatures; keying by function and point keeps callers apart.
-sample_value = SampleMemo()
 
 
 class Quotient:

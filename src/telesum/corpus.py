@@ -41,10 +41,11 @@ Conventions:
     stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.  Every declared
-    parameter is drawn by ``draw_params``.
+    parameter is drawn by ``draw_params``.  ``Param`` and ``draw_params``
+    live in ``point`` and are re-exported here.
 
 Summands, closed forms and certificate values are read through
-``certify.sample_value`` (see ``certify.SampleMemo``): a certified
+``point.sample_value`` (see ``point.SampleMemo``): a certified
 summand's row n is its ``_TermRow`` itself, one memo entry.  The four sums
 without a certificate have summands free of n: each column is one cell(k),
 held in one row per sample that is every row n (``_n_free``).
@@ -61,11 +62,12 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
-                      Quotient, Row, by_pair_row, by_row, sample_value)
+                      Quotient, by_pair_row, by_row)
 from .errors import Inadmissible
+from .point import Param, Row, draw_params, sample_value
 from .rational import (ONE, ZERO, IntPair, as_pair, pair_div, pair_mul, pair_pow, rat_div, rat_pow,
                        zero_divisor)
-from .sampling import RETRY_BOUND, retry, sample_q, sample_rational, sample_sequence
+from .sampling import RETRY_BOUND, retry
 
 Params = Mapping[str, object]
 #: (upper, lower, z) of one ``_TermRow``: a function of the parameters by
@@ -208,13 +210,6 @@ def _linear_pair(xs: Sequence[Fraction], z: Fraction, k: int,
 
 
 @dataclass(frozen=True)
-class Param:
-    name: str
-    kind: str = "rational"  # rational | q | int | sequence
-    int_range: tuple[int, int] = (0, 5)
-
-
-@dataclass(frozen=True)
 class IdentityDef:
     key: str
     citation: str
@@ -248,22 +243,6 @@ def normalized(idef: IdentityDef) -> NormalizedIdentity:
 # ---------------------------------------------------------------------------
 # Admissible sampling
 # ---------------------------------------------------------------------------
-
-def draw_params(params: Sequence[Param], rng: random.Random, length: int) -> dict[str, object]:
-    """One draw for each declared parameter, in order; length is the length
-    of a sequence parameter."""
-    drawn: dict[str, object] = {}
-    for p in params:
-        if p.kind == "q":
-            drawn[p.name] = sample_q(rng)
-        elif p.kind == "int":
-            drawn[p.name] = rng.randint(*p.int_range)
-        elif p.kind == "sequence":
-            drawn[p.name] = sample_sequence(rng, length)
-        else:
-            drawn[p.name] = sample_rational(rng)
-    return drawn
-
 
 def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
     """Probe every denominator the suites will touch; False on any zero.

@@ -59,10 +59,9 @@ was raised at.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .certify import Certificate, Row, by_pair_row, by_row, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
@@ -120,42 +119,35 @@ CONFIG_N_MAX = 10
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     op: str  # a key of BINARY
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Expr"
     exponent: "Expr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     func: str  # a key of FUNCTIONS
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Prod:
+class Prod(NamedTuple):
     var: str
     lo: "Expr"
     hi: "Expr"
@@ -206,8 +198,7 @@ FUNCTIONS = {"rf": Function(2, _rf), "qrf": Function(3, _qrf), "binom": Function
 
 # --- Tokenizer --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # int | name | op | end
     text: str
     line: int
@@ -618,8 +609,7 @@ _SECTIONS = ("name", "params", "require", "lhs", "range", "rhs", "cert_u", "cert
 _RESERVED = {"n", "k", "prod", *FUNCTIONS}
 
 
-@dataclass(frozen=True)
-class IdentityConfig:
+class IdentityConfig(NamedTuple):
     name: str
     params: tuple[str, ...]
     require: tuple[Expr, ...]

@@ -43,9 +43,8 @@ failing record's witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .rational import ZERO, Exact, Pair, as_pairs, rat_div
 from .report import CheckRecord, outcome
@@ -54,29 +53,38 @@ from .telescope import (TelescopeProblem, _horner, _read, telescoping_closed_for
                         telescoping_pairs)
 
 
-@dataclass(frozen=True)
-class SequenceParams:
-    """Sequence parameters over indices 0..n (c, d optional per operation);
-    a draw's own copy holds Pairs (``_exact``)."""
-
+class _Sequences(NamedTuple):
     a: tuple[Exact, ...]
     b: tuple[Exact, ...]
     c: tuple[Exact, ...] | None = None
     d: tuple[Exact, ...] | None = None
 
-    def __post_init__(self) -> None:
-        lengths = {name: len(seq) for name, seq in vars(self).items() if seq is not None}
+
+class SequenceParams(_Sequences):
+    """Sequence parameters over indices 0..n (c, d optional per operation);
+    a draw's own copy holds Pairs (``_exact``).  Every way to build one,
+    ``_replace`` too, checks that the sequences given share one length."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> SequenceParams:
+        self = super().__new__(cls, *args, **kwargs)
+        lengths = {name: len(seq) for name, seq in self._asdict().items() if seq is not None}
         if len(set(lengths.values())) != 1 or not lengths["a"]:
             given = ", ".join(f"{name}={length}" for name, length in lengths.items())
             raise ValueError(f"sequence parameters need one common length >= 1, got {given}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> SequenceParams:
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
         return len(self.a) - 1
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     """One relation U - V = W: u, v and w as functions of one index's values
     of the named sequences, in the order of ``names``."""
 
@@ -152,8 +160,7 @@ def relation_fails_at(key: str, p: SequenceParams) -> int | None:
     return _fails_at(op, *_values(op, p))
 
 
-@dataclass(frozen=True)
-class _Route:
+class _Route(NamedTuple):
     """One operation evaluated over one point of Pairs: the point, index k's
     values, u_k, v_k and (termwise sum, closed form), all from one
     evaluation."""
@@ -181,7 +188,7 @@ def _kind(p: SequenceParams) -> type:
 
 def _exact(p: SequenceParams) -> SequenceParams:
     """p with every value a Pair."""
-    return SequenceParams(**{name: tuple(map(Pair.of, seq)) for name, seq in vars(p).items()
+    return SequenceParams(**{name: tuple(map(Pair.of, seq)) for name, seq in p._asdict().items()
                              if seq is not None})
 
 

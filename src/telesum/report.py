@@ -6,15 +6,19 @@ with ``witness``.  A Report is a flat list of per-check records plus the
 seed that produced them.  Record order is normalized by a stable sort key
 so that reports are identical regardless of worker count or scheduling;
 the JSON rendering is byte-identical for a fixed (suite, seed, flags)
-triple.  Wall time is tracked for the text rendering only and never enters
-the JSON.  A record is a NamedTuple and a Report a plain class: a start that
-imports ``dataclasses`` also loads ``inspect``, ``dis`` and ``ast``.
+triple.  ``to_json`` writes what ``json.dumps`` writes for ``to_json_dict``
+(sorted keys, no spaces, ASCII escapes), each record through one template.
+Wall time is tracked for the text rendering only and never enters the JSON.
+A record is a NamedTuple and a Report a plain class: a start that imports
+``dataclasses`` also loads ``inspect``, ``dis`` and ``ast``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
 from .rational import Pair, format_rational
@@ -24,6 +28,9 @@ FAIL = "fail"
 INADMISSIBLE = "inadmissible"
 
 SCHEMA_VERSION = 1
+
+#: JSON as the report writes it: sorted keys, no spaces, ASCII escapes.
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 class CheckRecord(NamedTuple):
@@ -136,5 +143,29 @@ class Report:
         }
 
     def to_json(self, flags: dict | None = None) -> str:
-        return json.dumps(self.to_json_dict(flags), sort_keys=True, separators=(",", ":")) + "\n"
+        """_dumps(to_json_dict(flags)) and a newline, byte for byte.
+
+        Each record is one template over its fields' encoded strings, each
+        string encoded once per report; a witness goes through _dumps.
+        """
+        encoded = _Encoded()
+        results = ",".join([
+            f'{{"check":{encoded[r.check]},"citation":{encoded[r.citation]},'
+            f'"identity":{encoded[r.identity]},'
+            f'"n":{"null" if r.n is None else r.n},'
+            f'"sample":{"null" if r.sample is None else r.sample},'
+            f'"status":{encoded[r.status]},"suite":{encoded[r.suite]},'
+            f'"witness":{"null" if r.witness is None else _dumps(r.witness)}}}'
+            for r in self.sorted_records()])
+        return (f'{{"flags":{_dumps(flags or {})},"results":[{results}],'
+                f'"schema":{SCHEMA_VERSION},"seed":{_dumps(self.seed)},'
+                f'"suite":{_dumps(self.suite)},"totals":{_dumps(self.totals())}}}\n')
+
+
+class _Encoded(dict):
+    """Each string's JSON text, encoded at its first lookup."""
+
+    def __missing__(self, text: str) -> str:
+        value = self[text] = encode_basestring_ascii(text)
+        return value
 

@@ -16,12 +16,14 @@ in ``sys.modules`` and on the package until its first attribute access runs
 it, and this module looks their names up on them when it calls, so a run
 compiles and executes only the modules it reads.  ``verify --suite
 elementary`` runs elementary alone, ``--suite genhyp`` genhyp (and
-telescope), ``--suite ez`` and ``--suite corpus`` corpus and certify (and
-telescope), ``list`` and ``--suite all`` all five.  Each module compiles
-from source on a start that writes no bytecode (``PYTHONDONTWRITEBYTECODE``),
-so a module not read is time saved.  Placeholders, unlike imports inside
-functions, keep each module in ``sys.modules`` for code that looks it up
-there, and need no second code path.  ``evaluate_identity``,
+telescope), ``--suite sequences`` sequences (and ``point``, which holds
+the parameter draw and the sample memo), ``--suite ez`` and ``--suite
+corpus`` corpus and certify (and point and telescope), ``list`` and
+``--suite all`` all five.  Each module compiles from source on a start
+that writes no bytecode (``PYTHONDONTWRITEBYTECODE``), so a module not
+read is time saved.  Placeholders, unlike imports inside functions, keep
+each module in ``sys.modules`` for code that looks it up there, and need
+no second code path.  ``evaluate_identity``,
 ``draw_params`` and ``SPECIALIZATION_PARAMS`` are read from corpus on use,
 and stay names here that a caller can patch.  A suite's citations are built
 when read, which runs its module; ``run_suite`` reads them before a

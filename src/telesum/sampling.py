@@ -4,19 +4,29 @@ Rationals draw numerator from +-1..64 and denominator from 1..64, so none is
 0.  A base q is redrawn while |q| = 1: the only rational roots of unity are
 +-1, and at those the q-shifted factorials (x; q)_m collapse.  All streams
 are derived from (seed, labels...) through SHA-256 so results never depend
-on PYTHONHASHSEED, process boundaries, or scheduling.  ``sweep`` gives each
-sample of every suite its stream, and ``retry`` is the one redraw policy.
+on PYTHONHASHSEED, process boundaries, or scheduling.  The digest is taken
+by CPython's built-in SHA-256, the same digest as hashlib's, so a start
+does not load OpenSSL's ``_hashlib``.  ``sweep`` gives each sample of every
+suite its stream, and ``retry`` is the one redraw policy.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 from fractions import Fraction
 from typing import Callable, TypeVar
 
 from .errors import Inadmissible, SampleExhausted
 from .report import CheckRecord, outcome
+
+# _sha2 from Python 3.12 on, _sha256 before; hashlib where neither is built
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 RETRY_BOUND = 100
 
@@ -26,7 +36,7 @@ T = TypeVar("T")
 def rng_for(seed: int, *labels: object) -> random.Random:
     """A Random stream uniquely determined by (seed, labels)."""
     material = ":".join([str(seed)] + [str(x) for x in labels])
-    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    digest = sha256(material.encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

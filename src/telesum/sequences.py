@@ -22,7 +22,7 @@ points, not a proof for all parameter values.
 
 The families are evaluated on ``rational.Pair``, an unreduced integer pair
 that takes no gcd.  ``family_sides`` reads a draw's parameters once, as the
-draw's one ``certify.sample_value`` entry: each rational parameter a Pair
+draw's one ``point.sample_value`` entry: each rational parameter a Pair
 that keeps its powers p^e and the prefix rows of the running products over
 it ((a; q)_m with base q, the q-Pell halving product), so each is computed
 once per draw.  The recurrence reduces each x_n once (one gcd per x, in
@@ -39,14 +39,12 @@ generic identities divide coefficients as Fractions, never int by int.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .certify import sample_value
-from .corpus import Param, draw_params, q_rising_factorial
 from .errors import Inadmissible
+from .point import Param, draw_params, sample_value
 from .rational import ONE, Exact, Pair, SeqFn, ZERO, prod_range_pair, rat_div, rat_pow
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .sampling import retry, sample_rational, sample_sequence, sweep
@@ -55,8 +53,7 @@ Params = Mapping[str, object]
 Values = Sequence[Exact]
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(NamedTuple):
     """x_{n+2} = a_n x_{n+1} + b_n x_n with given x_0, x_1."""
 
     name: str
@@ -131,8 +128,7 @@ def _partial_sums(k_start: int, n_max: int, term: Callable[[int], Exact],
 # The six generic identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Generic:
+class Generic(NamedTuple):
     """sum_{k=1}^{n} c_k w_k / N = (c_n X_n - X_0) / N with c_k = g_1 ... g_k,
     because w_k = X_k - X_{k-1} / g_k is the recurrence.  N is the product
     of the x_i, i in `norm`, each required nonzero in that order."""
@@ -208,8 +204,7 @@ def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
 # Built-in families and their printed identity suites
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PrintedIdentity:
+class PrintedIdentity(NamedTuple):
     """term(k, xs, p) and rhs(n, xs, p), written once for any exact operands:
     Fractions give Fractions, and the Pairs of ``family_sides`` give Pairs."""
 
@@ -219,8 +214,7 @@ class PrintedIdentity:
     k_start: int = 1
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """x_{n+2} = a(n, p) x_{n+1} + b(n, p) x_n with x_0 = 0, x_1 = 1, at
     parameters p drawn from `params`, and its printed identities.
 
@@ -282,7 +276,7 @@ def _running_product(q: _Param, key: object, factor: Callable[[int], Exact], m: 
 def _qrf(a: Exact, q: Exact, m: int) -> Exact:
     """(a; q)_m; over a draw's base q its prefix row is kept per value of a."""
     if not isinstance(q, _Param):
-        return q_rising_factorial(a, q, m)
+        return Fraction(*prod_range_pair(lambda i: 1 - a * q ** (i - 1), 1, m))
     return _running_product(q, (a.num, a.den), lambda i: 1 - a * q ** (i - 1), m)
 
 

@@ -24,7 +24,6 @@ every function here raises ValueError for n < 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -32,8 +31,7 @@ from .errors import DivisionByZero
 from .rational import ONE, ZERO, IntPair, PairFn, SeqFn, as_pair, as_pairs
 
 
-@dataclass(frozen=True)
-class TelescopeProblem:
+class TelescopeProblem(NamedTuple):
     """A (u, v, n) triple; w_k = u_k - v_k is always derived at use sites."""
 
     u: SeqFn

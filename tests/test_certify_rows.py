@@ -189,8 +189,8 @@ def test_rows_match_reference_when_a_value_raises(side, at, exc):
         idn = dataclasses.replace(idn, F=_raising(idn.F, at, exc))
     else:
         cert = idn.certificate
-        idn = dataclasses.replace(idn, certificate=dataclasses.replace(
-            cert, **{side: _raising(getattr(cert, side), at, exc)}))
+        idn = dataclasses.replace(idn, certificate=cert._replace(
+            **{side: _raising(getattr(cert, side), at, exc)}))
     results = _assert_same(idn, params, 5)
     assert (exc, f"pole at {at}") in results
 

@@ -29,7 +29,11 @@ SMALL = ["--samples", "2", "--n-max", "3"]
 
 
 def _replace(monkeypatch, table, key, **changes):
-    monkeypatch.setitem(table, key, dataclasses.replace(table[key], **changes))
+    """table[key] with changes: a corpus IdentityDef is a dataclass, a family
+    or an operation a NamedTuple."""
+    entry = table[key]
+    monkeypatch.setitem(table, key, dataclasses.replace(entry, **changes)
+                        if dataclasses.is_dataclass(entry) else entry._replace(**changes))
 
 
 def _skew_rhs(monkeypatch, key):
@@ -75,11 +79,11 @@ def corpus_exhausted(monkeypatch):
 
 def ez_mutated_certificate(monkeypatch):
     cert = corpus.CORPUS["chu_vandermonde"].certificate
-    _replace(monkeypatch, corpus.CORPUS, "chu_vandermonde", certificate=dataclasses.replace(
-        cert, u=lambda n, k, p: cert.u(n, k, p) * (2 if k == 1 else 1)))
+    _replace(monkeypatch, corpus.CORPUS, "chu_vandermonde", certificate=cert._replace(
+        u=lambda n, k, p: cert.u(n, k, p) * (2 if k == 1 else 1)))
     cert2 = corpus.CORPUS["binomial"].certificate
-    _replace(monkeypatch, corpus.CORPUS, "binomial", certificate=dataclasses.replace(
-        cert2, u=lambda n, k, p: cert2.u(n, k, p) + (1 if k == n + 1 else 0)))
+    _replace(monkeypatch, corpus.CORPUS, "binomial", certificate=cert2._replace(
+        u=lambda n, k, p: cert2.u(n, k, p) + (1 if k == n + 1 else 0)))
     return ["verify", "--suite", "ez", "--id", "chu_vandermonde", "--id", "binomial", *SMALL]
 
 
@@ -122,7 +126,7 @@ def specialization_exhausted(monkeypatch):
 def _wrong_printed_rhs(monkeypatch, key):
     family = FAMILIES[key]
     first = family.printed[0]
-    wrong = dataclasses.replace(first, rhs=lambda n, xs, p: first.rhs(n, xs, p) + n)
+    wrong = first._replace(rhs=lambda n, xs, p: first.rhs(n, xs, p) + n)
     _replace(monkeypatch, FAMILIES, key, printed=(wrong,) + family.printed[1:])
 
 

@@ -8,7 +8,6 @@ of the same sums, one running-product loop each; the two must give equal
 on random and on degenerate recurrences.  A corrupted record must fail.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -160,12 +159,12 @@ def test_degenerate_specs_reach_every_inadmissible_text():
 
 
 CORRUPTIONS = {
-    "w_k (k + 2)": lambda r: dataclasses.replace(
-        r, w=lambda k, x, s: r.w(k, x, s) * (k + 2)),
-    "X_k + 1 for k >= 1": lambda r: dataclasses.replace(
-        r, X=lambda k, x: r.X(k, x) + (1 if k >= 1 else 0)),
-    "g_k (k + 2)": lambda r: dataclasses.replace(
-        r, g=lambda k, s: r.g(k, s) * (k + 2)),
+    "w_k (k + 2)": lambda r: r._replace(
+        w=lambda k, x, s: r.w(k, x, s) * (k + 2)),
+    "X_k + 1 for k >= 1": lambda r: r._replace(
+        X=lambda k, x: r.X(k, x) + (1 if k >= 1 else 0)),
+    "g_k (k + 2)": lambda r: r._replace(
+        g=lambda k, s: r.g(k, s) * (k + 2)),
 }
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from fractions import Fraction as F
 
@@ -134,7 +133,7 @@ def test_n_outside_the_indices_is_rejected(fn, n):
 @pytest.mark.parametrize("call, missing", [
     (macdonald_ps, "c"),
     (macdonald_dougall, "c, d"),
-    (lambda p: macdonald_dougall(dataclasses.replace(p, c=(F(5), F(11)))), "d"),
+    (lambda p: macdonald_dougall(p._replace(c=(F(5), F(11)))), "d"),
     (lambda p: relation_fails_at("macdonald_ps", p), "c"),
 ])
 def test_a_missing_sequence_is_named(call, missing):
@@ -153,8 +152,8 @@ def test_genhyp_suite_evaluates_each_value_once(monkeypatch):
     # a draw's probe and its checks share one evaluation of every u_k and v_k
     calls = Counter()
     for key, op in list(OPERATIONS.items()):
-        monkeypatch.setitem(OPERATIONS, key, dataclasses.replace(
-            op, **{name: _counting(getattr(op, name), calls, key, name) for name in "uvw"}))
+        monkeypatch.setitem(OPERATIONS, key, op._replace(
+            **{name: _counting(getattr(op, name), calls, key, name) for name in "uvw"}))
     identity = {}
     for key in OPERATIONS:
         records = runner.run_genhyp_item(key, None, 32, 1729)

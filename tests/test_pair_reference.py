@@ -12,7 +12,6 @@ fail at the same n, with the same witness text, or raise the same
 exception type and text.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -137,11 +136,10 @@ def test_family_draws_match_the_fraction_reference(key, n_max):
 
 
 def _mutated(family, term=None, rhs=None):
-    printed = tuple(dataclasses.replace(
-        ident,
+    printed = tuple(ident._replace(
         term=ident.term if term is None else term(ident.term),
         rhs=ident.rhs if rhs is None else rhs(ident.rhs)) for ident in family.printed)
-    return dataclasses.replace(family, printed=printed)
+    return family._replace(printed=printed)
 
 
 def _q_or_two(p):
@@ -178,7 +176,7 @@ def test_a_raising_coefficient_raises_as_the_reference_does(monkeypatch):
             raise Inadmissible("forced pole at n = 3")
         return family.a(n, p)
 
-    broken = dataclasses.replace(family, a=a)
+    broken = family._replace(a=a)
     params = {"q": F(2, 3)}
     for n_max in (0, 1):  # x_0 .. x_4 read a_0 .. a_2 only
         assert outcome_of(family_sides, broken, n_max, params) == (
@@ -472,7 +470,7 @@ def test_mutated_operations_match_the_reference(key, mutation, monkeypatch):
     for name, op in list(OPERATIONS.items()):
         if name == key or key == "macdonald_dougall" and name == "macdonald_ps":
             monkeypatch.setitem(OPERATIONS, name,
-                                dataclasses.replace(op, **GENHYP_MUTATIONS[mutation](op)))
+                                op._replace(**GENHYP_MUTATIONS[mutation](op)))
     records = verify_operation_suite(key, 6, 6, 2561)
     assert records == ref_verify_operation_suite(key, 6, 6, 2561)
     if "Fractions" in mutation:

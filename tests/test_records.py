@@ -5,9 +5,11 @@ and ``ElementaryIdentity`` are NamedTuples, and ``report.Report`` is a plain
 class, so that a start imports no ``dataclasses``.  The reference classes
 below are the replaced dataclasses, field for field; the tests hold the new
 classes to their equality, hash, defaults, repr text (a pole's message
-prints a Mono) and the pickle round trip that a --jobs N run makes.
+prints a Mono) and the pickle round trip that a --jobs N run makes.  A
+report's JSON is what ``json.dumps`` writes for its ``to_json_dict``.
 """
 
+import json
 import pickle
 from dataclasses import make_dataclass
 from fractions import Fraction as F
@@ -104,6 +106,30 @@ def test_report_defaults_totals_and_ok():
     assert full.totals() == {"checks": 4, PASS: 2, FAIL: 1, INADMISSIBLE: 1}
     assert not full.ok and full.failures() == [RECORDS[1]]
     assert Report("ez", 1, [RECORDS[2]]).ok  # inadmissible rows are not failures
+
+
+JSON_REPORTS = [
+    Report("ez", 7),
+    Report("all", 1729, list(RECORDS)),
+    Report("corpus", -3, [
+        record("corpus", "ramanujan_entry25", "identity", "Ramanujan\u2019s Notebooks, \u00a7 25",
+               FAIL, {"x": F(-1, 2), "a": (F(1), F(2, 3))}, n=4, sample=0,
+               lhs=F(5, 7), rhs=F(1), reason='a "quoted"\ttab'),
+        record("corpus", "geometric", "identity", "G\u00e9om\u00e9trique", INADMISSIBLE,
+               n=None, sample=None, reason="zero denominator at n=2"),
+        CheckRecord("elementary", "qchv_elem", "grid_zero", PASS, citation="\U0001d53c"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("flags", [None, {}, {"n_max": None, "samples": 2, "grid": True,
+                                             "ids": ["b", "a"], "config": "caf\u00e9.tkid"}])
+@pytest.mark.parametrize("index", range(len(JSON_REPORTS)))
+def test_to_json_is_json_dumps_of_the_dict(index, flags):
+    report = JSON_REPORTS[index]
+    expected = json.dumps(report.to_json_dict(flags), sort_keys=True, separators=(",", ":"))
+    assert report.to_json(flags) == expected + "\n"
+    assert report.to_json(flags).isascii()
 
 
 def test_elementary_reprs_match_the_dataclasses():

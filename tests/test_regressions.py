@@ -1,7 +1,6 @@
 """Regression tests: the elementary tester's redraws, the genhyp relation
 check, and two CLI input errors that must exit 2."""
 
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ def test_elementary_pole_exhaustion_is_a_sample_exhausted(monkeypatch):
 # --- genhyp: a wrong u or v fails the identity check -------------------------------
 
 def _broken(monkeypatch, op, **changes):
-    monkeypatch.setitem(OPERATIONS, op, dataclasses.replace(OPERATIONS[op], **changes))
+    monkeypatch.setitem(OPERATIONS, op, OPERATIONS[op]._replace(**changes))
 
 
 @pytest.mark.parametrize("op", sorted(OPERATIONS))

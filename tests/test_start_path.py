@@ -13,7 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 # the modules that make a start pay for dataclasses, and their heaviest import
 DATACLASSES = {"dataclasses", "inspect"}
@@ -54,6 +55,32 @@ def test_an_elementary_start_loads_no_dataclasses_and_runs_no_corpus_or_certify(
 def test_a_genhyp_start_runs_no_corpus_or_certify():
     after = _after_cli("verify", "--suite", "genhyp", "--samples", "1")
     assert CORPUS_AND_CERTIFY <= set(after["placeholders"])
+
+
+def test_a_genhyp_start_loads_no_dataclasses():
+    after = _after_cli("verify", "--suite", "genhyp", "--samples", "1")
+    assert DATACLASSES.isdisjoint(after["loaded"])
+
+
+def test_a_sequences_start_runs_no_corpus_certify_or_telescope():
+    after = _after_cli("verify", "--suite", "sequences", "--samples", "1", "--n-max", "3")
+    assert CORPUS_AND_CERTIFY <= set(after["placeholders"])
+    assert "telesum.telescope" not in after["loaded"]
+    assert DATACLASSES.isdisjoint(after["loaded"])
+
+
+def test_only_the_suites_that_read_a_point_load_it():
+    for suite in ("elementary", "genhyp"):
+        assert "telesum.point" not in _after_cli("verify", "--suite", suite, "--samples", "1")[
+            "loaded"], suite
+
+
+def test_no_start_loads_openssl():
+    config = str(ROOT / "tests" / "golden" / "binomial.tkid")
+    for argv in (["verify", "--suite", "all", "--samples", "1", "--n-max", "2"],
+                 ["check", "--config", config, "--samples", "1", "--n-max", "2"],
+                 ["list"]):
+        assert "_hashlib" not in _after_cli(*argv)["loaded"], argv
 
 
 def test_an_ez_start_runs_corpus_and_certify():
