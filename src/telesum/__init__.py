@@ -21,28 +21,23 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 #: The module that defines each export ("module.name" where the export is
-#: renamed).
+#: renamed), in the order of ``__all__``.
 _DEFERRED = {
-    "Certificate": "certify", "NormalizedIdentity": "certify", "verify_sample": "certify",
-    "CORPUS": "corpus", "IdentityDef": "corpus", "Param": "point",
-    "evaluate_identity": "corpus", "normalized": "corpus", "q_rising_factorial": "corpus",
-    "rising_factorial": "corpus",
-    "ELEMENTARY": "elementary",
-    "DivisionByZero": "errors", "Inadmissible": "errors", "NoCertificate": "errors",
-    "SampleExhausted": "errors", "VerifyError": "errors",
-    "eval_expr": "exprlang.evaluate", "load_identity_config": "exprlang",
-    "parse": "exprlang", "to_source": "exprlang",
-    "SequenceParams": "genhyp", "macdonald_cv": "genhyp", "macdonald_cv_permuted": "genhyp",
-    "macdonald_dougall": "genhyp", "macdonald_ps": "genhyp",
-    "Rational": "rational", "SeqFn": "rational", "format_rational": "rational",
-    "CheckRecord": "report", "Report": "report",
-    "run_suite": "runner",
-    "FAMILIES": "sequences", "RecurrenceSpec": "sequences", "generate": "sequences",
-    "lucas_gen_sides": "sequences", "verify_family_suite": "sequences",
-    "verify_lucas_gen": "sequences",
-    "TelescopeProblem": "telescope", "raw_euler_sum": "telescope",
-    "solve_linear_recurrence": "telescope", "telescoping_closed_form": "telescope",
-    "telescoping_sum": "telescope",
+    "CORPUS": "corpus", "ELEMENTARY": "elementary", "FAMILIES": "sequences",
+    "Certificate": "certify", "CheckRecord": "report", "DivisionByZero": "errors",
+    "IdentityDef": "corpus", "Inadmissible": "errors", "NoCertificate": "errors",
+    "NormalizedIdentity": "certify", "Param": "point", "Rational": "rational",
+    "RecurrenceSpec": "sequences", "Report": "report", "SampleExhausted": "errors",
+    "SeqFn": "rational", "SequenceParams": "genhyp", "TelescopeProblem": "telescope",
+    "VerifyError": "errors", "eval_expr": "exprlang.evaluate", "evaluate_identity": "corpus",
+    "format_rational": "rational", "generate": "sequences", "load_identity_config": "exprlang",
+    "lucas_gen_sides": "sequences", "macdonald_cv": "genhyp", "macdonald_cv_permuted": "genhyp",
+    "macdonald_dougall": "genhyp", "macdonald_ps": "genhyp", "normalized": "corpus",
+    "parse": "exprlang", "q_rising_factorial": "corpus", "raw_euler_sum": "telescope",
+    "rising_factorial": "corpus", "run_suite": "runner", "solve_linear_recurrence": "telescope",
+    "telescoping_closed_form": "telescope", "telescoping_sum": "telescope",
+    "to_source": "exprlang", "verify_family_suite": "sequences", "verify_lucas_gen": "sequences",
+    "verify_sample": "certify",
 }
 
 
@@ -53,15 +48,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CORPUS", "ELEMENTARY", "FAMILIES", "Certificate", "CheckRecord",
-    "DivisionByZero", "IdentityDef", "Inadmissible", "NoCertificate",
-    "NormalizedIdentity", "Param", "Rational", "RecurrenceSpec", "Report",
-    "SampleExhausted", "SeqFn", "SequenceParams", "TelescopeProblem", "VerifyError",
-    "eval_expr", "evaluate_identity", "format_rational", "generate",
-    "load_identity_config", "lucas_gen_sides",
-    "macdonald_cv", "macdonald_cv_permuted", "macdonald_dougall", "macdonald_ps",
-    "normalized", "parse", "q_rising_factorial", "raw_euler_sum", "rising_factorial",
-    "run_suite", "solve_linear_recurrence", "telescoping_closed_form", "telescoping_sum",
-    "to_source", "verify_family_suite", "verify_lucas_gen", "verify_sample",
-]
+__all__ = list(_DEFERRED)

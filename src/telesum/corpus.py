@@ -23,10 +23,10 @@ read at m = n.  Their certificates are declared the same way, as the
 A record's ``identity`` builds its IdentityDef; these lists live nowhere
 else, so a test reads and changes them on the record (``_replace``).
 Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
-written once in ``_factor_pair``, which ``_TermRow`` and ``_linear_pair``
-share.  It takes q^k as an integer pair computed once per column: a
-``_TermRow`` column's upper and lower lists share it, and a sample's u and v
-rows read one row of powers (``_q_powers``).
+written once in ``_factor_pair``, which ``_TermRow``, the u and v rows and
+the very-well-poised head share.  It takes q^k as an integer pair from the
+sample's one row of powers (``_q_powers``), so each q^k a certified sample
+reads is computed once per sample.
 
 Conventions:
 
@@ -46,9 +46,10 @@ Conventions:
 
 Summands, closed forms and certificate values are read through
 ``point.sample_value`` (see ``point.SampleMemo``): a certified
-summand's row n is its ``_TermRow`` itself, one memo entry.  The four sums
-without a certificate have summands free of n: each column is one cell(k),
-held in one row per sample that is every row n (``_n_free``).
+summand's row n and its closed-form row are each one ``_TermRow``, one memo
+entry.  The four sums without a certificate have summands free of n: each
+column is one cell(k), held in one row per sample that is every row n
+(``_n_free``).
 Ramanujan's Entry 25 is the lemma at u_j = a_j, v_j = x + a_j: its cells
 and closed form read the lemma's running products, one row per sample
 (``_entry25_products``).  The other cells are x^k, (k)_m and 1/(k)_(m+1).
@@ -73,8 +74,8 @@ Params = Mapping[str, object]
 #: (upper, lower, z) of one ``_TermRow``: a function of the parameters by
 #: name, and of n first for a summand.
 Series = Callable[..., tuple[Sequence[Fraction], Sequence[Fraction], Fraction]]
-#: (factors, z) of one ``_linear_pair`` product, as a function of n and the
-#: parameters by name.
+#: (factors, z) of one certificate product z * prod (x + k), or
+#: z * prod (1 - x q^k), as a function of n and the parameters by name.
 Factors = Callable[..., tuple[Sequence[Fraction], Fraction]]
 
 
@@ -117,16 +118,16 @@ def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
     return Fraction(*_shifted_product(a, m, q))
 
 
-def _power_pair(q: Fraction | None, k: int) -> tuple[int, int] | None:
-    """q^k as an integer pair (r, s), or None without a base q."""
-    return None if q is None else pair_pow(as_pair(q), k)
-
-
-def _q_powers(p: Params) -> Row | None:
-    """The sample's q^k pairs, k = 0, 1, ..., each computed at its first
-    index; None when the sample has no base q."""
+def _q_powers(p: Params) -> Row:
+    """The sample's q^k, k = 0, 1, ..., as integer pairs (r, s), each computed
+    at its first index: the one row of powers that a certified sample's term
+    ratios, closed form, u, v and head read.  Without a base q it answers
+    None at every k."""
     q = p.get("q")
-    return None if q is None else Row(lambda k: _power_pair(q, k))
+    if q is None:
+        return Row(lambda k: None)
+    r = as_pair(q)
+    return Row(lambda k: pair_pow(r, k))
 
 
 def _factor_pair(xs: Sequence[Fraction], k: int,
@@ -154,17 +155,19 @@ def _factor_pair(xs: Sequence[Fraction], k: int,
 class _TermRow:
     """The columns t(m) = prod_x (x)_m / prod_y (y)_m * z^m, m = 0, 1, ...,
     of one term over x in upper and y in lower, where (x)_m is the q-shifted
-    factorial (x; q)_m when a base q is given, read as row[m] (a summand's
-    row in the sample memo) or row(m).  They are grown on demand by the
-    term ratio
+    factorial (x; q)_m when the sample's powers row (``_q_powers``) holds q^m,
+    read as row[m] (a summand's row in the sample memo) or row(m).  They are
+    grown on demand by the term ratio
 
         t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
-        or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) when a base q is given,
+        or z * prod_x (1 - x q^m) / prod_y (1 - y q^m) with a base q,
 
     with the running upper product and the running t(m) kept as unreduced
     integer pairs, so each step multiplies one index's factors into them,
     each column is one Fraction, and reading columns 0..m costs O(m)
-    factors, not O(m^2).  A zero lower product raises
+    factors, not O(m^2).  A very-well-poised summand also gets the sample's
+    row of heads (``_heads``), multiplied into each column it appends; the
+    head raises before the row does.  A zero lower product raises
     DivisionByZero, even where an upper factor vanishes too: from the first
     vanishing lower factor on, every column raises ``rational.zero_divisor``
     of the upper product at that column.  That product is kept as a pair,
@@ -172,14 +175,17 @@ class _TermRow:
     """
 
     def __init__(self, upper: Sequence[Fraction], lower: Sequence[Fraction], z: Fraction,
-                 q: Fraction | None = None) -> None:
-        self.upper, self.lower, self.z, self.q = upper, lower, z, q
+                 powers: Row, heads: Row | None = None) -> None:
+        self.upper, self.lower, self.z, self.powers, self.heads = upper, lower, z, powers, heads
         self.products = (1, 1, 1, 1)  # the upper product and t(m) as (num, den) pairs
         self.columns: list[Fraction | tuple[int, int]] = [ONE]  # t(m), or the pair it divides
 
     def __getitem__(self, m: int) -> Fraction:
+        if self.heads is not None:
+            self.heads[m]  # the head raises before the row does
         if m < 0:
-            raise ValueError(f"{'rising' if self.q is None else 'q-rising'} factorial needs m >= 0")
+            kind = "rising" if self.powers[0] is None else "q-rising"
+            raise ValueError(f"{kind} factorial needs m >= 0")
         while len(self.columns) <= m:
             self._extend()
         value = self.columns[m]
@@ -190,23 +196,20 @@ class _TermRow:
     __call__ = __getitem__
 
     def _extend(self) -> None:
-        """Append t(i + 1) = t(i) * ratio(i) for the last column i."""
+        """Append t(i + 1) = t(i) * ratio(i), times the head at i + 1, for the
+        last column i."""
         i = len(self.columns) - 1
         un, ud, tn, td = self.products
-        qk = _power_pair(self.q, i)
+        qk = self.powers[i]
         (a, b), (c, d) = _factor_pair(self.upper, i, qk), _factor_pair(self.lower, i, qk)
         un, ud = un * a, ud * b
         tn, td = tn * a * d * self.z.numerator, td * b * c * self.z.denominator
         self.products = (un, ud, tn, td)
+        if td and self.heads is not None:
+            hn, hd = self.heads[i + 1]
+            tn, td = tn * hn, td * hd
         # td is 0 from the first vanishing lower factor on
         self.columns.append((un, ud) if td == 0 else Fraction(tn, td))
-
-
-def _linear_pair(xs: Sequence[Fraction], z: Fraction, k: int,
-                 qk: tuple[int, int] | None = None) -> tuple[int, int]:
-    """z * prod_x (x + k), or z * prod_x (1 - x q^k) when q^k is given as the
-    pair qk, as an unreduced integer pair (num, den), den != 0."""
-    return pair_mul(as_pair(z), _factor_pair(xs, k, qk))
 
 
 @dataclass(frozen=True)
@@ -291,9 +294,12 @@ def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[s
 # Certified sums, declared as data
 # ---------------------------------------------------------------------------
 
-def _well_poised_head(k: int, p: Params) -> Fraction:
-    """The very-well-poised head (1 - a q^(2k))/(1 - a), which depends on k alone."""
-    return rat_div(1 - p["a"] * rat_pow(p["q"], 2 * k), 1 - p["a"])
+def _heads(p: Params) -> Row:
+    """The very-well-poised heads (1 - a q^(2k))/(1 - a), k = 0, 1, ..., as
+    integer pairs over the sample's powers row; each raises when a = 1."""
+    a, powers = [p["a"]], sample_value(_q_powers, p)
+    one_minus_a = _factor_pair(a, 0, powers[0])
+    return Row(lambda k: pair_div(_factor_pair(a, 2 * k, powers[2 * k]), one_minus_a))
 
 
 class Declaration(NamedTuple):
@@ -304,8 +310,9 @@ class Declaration(NamedTuple):
     column k is term(n, k), and closed_form(**params) those of the one
     closed-form row, whose column n is rhs(n).  A very-well-poised summand
     also carries the head (1 - a q^(2k))/(1 - a).  u(n, **params) and
-    v(n, **params) give the (factors, z) of one ``_linear_pair`` product,
-    taken at k.  ``identity`` builds the sum's IdentityDef.
+    v(n, **params) give the (factors, z) of the product z * prod (x + k), or
+    z * prod (1 - x q^k), taken at k.  ``identity`` builds the sum's
+    IdentityDef.
     """
 
     key: str
@@ -321,22 +328,19 @@ class Declaration(NamedTuple):
     def identity(self) -> IdentityDef:
         """The IdentityDef that reads this declaration.
 
-        Each row n of the summand, the closed-form row, the head at each k,
-        and each row n of u and v are one entry of the sample memo: a summand
-        row is its ``_TermRow`` (for a very-well-poised sum, a ``Row`` of the
-        head times its column), and a u or v row is a ``Row`` of integer
-        pairs (num, den) over the sample's q^k pairs (``_q_powers``).
+        Each row n of the summand, the closed-form row, the heads, the
+        powers of q and each row n of u and v are one entry of the sample
+        memo: a summand or closed-form row is a ``_TermRow``, and the others
+        are ``Row``s of integer pairs (num, den).  Every q^k they read is one
+        column of the sample's powers row (``_q_powers``).
         """
 
-        def columns(n: int, p: Params) -> _TermRow | Row:
-            t = _TermRow(*self.summand(n, **p), p.get("q"))
-            if not self.well_poised:
-                return t
-            # the head raises before the row does
-            return Row(lambda k: sample_value(_well_poised_head, k, p) * t(k))
+        def columns(n: int, p: Params) -> _TermRow:
+            heads = sample_value(_heads, p) if self.well_poised else None
+            return _TermRow(*self.summand(n, **p), sample_value(_q_powers, p), heads)
 
         def closed_row(p: Params) -> _TermRow:
-            return _TermRow(*self.closed_form(**p), p.get("q"))
+            return _TermRow(*self.closed_form(**p), sample_value(_q_powers, p))
 
         def rhs(n: int, p: Params) -> Fraction:
             return sample_value(closed_row, p)(n)
@@ -344,10 +348,8 @@ class Declaration(NamedTuple):
         def at_k(factors: Factors) -> CertFn:
             def pair_columns(n: int, p: Params) -> Row:
                 xs, z = factors(n, **p)
-                powers = sample_value(_q_powers, p)
-                if powers is None:
-                    return Row(lambda k: _linear_pair(xs, z, k))
-                return Row(lambda k: _linear_pair(xs, z, k, powers[k]))
+                z, powers = as_pair(z), sample_value(_q_powers, p)
+                return Row(lambda k: pair_mul(z, _factor_pair(xs, k, powers[k])))
 
             return by_pair_row(pair_columns)
 

@@ -668,16 +668,16 @@ def parse_config(text: str) -> IdentityConfig:
 
     name = sections["name"]
     if not name.isidentifier():
-        raise SchemaError(f"name must be an identifier, got {name!r}")
+        raise SchemaError(f"line {at('name')[0]}: name must be an identifier, got {name!r}")
 
     params: list[str] = []
     if sections.get("params"):
         for entry in sections["params"].split(","):
             pname = entry.strip()
             if not pname.isidentifier() or pname in _RESERVED:
-                raise SchemaError(f"bad parameter name {pname!r}")
+                raise SchemaError(f"line {at('params')[0]}: bad parameter name {pname!r}")
             if pname in params:
-                raise SchemaError(f"duplicate parameter {pname!r}")
+                raise SchemaError(f"line {at('params')[0]}: duplicate parameter {pname!r}")
             params.append(pname)
 
     require = tuple(parse(chunk, *at("require", offset))
@@ -685,7 +685,7 @@ def parse_config(text: str) -> IdentityConfig:
         if sections.get("require") else ()
 
     if ".." not in sections["range"]:
-        raise SchemaError("range must be 'LO .. HI'")
+        raise SchemaError(f"line {at('range')[0]}: range must be 'LO .. HI'")
     lo_text, hi_text = sections["range"].split("..", 1)
 
     config = IdentityConfig(
@@ -711,7 +711,8 @@ def parse_config(text: str) -> IdentityConfig:
     for where, expr, scope in checks:
         unbound = free_vars(expr) - scope
         if unbound:
-            raise SchemaError(f"{where}: unbound variable(s) {sorted(unbound)}")
+            raise SchemaError(f"line {at(where)[0]}: {where}: unbound variable(s) "
+                              f"{sorted(unbound)}")
     return config
 
 

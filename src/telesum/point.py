@@ -70,8 +70,10 @@ class SampleMemo:
     ``corpus.evaluate_identity``, F and every check read the same rows.
     For a function made by ``certify.by_row`` (or ``by_pair_row``),
     columns(n, params) returns the row itself, which is stored as it is: a
-    ``Row``, or a summand's ``corpus._TermRow``, or one row that every n
-    shares.  So each value is held by one row, never copied into a second.
+    ``Row``, or a certified summand's ``corpus._TermRow`` (with its
+    very-well-poised head), or one row that every n shares.  A sample's
+    closed form, its q^k and its heads are one row each, keyed by the
+    point alone.  So each value is held by one row, never copied.
     Any other function gets a ``Row`` that calls it once per column.  Rows
     fill only the columns asked for, so every check evaluates the same
     values, and raises at the same (n, k) with the same text, as one that

@@ -1,10 +1,11 @@
 """The declared certificates against the hand-written product code they replace.
 
 Each certified sum declares u and v as (factors, z) lists evaluated by
-``corpus._linear_pair``.  The reference below is the closure-per-certificate
-transcription of the same proofs; the two must give equal values, and raise
-the same exception types, at every point with q != 0.  (At q = 0 a declared
-q^(-n-1) factor raises at k = n + 1 too; no sampler draws q = 0.)
+``corpus._factor_pair`` over the sample's row of q^k.  The reference below
+is the closure-per-certificate transcription of the same proofs; the two
+must give equal values, and raise the same exception types, at every point
+with q != 0.  (At q = 0 a declared q^(-n-1) factor raises at k = n + 1
+too; no sampler draws q = 0.)
 """
 
 from fractions import Fraction

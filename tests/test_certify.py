@@ -58,8 +58,9 @@ def test_q_dougall_certificate_at_spec_sample():
 
 def test_no_certificate_error():
     idn = normalized(CORPUS["geometric"])
-    with pytest.raises(NoCertificate):
-        difference_check(idn, 2, {"x": F(2)})
+    for check in (difference_check, telescope_to_zero_check):
+        with pytest.raises(NoCertificate):
+            check(idn, 2, {"x": F(2)})
 
 
 def test_full_sweep_small_samples_every_certified_identity():

@@ -132,6 +132,27 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2
 
 
+SCHEMA_BASE = ["name: ok", "params: a", "lhs: a^k", "range: 0 .. n", "rhs: 1"]
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (0, "name: 1st", "line 1: name must be an identifier, got '1st'"),
+    (1, "params: a, 2b", "line 2: bad parameter name '2b'"),
+    (1, "params: a, a", "line 2: duplicate parameter 'a'"),
+    (3, "range: 0 to n", "line 4: range must be 'LO .. HI'"),
+    (4, "rhs: b", "line 5: rhs: unbound variable(s) ['b']"),
+    (3, "range: 0 .. a", "line 4: range: unbound variable(s) ['a']"),
+])
+def test_config_schema_errors_name_their_line(tmp_path, capsys, line, text, message):
+    lines = list(SCHEMA_BASE)
+    lines[line] = text
+    path = tmp_path / "schema.tkid"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out = run_cli(["check", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_verify_all_suites_small():
     code, text = run_cli(["verify", "--suite", "all", "--samples", "2",
                           "--n-max", "4", "--seed", "5"])
@@ -206,6 +227,8 @@ def test_list_shows_only_what_verify_runs():
     assert list(listed) == list(SUITES)
     for suite, items in listed.items():
         assert list(items) == suite_items(suite), suite
+    with pytest.raises(ValueError, match="^unknown suite 'nope'$"):
+        suite_items("nope")
 
 
 def test_list_shows_each_item_with_its_report_citation():

@@ -5,6 +5,8 @@ entry of a summand, closed-form, u or v list times q, or one of the four
 arguments z times q.  It is built by the one builder,
 ``Declaration.identity``, and run by the ez suite.  Every mutant must fail
 by a named check, not by sampling exhaustion; the unmutated sum fails none.
+Dropping the very-well-poised head of q_dougall or rogers_6phi5 must fail
+too, in the ez suite and in the corpus suite.
 """
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from telesum.certify import sample_value
 from telesum.corpus import CORPUS, DECLARED, draw_admissible
 from telesum.report import FAIL
-from telesum.runner import run_ez_item
+from telesum.runner import run_corpus_item, run_ez_item
 from telesum.sampling import rng_for
 
 DECLARED_SUM = DECLARED["q_dougall"]
@@ -65,6 +67,14 @@ def test_each_mutant_fails_a_named_check(monkeypatch, field, part):
     failed = failing_checks(monkeypatch, mutant)
     assert "sampling" not in failed
     assert failed == MUTANTS[field, part]
+
+
+@pytest.mark.parametrize("key", ["q_dougall", "rogers_6phi5"])
+def test_a_sum_without_its_head_fails_a_named_check(monkeypatch, key):
+    monkeypatch.setitem(CORPUS, key, DECLARED[key]._replace(well_poised=False).identity())
+    ez = {r.check for r in run_ez_item(key, 4, 2, 1729) if r.status == FAIL}
+    corpus = {r.check for r in run_corpus_item(key, 4, 2, 1729) if r.status == FAIL}
+    assert (ez, corpus) == (SUMMAND_FAILS, {"identity"})
 
 
 @pytest.mark.parametrize("key", DECLARED)

@@ -88,6 +88,13 @@ def test_parse_errors_carry_position():
         parse("foo(1, 2)")  # unknown function
     with pytest.raises(ParseError):
         parse("(1 + 2")
+    with pytest.raises(ParseError) as err:
+        parse("1 +\n  $")  # a position after a newline counts from that line
+    assert (err.value.line, err.value.column) == (2, 3)
+    with pytest.raises(ParseError, match="^prod binder must be a name at line 1, column 6"):
+        parse("prod(2, 1, 3, k)")
+    with pytest.raises(ParseError, match="^rf takes 2 arguments, got 1 at line 1, column 1"):
+        parse("rf(x)")
 
 
 def _random_expr(rng: random.Random, depth: int, literal=lambda rng: F(rng.randint(0, 9))):
@@ -263,6 +270,8 @@ def test_require_splits_only_at_top_level_commas():
     ("name: r\nparams: x\nrequire: x, 1 + x, rf(x, 2\nlhs: k\nrange: 0 .. n\nrhs: n\n", 3, 27),
     ("name: r\nparams: x\nlhs: k\nrange: 0 .. n +\nrhs: n\n", 4, 16),
     ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: n\ncert_u: 1\ncert_v: (k\n", 7, 11),
+    ("name: r\nparams: x\nlhs: prod(2, 1, 3, k)\nrange: 0 .. n\nrhs: n\n", 3, 11),
+    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: qrf(x, n)\n", 5, 6),
 ])
 def test_config_parse_errors_are_located_in_the_file(text, line, column):
     with pytest.raises(ParseError) as err:

@@ -5,10 +5,12 @@ halving product are computed by ``rational.prod_range_pair`` and
 ``corpus.rising_factorial``; Ramanujan's Entry 25 reads one row per sample
 of its running products a_1...a_j and (x+a_1)...(x+a_j).  The shifted
 factorials and the columns of a ``corpus._TermRow`` build one Fraction from
-integer products instead of one per factor, and ``corpus._linear_pair`` and
-``rational.prod_range_pair`` build none.  A certified summand's row, and its
-closed form, are each one ``_TermRow``, grown by its term ratio;
-``old_hypergeometric`` below is the product each of their columns replaced.
+integer products instead of one per factor, and the certificate products
+(``corpus._factor_pair``) and ``rational.prod_range_pair`` build none.  A
+certified summand's row, with its very-well-poised head, and its closed
+form, are each one ``_TermRow``, grown by its term ratio over the sample's
+one row of q^k (``corpus._q_powers``); ``old_hypergeometric`` below is the
+product each of their columns replaced.
 Each test below keeps the loop it replaced, verbatim, and requires the same value, or
 the same exception type and message, at seeded points that include zeros,
 negative integers and poles.
@@ -22,13 +24,15 @@ import pytest
 
 from telesum import corpus, sequences
 from telesum.certify import TERMINATION_OVERSHOOT, sample_value, verify_sample
-from telesum.corpus import (CERTIFIED_KEYS, CORPUS, DECLARED, _TermRow, draw_admissible,
-                            draw_params, _linear_pair, _power_pair, evaluate_identity, normalized,
+from telesum.corpus import (CERTIFIED_KEYS, CORPUS, DECLARED, _TermRow, _factor_pair, _q_powers,
+                            draw_admissible, draw_params, evaluate_identity, normalized,
                             q_rising_factorial, rising_factorial)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
-from telesum.rational import ONE, ZERO, prod_range_pair, rat_div, rat_pow
-from telesum.runner import specialization_d_zero_checks
+from telesum.rational import (ONE, ZERO, as_pair, pair_mul, pair_pow, prod_range_pair, rat_div,
+                              rat_pow)
+from telesum.runner import (EZ_DEFAULT_N_MAX, run_corpus_item, run_ez_item,
+                            specialization_d_zero_checks)
 from telesum.sampling import rng_for, sample_q, sample_rational
 from telesum.sequences import FAMILIES
 
@@ -313,6 +317,12 @@ def hypergeometric_points(i):
     return upper, lower, z, q
 
 
+def powers_row(q):
+    """The row of q^k pairs that a ``_TermRow`` and a certificate row read:
+    None at every k without a base q."""
+    return _q_powers({} if q is None else {"q": q})
+
+
 def test_linear_factors_matches_the_replaced_loop():
     zeros = 0
     for i in range(80):
@@ -321,8 +331,9 @@ def test_linear_factors_matches_the_replaced_loop():
         xs = [sample_rational(rng) for _ in range(rng.randrange(5))]
         xs += [rng.randrange(-4, 2)] if q is None else [rat_pow(q, -rng.randrange(5))]
         z = sample_rational(rng) if i % 3 else -1
+        powers = powers_row(q)
         for k in range(-2, 9):
-            num, den = _linear_pair(xs, z, k, _power_pair(q, k))
+            num, den = pair_mul(as_pair(z), _factor_pair(xs, k, powers[k]))
             assert type(num) is int and type(den) is int
             new = Fraction(num, den)
             assert new == old_linear_factors(xs, z, k, q), (i, k)
@@ -391,7 +402,7 @@ def test_term_row_matches_hypergeometric_in_any_column_order():
     raised = both_zero = terminated = 0
     for i in range(120):
         upper, lower, z, q = hypergeometric_points(i)
-        row = _TermRow(upper, lower, z, q)
+        row = _TermRow(upper, lower, z, powers_row(q))
         columns = list(range(-2, 12))
         rng_for(7, "row order", i).shuffle(columns)
         for m in columns:
@@ -433,9 +444,10 @@ def test_certified_terms_match_the_replaced_term(key):
     idef = CORPUS[key]
     old_term = reference_term(idef)
     seen = Counter()
+    n_top = 12 if DECLARED[key].well_poised else 6  # a sample's rows share one head row
     for i in range(24):
         p = certified_points(idef, i)
-        for n in range(7):
+        for n in range(n_top + 1):
             columns = list(range(-2, n + TERMINATION_OVERSHOOT + 4))
             rng_for(7, "term order", key, i, n).shuffle(columns)
             for k in columns:
@@ -494,20 +506,27 @@ def test_one_sample_builds_one_closed_form_row(key, monkeypatch):
     for n in range(idef.n_max + 1):
         lhs, rhs = evaluate_identity(idef, n, p)
         assert lhs == rhs
-    closed = (*closed_form_of(idef)(**p), p.get("q"))
-    assert built.count(closed) == 1
+    closed = tuple(closed_form_of(idef)(**p))
+    assert [args[:3] for args in built].count(closed) == 1
 
 
 @pytest.mark.parametrize("key", ["q_dougall", "rogers_6phi5"])
 def test_one_sample_computes_each_well_poised_head_once(key, monkeypatch):
-    head = corpus._well_poised_head
+    heads = corpus._heads
     computed = Counter()
 
-    def counted(k, p):
-        computed[tuple(p.items()), k] += 1
-        return head(k, p)
+    def counted(p):
+        row = heads(p)
+        cell = row.cell
 
-    monkeypatch.setattr(corpus, "_well_poised_head", counted)
+        def counted_cell(k):
+            computed[tuple(p.items()), k] += 1
+            return cell(k)
+
+        row.cell = counted_cell
+        return row
+
+    monkeypatch.setattr(corpus, "_heads", counted)
     idef = CORPUS[key]
     p = draw_admissible(idef, rng_for(7, "one head", key), idef.n_max)
     assert {r.status for r in verify_sample(normalized(idef), idef.n_max, p)} == {"pass"}
@@ -517,6 +536,66 @@ def test_one_sample_computes_each_well_poised_head_once(key, monkeypatch):
     at_p = {k: count for (point, k), count in computed.items() if point == tuple(p.items())}
     assert set(at_p) >= set(range(idef.n_max + 1))
     assert set(at_p.values()) == {1}
+
+
+Q_SUMS = [key for key in CERTIFIED_KEYS if any(x.kind == "q" for x in CORPUS[key].params)]
+
+
+@pytest.mark.parametrize("key", Q_SUMS)
+def test_one_sample_computes_each_q_power_once(key, monkeypatch):
+    """Term ratios, closed form, u, v and the head read q^k from one row."""
+    computed = Counter()
+
+    def counted(pair, e):
+        computed[sample_value.point, pair, e] += 1
+        return pair_pow(pair, e)
+
+    monkeypatch.setattr(corpus, "pair_pow", counted)
+    assert {r.status for r in run_ez_item(key, None, 1, 1729)} == {"pass"}
+    assert len(computed) > EZ_DEFAULT_N_MAX
+    assert set(computed.values()) == {1}
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_every_certified_summand_row_is_a_term_row(key):
+    idef = CORPUS[key]
+    assert {r.status for r in run_ez_item(key, None, 1, 1729)} == {"pass"}
+    rows = [value for key, value in sample_value.values.items() if idef.term in key]
+    assert len(rows) == EZ_DEFAULT_N_MAX + 2  # rows 0..n_max + 1, probed
+    assert {type(row) for row in rows} == {_TermRow}
+
+
+def held_fractions(root):
+    """The Fractions reachable from root through containers, instance
+    attributes and closures (not module globals), each object once."""
+    seen, found, todo = set(), [], [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) is Fraction:
+            found.append(obj)
+        elif isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        if callable(obj) and hasattr(obj, "__closure__"):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif hasattr(obj, "__dict__"):
+            todo += vars(obj).values()
+    return found
+
+
+def test_a_q_dougall_row_holds_one_fraction_per_column():
+    idef, declared = CORPUS["q_dougall"], DECLARED["q_dougall"]
+    assert {r.status for r in run_corpus_item("q_dougall", None, 1, 1729)} == {"pass"}
+    p = dict(sample_value.point)
+    for n in range(idef.n_max + 1):
+        upper, lower, z = declared.summand(n, **p)
+        row = sample_value.row(idef.term, n, p)
+        own = Counter(held_fractions(row)) - Counter([*upper, *lower, z, *p.values()])
+        assert sum(own.values()) == n + TERMINATION_OVERSHOOT + 1, n  # columns 0..n + 3
 
 
 def test_a_pole_column_raises_anew_with_its_own_text():

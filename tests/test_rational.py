@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -161,6 +162,11 @@ def test_pair_refuses_a_float():
         -1.0 * Pair(1, 2)
     with pytest.raises(TypeError):
         Pair(1, 2) + 0.5
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow):
+        for a, b in ((Pair(1, 2), 0.5), (0.5, Pair(1, 2))):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert not Pair(1, 2) == 0.5 and not 0.5 == Pair(1, 2)
 
 
 def test_pair_zero_divisor_raises_division_by_zero():
