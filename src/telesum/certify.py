@@ -27,9 +27,12 @@ closed form (``Summands``), so the row sum is sum_k t(n, k) = r(n), the
 difference check compares t(n+1, k) r(n) - t(n, k) r(n+1) with its k = 0
 value times T(n, k), T being the kernel's integer pair, and the telescope
 check compares the two rows' running sums times the other row's r.  u and
-v are integer pairs too.  A Fraction is built only for a value that a
-failing record prints.  Every value the checks read goes through
-``sample_value`` (see ``point.SampleMemo``).
+v are integer pairs too: a declared certificate's rows hold them, and any
+other row's columns are read through ``as_pair``.  A Fraction is built
+only for a value that a failing record prints.  Every value the checks
+read goes through ``sample_value`` (see ``point.SampleMemo``), as rows of
+one kind: the summands t(n, .), u(n, .) and v(n, .) are one row per n,
+and the closed form is one row per sample, read at column n.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from .errors import Inadmissible, NoCertificate
 from .point import Row, SampleMemo, sample_value  # SampleMemo: re-exported
-from .rational import as_pair, pair_lcm_add, rat_div, zero_divisor
+from .rational import PairFn, as_pair, as_pairs, pair_lcm_add, rat_div, zero_divisor
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .telescope import telescoping_pairs
 
@@ -77,25 +80,18 @@ class NormalizedIdentity:
     citation: str = ""
 
 
-def by_row(columns: Callable[[int, Params], Any]) -> CertFn:
-    """fn(n, k, params), read through its row n: columns(n, params) returns
-    that row, indexed by k, and the memo holds it once, unwrapped."""
+def by_row(columns: Callable[..., Any]) -> CertFn:
+    """fn(*lead, k, params), read through its row: columns(*lead, params)
+    returns that row, indexed by k, and the memo holds it once, unwrapped.
+    A summand's lead is n; a closed form has no lead, so its one row per
+    sample is read at column n.  A column held as an integer pair (a
+    declared u or v) is returned as a Fraction."""
 
-    def fn(n: int, k: int, params: Params) -> Any:
-        return sample_value.row(fn, n, params)[k]
+    def fn(*args) -> Any:
+        value = sample_value.row(fn, *args[:-2], args[-1])[args[-2]]
+        return Fraction(*value) if type(value) is tuple else value
 
     fn.columns = columns
-    return fn
-
-
-def by_pair_row(columns: Callable[[int, Params], Row]) -> CertFn:
-    """fn(n, k, params) as a Fraction, read through its row n of integer
-    pairs: columns(n, params) returns that row, held once, unwrapped."""
-
-    def fn(n: int, k: int, params: Params) -> Fraction:
-        return Fraction(*sample_value.pairs(fn, n, params)[k])
-
-    fn.pair_columns = columns
     return fn
 
 
@@ -113,7 +109,7 @@ class Quotient:
 
     def __call__(self, n: int, k: int, params: Params) -> Fraction:
         return rat_div(sample_value.row(self.term, n, params)[k],
-                       sample_value(self.rhs, n, params))
+                       sample_value.row(self.rhs, params)[n])
 
 
 class Summands:
@@ -139,7 +135,7 @@ class Summands:
     def value(self, k: int) -> Fraction:
         t = self.t[k]
         if self.rhs is None:
-            r = sample_value(self.closed, self.n, self.params)
+            r = sample_value.row(self.closed, self.params)[self.n]
             if r == 0:
                 raise zero_divisor(t)
             self.rhs = r.numerator, r.denominator
@@ -153,13 +149,19 @@ class Summands:
         return sums[m]
 
 
+def _pairs(row: Row) -> PairFn:
+    """A u or v row's columns as integer pairs: a row of pairs as it is,
+    any other through ``as_pair``.  Reads column 0."""
+    return row.__getitem__ if type(row[0]) is tuple else as_pairs(row.__getitem__)
+
+
 def telescoping_row(cert: Certificate, n: int, params: Params,
                     k_max: int) -> list[tuple[int, int]]:
     """T(n, k) for k = 0..k_max as integer pairs: the kernel's telescoping
     summands over u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises
     DivisionByZero."""
-    u, v = sample_value.pairs(cert.u, n, params), sample_value.pairs(cert.v, n, params)
-    return list(telescoping_pairs(u.__getitem__, v.__getitem__, k_max))
+    u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
+    return list(telescoping_pairs(_pairs(u), _pairs(v), k_max))
 
 
 def difference_check(idn: NormalizedIdentity, n: int, params: Params,
@@ -202,8 +204,8 @@ def telescope_to_zero_check(idn: NormalizedIdentity, n: int, params: Params,
     cert = idn.certificate
     if cert is None:
         raise NoCertificate(idn.key)
-    u_top = sample_value.pairs(cert.u, n, params)[n + 1]
-    v_bot = sample_value.pairs(cert.v, n, params)[0]
+    u_top = as_pair(sample_value.row(cert.u, n, params)[n + 1])
+    v_bot = as_pair(sample_value.row(cert.v, n, params)[0])
     if u_top[0] != 0 or v_bot[0] != 0:
         return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
                         sample=sample, u_at_n_plus_1=Fraction(*u_top),

@@ -47,9 +47,11 @@ Conventions:
 Summands, closed forms and certificate values are read through
 ``point.sample_value`` (see ``point.SampleMemo``): a certified
 summand's row n and its closed-form row are each one ``_TermRow``, one memo
-entry.  The four sums without a certificate have summands free of n: each
-column is one cell(k), held in one row per sample that is every row n
-(``_n_free``).
+entry, and rhs(n) is column n of the closed-form row.  Each row n of u
+and v is one ``Row`` of integer pairs.  The four sums without a
+certificate have summands free of n: each column is one cell(k), held in
+one row per sample that is every row n (``_n_free``); each closed form is
+one row per sample too, built by ``SampleMemo.row``.
 Ramanujan's Entry 25 is the lemma at u_j = a_j, v_j = x + a_j: its cells
 and closed form read the lemma's running products, one row per sample
 (``_entry25_products``).  The other cells are x^k, (k)_m and 1/(k)_(m+1).
@@ -63,7 +65,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
-                      Quotient, by_pair_row, by_row)
+                      Quotient, by_row)
 from .errors import Inadmissible
 from .point import Param, Row, draw_params, sample_value
 from .rational import (ONE, ZERO, IntPair, as_pair, pair_div, pair_mul, pair_pow, rat_div, rat_pow,
@@ -233,7 +235,7 @@ def evaluate_identity(idef: IdentityDef, n: int, params: Params) -> tuple[Fracti
     """(LHS sum, RHS closed form); equality is the caller's assertion."""
     lo, hi = idef.sum_range(n)
     row = sample_value.row(idef.term, n, params)
-    return sum((row[k] for k in range(lo, hi + 1)), ZERO), sample_value(idef.rhs, n, params)
+    return sum((row[k] for k in range(lo, hi + 1)), ZERO), sample_value.row(idef.rhs, params)[n]
 
 
 def normalized(idef: IdentityDef) -> NormalizedIdentity:
@@ -258,8 +260,9 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
     """
     overshoot = TERMINATION_OVERSHOOT if idef.terminating else 0
     try:
+        rhs = sample_value.row(idef.rhs, params)
         for n in range(n_max + 2):
-            r = sample_value(idef.rhs, n, params)
+            r = rhs[n]
             if idef.certificate is not None and r == 0:
                 return False
             lo, hi = idef.sum_range(n)
@@ -269,13 +272,13 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
         if idef.certificate is not None:
             cert = idef.certificate
             for n in range(n_max + 1):
-                u, v = sample_value.pairs(cert.u, n, params), sample_value.pairs(cert.v, n, params)
-                (a, b), (c, d) = u[0], v[0]
+                u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
+                (a, b), (c, d) = as_pair(u[0]), as_pair(v[0])
                 if a * d == c * b:
                     return False
                 u[n + 1]
                 for k in range(1, n + 2):
-                    if v[k][0] == 0:
+                    if as_pair(v[k])[0] == 0:
                         return False
         return True
     except (Inadmissible, ZeroDivisionError):
@@ -331,8 +334,11 @@ class Declaration(NamedTuple):
         Each row n of the summand, the closed-form row, the heads, the
         powers of q and each row n of u and v are one entry of the sample
         memo: a summand or closed-form row is a ``_TermRow``, and the others
-        are ``Row``s of integer pairs (num, den).  Every q^k they read is one
-        column of the sample's powers row (``_q_powers``).
+        are ``Row``s of integer pairs (num, den).  term, rhs, u and v are
+        ``by_row`` functions: rhs(n) reads column n of the one closed-form
+        row, and a direct call of u or v returns its pair as a Fraction.
+        Every q^k they read is one column of the sample's powers row
+        (``_q_powers``).
         """
 
         def columns(n: int, p: Params) -> _TermRow:
@@ -342,19 +348,16 @@ class Declaration(NamedTuple):
         def closed_row(p: Params) -> _TermRow:
             return _TermRow(*self.closed_form(**p), sample_value(_q_powers, p))
 
-        def rhs(n: int, p: Params) -> Fraction:
-            return sample_value(closed_row, p)(n)
-
         def at_k(factors: Factors) -> CertFn:
-            def pair_columns(n: int, p: Params) -> Row:
+            def pairs(n: int, p: Params) -> Row:
                 xs, z = factors(n, **p)
                 z, powers = as_pair(z), sample_value(_q_powers, p)
                 return Row(lambda k: pair_mul(z, _factor_pair(xs, k, powers[k])))
 
-            return by_pair_row(pair_columns)
+            return by_row(pairs)
 
         return IdentityDef(key=self.key, citation=self.citation, params=self.params,
-                           term=by_row(columns), rhs=rhs,
+                           term=by_row(columns), rhs=by_row(closed_row),
                            certificate=Certificate(at_k(self.u), at_k(self.v)),
                            n_max=self.n_max)
 
@@ -467,11 +470,7 @@ DECLARED: dict[str, Declaration] = {decl.key: decl for decl in (
 def _n_free(cell: Callable[[int, Params], Fraction]) -> CertFn:
     """term(n, k) = cell(k, params), read through one ``Row`` per sample that
     is every row n, so each column is evaluated and held once per sample."""
-
-    def shared(p: Params) -> Row:
-        return Row(lambda k: cell(k, p))
-
-    return by_row(lambda n, p: sample_value(shared, p))
+    return by_row(lambda n, p: sample_value.row(cell, p))
 
 
 def _entry25_products(p: Params) -> Callable[[int], tuple[IntPair, IntPair]]:

@@ -63,7 +63,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
-from .certify import Certificate, Row, by_pair_row, by_row, sample_value
+from .certify import Certificate, Row, by_row, sample_value
 from .corpus import IdentityDef, Param, q_rising_factorial, rising_factorial
 from .errors import DivisionByZero, VerifyError
 from .rational import (ONE, IntPair, as_pair, format_rational, pair_add, pair_div, pair_mul,
@@ -750,12 +750,10 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
     parameter point through certify.sample_value, so the next point drops
     them."""
 
-    def at_nk(section: str, expr: Expr,
-              pairs: bool = False) -> Callable[[int, int, Mapping[str, object]], Fraction]:
+    def at_nk(section: str, expr: Expr) -> Callable[[int, int, Mapping[str, object]], Fraction]:
         """One section's expression as a function of (n, k, params), read
         through its row n: the row takes the hoisted values and its env once.
-        With pairs, the row holds integer pairs (num, den), the form the
-        certificate checks read, so no value is held twice."""
+        The summand and the certificate's u and v are each one row per n."""
         code = _compile(expr, _NK)
 
         def columns(n: int, params: Mapping[str, object]) -> Row:
@@ -765,9 +763,9 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
                 env["k"] = k
                 return _evaluate_in(section, code, env, memo)
 
-            return Row((lambda k: as_pair(cell(k))) if pairs else cell)
+            return Row(cell)
 
-        return by_pair_row(columns) if pairs else by_row(columns)
+        return by_row(columns)
 
     require = [(expr, _compile(expr, _N)) for expr in config.require]
     rhs_code = _compile(config.rhs, _N)
@@ -798,7 +796,7 @@ def config_to_identity(config: IdentityConfig) -> IdentityDef:
         return lo, hi
 
     certificate = None if config.cert_u is None or config.cert_v is None else Certificate(
-        u=at_nk("cert_u", config.cert_u, pairs=True), v=at_nk("cert_v", config.cert_v, pairs=True))
+        u=at_nk("cert_u", config.cert_u), v=at_nk("cert_v", config.cert_v))
     return IdentityDef(
         key=config.name,
         citation=f"user-defined identity '{config.name}'",

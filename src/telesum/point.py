@@ -3,8 +3,10 @@
 A sum or family declares its parameters as ``Param`` records, and
 ``draw_params`` draws one point of them.  ``sample_value`` (a
 ``SampleMemo``) holds the values of pure functions at that point, so each
-is computed once per sample.  Corpus and certify re-export these names;
-sequences reads them here, so a sequences start runs neither of them.
+is computed once per sample; summands, closed forms, F, u and v are held
+as rows of one kind (``SampleMemo.row``).  Corpus and certify re-export
+these names; sequences reads them here, so a sequences start runs neither
+of them.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from .rational import as_pair
 from .sampling import sample_q, sample_rational, sample_sequence
 
 Params = Mapping[str, object]
@@ -64,20 +65,20 @@ class SampleMemo:
     the certificate's u and v are read through ``sample_value``, which
     ``corpus.admissible`` fills while it probes the sample; the checks then
     reuse the probe's values, and each other's, instead of evaluating them
-    again.  A row is one entry per (sample, n): ``row`` gives the summands
-    t(n, .) (or F(n, .)), and ``pairs`` gives u(n, .) or v(n, .) as
-    unreduced integer pairs (num, den), each indexed by k.  The probe,
-    ``corpus.evaluate_identity``, F and every check read the same rows.
-    For a function made by ``certify.by_row`` (or ``by_pair_row``),
-    columns(n, params) returns the row itself, which is stored as it is: a
-    ``Row``, or a certified summand's ``corpus._TermRow`` (with its
-    very-well-poised head), or one row that every n shares.  A sample's
-    closed form, its q^k and its heads are one row each, keyed by the
-    point alone.  So each value is held by one row, never copied.
-    Any other function gets a ``Row`` that calls it once per column.  Rows
-    fill only the columns asked for, so every check evaluates the same
-    values, and raises at the same (n, k) with the same text, as one that
-    reads point by point.
+    again.  They read them as rows, of one kind: ``row(fn, *lead, params)``
+    is the columns fn(*lead, k, params), k = 0, 1, ..., held as one entry.
+    A summand's row n (or F's) is ``row(term, n, params)``, and a closed
+    form is one row keyed by the point alone, ``row(rhs, params)``, read
+    at column n.  For a function made by ``certify.by_row``,
+    fn.columns(*lead, params) returns the row itself, which is stored as
+    it is: a ``Row`` (of integer pairs (num, den) for a declared u or v),
+    a certified summand's or closed form's ``corpus._TermRow``, or one row
+    that every n shares.  A sample's q^k and its heads are one row each,
+    too.  So each value is held by one row, never copied.  Any other
+    function gets a ``Row`` that calls it once per column.  Every row is
+    built at ``_row``.  Rows fill only the columns asked for, so every
+    check evaluates the same values, and raises at the same (n, k) with
+    the same text, as one that reads point by point.
 
     A value is computed at its first request and served from the memo after
     that.  The key is the function object and its leading arguments, never
@@ -102,23 +103,18 @@ class SampleMemo:
             values[key] = fn(*args)
         return values[key]
 
-    def row(self, fn: Callable[..., Any], n: int, params: Params) -> Row:
-        """fn(n, k, params) for k = 0, 1, ... as one entry: a Row."""
-        return self(_row, fn, n, params)
-
-    def pairs(self, fn: Callable[..., Any], n: int, params: Params) -> Row:
-        """fn(n, k, params) for k = 0, 1, ... as unreduced integer pairs."""
-        return self(_pair_row, fn, n, params)
+    def row(self, fn: Callable[..., Any], *args) -> Row:
+        """fn(*lead, k, params) for k = 0, 1, ... as one entry, for args =
+        (*lead, params)."""
+        return self(_row, fn, *args)
 
 
-def _row(fn: Callable[..., Any], n: int, params: Params) -> Row:
+def _row(fn: Callable[..., Any], *args) -> Row:
     columns = getattr(fn, "columns", None)
-    return columns(n, params) if columns else Row(lambda k: fn(n, k, params))
-
-
-def _pair_row(fn: Callable[..., Any], n: int, params: Params) -> Row:
-    columns = getattr(fn, "pair_columns", None)
-    return columns(n, params) if columns else Row(lambda k: as_pair(fn(n, k, params)))
+    if columns:
+        return columns(*args)
+    *lead, params = args
+    return Row(lambda k: fn(*lead, k, params))
 
 
 #: The memo every evaluation of a summand, closed form, F, u or v goes through.

@@ -229,9 +229,11 @@ def _parts(x: object) -> IntPair | tuple[None, None]:
     return as_pair(x) if isinstance(x, (Pair, int, Fraction)) else (None, None)
 
 
-def as_pair(x: Exact) -> IntPair:
-    """x's parts (num, den): a Pair's as they stand, an int's or a Fraction's
-    reduced."""
+def as_pair(x: Exact | IntPair) -> IntPair:
+    """x's parts (num, den): an integer pair's or a Pair's as they stand, an
+    int's or a Fraction's reduced."""
+    if type(x) is tuple:
+        return x
     if isinstance(x, Pair):
         return x.num, x.den
     return x.numerator, x.denominator

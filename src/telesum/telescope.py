@@ -122,10 +122,6 @@ class _Read(NamedTuple):
     us: tuple[IntPair, ...]
     vs: tuple[IntPair, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.us) - 1
-
 
 def _read(u: PairFn, v: PairFn, n: int, texts: tuple[str, str] = _SUM_TEXTS) -> _Read:
     """One walk's values, for every reader to share."""

@@ -26,7 +26,7 @@ from telesum.errors import DivisionByZero, Inadmissible, NoCertificate
 from telesum.exprlang import load_identity_config
 from telesum.rational import ONE, ZERO, as_pairs
 from telesum.report import FAIL, PASS, outcome
-from telesum.runner import run_config_identity, run_corpus_item
+from telesum.runner import run_config_identity, run_corpus_item, run_ez_item
 from telesum.sampling import rng_for, sample_rational
 from telesum.telescope import TelescopeProblem, telescoping_pairs
 
@@ -296,9 +296,10 @@ def fraction_difference_row(F, n, params):
 def fraction_telescoping_row(cert, n, params, k_max):
     """T(n, k) for k = 0..k_max: the telescoping summands over u(n, .) and
     v(n, .), by the Fraction loop ``reference_terms``; a zero w(n, 0) or
-    v(n, k) raises DivisionByZero."""
-    u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
-    return list(reference_terms(TelescopeProblem(u.__getitem__, v.__getitem__, k_max)))
+    v(n, k) raises DivisionByZero.  u and v are called, so a declared
+    certificate's columns, held as integer pairs, read as Fractions."""
+    return list(reference_terms(TelescopeProblem(lambda k: cert.u(n, k, params),
+                                                 lambda k: cert.v(n, k, params), k_max)))
 
 
 def fraction_difference_check(idn, n, params, suite="ez", sample=None):
@@ -320,8 +321,8 @@ def fraction_telescope_to_zero_check(idn, n, params, suite="ez", sample=None):
     cert = idn.certificate
     if cert is None:
         raise NoCertificate(idn.key)
-    u_top = sample_value.row(cert.u, n, params)[n + 1]
-    v_bot = sample_value.row(cert.v, n, params)[0]
+    u_top = cert.u(n, n + 1, params)
+    v_bot = cert.v(n, 0, params)
     if u_top != 0 or v_bot != 0:
         return [outcome(suite, idn.key, "telescope_zero", idn.citation, False, params, n=n,
                         sample=sample, u_at_n_plus_1=u_top, v_at_0=v_bot)]
@@ -563,9 +564,22 @@ def test_each_summand_value_is_held_by_one_row(key):
     assert read == idef.n_max * (idef.n_max + 1) // 2
 
 
-def test_a_config_certificate_is_held_once_as_pairs():
-    """A config's u and v rows hold the integer pairs the checks read, and
-    no Fraction row of the same values."""
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+def test_a_closed_form_is_one_memo_entry_per_sample(key):
+    """A certified sum's closed form is one row per sample, its _TermRow,
+    read at column n: no second entry per n holds rhs(n)."""
+    idef = CORPUS[key]
+    assert {r.status for r in run_ez_item(key, None, 1, 1729)} == {PASS}
+    held = [value for k, value in sample_value.values.items() if idef.rhs in k]
+    assert len(held) == 1 and type(held[0]) is _TermRow, key
+    params = dict(sample_value.point)
+    assert [held[0][n] for n in range(4)] == [idef.rhs(n, params) for n in range(4)]
+
+
+def test_a_config_certificate_is_held_once():
+    """A config's u and v are one row per n each, holding the Fractions that
+    ``evaluate`` builds, which the checks read as integer pairs: no second
+    row holds the same values as pairs."""
     for path in CONFIGS:
         idef = load_identity_config(path)
         assert run_config_identity(idef, samples=1).ok
@@ -575,4 +589,4 @@ def test_a_config_certificate_is_held_once_as_pairs():
         assert len(held) == 2 * (idef.n_max + 1), path.stem
         for row in held:
             assert isinstance(row, Row) and row, path.stem
-            assert all(type(cell) is tuple for cell in row.values()), path.stem
+            assert all(type(cell) is F for cell in row.values()), path.stem

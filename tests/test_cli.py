@@ -182,7 +182,8 @@ def test_vacuous_counts_exit_two(tmp_path, capsys):
              (["verify", "--suite", "corpus", "--samples", "-2"], "--samples"),
              (["verify", "--suite", "ez", "--n-max", "-3"], "--n-max"),
              (["check", "--config", str(path), "--samples", "0"], "--samples"),
-             (["check", "--config", str(path), "--n-max", "-1"], "--n-max"))
+             (["check", "--config", str(path), "--n-max", "-1"], "--n-max"),
+             (["verify", "--jobs", "0"], "error: --jobs must be >= 1\n"))
     for argv, flag in cases:
         code, text = run_cli(argv)
         assert code == 2, argv

@@ -171,12 +171,19 @@ def test_specialization_d_zero_sweep():
         done += 1
 
 
-def test_admissibility_probe_rejects_bad_points():
+def test_admissibility_probe_rejects_bad_points(monkeypatch):
     idef = CORPUS["binomial"]
-    from telesum.corpus import admissible
+    from telesum.corpus import DECLARED, admissible
+    from telesum.runner import run_ez_item
     assert not admissible(idef, 5, {"x": F(0)})   # certificate w_0 = 0
     assert not admissible(idef, 5, {"x": F(-1)})  # rhs = 0
     assert admissible(idef, 5, {"x": F(3)})
+    # v(n, k) = k (k - 1) vanishes at v(0, 1), on every draw: w(0, 0) = -a != 0
+    zero_v = DECLARED["chu_vandermonde"]._replace(v=lambda n, a, b: ([0, -1], 1)).identity()
+    assert not admissible(zero_v, 5, {"a": F(1, 3), "b": F(2, 7)})
+    monkeypatch.setitem(CORPUS, "chu_vandermonde", zero_v)
+    [record] = run_ez_item("chu_vandermonde", None, 1, 1729)
+    assert (record.check, record.status) == ("sampling", "fail")
 
 
 def test_normalized_rows_sum_to_one():

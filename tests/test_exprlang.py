@@ -66,6 +66,8 @@ def test_eval_examples():
     assert evaluate(parse("binom(5, 2)"), {}) == 10
     assert evaluate(parse("binom(k, 2)"), {"k": F(6)}) == 15
     assert evaluate(parse("qrf(2, 3, 2)"), {}) == 5
+    # an unreduced base pair past the bit bound, whose reduced value fits
+    assert evaluate(parse("((2^120)/(2^120))^10000"), {}) == 1
 
 
 def test_eval_errors():

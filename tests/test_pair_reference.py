@@ -531,7 +531,7 @@ def test_a_passing_genhyp_sample_builds_only_its_closed_forms(key, monkeypatch):
     calls = []
 
     def counted_closed_form(p):
-        calls.append(p.n)
+        calls.append(p)
         return closed(p)
 
     monkeypatch.setattr(genhyp, "telescoping_closed_form", counted_closed_form)

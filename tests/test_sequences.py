@@ -82,6 +82,17 @@ def test_all_six_identities_on_random_specs():
             assert all_equal(lucas_gen_sides(spec, which, 10)), (i, which)
 
 
+def test_random_spec_redraws_a_zero_x2(monkeypatch):
+    # the first draw has x_2 = a_0 x_1 + b_0 x_0 = 1 * (-1) + 1 * 1 = 0
+    import telesum.sequences as sequences
+    sequences_drawn = iter([[F(1)] * 8, [F(1)] * 8, [F(2)] * 8, [F(3)] * 8])
+    rationals_drawn = iter([F(1), F(-1), F(5), F(7)])
+    monkeypatch.setattr(sequences, "sample_sequence", lambda rng, length: next(sequences_drawn))
+    monkeypatch.setattr(sequences, "sample_rational", lambda rng: next(rationals_drawn))
+    spec = random_spec(rng_for(303, "redraw"), 3)
+    assert (spec.a(0), spec.b(0), spec.x0, spec.x1) == (2, 3, 5, 7)
+
+
 def test_divided_form_reports_composite_denominator_first():
     # a_{0} a_{1} + b_{1} = 0 must surface as Inadmissible with the index
     spec = RecurrenceSpec("bad", const(1), lambda n: F(-1) if n == 1 else F(1),
