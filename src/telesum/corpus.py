@@ -25,8 +25,8 @@ else, so a test reads and changes them on the record (``_replace``).
 Both forms rest on one per-index factor, prod (x + k) or prod (1 - x q^k),
 written once in ``_factor_pair``, which ``_TermRow``, the u and v rows and
 the very-well-poised head share.  It takes q^k as an integer pair from the
-sample's one row of powers (``_q_powers``), so each q^k a certified sample
-reads is computed once per sample.
+sample's one row of powers, of ``_q_power`` cells (the heads are one row of
+``_head`` cells), so each q^k a certified sample reads is computed once.
 
 Conventions:
 
@@ -120,16 +120,12 @@ def q_rising_factorial(a: Fraction, q: Fraction, m: int) -> Fraction:
     return Fraction(*_shifted_product(a, m, q))
 
 
-def _q_powers(p: Params) -> Row:
-    """The sample's q^k, k = 0, 1, ..., as integer pairs (r, s), each computed
-    at its first index: the one row of powers that a certified sample's term
-    ratios, closed form, u, v and head read.  Without a base q it answers
-    None at every k."""
+def _q_power(k: int, p: Params) -> IntPair | None:
+    """q^k as an integer pair (r, s), or None without a base q: a cell of the
+    sample's one row of powers, ``sample_value.row(_q_power, p)``, which a
+    certified sample's term ratios, closed form, u, v and heads read."""
     q = p.get("q")
-    if q is None:
-        return Row(lambda k: None)
-    r = as_pair(q)
-    return Row(lambda k: pair_pow(r, k))
+    return None if q is None else pair_pow(as_pair(q), k)
 
 
 def _factor_pair(xs: Sequence[Fraction], k: int,
@@ -157,7 +153,7 @@ def _factor_pair(xs: Sequence[Fraction], k: int,
 class _TermRow:
     """The columns t(m) = prod_x (x)_m / prod_y (y)_m * z^m, m = 0, 1, ...,
     of one term over x in upper and y in lower, where (x)_m is the q-shifted
-    factorial (x; q)_m when the sample's powers row (``_q_powers``) holds q^m,
+    factorial (x; q)_m when the sample's powers row (of ``_q_power``) holds q^m,
     read as row[m] (a summand's row in the sample memo) or row(m).  They are
     grown on demand by the term ratio
 
@@ -168,7 +164,7 @@ class _TermRow:
     integer pairs, so each step multiplies one index's factors into them,
     each column is one Fraction, and reading columns 0..m costs O(m)
     factors, not O(m^2).  A very-well-poised summand also gets the sample's
-    row of heads (``_heads``), multiplied into each column it appends; the
+    row of heads (of ``_head``), multiplied into each column it appends; the
     head raises before the row does.  A zero lower product raises
     DivisionByZero, even where an upper factor vanishes too: from the first
     vanishing lower factor on, every column raises ``rational.zero_divisor``
@@ -297,12 +293,12 @@ def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[s
 # Certified sums, declared as data
 # ---------------------------------------------------------------------------
 
-def _heads(p: Params) -> Row:
-    """The very-well-poised heads (1 - a q^(2k))/(1 - a), k = 0, 1, ..., as
-    integer pairs over the sample's powers row; each raises when a = 1."""
-    a, powers = [p["a"]], sample_value(_q_powers, p)
-    one_minus_a = _factor_pair(a, 0, powers[0])
-    return Row(lambda k: pair_div(_factor_pair(a, 2 * k, powers[2 * k]), one_minus_a))
+def _head(k: int, p: Params) -> IntPair:
+    """The very-well-poised head (1 - a q^(2k))/(1 - a) as an integer pair
+    over the sample's powers row: a cell of the sample's one row of heads,
+    ``sample_value.row(_head, p)``.  It raises when a = 1."""
+    a, powers = [p["a"]], sample_value.row(_q_power, p)
+    return pair_div(_factor_pair(a, 2 * k, powers[2 * k]), _factor_pair(a, 0, powers[0]))
 
 
 class Declaration(NamedTuple):
@@ -333,25 +329,25 @@ class Declaration(NamedTuple):
 
         Each row n of the summand, the closed-form row, the heads, the
         powers of q and each row n of u and v are one entry of the sample
-        memo: a summand or closed-form row is a ``_TermRow``, and the others
-        are ``Row``s of integer pairs (num, den).  term, rhs, u and v are
-        ``by_row`` functions: rhs(n) reads column n of the one closed-form
-        row, and a direct call of u or v returns its pair as a Fraction.
-        Every q^k they read is one column of the sample's powers row
-        (``_q_powers``).
+        memo, built by ``SampleMemo.row``: a summand or closed-form row is a
+        ``_TermRow``, and the others are ``Row``s of integer pairs
+        (num, den).  term, rhs, u and v are ``by_row`` functions: rhs(n)
+        reads column n of the one closed-form row, and a direct call of u or
+        v returns its pair as a Fraction.  The powers of q and the heads are
+        rows of the cells ``_q_power`` and ``_head``.
         """
 
         def columns(n: int, p: Params) -> _TermRow:
-            heads = sample_value(_heads, p) if self.well_poised else None
-            return _TermRow(*self.summand(n, **p), sample_value(_q_powers, p), heads)
+            heads = sample_value.row(_head, p) if self.well_poised else None
+            return _TermRow(*self.summand(n, **p), sample_value.row(_q_power, p), heads)
 
         def closed_row(p: Params) -> _TermRow:
-            return _TermRow(*self.closed_form(**p), sample_value(_q_powers, p))
+            return _TermRow(*self.closed_form(**p), sample_value.row(_q_power, p))
 
         def at_k(factors: Factors) -> CertFn:
             def pairs(n: int, p: Params) -> Row:
                 xs, z = factors(n, **p)
-                z, powers = as_pair(z), sample_value(_q_powers, p)
+                z, powers = as_pair(z), sample_value.row(_q_power, p)
                 return Row(lambda k: pair_mul(z, _factor_pair(xs, k, powers[k])))
 
             return by_row(pairs)

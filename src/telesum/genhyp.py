@@ -256,12 +256,12 @@ def ps_terms(p: SequenceParams) -> list[Exact]:
 
 def _companion(key: str, p: SequenceParams) -> _Route | None:
     """The companion route of operation key at p: macdonald_cv at the
-    relabeled point for macdonald_cv_permuted, macdonald_ps at d = 0 for
-    macdonald_dougall, none for the others."""
+    relabeled point for macdonald_cv_permuted, macdonald_ps (which reads no
+    d) at p for macdonald_dougall, none for the others."""
     if key == "macdonald_cv_permuted":
         return _route(OPERATIONS["macdonald_cv"], relabeled_for_permutation(p))
     if key == "macdonald_dougall":
-        return _route(OPERATIONS["macdonald_ps"], with_d_zero(p))
+        return _route(OPERATIONS["macdonald_ps"], p)
     return None
 
 

@@ -73,12 +73,12 @@ class SampleMemo:
     fn.columns(*lead, params) returns the row itself, which is stored as
     it is: a ``Row`` (of integer pairs (num, den) for a declared u or v),
     a certified summand's or closed form's ``corpus._TermRow``, or one row
-    that every n shares.  A sample's q^k and its heads are one row each,
-    too.  So each value is held by one row, never copied.  Any other
-    function gets a ``Row`` that calls it once per column.  Every row is
-    built at ``_row``.  Rows fill only the columns asked for, so every
-    check evaluates the same values, and raises at the same (n, k) with
-    the same text, as one that reads point by point.
+    that every n shares.  So each value is held by one row, never copied.
+    Any other function gets a ``Row`` that calls it once per column, as a
+    sample's q^k and heads do (cells ``corpus._q_power``, ``corpus._head``).
+    Every row is built at ``_row``.  Rows fill only the columns asked for,
+    so every check evaluates the same values, and raises at the same
+    (n, k) with the same text, as one that reads point by point.
 
     A value is computed at its first request and served from the memo after
     that.  The key is the function object and its leading arguments, never

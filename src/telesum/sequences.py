@@ -357,29 +357,26 @@ def _pell_printed() -> tuple[PrintedIdentity, ...]:
 
 
 def _schur_printed() -> tuple[PrintedIdentity, ...]:
-    def q_of(p):
-        return p["q"]
-
     return (
         PrintedIdentity("prefix_sum",
-                        lambda k, xs, p: rat_pow(q_of(p), k + p["a"]) * xs[k],
+                        lambda k, xs, p: rat_pow(p["q"], k + p["a"]) * xs[k],
                         lambda n, xs, p: xs[n + 2] - 1),
         PrintedIdentity("even_sum",
-                        lambda k, xs, p: rat_pow(q_of(p), -k * k - k * p["a"]) * xs[2 * k],
-                        lambda n, xs, p: rat_pow(q_of(p), -n * n - n * p["a"]) * xs[2 * n + 1] - 1),
+                        lambda k, xs, p: rat_pow(p["q"], -k * k - k * p["a"]) * xs[2 * k],
+                        lambda n, xs, p: rat_pow(p["q"], -n * n - n * p["a"]) * xs[2 * n + 1] - 1),
         PrintedIdentity("odd_sum",
-                        lambda k, xs, p: rat_pow(q_of(p), -(k - 1) * (k + p["a"])) * xs[2 * k - 1],
-                        lambda n, xs, p: rat_pow(q_of(p), -(n - 1) * (n + p["a"])) * xs[2 * n]),
+                        lambda k, xs, p: rat_pow(p["q"], -(k - 1) * (k + p["a"])) * xs[2 * k - 1],
+                        lambda n, xs, p: rat_pow(p["q"], -(n - 1) * (n + p["a"])) * xs[2 * n]),
         PrintedIdentity("square_sum",
-                        lambda k, xs, p: rat_pow(q_of(p), -_binom2(k) - (k - 1) * p["a"]) * xs[k] ** 2,
-                        lambda n, xs, p: rat_pow(q_of(p), -_binom2(n) - (n - 1) * p["a"]) * xs[n] * xs[n + 1]),
+                        lambda k, xs, p: rat_pow(p["q"], -_binom2(k) - (k - 1) * p["a"]) * xs[k] ** 2,
+                        lambda n, xs, p: rat_pow(p["q"], -_binom2(n) - (n - 1) * p["a"]) * xs[n] * xs[n + 1]),
         PrintedIdentity("alternating_sum",
-                        lambda k, xs, p: (-1) ** (k - 1) * rat_pow(q_of(p), -_binom2(k) - (k - 1) * p["a"]) * xs[k + 1],
-                        lambda n, xs, p: (-1) ** (n + 1) * rat_pow(q_of(p), -_binom2(n) - (n - 1) * p["a"]) * xs[n]),
+                        lambda k, xs, p: (-1) ** (k - 1) * rat_pow(p["q"], -_binom2(k) - (k - 1) * p["a"]) * xs[k + 1],
+                        lambda n, xs, p: (-1) ** (n + 1) * rat_pow(p["q"], -_binom2(n) - (n - 1) * p["a"]) * xs[n]),
         PrintedIdentity("halving_sum",
-                        lambda k, xs, p: rat_pow(q_of(p), 2 * k - 1 + 2 * p["a"])
-                        * rat_div(xs[k - 1], _qrf(-rat_pow(q_of(p), p["a"] + 1), q_of(p), k)),
-                        lambda n, xs, p: 1 - rat_div(xs[n + 2], _qrf(-rat_pow(q_of(p), p["a"] + 1), q_of(p), n))),
+                        lambda k, xs, p: rat_pow(p["q"], 2 * k - 1 + 2 * p["a"])
+                        * rat_div(xs[k - 1], _qrf(-rat_pow(p["q"], p["a"] + 1), p["q"], k)),
+                        lambda n, xs, p: 1 - rat_div(xs[n + 2], _qrf(-rat_pow(p["q"], p["a"] + 1), p["q"], n))),
     )
 
 
@@ -440,56 +437,53 @@ def _q_pell_halving_term(k: int, xs: Values, p: Params) -> Exact:
 
 
 def _goyt_sagan_printed() -> tuple[PrintedIdentity, ...]:
-    def xyq(p):
-        return p["x"], p["y"], p["q"]
-
     def gs1_term(k, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return y * rat_pow(x, -(k + 1)) * rat_pow(q, -_binom2(k) - 1) * xs[k]
 
     def gs1_rhs(n, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return rat_pow(x, -(n + 1)) * rat_pow(q, -_binom2(n + 1)) * xs[n + 2] - 1
 
     def gs2_term(k, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return x * rat_pow(y, -k) * rat_pow(q, -k * k + 3 * k - 1) * xs[2 * k]
 
     def gs2_rhs(n, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return rat_pow(y, -n) * rat_pow(q, -n * n + n) * xs[2 * n + 1] - 1
 
     def gs3_term(k, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return rat_pow(y, -k) * rat_pow(q, -k * k + 2 * k) * xs[2 * k + 1]
 
     def gs3_rhs(n, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return rat_div(rat_pow(q, -n * n) * xs[2 * n + 2], x * rat_pow(y, n)) - 1
 
     def gs4_term(k, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return rat_pow(y, -k) * rat_pow(q, -_binom2(k) + k) * xs[k + 1] ** 2
 
     def gs4_rhs(n, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return rat_div(rat_pow(q, -_binom2(n)) * xs[n + 1] * xs[n + 2], x * rat_pow(y, n)) - 1
 
     def gs5_term(k, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return (-1) ** k * rat_pow(x, k - 1) * rat_pow(y, -k) * xs[k + 2]
 
     def gs5_rhs(n, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return (-1) ** n * rat_pow(rat_div(x, y), n) * rat_pow(q, n) * xs[n + 1] - 1
 
     def gs6_term(k, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         base = rat_div(x * q, y)
         return rat_pow(base, k - 2) * rat_div(xs[k - 1], _qrf(-rat_div(q * x * x, y), q, k))
 
     def gs6_rhs(n, xs, p):
-        x, y, q = xyq(p)
+        x, y, q = p["x"], p["y"], p["q"]
         return 1 - rat_pow(x, n - 1) * rat_pow(y, -n) * rat_div(xs[n + 2], _qrf(-rat_div(q * x * x, y), q, n))
 
     return (

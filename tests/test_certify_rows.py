@@ -17,10 +17,11 @@ import pytest
 
 from pathlib import Path
 
+from telesum import point
 from telesum.certify import (TERMINATION_OVERSHOOT, Certificate, NormalizedIdentity, Quotient,
-                             Row, difference_check, natural_termination_check, row_sum_check,
-                             sample_value, telescope_to_zero_check, telescoping_row,
-                             verify_sample)
+                             Row, Summands, difference_check, natural_termination_check,
+                             row_sum_check, sample_value, telescope_to_zero_check,
+                             telescoping_row, verify_sample)
 from telesum.corpus import CERTIFIED_KEYS, CORPUS, _TermRow, draw_admissible, normalized
 from telesum.errors import DivisionByZero, Inadmissible, NoCertificate
 from telesum.exprlang import load_identity_config
@@ -574,6 +575,17 @@ def test_a_closed_form_is_one_memo_entry_per_sample(key):
     assert len(held) == 1 and type(held[0]) is _TermRow, key
     params = dict(sample_value.point)
     assert [held[0][n] for n in range(4)] == [idef.rhs(n, params) for n in range(4)]
+
+
+@pytest.mark.parametrize("key", CERTIFIED_KEYS)
+@pytest.mark.parametrize("run", [run_ez_item, run_corpus_item])
+def test_a_certified_sample_holds_rows_and_row_sums_only(run, key):
+    """Every memo entry of a certified sample is a row built at ``point._row``
+    (a summand, the closed form, u, v, the powers of q or the heads) or the
+    ``Summands`` of a row n."""
+    assert {r.status for r in run(key, None, 1, 1729)} == {PASS}
+    assert sample_value.values
+    assert {entry[0] for entry in sample_value.values} <= {point._row, Summands}, key
 
 
 def test_a_config_certificate_is_held_once():

@@ -119,6 +119,23 @@ def test_check_good_identity_exits_zero(tmp_path):
     assert "0 fail" in text
 
 
+def test_a_certificate_whose_closed_form_vanishes_finds_no_sample(tmp_path):
+    # a sum from k = 1 has rhs(0) = 0 at every draw, and the probe of a
+    # certified identity rejects every draw with a zero closed form
+    path = tmp_path / "binomial_r1.tkid"
+    path.write_text(GOOD_CONFIG.replace("my_binomial", "binomial_r1")
+                    .replace("range: 0 .. n", "range: 1 .. n")
+                    .replace("rhs: (1 + x)^n", "rhs: (1 + x)^n - 1"), encoding="utf-8")
+    code, text = run_cli(["check", "--config", str(path), "--format", "json",
+                          "--samples", "3"])
+    assert code == 1
+    results = json.loads(text)["results"]
+    assert [(r["check"], r["status"], r["sample"]) for r in results] == [
+        ("sampling", "fail", sample) for sample in range(3)]
+    assert {r["witness"]["reason"] for r in results} == {
+        "binomial_r1: no admissible sample in 100 tries"}
+
+
 def test_usage_errors_exit_two(tmp_path):
     code, _ = run_cli(["verify", "--suite", "nonsense"])
     assert code == 2

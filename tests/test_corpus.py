@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from telesum.corpus import (CORPUS, _q_powers, _TermRow, draw_admissible, evaluate_identity,
+from telesum.corpus import (CORPUS, _q_power, _TermRow, draw_admissible, evaluate_identity,
                             normalized, q_rising_factorial, rising_factorial)
 from telesum.errors import DivisionByZero, Inadmissible
+from telesum.point import Row
 from telesum.rational import rat_pow
 from telesum.runner import specialization_d_zero_checks
 from telesum.sampling import rng_for, sample_q, sample_rational
@@ -25,7 +26,8 @@ def test_q_rising_factorial_examples():
 
 def powers(q=None):
     """The powers row a ``_TermRow`` reads: q^k, or None without a base q."""
-    return _q_powers({} if q is None else {"q": q})
+    p = {} if q is None else {"q": q}
+    return Row(lambda k: _q_power(k, p))
 
 
 def test_hypergeometric_rising_form():

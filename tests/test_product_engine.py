@@ -9,7 +9,7 @@ integer products instead of one per factor, and the certificate products
 (``corpus._factor_pair``) and ``rational.prod_range_pair`` build none.  A
 certified summand's row, with its very-well-poised head, and its closed
 form, are each one ``_TermRow``, grown by its term ratio over the sample's
-one row of q^k (``corpus._q_powers``); ``old_hypergeometric`` below is the
+one row of q^k (cells ``corpus._q_power``); ``old_hypergeometric`` below is the
 product each of their columns replaced.
 Each test below keeps the loop it replaced, verbatim, and requires the same value, or
 the same exception type and message, at seeded points that include zeros,
@@ -24,11 +24,12 @@ import pytest
 
 from telesum import corpus, sequences
 from telesum.certify import TERMINATION_OVERSHOOT, sample_value, verify_sample
-from telesum.corpus import (CERTIFIED_KEYS, CORPUS, DECLARED, _TermRow, _factor_pair, _q_powers,
+from telesum.corpus import (CERTIFIED_KEYS, CORPUS, DECLARED, _TermRow, _factor_pair, _q_power,
                             draw_admissible, draw_params, evaluate_identity, normalized,
                             q_rising_factorial, rising_factorial)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
+from telesum.point import Row
 from telesum.rational import (ONE, ZERO, as_pair, pair_mul, pair_pow, prod_range_pair, rat_div,
                               rat_pow)
 from telesum.runner import (EZ_DEFAULT_N_MAX, run_corpus_item, run_ez_item,
@@ -320,7 +321,8 @@ def hypergeometric_points(i):
 def powers_row(q):
     """The row of q^k pairs that a ``_TermRow`` and a certificate row read:
     None at every k without a base q."""
-    return _q_powers({} if q is None else {"q": q})
+    p = {} if q is None else {"q": q}
+    return Row(lambda k: _q_power(k, p))
 
 
 def test_linear_factors_matches_the_replaced_loop():
@@ -512,21 +514,14 @@ def test_one_sample_builds_one_closed_form_row(key, monkeypatch):
 
 @pytest.mark.parametrize("key", ["q_dougall", "rogers_6phi5"])
 def test_one_sample_computes_each_well_poised_head_once(key, monkeypatch):
-    heads = corpus._heads
+    head = corpus._head
     computed = Counter()
 
-    def counted(p):
-        row = heads(p)
-        cell = row.cell
+    def counted(k, p):
+        computed[tuple(p.items()), k] += 1
+        return head(k, p)
 
-        def counted_cell(k):
-            computed[tuple(p.items()), k] += 1
-            return cell(k)
-
-        row.cell = counted_cell
-        return row
-
-    monkeypatch.setattr(corpus, "_heads", counted)
+    monkeypatch.setattr(corpus, "_head", counted)
     idef = CORPUS[key]
     p = draw_admissible(idef, rng_for(7, "one head", key), idef.n_max)
     assert {r.status for r in verify_sample(normalized(idef), idef.n_max, p)} == {"pass"}
