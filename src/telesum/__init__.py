@@ -13,7 +13,7 @@ exact rational arithmetic; every check is exact equality.
 its first read by the module that defines it (``_DEFERRED``), so a CLI start,
 which imports ``telesum.cli`` through this package, pays only for the
 modules its run reads (see ``runner``).  ``Param`` is defined in ``point``,
-with the parameter draw and the sample memo, and corpus re-exports it.
+with the draw, a ``Point`` that holds its sample's values; corpus re-exports it.
 """
 
 from importlib import import_module

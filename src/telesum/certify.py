@@ -30,9 +30,9 @@ check compares the two rows' running sums times the other row's r.  u and
 v are integer pairs too: a declared certificate's rows hold them, and any
 other row's columns are read through ``as_pair``.  A Fraction is built
 only for a value that a failing record prints.  Every value the checks
-read goes through ``sample_value`` (see ``point.SampleMemo``), as rows of
-one kind: the summands t(n, .), u(n, .) and v(n, .) are one row per n,
-and the closed form is one row per sample, read at column n.
+read is held by the sample's ``point.Point``, read through ``sample_value``
+as rows of one kind: the summands t(n, .), u(n, .) and v(n, .) are one row
+per n, and the closed form is one row per sample, read at column n.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Mapping, NamedTuple
+from weakref import ref
 
 from .errors import Inadmissible, NoCertificate
 from .point import Row, SampleMemo, sample_value  # SampleMemo: re-exported
@@ -82,7 +83,7 @@ class NormalizedIdentity:
 
 def by_row(columns: Callable[..., Any]) -> CertFn:
     """fn(*lead, k, params), read through its row: columns(*lead, params)
-    returns that row, indexed by k, and the memo holds it once, unwrapped.
+    returns that row, indexed by k, and the point holds it once, unwrapped.
     A summand's lead is n; a closed form has no lead, so its one row per
     sample is read at column n.  A column held as an integer pair (a
     declared u or v) is returned as a Fraction."""
@@ -129,13 +130,13 @@ class Summands:
             self.t, self.closed, self.rhs = sample_value.row(F.term, n, params), F.rhs, None
         else:
             self.t, self.rhs = sample_value.row(F, n, params), (1, 1)
-        self.n, self.params = n, params
+        self.n, self.point = n, ref(params)  # weakly, as the point holds this
         self.sums: list[tuple[int, int]] = []
 
     def value(self, k: int) -> Fraction:
         t = self.t[k]
         if self.rhs is None:
-            r = sample_value.row(self.closed, self.params)[self.n]
+            r = sample_value.row(self.closed, self.point())[self.n]
             if r == 0:
                 raise zero_divisor(t)
             self.rhs = r.numerator, r.denominator

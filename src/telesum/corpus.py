@@ -41,17 +41,16 @@ Conventions:
     stays in the rational field.
   * Coupled parameters (e.g. the argument a^2 q^(n+1)/bcd) are computed on
     the fly from the free ones, never sampled independently.  Every declared
-    parameter is drawn by ``draw_params``.  ``Param`` and ``draw_params``
-    live in ``point`` and are re-exported here.
+    parameter is drawn by ``draw_params``, as a ``Point``; both live in
+    ``point``, with ``Param``, and are re-exported here.
 
-Summands, closed forms and certificate values are read through
-``point.sample_value`` (see ``point.SampleMemo``): a certified
-summand's row n and its closed-form row are each one ``_TermRow``, one memo
-entry, and rhs(n) is column n of the closed-form row.  Each row n of u
-and v is one ``Row`` of integer pairs.  The four sums without a
-certificate have summands free of n: each column is one cell(k), held in
-one row per sample that is every row n (``_n_free``); each closed form is
-one row per sample too, built by ``SampleMemo.row``.
+Summands, closed forms and certificate values are held by the drawn point,
+read through ``point.sample_value``: a certified summand's row n and its
+closed-form row are each one ``_TermRow``, and rhs(n) is column n of the
+closed-form row.  Each row n of u and v is one ``Row`` of integer pairs.
+The four sums without a certificate have summands free of n: each column
+is one cell(k), held in one row per sample that is every row n
+(``_n_free``); each closed form is one row per sample too.
 Ramanujan's Entry 25 is the lemma at u_j = a_j, v_j = x + a_j: its cells
 and closed form read the lemma's running products, one row per sample
 (``_entry25_products``).  The other cells are x^k, (k)_m and 1/(k)_(m+1).
@@ -67,7 +66,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .certify import (TERMINATION_OVERSHOOT, CertFn, Certificate, NormalizedIdentity,
                       Quotient, by_row)
 from .errors import Inadmissible
-from .point import Param, Row, draw_params, sample_value
+from .point import Param, Point, Row, draw_params, sample_value
 from .rational import (ONE, ZERO, IntPair, as_pair, pair_div, pair_mul, pair_pow, rat_div, rat_pow,
                        zero_divisor)
 from .sampling import RETRY_BOUND, retry
@@ -154,7 +153,7 @@ class _TermRow:
     """The columns t(m) = prod_x (x)_m / prod_y (y)_m * z^m, m = 0, 1, ...,
     of one term over x in upper and y in lower, where (x)_m is the q-shifted
     factorial (x; q)_m when the sample's powers row (of ``_q_power``) holds q^m,
-    read as row[m] (a summand's row in the sample memo) or row(m).  They are
+    read as row[m] (a summand's row in the point's table) or row(m).  They are
     grown on demand by the term ratio
 
         t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
@@ -251,8 +250,7 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
     Covers the summand over the summation range (plus TERMINATION_OVERSHOOT
     columns for terminating sums), the right side up to n_max + 1, and, when a
     certificate is present: F's normalization (rhs != 0), w(n, 0) != 0, and
-    v(n, k) != 0 for 1 <= k <= n + 1.  The probed values stay in the sample
-    memo, where the checks of an accepted sample find them.
+    v(n, k) != 0 for 1 <= k <= n + 1.  The probed values stay in the point.
     """
     overshoot = TERMINATION_OVERSHOOT if idef.terminating else 0
     try:
@@ -281,8 +279,8 @@ def admissible(idef: IdentityDef, n_max: int, params: Params) -> bool:
         return False
 
 
-def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> dict[str, object]:
-    def attempt() -> dict[str, object] | None:
+def draw_admissible(idef: IdentityDef, rng: random.Random, n_max: int) -> Point:
+    def attempt() -> Point | None:
         params = draw_params(idef.params, rng, n_max + 2)
         return params if admissible(idef, n_max, params) else None
 
@@ -328,13 +326,13 @@ class Declaration(NamedTuple):
         """The IdentityDef that reads this declaration.
 
         Each row n of the summand, the closed-form row, the heads, the
-        powers of q and each row n of u and v are one entry of the sample
-        memo, built by ``SampleMemo.row``: a summand or closed-form row is a
+        powers of q and each row n of u and v are one entry of the point's
+        table, built by ``SampleMemo.row``: a summand or closed-form row is a
         ``_TermRow``, and the others are ``Row``s of integer pairs
-        (num, den).  term, rhs, u and v are ``by_row`` functions: rhs(n)
+        (num, den), of the cells ``_q_power`` and ``_head`` for the powers
+        and the heads.  term, rhs, u and v are ``by_row`` functions: rhs(n)
         reads column n of the one closed-form row, and a direct call of u or
-        v returns its pair as a Fraction.  The powers of q and the heads are
-        rows of the cells ``_q_power`` and ``_head``.
+        v returns its pair as a Fraction.
         """
 
         def columns(n: int, p: Params) -> _TermRow:

@@ -29,10 +29,9 @@ every suite raises.  Three more rules:
     require read n.  A non-leaf subterm that reads no prod binder, and
     fewer of them than its section or the nearest hoisted subterm around
     it, is computed once per sample and value of the indices it reads
-    (Aho, Lam, Sethi & Ullman, Compilers, 9.5).  Its values are held
-    through ``certify.sample_value``, so the next parameter point drops
-    them; one that raises stores nothing and raises again, with the same
-    text, wherever it is read.
+    (Aho, Lam, Sethi & Ullman, Compilers, 9.5).  Its values are held by the
+    sample's point and freed with it; one that raises stores nothing and
+    raises again, with the same text, wherever it is read.
   * ``MAX_BITS``.  ^, rf, qrf, binom and prod raise ResourceLimit, before
     they compute, when a bound on their result's bit length exceeds
     MAX_BITS.  + - * / add at most their operands' bits, so a value has at
@@ -736,7 +735,7 @@ def _evaluate_in(section: str, code: Code, env: Mapping[str, Fraction], memo: di
 
 
 def _sample_memo(_params: Mapping[str, object]) -> dict:
-    """The hoisted values of one parameter point, an entry of sample_value."""
+    """The hoisted values of one parameter point, an entry of its table."""
     return {}
 
 
@@ -746,9 +745,8 @@ _N, _NK = frozenset("n"), frozenset("nk")
 def config_to_identity(config: IdentityConfig) -> IdentityDef:
     """An IdentityDef backed by config expressions, usable by every verifier.
 
-    Each section is compiled once, here; its hoisted values are held per
-    parameter point through certify.sample_value, so the next point drops
-    them."""
+    Each section is compiled once, here; its hoisted values are held by
+    each parameter point, through certify.sample_value."""
 
     def at_nk(section: str, expr: Expr) -> Callable[[int, int, Mapping[str, object]], Fraction]:
         """One section's expression as a function of (n, k, params), read

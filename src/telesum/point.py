@@ -1,22 +1,19 @@
-"""One parameter point: declared parameters, their draw, and the sample memo.
+"""One parameter point: declared parameters, their draw, and its values.
 
 A sum or family declares its parameters as ``Param`` records, and
-``draw_params`` draws one point of them.  ``sample_value`` (a
-``SampleMemo``) holds the values of pure functions at that point, so each
-is computed once per sample; summands, closed forms, F, u and v are held
-as rows of one kind (``SampleMemo.row``).  Corpus and certify re-export
-these names; sequences reads them here, so a sequences start runs neither
-of them.
+``draw_params`` draws one ``Point`` of them, which holds the values of pure
+functions at it as rows of one kind (``sample_value``, a ``SampleMemo``),
+each computed once per sample and freed with the point.  Corpus and certify
+re-export these names; sequences reads them here, so its start runs neither.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
+from weakref import ref
 
 from .sampling import sample_q, sample_rational, sample_sequence
-
-Params = Mapping[str, object]
 
 
 class Param(NamedTuple):
@@ -25,10 +22,24 @@ class Param(NamedTuple):
     int_range: tuple[int, int] = (0, 5)
 
 
-def draw_params(params: Sequence[Param], rng: random.Random, length: int) -> dict[str, object]:
+class Point(dict):
+    """A parameter point, {name: value}, with its own table ``rows`` of the
+    values fn(*lead, point) by (fn, *lead) (see ``SampleMemo``), so a
+    sample's values live as long as its point.  A point is not edited after
+    it is drawn.  Its rows (``_row``, ``certify.Summands``) refer back to it
+    only weakly, so no cycle keeps a point for the cyclic collector."""
+
+    __slots__ = ("rows", "__weakref__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.rows: dict[tuple, object] = {}
+
+
+def draw_params(params: Sequence[Param], rng: random.Random, length: int) -> Point:
     """One draw for each declared parameter, in order; length is the length
     of a sequence parameter."""
-    drawn: dict[str, object] = {}
+    drawn = Point()
     for p in params:
         if p.kind == "q":
             drawn[p.name] = sample_q(rng)
@@ -61,51 +72,43 @@ class Row(dict):
 class SampleMemo:
     """Values f(*args, params) of pure functions at one parameter point.
 
-    Every value is computed once per sample.  Summands, closed forms, F and
-    the certificate's u and v are read through ``sample_value``, which
-    ``corpus.admissible`` fills while it probes the sample; the checks then
-    reuse the probe's values, and each other's, instead of evaluating them
-    again.  They read them as rows, of one kind: ``row(fn, *lead, params)``
-    is the columns fn(*lead, k, params), k = 0, 1, ..., held as one entry.
-    A summand's row n (or F's) is ``row(term, n, params)``, and a closed
-    form is one row keyed by the point alone, ``row(rhs, params)``, read
-    at column n.  For a function made by ``certify.by_row``,
-    fn.columns(*lead, params) returns the row itself, which is stored as
-    it is: a ``Row`` (of integer pairs (num, den) for a declared u or v),
-    a certified summand's or closed form's ``corpus._TermRow``, or one row
-    that every n shares.  So each value is held by one row, never copied.
-    Any other function gets a ``Row`` that calls it once per column, as a
-    sample's q^k and heads do (cells ``corpus._q_power``, ``corpus._head``).
-    Every row is built at ``_row``.  Rows fill only the columns asked for,
-    so every check evaluates the same values, and raises at the same
-    (n, k) with the same text, as one that reads point by point.
+    Every value is computed once per sample and held in its point's table
+    (``Point.rows``): ``corpus.admissible`` fills it while it probes, and
+    the checks reuse the probe's values, and each other's.  They read rows,
+    of one kind: ``row(fn, *lead, params)`` is the columns fn(*lead, k,
+    params), k = 0, 1, ..., held as one entry and filled only as asked, so a
+    check evaluates, and raises at, the same (n, k) with the same text as
+    one that reads point by point.  A summand's row n (or F's) is
+    ``row(term, n, params)``; a closed form is one row per point,
+    ``row(rhs, params)``, read at column n.  A ``certify.by_row`` function's
+    fn.columns(*lead, params) is the row itself, stored as it is: a ``Row``
+    (of integer pairs for a declared u or v), a ``corpus._TermRow``, or one
+    row that every n shares; so each value is held by one row, never copied.
+    Any other function gets a ``Row`` that calls it once per column, as q^k
+    and the heads do (cells ``corpus._q_power``, ``corpus._head``).  Every
+    row is built at ``_row``.
 
-    A value is computed at its first request and served from the memo after
-    that.  The key is the function object and its leading arguments, never
-    an identity's name, so two different functions (a certificate and its
-    mutation, a summand and a skewed F) never share values.  Only the current
-    point's values are held: a request at other parameter values drops them.
-    An evaluation that raises stores nothing, so it raises again, with the
-    same message, at every call that asks for it.
+    The key is the function object and its leading arguments, never an
+    identity's name, so two different functions (a certificate and its
+    mutation, a summand and a skewed F) never share values.  A mapping that
+    is not a ``Point`` shares the table of ``plain``, one Point equal to it.
+    An evaluation that raises stores nothing, so it raises again, with the same text.
     """
 
     def __init__(self) -> None:
-        self.point: tuple | None = None
-        self.values: dict[tuple, object] = {}
+        self.plain = Point()
 
     def __call__(self, fn: Callable[..., Any], *args) -> Any:
-        point = tuple(args[-1].items())
-        if point != self.point:
-            self.point, self.values = point, {}
-        values = self.values
-        key = (fn, *args[:-1])
-        if key not in values:
-            values[key] = fn(*args)
-        return values[key]
+        if type(args[-1]) is not Point:  # a plain mapping: its equal Point's table
+            self.plain = self.plain if args[-1] == self.plain else Point(args[-1])
+            args = (*args[:-1], self.plain)
+        rows, key = args[-1].rows, (fn, *args[:-1])
+        if key not in rows:
+            rows[key] = fn(*args)
+        return rows[key]
 
     def row(self, fn: Callable[..., Any], *args) -> Row:
-        """fn(*lead, k, params) for k = 0, 1, ... as one entry, for args =
-        (*lead, params)."""
+        """fn(*lead, k, params), k = 0, 1, ..., as one entry; args = (*lead, params)."""
         return self(_row, fn, *args)
 
 
@@ -113,11 +116,10 @@ def _row(fn: Callable[..., Any], *args) -> Row:
     columns = getattr(fn, "columns", None)
     if columns:
         return columns(*args)
-    *lead, params = args
-    return Row(lambda k: fn(*lead, k, params))
+    lead, at = args[:-1], ref(args[-1])  # weakly, as the point holds this row
+    return Row(lambda k: fn(*lead, k, at()))
 
 
-#: The memo every evaluation of a summand, closed form, F, u or v goes through.
-#: It is one per process because term, rhs, F, u and v keep their
-#: (..., params) signatures; keying by function and point keeps callers apart.
+#: The one memo every summand, closed form, F, u and v goes through, as they
+#: keep their (..., params) signatures; each point holds its own values.
 sample_value = SampleMemo()

@@ -17,7 +17,7 @@ it, and this module looks their names up on them when it calls, so a run
 compiles and executes only the modules it reads.  ``verify --suite
 elementary`` runs elementary alone, ``--suite genhyp`` genhyp (and
 telescope), ``--suite sequences`` sequences (and ``point``, which holds
-the parameter draw and the sample memo), ``--suite ez`` and ``--suite
+the parameter draw and its values), ``--suite ez`` and ``--suite
 corpus`` corpus and certify (and point and telescope), ``list`` and
 ``--suite all`` all five.  Each module compiles from source on a start
 that writes no bytecode (``PYTHONDONTWRITEBYTECODE``), so a module not
@@ -69,7 +69,7 @@ def _deferred(name: str) -> ModuleType:
 
 
 if TYPE_CHECKING:
-    from .corpus import IdentityDef, Param
+    from .corpus import IdentityDef, Param, Point
 
 corpus_mod = _deferred("corpus")
 certify_mod = _deferred("certify")
@@ -100,7 +100,7 @@ def __getattr__(name: str):
 
 # corpus's functions, looked up on each call: this module calls them by these
 # names, which a caller can patch
-def draw_params(params: tuple[Param, ...], rng, length: int) -> dict:
+def draw_params(params: tuple[Param, ...], rng, length: int) -> Point:
     return corpus_mod.draw_params(params, rng, length)
 
 
@@ -160,7 +160,7 @@ def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
     1 * M = -W,  T_1 * M = U,  RHS(1) * M = V.
     """
     idef = corpus_mod.CORPUS["q_dougall"]
-    sub = {"a": rat_div(a, q), "b": b, "c": c, "d": d, "q": q}
+    sub = corpus_mod.Point(a=rat_div(a, q), b=b, c=c, d=d, q=q)
     t1 = idef.term(1, 1, sub)
     rhs1 = idef.rhs(1, sub)
     row_total = idef.term(1, 0, sub) + t1
@@ -183,16 +183,16 @@ def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
     def draw(rng):
         def attempt():
             point = draw_params(_specialization_params(), rng, 0)
-            q = point.pop("q")
-            return q, point, specialization_d_zero_checks(q, **point)
+            q, abcd = point["q"], {name: point[name] for name in "abcd"}
+            return q, abcd, specialization_d_zero_checks(q, **abcd)
 
         return retry(attempt, "no admissible sample")
 
     def checks(drawn, sample):
-        q, point, results = drawn
+        q, abcd, results = drawn
         bad = ",".join(name for name, ok in results.items() if not ok)
         return [outcome("corpus", SPECIALIZATION_KEY, "specialization", SPECIALIZATION_CITATION,
-                        not bad, point, sample=sample, q=q, failed=bad)]
+                        not bad, abcd, sample=sample, q=q, failed=bad)]
 
     return sweep("corpus", SPECIALIZATION_KEY, SPECIALIZATION_CITATION, seed, samples, draw,
                  checks)

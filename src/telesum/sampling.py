@@ -83,8 +83,8 @@ def sweep(suite: str, identity: str, citation: str, seed: int, samples: int,
 
     Sample i draws from rng_for(seed, stream, identity, i), the stream
     defaulting to the suite; an item that is not parametric has the one
-    sample None.  A draw that raises SampleExhausted is recorded as a
-    failed "sampling" check with the exhaustion's reason.
+    sample None, and each draw is dropped before the next.  A draw that
+    raises SampleExhausted is a failed "sampling" check with its reason.
     """
     records: list[CheckRecord] = []
     for i in range(samples if parametric else 1):
@@ -96,4 +96,5 @@ def sweep(suite: str, identity: str, citation: str, seed: int, samples: int,
                                    sample=sample, reason=str(exc)))
             continue
         records.extend(checks(drawn, sample))
+        del drawn
     return records

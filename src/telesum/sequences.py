@@ -21,8 +21,8 @@ each identity at every n <= n_max; a pass shows exact equality at those
 points, not a proof for all parameter values.
 
 The families are evaluated on ``rational.Pair``, an unreduced integer pair
-that takes no gcd.  ``family_sides`` reads a draw's parameters once, as the
-draw's one ``point.sample_value`` entry: each rational parameter a Pair
+that takes no gcd.  ``family_sides`` reads a draw's parameters once, as one
+entry of the drawn ``point.Point``'s table: each rational parameter a Pair
 that keeps its powers p^e and the prefix rows of the running products over
 it ((a; q)_m with base q, the q-Pell halving product), so each is computed
 once per draw.  The recurrence reduces each x_n once (one gcd per x, in
@@ -255,7 +255,7 @@ class _Param(Pair):
 
 
 def _exact_params(params: Params) -> dict[str, object]:
-    """params with each rational a ``_Param``: a draw's one sample_value entry."""
+    """params with each rational a ``_Param``: one entry of the point's table."""
     return {name: _Param(value) if isinstance(value, Fraction) else value
             for name, value in params.items()}
 

@@ -10,6 +10,7 @@ from telesum.certify import (Certificate, NormalizedIdentity, SampleMemo, differ
                              telescope_to_zero_check, verify_sample)
 from telesum.corpus import CERTIFIED_KEYS, CORPUS, draw_admissible, normalized
 from telesum.errors import Inadmissible, NoCertificate
+from telesum.point import Point
 from telesum.report import FAIL, INADMISSIBLE, PASS
 from telesum.runner import run_corpus_item
 from telesum.sampling import rng_for
@@ -175,6 +176,38 @@ def test_sample_memo_keys_by_function_and_point():
     assert memo(double, 4, {"x": F(3)}) == 24  # a new point drops the old values
     assert memo(double, 4, point) == 4
     assert calls["double"] == 3
+    # a drawn Point holds its own values, keyed (fn, *lead): two points hold
+    # theirs at once, and neither drops the plain mapping's
+    a, b = Point(x=F(1, 2)), Point(x=F(3))
+    assert memo(double, 4, a) == 4 and memo(double, 4, b) == 24
+    assert memo(double, 4, a) == 4 and memo(triple, 4, a) == 6
+    assert calls == {"double": 5, "triple": 2, "pole": 2}
+    assert a.rows == {(double, 4): 4, (triple, 4): 6} and b.rows == {(double, 4): 24}
+    assert memo(double, 4, Point(a)) == 4  # an equal point owns another table
+    assert calls["double"] == 6
+    assert memo(double, 4, dict(point)) == 4
+    assert calls["double"] == 6
+    for _ in range(2):
+        with pytest.raises(Inadmissible, match="pole at n=4"):
+            memo(pole, 4, a)
+    assert calls["pole"] == 4 and (pole, 4) not in a.rows
+
+
+def test_two_points_hold_their_values_at_once():
+    """Checking point A, then B, then A again evaluates no summand of A
+    twice: each point holds its own values while it lives."""
+    base = CORPUS["q_chu_vandermonde"]
+    calls = Counter()
+    idef = dataclasses.replace(base, term=_counting(base.term, calls, "term"))
+    idn, n_max = normalized(idef), 4
+    rng = rng_for(36, "two points")
+    a, b = draw_admissible(idef, rng, n_max), draw_admissible(idef, rng, n_max)
+    assert a != b
+    for params in (a, b, a):
+        assert all_pass(verify_sample(idn, n_max, params))
+    at_a = [count for key, count in calls.items() if key[1] == tuple(a.items())]
+    assert len(at_a) == sum(n + 4 for n in range(n_max + 2))  # the probe's k <= n + 3
+    assert set(at_a) == {1}
 
 
 def _counting(fn, calls, name):

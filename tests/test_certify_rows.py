@@ -543,14 +543,14 @@ def test_a_passing_sample_builds_no_fraction(key, monkeypatch):
 
 
 @pytest.mark.parametrize("key", ["binomial", "geometric"])
-def test_each_summand_value_is_held_by_one_row(key):
+def test_each_summand_value_is_held_by_one_row(key, drawn_points):
     """A summand row is one memo entry, not a copy of another row: after a
     corpus sample, each summand value read is held by exactly one row (an
     n-free summand's rows n are all one shared row)."""
     idef = CORPUS[key]
     assert {r.status for r in run_corpus_item(key, None, 1, 1729)} == {PASS}
-    params = dict(sample_value.point)
-    rows = {id(value): value for value in sample_value.values.values()
+    params = drawn_points[-1]
+    rows = {id(value): value for value in params.rows.values()
             if isinstance(value, (Row, _TermRow))}
     holders = Counter()
     for row in rows.values():
@@ -566,29 +566,30 @@ def test_each_summand_value_is_held_by_one_row(key):
 
 
 @pytest.mark.parametrize("key", CERTIFIED_KEYS)
-def test_a_closed_form_is_one_memo_entry_per_sample(key):
+def test_a_closed_form_is_one_memo_entry_per_sample(key, drawn_points):
     """A certified sum's closed form is one row per sample, its _TermRow,
     read at column n: no second entry per n holds rhs(n)."""
     idef = CORPUS[key]
     assert {r.status for r in run_ez_item(key, None, 1, 1729)} == {PASS}
-    held = [value for k, value in sample_value.values.items() if idef.rhs in k]
+    params = drawn_points[-1]
+    held = [value for k, value in params.rows.items() if idef.rhs in k]
     assert len(held) == 1 and type(held[0]) is _TermRow, key
-    params = dict(sample_value.point)
     assert [held[0][n] for n in range(4)] == [idef.rhs(n, params) for n in range(4)]
 
 
 @pytest.mark.parametrize("key", CERTIFIED_KEYS)
 @pytest.mark.parametrize("run", [run_ez_item, run_corpus_item])
-def test_a_certified_sample_holds_rows_and_row_sums_only(run, key):
+def test_a_certified_sample_holds_rows_and_row_sums_only(run, key, drawn_points):
     """Every memo entry of a certified sample is a row built at ``point._row``
     (a summand, the closed form, u, v, the powers of q or the heads) or the
     ``Summands`` of a row n."""
     assert {r.status for r in run(key, None, 1, 1729)} == {PASS}
-    assert sample_value.values
-    assert {entry[0] for entry in sample_value.values} <= {point._row, Summands}, key
+    rows = drawn_points[-1].rows
+    assert rows
+    assert {entry[0] for entry in rows} <= {point._row, Summands}, key
 
 
-def test_a_config_certificate_is_held_once():
+def test_a_config_certificate_is_held_once(drawn_points):
     """A config's u and v are one row per n each, holding the Fractions that
     ``evaluate`` builds, which the checks read as integer pairs: no second
     row holds the same values as pairs."""
@@ -596,7 +597,7 @@ def test_a_config_certificate_is_held_once():
         idef = load_identity_config(path)
         assert run_config_identity(idef, samples=1).ok
         cert = idef.certificate
-        held = [value for key, value in sample_value.values.items()
+        held = [value for key, value in drawn_points[-1].rows.items()
                 if cert.u in key or cert.v in key]
         assert len(held) == 2 * (idef.n_max + 1), path.stem
         for row in held:

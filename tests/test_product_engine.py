@@ -29,7 +29,7 @@ from telesum.corpus import (CERTIFIED_KEYS, CORPUS, DECLARED, _TermRow, _factor_
                             q_rising_factorial, rising_factorial)
 from telesum.errors import DivisionByZero
 from telesum.exprlang import evaluate, parse
-from telesum.point import Row
+from telesum.point import Point, Row
 from telesum.rational import (ONE, ZERO, as_pair, pair_mul, pair_pow, prod_range_pair, rat_div,
                               rat_pow)
 from telesum.runner import (EZ_DEFAULT_N_MAX, run_corpus_item, run_ez_item,
@@ -537,12 +537,12 @@ Q_SUMS = [key for key in CERTIFIED_KEYS if any(x.kind == "q" for x in CORPUS[key
 
 
 @pytest.mark.parametrize("key", Q_SUMS)
-def test_one_sample_computes_each_q_power_once(key, monkeypatch):
+def test_one_sample_computes_each_q_power_once(key, monkeypatch, drawn_points):
     """Term ratios, closed form, u, v and the head read q^k from one row."""
     computed = Counter()
 
-    def counted(pair, e):
-        computed[sample_value.point, pair, e] += 1
+    def counted(pair, e):  # keyed by the draw being probed or checked
+        computed[len(drawn_points), pair, e] += 1
         return pair_pow(pair, e)
 
     monkeypatch.setattr(corpus, "pair_pow", counted)
@@ -552,10 +552,10 @@ def test_one_sample_computes_each_q_power_once(key, monkeypatch):
 
 
 @pytest.mark.parametrize("key", CERTIFIED_KEYS)
-def test_every_certified_summand_row_is_a_term_row(key):
+def test_every_certified_summand_row_is_a_term_row(key, drawn_points):
     idef = CORPUS[key]
     assert {r.status for r in run_ez_item(key, None, 1, 1729)} == {"pass"}
-    rows = [value for key, value in sample_value.values.items() if idef.term in key]
+    rows = [value for key, value in drawn_points[-1].rows.items() if idef.term in key]
     assert len(rows) == EZ_DEFAULT_N_MAX + 2  # rows 0..n_max + 1, probed
     assert {type(row) for row in rows} == {_TermRow}
 
@@ -582,10 +582,10 @@ def held_fractions(root):
     return found
 
 
-def test_a_q_dougall_row_holds_one_fraction_per_column():
+def test_a_q_dougall_row_holds_one_fraction_per_column(drawn_points):
     idef, declared = CORPUS["q_dougall"], DECLARED["q_dougall"]
     assert {r.status for r in run_corpus_item("q_dougall", None, 1, 1729)} == {"pass"}
-    p = dict(sample_value.point)
+    p = drawn_points[-1]
     for n in range(idef.n_max + 1):
         upper, lower, z = declared.summand(n, **p)
         row = sample_value.row(idef.term, n, p)
@@ -595,7 +595,7 @@ def test_a_q_dougall_row_holds_one_fraction_per_column():
 
 def test_a_pole_column_raises_anew_with_its_own_text():
     idef = CORPUS["chu_vandermonde"]
-    p = {"a": Fraction(1, 2), "b": Fraction(-2)}  # (b)_k = 0 from k = 3 on
+    p = Point(a=Fraction(1, 2), b=Fraction(-2))  # (b)_k = 0 from k = 3 on
     n = 5
     texts = []
     for k in range(3, n + TERMINATION_OVERSHOOT + 1):
@@ -609,7 +609,7 @@ def test_a_pole_column_raises_anew_with_its_own_text():
         texts.append(str(raised[0]))
     assert len(set(texts[:n - 2])) == n - 2  # columns 3..n: nonzero upper products
     assert set(texts[n - 2:]) == {"division of 0 by zero"}  # (-n)_k = 0 for k > n
-    stored = list(sample_value.values.values())
+    stored = list(p.rows.values())
     assert any(isinstance(v, _TermRow) for v in stored)
     for value in stored:
         assert not isinstance(value, BaseException)
