@@ -27,8 +27,8 @@ closed form (``Summands``), so the row sum is sum_k t(n, k) = r(n), the
 difference check compares t(n+1, k) r(n) - t(n, k) r(n+1) with its k = 0
 value times T(n, k), T being the kernel's integer pair, and the telescope
 check compares the two rows' running sums times the other row's r.  u and
-v are integer pairs too: a declared certificate's rows hold them, and any
-other row's columns are read through ``as_pair``.  A Fraction is built
+v are read through ``as_pairs``, which passes the integer pairs a declared
+certificate's rows hold as they are.  A Fraction is built
 only for a value that a failing record prints.  Every value the checks
 read is held by the sample's ``point.Point``, read through ``sample_value``
 as rows of one kind: the summands t(n, .), u(n, .) and v(n, .) are one row
@@ -43,8 +43,8 @@ from typing import Any, Callable, Mapping, NamedTuple
 from weakref import ref
 
 from .errors import Inadmissible, NoCertificate
-from .point import Row, SampleMemo, sample_value  # SampleMemo: re-exported
-from .rational import PairFn, as_pair, as_pairs, pair_lcm_add, rat_div, zero_divisor
+from .point import Row, SampleMemo, sample_value  # Row, SampleMemo: re-exported
+from .rational import as_pair, as_pairs, pair_lcm_add, rat_div, zero_divisor
 from .report import INADMISSIBLE, CheckRecord, outcome, record
 from .telescope import telescoping_pairs
 
@@ -150,19 +150,13 @@ class Summands:
         return sums[m]
 
 
-def _pairs(row: Row) -> PairFn:
-    """A u or v row's columns as integer pairs: a row of pairs as it is,
-    any other through ``as_pair``.  Reads column 0."""
-    return row.__getitem__ if type(row[0]) is tuple else as_pairs(row.__getitem__)
-
-
 def telescoping_row(cert: Certificate, n: int, params: Params,
                     k_max: int) -> list[tuple[int, int]]:
     """T(n, k) for k = 0..k_max as integer pairs: the kernel's telescoping
     summands over u(n, .) and v(n, .); a zero w(n, 0) or v(n, k) raises
     DivisionByZero."""
     u, v = sample_value.row(cert.u, n, params), sample_value.row(cert.v, n, params)
-    return list(telescoping_pairs(_pairs(u), _pairs(v), k_max))
+    return list(telescoping_pairs(as_pairs(u.__getitem__), as_pairs(v.__getitem__), k_max))
 
 
 def difference_check(idn: NormalizedIdentity, n: int, params: Params,

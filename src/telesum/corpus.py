@@ -153,7 +153,7 @@ class _TermRow:
     """The columns t(m) = prod_x (x)_m / prod_y (y)_m * z^m, m = 0, 1, ...,
     of one term over x in upper and y in lower, where (x)_m is the q-shifted
     factorial (x; q)_m when the sample's powers row (of ``_q_power``) holds q^m,
-    read as row[m] (a summand's row in the point's table) or row(m).  They are
+    read as row[m] (a summand's row in the point's table).  They are
     grown on demand by the term ratio
 
         t(m+1) / t(m) = z * prod_x (x + m) / prod_y (y + m),
@@ -189,8 +189,6 @@ class _TermRow:
         if isinstance(value, tuple):
             raise zero_divisor(Fraction(*value))
         return value
-
-    __call__ = __getitem__
 
     def _extend(self) -> None:
         """Append t(i + 1) = t(i) * ratio(i), times the head at i + 1, for the

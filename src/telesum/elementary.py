@@ -15,14 +15,14 @@ gives two testers:
     ``sampling.retry``, the redraw policy of every suite;
 
   * grid mode proves the identity exactly: it multiplies lhs - rhs by D, the
-    product of the denominator factors, and expands P = D * (lhs - rhs) into
-    a dict {exponent tuple: coefficient}.  D is a product of nonconstant
-    factors (1 - m), hence nonzero, so the identity holds exactly when no
-    coefficient of P is left (the statement behind the Schwartz-Zippel
-    lemma and Alon's Combinatorial Nullstellensatz).  Per-variable degree
-    spans of P size a grid of prime powers, distinct primes per variable,
-    which names the witness: the whole grid for a pass, the first grid
-    point where P is nonzero for a failure.
+    product of the denominator factors, and ``expand`` gives P = D * (lhs -
+    rhs) as a dict {exponent tuple: coefficient}.  D is a product of
+    nonconstant factors (1 - m), hence nonzero, so the identity holds
+    exactly when no coefficient of P is left (the statement behind the
+    Schwartz-Zippel lemma and Alon's Combinatorial Nullstellensatz).  P's
+    per-variable ``degree_spans`` size a grid of prime powers
+    (``grid_shape``), distinct primes per variable, which names the witness:
+    the whole grid for a pass, the first point where P is nonzero for a failure.
 
 Neither tester takes a gcd per operation.  At a point, every monomial and
 every factor (1 - m) is an unreduced integer pair built from the
@@ -31,7 +31,7 @@ pair, over the lcm of the terms' denominators (``rational.pair_lcm_add``),
 and reduced once, to one Fraction per point.  The expansion runs over
 int: a factor (1 - r/s * x^f) multiplies in as s * poly - r * shift(poly),
 each term is scaled to one common denominator L, and P's coefficients are
-Fraction(c, L).
+Fraction(c, L), so a grid that passes builds no Fraction.
 """
 
 from __future__ import annotations
@@ -312,17 +312,16 @@ def _cleared_terms(ident: ElementaryIdentity) -> list[tuple[Mono, tuple[Mono, ..
     return [(t.coeff, t.num + tuple((cleared - Counter(t.den)).elements())) for t in terms]
 
 
-def _expand(cleared: list[tuple[Mono, tuple[Mono, ...]]]
-            ) -> tuple[dict[tuple[int, ...], int], int]:
-    """L * P over int as {exponent tuple: coefficient}, zero coefficients
-    dropped, and the common denominator L.
+def expand(ident: ElementaryIdentity) -> dict[tuple[int, ...], Fraction]:
+    """P = D * (lhs - rhs) as {exponent tuple: coefficient}, zero
+    coefficients dropped; exponents may be negative (a Laurent polynomial).
 
     A term c/b * x^e * prod (1 - r/s * x^f) is 1/(b * prod s) times the
-    integer polynomial c * x^e * prod (s - r * x^f); L is the lcm of the
-    terms' denominators b * prod s, and each term is scaled to it.
+    integer polynomial c * x^e * prod (s - r * x^f), scaled to L, the lcm of
+    the terms' denominators b * prod s; only a coefficient c left is a Fraction(c, L).
     """
     terms = []
-    for coeff, factors in cleared:
+    for coeff, factors in _cleared_terms(ident):
         poly = {coeff.exps: coeff.coeff.numerator}
         den = coeff.coeff.denominator
         for m in factors:
@@ -341,28 +340,7 @@ def _expand(cleared: list[tuple[Mono, tuple[Mono, ...]]]
         scale = common // den
         for exps, c in poly.items():
             total[exps] = total.get(exps, 0) + scale * c
-    return {exps: c for exps, c in total.items() if c}, common
-
-
-def expand(ident: ElementaryIdentity) -> dict[tuple[int, ...], Fraction]:
-    """P = D * (lhs - rhs) as {exponent tuple: coefficient}, zero
-    coefficients dropped; exponents may be negative (a Laurent polynomial)."""
-    poly, common = _expand(_cleared_terms(ident))
-    return {exps: Fraction(c, common) for exps, c in poly.items()}
-
-
-def _degree_spans(cleared: list[tuple[Mono, tuple[Mono, ...]]], nv: int) -> tuple[int, ...]:
-    lo = [0] * nv
-    hi = [0] * nv
-    for coeff, factors in cleared:
-        for i in range(nv):
-            t_lo = t_hi = coeff.exps[i]
-            for m in factors:
-                t_lo += min(0, m.exps[i])
-                t_hi += max(0, m.exps[i])
-            lo[i] = min(lo[i], t_lo)
-            hi[i] = max(hi[i], t_hi)
-    return tuple(h - l for l, h in zip(lo, hi))
+    return {exps: Fraction(c, common) for exps, c in total.items() if c}
 
 
 def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
@@ -373,7 +351,18 @@ def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
     result bounds the true degree, so a nonzero P has a nonzero value on
     any grid with more than span_i points in variable i.
     """
-    return _degree_spans(_cleared_terms(ident), len(ident.vars))
+    nv = len(ident.vars)
+    lo = [0] * nv
+    hi = [0] * nv
+    for coeff, factors in _cleared_terms(ident):
+        for i in range(nv):
+            t_lo = t_hi = coeff.exps[i]
+            for m in factors:
+                t_lo += min(0, m.exps[i])
+                t_hi += max(0, m.exps[i])
+            lo[i] = min(lo[i], t_lo)
+            hi[i] = max(hi[i], t_hi)
+    return tuple(h - l for l, h in zip(lo, hi))
 
 
 def grid_shape(ident: ElementaryIdentity) -> tuple[int, ...]:
@@ -384,32 +373,33 @@ def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
     """Exact certification by expansion.
 
     D is a nonzero polynomial, so lhs = rhs as rational functions exactly
-    when P = D * (lhs - rhs) expands to no nonzero coefficient; any Fraction
-    coefficients are allowed.  A pass is witnessed by the prime-power grid
-    p_i^1 .. p_i^(span_i + 2), distinct primes per variable, on which P then
-    vanishes.  A nonzero P is witnessed by the first grid point, in the
-    grid's level order, at which it is nonzero; the grid has more points in
-    each variable than P's degree span, so there is one.
+    when ``expand`` leaves P = D * (lhs - rhs) no coefficient.  A pass is
+    witnessed by the prime-power grid p_i^1 .. p_i^(span_i + 2) of
+    ``grid_shape``, distinct primes per variable, on which P then vanishes.
+    A nonzero P is witnessed by the first grid point, in the grid's level
+    order, at which it is nonzero (its value an integer pair over the
+    coefficients' parts); the grid has more points in each variable than
+    P's degree span, so there is one.
     """
     terms = ident.check_terms()
     nv = len(ident.vars)
-    cleared = _cleared_terms(ident)
-    spans = _degree_spans(cleared, nv)
+    sizes = grid_shape(ident)
     # widest span gets the smallest prime; variables in the most factors vary slowest
-    by_span = sorted(range(nv), key=lambda i: -spans[i])
+    by_span = sorted(range(nv), key=lambda i: -sizes[i])
     prime_of = {var: prime for prime, var in zip(_PRIMES, by_span)}
     touch_count = [sum(1 for t in terms for m in (t.coeff,) + t.num + t.den if m.exps[i] != 0)
                    for i in range(nv)]
     order = sorted(range(nv), key=lambda i: -touch_count[i])
-    shape = "x".join(str(spans[i] + 2) for i in order)
-    poly, _ = _expand(cleared)  # L * P, zero where P is
+    shape = "x".join(str(sizes[i]) for i in order)
+    poly = expand(ident)
     if not poly:
         return [record("elementary", ident.key, "grid_zero", ident.citation, PASS, grid=shape)]
-    grids = [[prime_of[i] ** (j + 1) for j in range(spans[i] + 2)] for i in order]
+    parts = [(c.numerator, c.denominator, exps) for exps, c in poly.items()]
+    grids = [[prime_of[i] ** (j + 1) for j in range(sizes[i])] for i in order]
     ones = [1] * nv
     for values in product(*grids):
         nums = [v for _, v in sorted(zip(order, values))]
-        if reduce(pair_lcm_add, (_scaled(c, 1, exps, nums, ones) for exps, c in poly.items()),
+        if reduce(pair_lcm_add, (_scaled(c, b, exps, nums, ones) for c, b, exps in parts),
                   (0, 1))[0]:
             return [outcome("elementary", ident.key, "grid_zero", ident.citation, False,
                             {var: Fraction(v) for var, v in zip(ident.vars, nums)}, grid=shape)]

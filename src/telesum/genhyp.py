@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 from .rational import ZERO, Exact, Pair, as_pairs, rat_div
 from .report import CheckRecord, outcome
-from .sampling import RETRY_BOUND, retry, sample_sequence, sweep
+from .sampling import RETRY_BOUND, require_size, retry, sample_sequence, sweep
 from .telescope import (TelescopeProblem, _horner, _read, telescoping_closed_form,
                         telescoping_pairs)
 
@@ -227,11 +227,8 @@ def _truncate(p: SequenceParams, n: int | None) -> SequenceParams:
         return p
     if not 0 <= n <= p.n:
         raise ValueError(f"n = {n} is outside the sequences' indices 0..{p.n}")
-    return SequenceParams(
-        a=p.a[: n + 1], b=p.b[: n + 1],
-        c=None if p.c is None else p.c[: n + 1],
-        d=None if p.d is None else p.d[: n + 1],
-    )
+    return p._replace(**{name: seq[: n + 1] for name, seq in p._asdict().items()
+                         if seq is not None})
 
 
 def relabeled_for_permutation(p: SequenceParams) -> SequenceParams:
@@ -291,6 +288,7 @@ def verify_operation_suite(key: str, n_max: int, samples: int, seed: int) -> lis
     """Each sample's identity and relation check for sequences over 0..n,
     n <= n_max, and the companion route's check, all on the values the
     draw computed."""
+    require_size("n_max", n_max)
     op = OPERATIONS[key]
 
     def draw(rng):

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from .errors import Inadmissible, SampleExhausted, UnknownItem
 from .rational import rat_div
 from .report import INADMISSIBLE, CheckRecord, Report, outcome, record
-from .sampling import retry, sweep
+from .sampling import require_size, retry, sweep
 
 
 def _deferred(name: str) -> ModuleType:
@@ -370,6 +370,8 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
               grid: bool = False, jobs: int = 1) -> Report:
     """Run one suite (or "all"); the report is identical for any job count."""
     started = time.perf_counter()
+    if n_max is not None:
+        require_size("n_max", n_max)
     suites = list(SUITES) if suite == "all" else [suite]
     tasks = []
     for s in suites:
@@ -392,6 +394,7 @@ def run_config_identity(idef, n_max: int | None = None, samples: int | None = No
     config-loaded identity."""
     started = time.perf_counter()
     eff_n = idef.n_max if n_max is None else n_max
+    require_size("n_max", eff_n)
     eff_samples = 16 if samples is None else samples
     idn = corpus_mod.normalized(idef)
 

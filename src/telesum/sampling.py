@@ -58,6 +58,12 @@ def sample_sequence(rng: random.Random, length: int) -> tuple[Fraction, ...]:
     return tuple(sample_rational(rng) for _ in range(length))
 
 
+def require_size(name: str, value: int) -> None:
+    """A ValueError for a negative size, such as a run's n_max."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {name} = {value}")
+
+
 def retry(attempt: Callable[[], T | None], reason: str) -> T:
     """The first draw attempt() accepts, in at most RETRY_BOUND tries.
 

@@ -47,7 +47,7 @@ from .errors import Inadmissible
 from .point import Param, draw_params, sample_value
 from .rational import ONE, Exact, Pair, SeqFn, ZERO, prod_range_pair, rat_div, rat_pow
 from .report import INADMISSIBLE, CheckRecord, outcome, record
-from .sampling import retry, sample_rational, sample_sequence, sweep
+from .sampling import require_size, retry, sample_rational, sample_sequence, sweep
 
 Params = Mapping[str, object]
 Values = Sequence[Exact]
@@ -64,11 +64,6 @@ class RecurrenceSpec(NamedTuple):
 
 
 _ZERO = Pair(0)
-
-
-def _require_size(name: str, value: int) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {name} = {value}")
 
 
 def generate(spec: RecurrenceSpec, N: int) -> list[Fraction]:
@@ -89,7 +84,7 @@ def _generate(a: Callable[[int], Exact], b: Callable[[int], Exact], x0: Exact, x
     """x_0 .. x_N of x_{n+2} = a(n) x_{n+1} + b(n) x_n, each made by one
     exact(num, den) call, which reduces it: a Fraction, or ``_reduced``'s
     Pair.  The recurrence runs on Pairs."""
-    _require_size("N", N)
+    require_size("N", N)
     prev, cur = Pair.of(x0), Pair.of(x1)
     xs = [exact(prev.num, prev.den), exact(cur.num, cur.den)]
     for n in range(N - 1):
@@ -171,7 +166,7 @@ def lucas_gen_sides(spec: RecurrenceSpec, which: int, n_max: int) -> list[tuple[
     """
     if which not in GENERIC:
         raise ValueError("which must be 1..6")
-    _require_size("n_max", n_max)
+    require_size("n_max", n_max)
     gen = GENERIC[which]
     xs = generate(spec, 2 * n_max + 2)
     for i in gen.norm:
@@ -559,7 +554,7 @@ def family_sides(family: Family, n_max: int,
     """(identity name, n, LHS, RHS) of every printed identity for n <= n_max,
     the sides as Pairs (the LHS is the RHS's own Pair where they agree);
     raises Inadmissible on any pole, ValueError on n_max < 0."""
-    _require_size("n_max", n_max)
+    require_size("n_max", n_max)
     point = sample_value(_exact_params, params)
     xs = _generate(lambda n: family.a(n, point), lambda n: family.b(n, point), ZERO, ONE,
                    2 * n_max + 2, _reduced)

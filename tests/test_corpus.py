@@ -32,29 +32,29 @@ def powers(q=None):
 
 def test_hypergeometric_rising_form():
     # (1/2)_2 (-3)_2 / ((2)_2 (1)_2) * (2/3)^2 = (3/4)(6) / (6 * 2) * 4/9
-    assert _TermRow([F(1, 2), F(-3)], [F(2), F(1)], F(2, 3), powers())(2) == F(1, 6)
-    assert _TermRow([F(-2)], [F(1)], F(5), powers())(3) == 0  # terminated by (-2)_3
+    assert _TermRow([F(1, 2), F(-3)], [F(2), F(1)], F(2, 3), powers())[2] == F(1, 6)
+    assert _TermRow([F(-2)], [F(1)], F(5), powers())[3] == 0  # terminated by (-2)_3
 
 
 def test_hypergeometric_q_shifted_form():
     # (2; 3)_2 / (1/2; 3)_2 * 5^2 = (-1)(-5) / ((1/2)(-1/2)) * 25
-    assert _TermRow([F(2)], [F(1, 2)], F(5), powers(F(3)))(2) == -500
-    assert _TermRow([F(1, 4)], [], F(1), powers(F(2)))(3) == 0  # (1/4; 2)_3 = 0
+    assert _TermRow([F(2)], [F(1, 2)], F(5), powers(F(3)))[2] == -500
+    assert _TermRow([F(1, 4)], [], F(1), powers(F(2)))[3] == 0  # (1/4; 2)_3 = 0
 
 
 def test_hypergeometric_empty_lists_are_a_power():
-    assert _TermRow([], [], F(-3, 2), powers())(3) == F(-27, 8)
-    assert _TermRow([], [], F(7), powers(F(2)))(0) == 1
-    assert _TermRow([F(4)], [F(9)], F(2), powers())(0) == 1
+    assert _TermRow([], [], F(-3, 2), powers())[3] == F(-27, 8)
+    assert _TermRow([], [], F(7), powers(F(2)))[0] == 1
+    assert _TermRow([F(4)], [F(9)], F(2), powers())[0] == 1
 
 
 def test_hypergeometric_zero_lower_factor_raises():
     with pytest.raises(DivisionByZero):
-        _TermRow([F(1)], [F(-1)], F(1), powers())(2)  # (-1)_2 = 0
+        _TermRow([F(1)], [F(-1)], F(1), powers())[2]  # (-1)_2 = 0
     with pytest.raises(DivisionByZero):
-        _TermRow([F(0)], [F(1, 3)], F(1), powers(F(3)))(2)  # (1/3; 3)_2 = 0, (0; 3)_2 = 1
+        _TermRow([F(0)], [F(1, 3)], F(1), powers(F(3)))[2]  # (1/3; 3)_2 = 0, (0; 3)_2 = 1
     with pytest.raises(DivisionByZero):  # a zero upper factor does not cancel it
-        _TermRow([F(-1)], [F(-1)], F(1), powers())(2)
+        _TermRow([F(-1)], [F(-1)], F(1), powers())[2]
 
 
 def test_chu_vandermonde_spot_value():

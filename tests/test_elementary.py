@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from telesum import elementary
 from telesum.elementary import (ELEMENTARY, ElementaryIdentity, FTerm, Mono,
                                 degree_spans, eval_terms, expand,
                                 grid_shape, grid_zero_check, sampled_zero_check)
@@ -154,6 +156,25 @@ def test_mutation_leaves_nonzero_coefficients():
     poly = expand(mutated)
     assert len(poly) == 16
     assert all(c != 0 for c in poly.values())
+
+
+def test_grid_check_reads_expand_and_grid_shape_once_per_identity(monkeypatch):
+    """The grid check's expansion is the public ``expand`` and its grid the
+    public ``grid_shape``, for a pass and for a failure alike."""
+    calls = Counter()
+    for name in ("expand", "grid_shape"):
+        def counted(ident, name=name, real=getattr(elementary, name)):
+            calls[name] += 1
+            return real(ident)
+        monkeypatch.setattr(elementary, name, counted)
+    t = ELEMENTARY["dougall_symmetric"].rhs[0]
+    mutated = ELEMENTARY["dougall_symmetric"]._replace(
+        rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
+    for ident in (*ELEMENTARY.values(), mutated):
+        calls.clear()
+        [rec] = grid_zero_check(ident)
+        assert rec.status == (FAIL if ident is mutated else PASS), ident.key
+        assert calls == {"expand": 1, "grid_shape": 1}, ident.key
 
 
 A, B = Mono(F(1), (1, 0)), Mono(F(1), (0, 1))

@@ -27,8 +27,8 @@ from telesum.genhyp import (OPERATIONS, SequenceParams, dougall_terms, macdonald
                             verify_operation_suite, with_d_zero)
 from telesum.rational import ONE, ZERO, Pair, format_rational, rat_div
 from telesum.report import outcome
-from telesum.sampling import RETRY_BOUND, retry, rng_for, sample_rational, sweep
-from telesum.sequences import (FAMILIES, RecurrenceSpec, _require_size, family_sides,
+from telesum.sampling import RETRY_BOUND, require_size, retry, rng_for, sample_rational, sweep
+from telesum.sequences import (FAMILIES, RecurrenceSpec, family_sides,
                                generate, lucas_gen_sides, random_spec, verify_family_suite,
                                verify_lucas_gen)
 from telesum.telescope import TelescopeProblem
@@ -55,7 +55,7 @@ def to_fraction(x):
 # ---------------------------------------------------------------------------
 
 def ref_generate(spec, N):
-    _require_size("N", N)
+    require_size("N", N)
     xs = [F(spec.x0), F(spec.x1)]
     for n in range(N - 1):
         xs.append(spec.a(n) * xs[n + 1] + spec.b(n) * xs[n])
@@ -73,7 +73,7 @@ def ref_partial_sums(k_start, n_max, term, rhs):
 
 
 def ref_family_sides(family, n_max, params):
-    _require_size("n_max", n_max)
+    require_size("n_max", n_max)
     xs = ref_generate(family.make(params), 2 * n_max + 2)
     return [(ident.name, n, lhs, rhs) for ident in family.printed
             for n, lhs, rhs in ref_partial_sums(ident.k_start, n_max,

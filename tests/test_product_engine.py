@@ -408,7 +408,7 @@ def test_term_row_matches_hypergeometric_in_any_column_order():
         columns = list(range(-2, 12))
         rng_for(7, "row order", i).shuffle(columns)
         for m in columns:
-            new = outcome_of(row, m)
+            new = outcome_of(row.__getitem__, m)
             assert new == outcome_of(old_hypergeometric, upper, lower, z, m, q), (i, m)
             if isinstance(new, tuple):
                 assert new[0] is (ValueError if m < 0 else DivisionByZero)

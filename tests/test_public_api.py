@@ -1,11 +1,17 @@
 """Every name in ``telesum.__all__`` resolves, so a deletion that leaves an
 export behind fails here rather than at a user's import; the shared zero
-texts are built in one place; and no test reads data out of a closure."""
+texts are built in one place; no test reads data out of a closure; and
+README's "Library use" block runs."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import telesum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -37,3 +43,13 @@ def test_no_test_reads_data_out_of_closures():
     callers = [path.name for path in sorted(here.parent.rglob("*.py"))
                if path != here and "getclosurevars" in path.read_text(encoding="utf-8")]
     assert callers == []
+
+
+def test_the_readme_library_block_runs():
+    """README's one ``python`` block, run as written in a fresh interpreter."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", block], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

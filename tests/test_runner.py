@@ -9,11 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from telesum import runner
+from telesum import genhyp, runner
 from telesum.errors import Inadmissible
+from telesum.exprlang import load_identity_config
 from telesum.report import INADMISSIBLE, PASS, record, witness
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+NEGATIVE_N_MAX = "n_max must be >= 0, got n_max = -1"
 
 
 def test_pool_size_never_exceeds_tasks_or_cpus(monkeypatch):
@@ -318,3 +321,21 @@ def test_genhyp_honours_n_max_above_ten():
     ns = {r.n for r in records if r.check == "identity"}
     assert max(ns) <= 12
     assert ns & {10, 11, 12}
+
+
+@pytest.mark.parametrize("suite", list(runner.SUITES))
+def test_a_library_run_refuses_a_negative_n_max(suite):
+    """No suite passes vacuously or crashes deep in a check at n_max < 0:
+    each raises the text that sequences.family_sides raises."""
+    with pytest.raises(ValueError) as exc:
+        runner.run_suite(suite, n_max=-1, samples=1)
+    assert str(exc.value) == NEGATIVE_N_MAX
+
+
+def test_a_config_run_and_a_genhyp_item_refuse_a_negative_n_max():
+    idef = load_identity_config(ROOT / "tests" / "golden" / "binomial.tkid")
+    for run in (lambda: runner.run_config_identity(idef, n_max=-1, samples=1),
+                lambda: genhyp.verify_operation_suite("macdonald_cv", -1, 1, 1729)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == NEGATIVE_N_MAX
