@@ -28,10 +28,14 @@ Neither tester takes a gcd per operation.  At a point, every monomial and
 every factor (1 - m) is an unreduced integer pair built from the
 coordinates' numerators and denominators, and lhs - rhs is summed as one
 pair, over the lcm of the terms' denominators (``rational.pair_lcm_add``),
-and reduced once, to one Fraction per point.  The expansion runs over
-int: a factor (1 - r/s * x^f) multiplies in as s * poly - r * shift(poly),
-each term is scaled to one common denominator L, and P's coefficients are
-Fraction(c, L), so a grid that passes builds no Fraction.
+and reduced once, to one Fraction per point.  One evaluator, ``_value``,
+reads a monomial from its nonzero (variable, exponent) pairs, which a
+tester prepares once for all its points.  The expansion runs over int and
+keys each monomial by one packed int, so a factor (1 - r/s * x^f)
+multiplies in as s * poly - r * shift(poly), a shift being one int
+addition; each term is scaled to one common denominator L, and only a
+coefficient c left is decoded to its exponent tuple and a Fraction(c, L),
+so a grid that passes builds no Fraction.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import lcm
-from operator import add
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import DivisionByZero
@@ -100,46 +104,72 @@ def _one(n: int) -> Mono:
     return Mono(F1, (0,) * n)
 
 
-def _scaled(num: int, den: int, exps: tuple[int, ...],
-            nums: list[int], dens: list[int]) -> tuple[int, int]:
-    """num/den * prod x_i^exps[i] at x_i = nums[i]/dens[i], as an unreduced
-    pair (numerator, nonzero denominator); 0 to a negative power raises.
+def _sparse(m: Mono) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """m as its coefficient's parts and its nonzero (variable, exponent) pairs."""
+    return (m.coeff.numerator, m.coeff.denominator,
+            tuple((i, e) for i, e in enumerate(m.exps) if e))
+
+
+def _value(m: tuple, nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """m at x_i = nums[i]/dens[i] as an unreduced pair (numerator, nonzero
+    denominator); 0 to a negative power raises.
 
     The powers are taken inline, not by ``rational.pair_pow``: the two
     calls per coordinate would make a sampled point 1.8 times slower."""
-    for n, d, e in zip(nums, dens, exps):
+    num, den, pairs = m
+    for i, e in pairs:
         if e > 0:
-            num *= n ** e
-            den *= d ** e
-        elif e:
+            num *= nums[i] ** e
+            den *= dens[i] ** e
+        else:
+            n = nums[i]
             if not n:
                 raise zero_to_negative_power(e)
-            num *= d ** -e
+            num *= dens[i] ** -e
             den *= n ** -e
     return num, den
 
 
-def _term(t: FTerm, nums: list[int], dens: list[int]) -> tuple[int, int]:
-    """t at x_i = nums[i]/dens[i] as an unreduced pair; a pole raises."""
-    num, den = _scaled(t.coeff.coeff.numerator, t.coeff.coeff.denominator, t.coeff.exps,
-                       nums, dens)
-    for m in t.num:  # times 1 - mn/md = (md - mn)/md
-        mn, md = _scaled(m.coeff.numerator, m.coeff.denominator, m.exps, nums, dens)
-        num *= md - mn
-        den *= md
-    for m in t.den:
-        mn, md = _scaled(m.coeff.numerator, m.coeff.denominator, m.exps, nums, dens)
-        if mn == md:
-            raise DivisionByZero(f"pole: 1 - {m} vanished")
-        num *= md
-        den *= md - mn
-    return num, den
+def _last_of(build: Callable) -> Callable:
+    """build, kept for the last argument object, to which it holds a strong
+    reference: a tester calls it with one identity or term tuple for all its
+    points.  The arguments are immutable tuples, so the object is the key."""
+    last: list = [None, None]
+
+    def memo(arg):
+        if arg is not last[0]:
+            last[:] = arg, build(arg)
+        return last[1]
+    return memo
+
+
+@_last_of
+def _prepared(terms: tuple[FTerm, ...]) -> list[tuple]:
+    """Per term: its coefficient, its numerator factors' monomials, and its
+    denominator factors' monomials, each with its Mono for a pole's text."""
+    return [(_sparse(t.coeff), [_sparse(m) for m in t.num], [(_sparse(m), m) for m in t.den])
+            for t in terms]
 
 
 def eval_terms(terms: tuple[FTerm, ...], point: tuple[Fraction, ...]) -> Fraction:
+    """lhs - rhs, or one side, at a point; a pole raises."""
     nums = [v.numerator for v in point]
     dens = [v.denominator for v in point]
-    return Fraction(*reduce(pair_lcm_add, (_term(t, nums, dens) for t in terms), (0, 1)))
+    total = (0, 1)
+    for coeff, numer, denom in _prepared(terms):
+        num, den = _value(coeff, nums, dens)
+        for m in numer:  # times 1 - mn/md = (md - mn)/md
+            mn, md = _value(m, nums, dens)
+            num *= md - mn
+            den *= md
+        for m, mono in denom:
+            mn, md = _value(m, nums, dens)
+            if mn == md:
+                raise DivisionByZero(f"pole: 1 - {mono} vanished")
+            num *= md
+            den *= md - mn
+        total = pair_lcm_add(total, (num, den))
+    return Fraction(*total)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +320,15 @@ def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int) -> li
 # Grid mode
 # ---------------------------------------------------------------------------
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+def _primes(count: int) -> list[int]:
+    """The first `count` primes: a witness grid gives each variable its own."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
 
 
 def _cleared_terms(ident: ElementaryIdentity) -> list[tuple[Mono, tuple[Mono, ...]]]:
@@ -312,49 +350,18 @@ def _cleared_terms(ident: ElementaryIdentity) -> list[tuple[Mono, tuple[Mono, ..
     return [(t.coeff, t.num + tuple((cleared - Counter(t.den)).elements())) for t in terms]
 
 
-def expand(ident: ElementaryIdentity) -> dict[tuple[int, ...], Fraction]:
-    """P = D * (lhs - rhs) as {exponent tuple: coefficient}, zero
-    coefficients dropped; exponents may be negative (a Laurent polynomial).
-
-    A term c/b * x^e * prod (1 - r/s * x^f) is 1/(b * prod s) times the
-    integer polynomial c * x^e * prod (s - r * x^f), scaled to L, the lcm of
-    the terms' denominators b * prod s; only a coefficient c left is a Fraction(c, L).
-    """
-    terms = []
-    for coeff, factors in _cleared_terms(ident):
-        poly = {coeff.exps: coeff.coeff.numerator}
-        den = coeff.coeff.denominator
-        for m in factors:
-            r, s = m.coeff.numerator, m.coeff.denominator
-            den *= s
-            # s = 1 in every built-in table: a copy, not a scaling loop
-            step = dict(poly) if s == 1 else {exps: s * c for exps, c in poly.items()}
-            for exps, c in poly.items():
-                shifted = tuple(map(add, exps, m.exps))
-                step[shifted] = step.get(shifted, 0) - r * c
-            poly = step
-        terms.append((poly, den))
-    common = lcm(*(den for _, den in terms))
-    total: dict[tuple[int, ...], int] = {}
-    for poly, den in terms:
-        scale = common // den
-        for exps, c in poly.items():
-            total[exps] = total.get(exps, 0) + scale * c
-    return {exps: Fraction(c, common) for exps, c in total.items() if c}
-
-
-def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
-    """Per-variable exponent span of P = D * (lhs - rhs).
+@_last_of
+def _clearing(ident: ElementaryIdentity) -> tuple[list, list[int], list[int]]:
+    """The cleared terms of P and per-variable bounds lo <= 0 <= hi on the
+    exponents of every partial product of every term.
 
     A factor (1 - m) spans [min(0, e), max(0, e)] in each variable, the
-    coefficient monomial spans [e, e], and spans add over a product.  The
-    result bounds the true degree, so a nonzero P has a nonzero value on
-    any grid with more than span_i points in variable i.
-    """
+    coefficient monomial spans [e, e], and spans add over a product."""
+    terms = _cleared_terms(ident)
     nv = len(ident.vars)
     lo = [0] * nv
     hi = [0] * nv
-    for coeff, factors in _cleared_terms(ident):
+    for coeff, factors in terms:
         for i in range(nv):
             t_lo = t_hi = coeff.exps[i]
             for m in factors:
@@ -362,6 +369,62 @@ def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
                 t_hi += max(0, m.exps[i])
             lo[i] = min(lo[i], t_lo)
             hi[i] = max(hi[i], t_hi)
+    return terms, lo, hi
+
+
+def expand(ident: ElementaryIdentity) -> dict[tuple[int, ...], Fraction]:
+    """P = D * (lhs - rhs) as {exponent tuple: coefficient}, zero
+    coefficients dropped; exponents may be negative (a Laurent polynomial).
+
+    A term c/b * x^e * prod (1 - r/s * x^f) is 1/(b * prod s) times the
+    integer polynomial c * x^e * prod (s - r * x^f), scaled to L, the lcm of
+    the terms' denominators b * prod s; only a coefficient c left is a Fraction(c, L).
+
+    A monomial x^e is keyed by one int, the digits e_i - lo_i in mixed radix
+    hi_i - lo_i + 1 over ``_clearing``'s bounds.  Every partial product stays
+    inside them, so no digit carries, multiplying by x^f adds f's key, and
+    only the keys left at the end are decoded.
+    """
+    terms, lo, hi = _clearing(ident)
+    radix = [1]
+    for l, h in zip(lo, hi):
+        radix.append(radix[-1] * (h - l + 1))
+
+    def key(exps: tuple[int, ...]) -> int:
+        return sum(map(mul, exps, radix))
+
+    origin = key(lo)
+    packed = []
+    for coeff, factors in terms:
+        poly = {key(coeff.exps) - origin: coeff.coeff.numerator}
+        den = coeff.coeff.denominator
+        for m in factors:
+            r, s = m.coeff.numerator, m.coeff.denominator
+            den *= s
+            shift = key(m.exps)
+            # s = 1 in every built-in table: a copy, not a scaling loop
+            step = dict(poly) if s == 1 else {k: s * c for k, c in poly.items()}
+            for k, c in poly.items():
+                k += shift
+                step[k] = step.get(k, 0) - r * c
+            poly = step
+        packed.append((poly, den))
+    common = lcm(*(den for _, den in packed))
+    total: dict[int, int] = {}
+    for poly, den in packed:
+        scale = common // den
+        for k, c in poly.items():
+            total[k] = total.get(k, 0) + scale * c
+    return {tuple(k // r % (h - l + 1) + l for r, l, h in zip(radix, lo, hi)): Fraction(c, common)
+            for k, c in total.items() if c}
+
+
+def degree_spans(ident: ElementaryIdentity) -> tuple[int, ...]:
+    """Per-variable exponent span of P = D * (lhs - rhs), from ``_clearing``'s
+    bounds.  It bounds the true degree, so a nonzero P has a nonzero value on
+    any grid with more than span_i points in variable i.
+    """
+    _, lo, hi = _clearing(ident)
     return tuple(h - l for l, h in zip(lo, hi))
 
 
@@ -386,7 +449,7 @@ def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
     sizes = grid_shape(ident)
     # widest span gets the smallest prime; variables in the most factors vary slowest
     by_span = sorted(range(nv), key=lambda i: -sizes[i])
-    prime_of = {var: prime for prime, var in zip(_PRIMES, by_span)}
+    prime_of = dict(zip(by_span, _primes(nv)))
     touch_count = [sum(1 for t in terms for m in (t.coeff,) + t.num + t.den if m.exps[i] != 0)
                    for i in range(nv)]
     order = sorted(range(nv), key=lambda i: -touch_count[i])
@@ -394,13 +457,12 @@ def grid_zero_check(ident: ElementaryIdentity) -> list[CheckRecord]:
     poly = expand(ident)
     if not poly:
         return [record("elementary", ident.key, "grid_zero", ident.citation, PASS, grid=shape)]
-    parts = [(c.numerator, c.denominator, exps) for exps, c in poly.items()]
+    parts = [_sparse(Mono(c, exps)) for exps, c in poly.items()]
     grids = [[prime_of[i] ** (j + 1) for j in range(sizes[i])] for i in order]
     ones = [1] * nv
     for values in product(*grids):
         nums = [v for _, v in sorted(zip(order, values))]
-        if reduce(pair_lcm_add, (_scaled(c, b, exps, nums, ones) for c, b, exps in parts),
-                  (0, 1))[0]:
+        if reduce(pair_lcm_add, (_value(m, nums, ones) for m in parts), (0, 1))[0]:
             return [outcome("elementary", ident.key, "grid_zero", ident.citation, False,
                             {var: Fraction(v) for var, v in zip(ident.vars, nums)}, grid=shape)]
     raise AssertionError(f"{ident.key}: nonzero expansion vanished on its grid")

@@ -19,7 +19,7 @@ step of a running sum, which alone takes a gcd (Knuth, TAOCP Vol. 2,
     ``corpus`` takes its q^k powers, its certificate products and Entry
     25's running products with ``pair_pow``, ``pair_mul`` and ``pair_div``;
   * ``certify`` and ``elementary`` call only ``pair_lcm_add``; elementary
-    takes its powers inline (``elementary._scaled``, measured faster);
+    takes its powers inline (``elementary._value``, measured faster);
   * ``Pair`` writes out its + - * (measured faster, see there), and its
     / and ** call ``pair_div`` and ``pair_pow``;
   * the kernel, ``telescope``, calls none: its one walk, its Horner sum

@@ -7,7 +7,7 @@ from telesum import elementary
 from telesum.elementary import (ELEMENTARY, ElementaryIdentity, FTerm, Mono,
                                 degree_spans, eval_terms, expand,
                                 grid_shape, grid_zero_check, sampled_zero_check)
-from telesum.report import FAIL, PASS
+from telesum.report import FAIL, PASS, record
 from telesum.sampling import rng_for, sample_rational
 from test_elementary_ints import reference_expand, reference_grid_zero_check
 
@@ -160,9 +160,10 @@ def test_mutation_leaves_nonzero_coefficients():
 
 def test_grid_check_reads_expand_and_grid_shape_once_per_identity(monkeypatch):
     """The grid check's expansion is the public ``expand`` and its grid the
-    public ``grid_shape``, for a pass and for a failure alike."""
+    public ``grid_shape``, for a pass and for a failure alike, and the two
+    share one cleared-terms pass and its bounds."""
     calls = Counter()
-    for name in ("expand", "grid_shape"):
+    for name in ("expand", "grid_shape", "_cleared_terms"):
         def counted(ident, name=name, real=getattr(elementary, name)):
             calls[name] += 1
             return real(ident)
@@ -172,9 +173,9 @@ def test_grid_check_reads_expand_and_grid_shape_once_per_identity(monkeypatch):
         rhs=(FTerm(t.coeff, t.num[:-1] + (t.num[-1] ** 2,), t.den),))
     for ident in (*ELEMENTARY.values(), mutated):
         calls.clear()
-        [rec] = grid_zero_check(ident)
+        [rec] = grid_zero_check(ident._replace())  # an object no earlier call has seen
         assert rec.status == (FAIL if ident is mutated else PASS), ident.key
-        assert calls == {"expand": 1, "grid_shape": 1}, ident.key
+        assert calls == {"expand": 1, "grid_shape": 1, "_cleared_terms": 1}, ident.key
 
 
 A, B = Mono(F(1), (1, 0)), Mono(F(1), (0, 1))
@@ -236,3 +237,32 @@ def test_repeated_denominator_factor_is_cleared_to_its_power():
     wrong = ident._replace(rhs=(FTerm(A, den=(A,)),))
     assert grid_zero_check(wrong)[0].status == FAIL
     assert sampled_zero_check(wrong, seed=3, samples=5)[0].status == FAIL
+
+
+def _telescoping(nv, drop_last):
+    """sum_i x_1..x_{i-1} (1 - x_i) = 1 - x_1..x_nv, or a false right side
+    without x_nv when drop_last."""
+    units = [Mono(F(1), tuple(int(j == i) for j in range(nv))) for i in range(nv)]
+    one = Mono(F(1), (0,) * nv)
+    prefixes = [one]
+    for u in units:
+        prefixes.append(prefixes[-1] * u)
+    last = prefixes[-2] if drop_last else prefixes[-1]
+    return ElementaryIdentity("telescoping", "telescoping product",
+                              tuple(f"x{i}" for i in range(nv)),
+                              tuple(FTerm(p, num=(u,)) for p, u in zip(prefixes, units)),
+                              (FTerm(one), FTerm(-last)))
+
+
+def test_nine_variable_identities_get_a_prime_per_variable():
+    true, false = _telescoping(9, False), _telescoping(9, True)
+    assert expand(true) == {} and expand(false) == reference_expand(false) != {}
+    assert grid_zero_check(true) == [
+        record("elementary", "telescoping", "grid_zero", "telescoping product", PASS,
+               grid="x".join(["3"] * 9))]
+    [rec] = grid_zero_check(false)
+    assert rec.status == FAIL and [rec] == reference_grid_zero_check(false)
+    assert rec.witness == {**{f"x{i}": str(p) for i, p in enumerate((2, 3, 5, 7, 11, 13, 17, 19))},
+                           "x8": "23", "grid": "x".join(["3"] * 9)}
+    assert sampled_zero_check(true, seed=5, samples=20)[0].status == PASS
+    assert sampled_zero_check(false, seed=5, samples=20)[0].status == FAIL

@@ -13,8 +13,8 @@ from operator import add
 
 import pytest
 
-from telesum.elementary import (ELEMENTARY, FTerm, Mono, _PRIMES, _cleared_terms, degree_spans,
-                                eval_terms, expand, grid_zero_check)
+from telesum.elementary import (ELEMENTARY, ElementaryIdentity, FTerm, Mono, _cleared_terms,
+                                degree_spans, eval_terms, expand, grid_zero_check)
 from telesum.errors import DivisionByZero
 from telesum.rational import ZERO, rat_pow
 from telesum.report import PASS, outcome, record
@@ -63,12 +63,15 @@ def reference_expand(ident):
     return {exps: c for exps, c in total.items() if c}
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # one per variable, the smallest first
+
+
 def reference_grid_zero_check(ident):
     terms = ident.check_terms()
     nv = len(ident.vars)
     spans = degree_spans(ident)
     by_span = sorted(range(nv), key=lambda i: -spans[i])
-    prime_of = {var: prime for prime, var in zip(_PRIMES, by_span)}
+    prime_of = {var: prime for prime, var in zip(PRIMES, by_span)}
     touch_count = [sum(1 for t in terms for m in (t.coeff,) + t.num + t.den if m.exps[i] != 0)
                    for i in range(nv)]
     order = sorted(range(nv), key=lambda i: -touch_count[i])
@@ -156,3 +159,64 @@ def test_eval_terms_matches_reference(key):
         assert seen["pole"], seen
     if any(e < 0 for t in terms for m in (t.coeff,) + t.num + t.den for e in m.exps):
         assert seen["0 raised"], seen
+
+
+# ---------------------------------------------------------------------------
+# Random Laurent tables: packing, decoding and the sparse evaluator
+# ---------------------------------------------------------------------------
+
+COEFFS = tuple(F(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3))
+
+
+def random_mono(rng, nv):
+    return Mono(rng.choice(COEFFS), tuple(rng.randint(-3, 3) for _ in range(nv)))
+
+
+def random_factors(rng, nv, count):
+    """count monomials m with nonzero exponents, for factors (1 - m)."""
+    factors = []
+    while len(factors) < count:
+        m = random_mono(rng, nv)
+        if any(m.exps):
+            factors.append(m)
+    return tuple(factors)
+
+
+def random_identity(rng, index):
+    """A true table: lhs is 1-3 random terms and rhs the same terms, reordered
+    and with their factors reversed; a denominator factor may repeat."""
+    nv = rng.randint(1, 8)
+    lhs = []
+    for _ in range(rng.randint(1, 3)):
+        den = random_factors(rng, nv, rng.randint(0, 2))
+        if den and rng.random() < 0.5:
+            den += den[:1]
+        lhs.append(FTerm(random_mono(rng, nv), random_factors(rng, nv, rng.randint(0, 2)), den))
+    rhs = tuple(FTerm(t.coeff, t.num[::-1], t.den[::-1]) for t in reversed(lhs))
+    return ElementaryIdentity(f"random_{index}", "random table",
+                              tuple(f"x{i}" for i in range(nv)), tuple(lhs), rhs)
+
+
+def test_random_tables_match_reference():
+    rng = rng_for(1729, "elementary-ints", "random-tables")
+    seen = {"decoded": 0, "value": 0, "0 raised": 0, "pole": 0}
+    for index in range(300):
+        ident = random_identity(rng, index)
+        t = ident.rhs[0]
+        wrong = ident._replace(rhs=(FTerm(Mono(t.coeff.coeff * 2, t.coeff.exps), t.num, t.den),)
+                               + ident.rhs[1:])
+        assert expand(ident) == reference_expand(ident) == {}, ident
+        poly = expand(wrong)
+        assert poly and poly == reference_expand(wrong), wrong
+        assert all(type(c) is F for c in poly.values())
+        seen["decoded"] += len(poly)
+        for _ in range(10):
+            point = tuple(rng.choice(POOL) for _ in ident.vars)
+            for terms in (wrong.check_terms(), wrong.lhs, wrong.rhs):
+                got = outcome_of(eval_terms, terms, point)
+                assert got == outcome_of(reference_eval_terms, terms, point), (terms, point)
+                if got[0] == "value":
+                    seen["value"] += 1
+                else:
+                    seen["0 raised" if got[2].startswith("0 raised") else "pole"] += 1
+    assert all(seen.values()), seen

@@ -20,6 +20,7 @@ RUNS = {
     "verify_sequences.json": ["verify", "--suite", "sequences", *SMALL],
     "verify_genhyp.json": ["verify", "--suite", "genhyp", "--samples", "4"],
     "verify_elementary.json": ["verify", "--suite", "elementary", "--samples", "10"],
+    "verify_elementary_grid.json": ["verify", "--suite", "elementary", "--grid", "--samples", "10"],
     "check_binomial.json": ["check", "--config", "binomial.tkid", "--samples", "2",
                             "--n-max", "4"],
 }
