@@ -70,7 +70,7 @@ class SequenceParams(_Sequences):
     def __new__(cls, *args, **kwargs) -> SequenceParams:
         self = super().__new__(cls, *args, **kwargs)
         lengths = {name: len(seq) for name, seq in self._asdict().items() if seq is not None}
-        if len(set(lengths.values())) != 1 or not lengths["a"]:
+        if len(set(lengths.values())) != 1 or not lengths.get("a"):
             given = ", ".join(f"{name}={length}" for name, length in lengths.items())
             raise ValueError(f"sequence parameters need one common length >= 1, got {given}")
         return self

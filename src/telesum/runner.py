@@ -23,13 +23,12 @@ corpus`` corpus and certify (and point and telescope), ``list`` and
 that writes no bytecode (``PYTHONDONTWRITEBYTECODE``), so a module not
 read is time saved.  Placeholders, unlike imports inside functions, keep
 each module in ``sys.modules`` for code that looks it up there, and need
-no second code path.  ``evaluate_identity``,
-``draw_params`` and ``SPECIALIZATION_PARAMS`` are read from corpus on use,
-and stay names here that a caller can patch.  A suite's citations are built
-when read, which runs its module; ``run_suite`` reads them before a
-``--jobs N`` run forks, so no worker runs a module again.  Only ``check``
-imports the expression language (``cli``), so a ``verify`` or ``list`` start
-does not load it.
+no second code path.  ``evaluate_identity`` and ``draw_params`` are read
+from corpus on use, and stay names here that a caller can patch.  A
+suite's citations are built when read, which runs its module;
+``run_suite`` reads them before a ``--jobs N`` run forks, so no worker
+runs a module again.  Only ``check`` imports the expression language
+(``cli``), so a ``verify`` or ``list`` start does not load it.
 """
 
 from __future__ import annotations
@@ -89,13 +88,6 @@ SPECIALIZATION_CITATION = "n = 1 row of the q-Dougall sum rearranged to the four
 @cache
 def _specialization_params() -> tuple[Param, ...]:
     return (corpus_mod.Param("q", kind="q"), *map(corpus_mod.Param, "abcd"))
-
-
-def __getattr__(name: str):
-    # SPECIALIZATION_PARAMS is built at its first read, which runs corpus
-    if name == "SPECIALIZATION_PARAMS":
-        return _specialization_params()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # corpus's functions, looked up on each call: this module calls them by these

@@ -20,20 +20,22 @@ random rational samples of them (8 in the sequences suite by default),
 each identity at every n <= n_max; a pass shows exact equality at those
 points, not a proof for all parameter values.
 
-The families are evaluated on ``rational.Pair``, an unreduced integer pair
+Both layers are evaluated on ``rational.Pair``, an unreduced integer pair
 that takes no gcd.  ``family_sides`` reads a draw's parameters once, as one
 entry of the drawn ``point.Point``'s table: each rational parameter a Pair
 that keeps its powers p^e and the prefix rows of the running products over
 it ((a; q)_m with base q, the q-Pell halving product), so each is computed
-once per draw.  The recurrence reduces each x_n once (one gcd per x, in
-``generate`` too), and the printed terms and right sides, written once for
-any exact operands, give Pairs.  The running sum S(n) is compared with
-R(n) by cross-multiplying; once S(n) == R(n) has passed, the sum goes on
-from R(n)'s pair, the same rational, so its parts do not grow with every
-term.  A Fraction is built only for a public return value (``generate``,
-``lucas_gen_sides``, the coefficients of ``Family.make``'s spec) or a
-failing record's witness.  A constant coefficient is a plain int, so the
-generic identities divide coefficients as Fractions, never int by int.
+once per draw.  One recurrence, ``_generate``, serves the families, the
+generic identities and ``generate``, and reduces each x_n once (one gcd
+per x).  The printed terms and right sides, written once for any exact
+operands, and the generic identities' c_k, N, X and w give Pairs.  The
+running sum S(n) is compared with R(n) by cross-multiplying; once S(n) ==
+R(n) has passed, the sum goes on from R(n)'s pair, the same rational, so
+its parts do not grow with every term.  A Fraction is built only for a
+public return value (``generate``, ``lucas_gen_sides``, the coefficients of
+``Family.make``'s spec) or a failing record's witness.  A constant
+coefficient is a plain int, so the generic identities build their term
+ratios as Fractions, never dividing int by int.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ _ZERO = Pair(0)
 
 def generate(spec: RecurrenceSpec, N: int) -> list[Fraction]:
     """x_0 .. x_N, exactly."""
-    return _generate(spec.a, spec.b, spec.x0, spec.x1, N, Fraction)
+    return [x.fraction() for x in _generate(spec.a, spec.b, spec.x0, spec.x1, N)]
 
 
 def _reduced(num: int, den: int) -> Pair:
@@ -80,17 +82,15 @@ def _reduced(num: int, den: int) -> Pair:
 
 
 def _generate(a: Callable[[int], Exact], b: Callable[[int], Exact], x0: Exact, x1: Exact,
-              N: int, exact: Callable[[int, int], Exact]) -> list:
-    """x_0 .. x_N of x_{n+2} = a(n) x_{n+1} + b(n) x_n, each made by one
-    exact(num, den) call, which reduces it: a Fraction, or ``_reduced``'s
-    Pair.  The recurrence runs on Pairs."""
+              N: int) -> list[Pair]:
+    """x_0 .. x_N of x_{n+2} = a(n) x_{n+1} + b(n) x_n as Pairs, each x_n
+    reduced once (``_reduced``), x_0 and x_1 read as given: the one
+    recurrence of the families, the generic identities and ``generate``."""
     require_size("N", N)
-    prev, cur = Pair.of(x0), Pair.of(x1)
-    xs = [exact(prev.num, prev.den), exact(cur.num, cur.den)]
+    xs = [Pair.of(x0), Pair.of(x1)]
     for n in range(N - 1):
-        x = cur * a(n) + prev * b(n)
-        xs.append(exact(x.num, x.den))
-        prev, cur = cur, Pair.of(xs[-1])
+        x = xs[-1] * a(n) + xs[-2] * b(n)
+        xs.append(_reduced(x.num, x.den))
     return xs[: N + 1]
 
 
@@ -99,15 +99,15 @@ def _binom2(k: int) -> int:
 
 
 def _partial_sums(k_start: int, n_max: int, term: Callable[[int], Exact],
-                  rhs: Callable[[int], Exact], zero: Exact) -> list[tuple[int, Exact, Exact]]:
+                  rhs: Callable[[int], Exact]) -> list[tuple[int, Pair, Exact]]:
     """(n, sum_{k_start <= k <= n} term(k), rhs(n)) for n <= n_max, evaluating
-    each term once, then rhs(n), in index order, the sum starting at zero.
+    each term once, then rhs(n), in index order, the sum a Pair from 0.
 
     Where the sum equals rhs(n), it goes on from rhs(n)'s value, the same
-    rational: a sum of Pairs then carries one right side's parts instead of
-    the product of every term's denominator.
+    rational: the sum then carries one right side's parts instead of the
+    product of every term's denominator.
     """
-    sides, lhs, k = [], zero, k_start
+    sides, lhs, k = [], _ZERO, k_start
     for n in range(n_max + 1):
         while k <= n:
             lhs = lhs + term(k)
@@ -129,8 +129,8 @@ class Generic(NamedTuple):
     of the x_i, i in `norm`, each required nonzero in that order."""
 
     g: Callable[[int, RecurrenceSpec], Fraction]
-    X: Callable[[int, Values], Fraction]
-    w: Callable[[int, Values, RecurrenceSpec], Fraction]
+    X: Callable[[int, Values], Exact]
+    w: Callable[[int, Values, RecurrenceSpec], Exact]
     norm: tuple[int, ...]
 
 
@@ -168,19 +168,20 @@ def lucas_gen_sides(spec: RecurrenceSpec, which: int, n_max: int) -> list[tuple[
         raise ValueError("which must be 1..6")
     require_size("n_max", n_max)
     gen = GENERIC[which]
-    xs = generate(spec, 2 * n_max + 2)
+    xs = _generate(spec.a, spec.b, spec.x0, spec.x1, 2 * n_max + 2)
     for i in gen.norm:
         if xs[i] == 0:
             raise Inadmissible(f"{spec.name}: x_{i} = 0")
     for j in range(2 * n_max + 1):
         if spec.a(j) == 0 or spec.b(j) == 0:
             raise Inadmissible(f"{spec.name}: coefficient at index {j} is 0")
-    c = [ONE]  # c_k = g_1 ... g_k
+    c = [Pair(1)]  # c_k = g_1 ... g_k
     for k in range(1, n_max + 1):
         c.append(c[-1] * gen.g(k, spec))
     N, X0 = prod(xs[i] for i in gen.norm), gen.X(0, xs)
-    return _partial_sums(1, n_max, lambda k: c[k] * gen.w(k, xs, spec) / N,
-                         lambda n: (c[n] * gen.X(n, xs) - X0) / N, ZERO)
+    return [(n, lhs.fraction(), rhs.fraction())
+            for n, lhs, rhs in _partial_sums(1, n_max, lambda k: c[k] * gen.w(k, xs, spec) / N,
+                                             lambda n: (c[n] * gen.X(n, xs) - X0) / N)]
 
 
 def verify_lucas_gen(spec: RecurrenceSpec, which: int, n_max: int,
@@ -557,11 +558,11 @@ def family_sides(family: Family, n_max: int,
     require_size("n_max", n_max)
     point = sample_value(_exact_params, params)
     xs = _generate(lambda n: family.a(n, point), lambda n: family.b(n, point), ZERO, ONE,
-                   2 * n_max + 2, _reduced)
+                   2 * n_max + 2)
     return [(ident.name, n, lhs, rhs) for ident in family.printed
             for n, lhs, rhs in _partial_sums(ident.k_start, n_max,
                                              lambda k: ident.term(k, xs, point),
-                                             lambda n: ident.rhs(n, xs, point), _ZERO)]
+                                             lambda n: ident.rhs(n, xs, point))]
 
 
 def verify_family_suite(family_key: str, n_max: int, samples: int, seed: int) -> list[CheckRecord]:
@@ -591,6 +592,8 @@ def random_spec(rng: random.Random, n_max: int) -> RecurrenceSpec:
     Nonzero coefficients and initial values, x_2 != 0, and nonzero composite
     denominators a_{j-1} a_j + b_j for the divided form.
     """
+    require_size("n_max", n_max)
+
     def attempt() -> RecurrenceSpec | None:
         a_vals = sample_sequence(rng, 2 * n_max + 2)
         b_vals = sample_sequence(rng, 2 * n_max + 2)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from telesum import runner
 from telesum.corpus import draw_params
-from telesum.runner import SPECIALIZATION_KEY, SPECIALIZATION_PARAMS
+from telesum.runner import SPECIALIZATION_KEY, _specialization_params
 from telesum.sampling import rng_for, sample_q, sample_rational
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "telesum"
@@ -45,7 +45,7 @@ def old_specialization_attempt(rng):
 
 
 def new_specialization_attempt(rng):
-    point = draw_params(SPECIALIZATION_PARAMS, rng, 0)
+    point = draw_params(_specialization_params(), rng, 0)
     q = point.pop("q")
     return q, point
 
@@ -72,7 +72,7 @@ def test_specialization_item_draws_through_draw_params(monkeypatch):
     monkeypatch.setattr(runner, "draw_params", counting)
     records = runner.run_corpus_item(SPECIALIZATION_KEY, None, 4, 1729)
     assert len(records) == 4 and all(r.status == "pass" for r in records)
-    assert calls and all(c is SPECIALIZATION_PARAMS for c in calls)
+    assert calls and all(c is _specialization_params() for c in calls)
 
 
 def test_corpus_does_not_import_genhyp():

@@ -113,6 +113,7 @@ def test_elementary_table_states_the_operation_relation(key, op):
     {"a": (F(2), F(3)), "b": (F(7), F(8)), "c": (F(5),)},
     {"a": (F(2),), "b": (F(7),), "c": (F(5),), "d": (F(1), F(3))},
     {"a": (), "b": ()},
+    {"a": None, "b": (F(1),)},
 ])
 def test_ragged_or_empty_sequences_are_rejected(seqs):
     with pytest.raises(ValueError, match="one common length"):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from telesum import sequences
 from telesum.corpus import draw_params
 from telesum.errors import Inadmissible
 from telesum.rational import ONE, ZERO, Pair, const
@@ -189,6 +190,35 @@ def test_negative_sizes_raise_value_error_naming_the_argument():
     with pytest.raises(ValueError, match="n_max must be >= 0, got n_max = -2"):
         family_sides(family, -2, {})
     assert generate(spec, 0) == [0]
+
+
+def test_random_spec_rejects_a_negative_n_max():
+    with pytest.raises(ValueError, match="n_max must be >= 0, got n_max = -1"):
+        random_spec(rng_for(304, "negative"), -1)
+
+
+def test_generic_identities_sum_pairs_and_return_fractions(monkeypatch):
+    summed = []
+
+    def partial_sums(k_start, n_max, term, rhs):
+        def logged(f):
+            def call(i):
+                summed.append(f(i))
+                return summed[-1]
+
+            return call
+
+        return sums(k_start, n_max, logged(term), logged(rhs))
+
+    sums = sequences._partial_sums
+    monkeypatch.setattr(sequences, "_partial_sums", partial_sums)
+    spec = random_spec(rng_for(305, "pairs"), 4)
+    for which in range(1, 7):
+        summed.clear()
+        sides = lucas_gen_sides(spec, which, 4)
+        assert summed and all(type(v) is Pair for v in summed), which
+        assert all(type(v) is F for _, lhs, rhs in sides for v in (lhs, rhs)), which
+        assert all_equal(sides), which
 
 
 @pytest.mark.parametrize("key", sorted(FAMILIES))
