@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 from .errors import DivisionByZero
 from .rational import ONE as F1, pair_lcm_add, zero_to_negative_power
 from .report import PASS, CheckRecord, outcome, record
-from .sampling import RETRY_BOUND, retry, rng_for, sample_rational
+from .sampling import RETRY_BOUND, require_size, retry, rng_for, sample_rational
 
 
 # The term tables are NamedTuples, as report's records are: no dataclass on a start.
@@ -299,7 +299,8 @@ ELEMENTARY: dict[str, ElementaryIdentity] = {
 # ---------------------------------------------------------------------------
 
 def sampled_zero_check(ident: ElementaryIdentity, seed: int, samples: int) -> list[CheckRecord]:
-    """lhs - rhs at `samples` seeded pole-free rational points, exact zero each."""
+    """lhs - rhs at `samples` >= 1 seeded pole-free rational points, exact zero each."""
+    require_size("samples", samples, 1)
     terms = ident.check_terms()
     rng = rng_for(seed, "elementary", ident.key)
 

@@ -49,6 +49,8 @@ Identity config files are line-oriented UTF-8 text, one identity per file:
     cert_v: k
 
 '#' starts a comment; blank lines are ignored; each section is one line.
+require is a comma-separated list read by the expression grammar, so a
+comma inside a call's parentheses, as in rf(x, 2), belongs to the call.
 A leading UTF-8 byte order mark is skipped.  An error an expression raises
 at a sample point (a non-integer exponent, count or bound, a count past
 MAX_COUNT or a value past MAX_BITS) names its section and the n and k it
@@ -342,6 +344,13 @@ class _Parser:
         raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.line, t.column,
                          expected=("a number", "a name", "'('"))
 
+    def exprs(self) -> list[tuple[Expr, int]]:
+        """Expressions joined by commas; a call reads the commas in its parentheses."""
+        items = [self.expr()]
+        while self._take_op(","):
+            items.append(self.expr())
+        return items
+
     def _call(self, name_tok: _Tok) -> tuple[Expr, int]:
         name = name_tok.text
         self._expect_op("(")
@@ -363,9 +372,7 @@ class _Parser:
         if name not in FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", name_tok.line, name_tok.column,
                              expected=tuple(sorted(FUNCTIONS) + ["prod"]))
-        args = [self.expr()]
-        while self._take_op(","):
-            args.append(self.expr())
+        args = self.exprs()
         self._expect_op(")")
         if len(args) != FUNCTIONS[name].arity:
             raise ParseError(f"{name} takes {FUNCTIONS[name].arity} arguments, got {len(args)}",
@@ -374,16 +381,22 @@ class _Parser:
         return Call(name, nodes), self._deeper(name_tok, *depths)
 
 
-def parse(text: str, line: int = 1, column: int = 1) -> Expr:
-    """The syntax tree of text; a ParseError for bad syntax or a tree deeper
-    than MAX_DEPTH, located as if text began at (line, column) of a file."""
+def _parse(text: str, line: int, column: int, many: bool) -> list[Expr]:
+    """The one expression that is text, or if many the comma-separated
+    expressions that are text, located as if text began at (line, column)."""
     parser = _Parser(_tokenize(text, line, column))
-    node, _ = parser.expr()
+    nodes = [node for node, _ in (parser.exprs() if many else [parser.expr()])]
     tail = parser.cur
     if tail.kind != "end":
         raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.column,
                          expected=("end of input",))
-    return node
+    return nodes
+
+
+def parse(text: str, line: int = 1, column: int = 1) -> Expr:
+    """The syntax tree of text; a ParseError for bad syntax or a tree deeper
+    than MAX_DEPTH, located as if text began at (line, column) of a file."""
+    return _parse(text, line, column, many=False)[0]
 
 
 # --- Printing ----------------------------------------------------------------
@@ -620,22 +633,6 @@ class IdentityConfig(NamedTuple):
     cert_v: Expr | None
 
 
-def _split_top_level(text: str) -> list[tuple[int, str]]:
-    """text split at the commas outside parentheses, so that a requirement
-    such as rf(x, 2) stays whole; each chunk with its offset in text."""
-    chunks, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            chunks.append((start, text[start:i]))
-            start = i + 1
-    chunks.append((start, text[start:]))
-    return chunks
-
-
 def parse_config(text: str) -> IdentityConfig:
     sections: dict[str, str] = {}
     origin: dict[str, tuple[int, int]] = {}  # line and column of each value in the file
@@ -679,8 +676,7 @@ def parse_config(text: str) -> IdentityConfig:
                 raise SchemaError(f"line {at('params')[0]}: duplicate parameter {pname!r}")
             params.append(pname)
 
-    require = tuple(parse(chunk, *at("require", offset))
-                    for offset, chunk in _split_top_level(sections["require"])) \
+    require = tuple(_parse(sections["require"], *at("require"), many=True)) \
         if sections.get("require") else ()
 
     if ".." not in sections["range"]:

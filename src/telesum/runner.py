@@ -100,45 +100,41 @@ def evaluate_identity(idef: IdentityDef, n: int, params: dict) -> tuple:
     return corpus_mod.evaluate_identity(idef, n, params)
 
 
-def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int, seed: int,
-           checks: Callable[[dict, int | None], list[CheckRecord]]) -> list[CheckRecord]:
-    """checks(params, sample) on each admissible sample of one identity."""
+def _sweep(idef: IdentityDef, suite: str, n_max: int, samples: int,
+           seed: int) -> list[CheckRecord]:
+    """Each admissible sample's checks of one identity: LHS = RHS for 0 <= n
+    <= n_max (a zero denominator marks the row inadmissible) except in ez,
+    then a certified sum's natural termination in corpus, else verify_sample."""
+    idn = corpus_mod.normalized(idef)
+    rows = 0 if suite == "ez" else n_max + 1
+
+    def checks(params, sample):
+        records = []
+        for n in range(rows):
+            try:
+                lhs, rhs = evaluate_identity(idef, n, params)
+            except Inadmissible as exc:
+                records.append(record(suite, idef.key, "identity", idef.citation, INADMISSIBLE,
+                                      n=n, sample=sample, reason=str(exc)))
+            else:
+                records.append(outcome(suite, idef.key, "identity", idef.citation, lhs == rhs,
+                                       params, n=n, sample=sample, lhs=lhs, rhs=rhs))
+        if idef.certificate is not None:
+            certify = (certify_mod.natural_termination_check if suite == "corpus"
+                       else certify_mod.verify_sample)
+            records += certify(idn, n_max, params, suite=suite, sample=sample)
+        return records
+
     return sweep(suite, idef.key, idef.citation, seed, samples,
                  lambda rng: corpus_mod.draw_admissible(idef, rng, n_max), checks,
                  parametric=bool(idef.params))
-
-
-def _identity_rows(idef: IdentityDef, suite: str, n_max: int, params: dict,
-                   sample: int | None) -> list[CheckRecord]:
-    """LHS = RHS for 0 <= n <= n_max; a zero denominator marks that row inadmissible."""
-    records = []
-    for n in range(n_max + 1):
-        try:
-            lhs, rhs = evaluate_identity(idef, n, params)
-        except Inadmissible as exc:
-            records.append(record(suite, idef.key, "identity", idef.citation, INADMISSIBLE,
-                                  n=n, sample=sample, reason=str(exc)))
-        else:
-            records.append(outcome(suite, idef.key, "identity", idef.citation, lhs == rhs,
-                                   params, n=n, sample=sample, lhs=lhs, rhs=rhs))
-    return records
 
 
 def run_corpus_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
     if key == SPECIALIZATION_KEY:
         return _run_specialization(samples, seed)
     idef = corpus_mod.CORPUS[key]
-    eff_n = idef.n_max if n_max is None else n_max
-    idn = corpus_mod.normalized(idef)
-
-    def checks(params, sample):
-        records = _identity_rows(idef, "corpus", eff_n, params, sample)
-        if idef.terminating:
-            records += certify_mod.natural_termination_check(idn, eff_n, params,
-                                                             suite="corpus", sample=sample)
-        return records
-
-    return _sweep(idef, "corpus", eff_n, samples, seed, checks)
+    return _sweep(idef, "corpus", idef.n_max if n_max is None else n_max, samples, seed)
 
 
 def specialization_d_zero_checks(q: Fraction, a: Fraction, b: Fraction,
@@ -191,12 +187,8 @@ def _run_specialization(samples: int, seed: int) -> list[CheckRecord]:
 
 
 def run_ez_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
-    idef = corpus_mod.CORPUS[key]
     eff_n = EZ_DEFAULT_N_MAX if n_max is None else n_max
-    idn = corpus_mod.normalized(idef)
-    return _sweep(idef, "ez", eff_n, samples, seed,
-                  lambda params, sample: certify_mod.verify_sample(idn, eff_n, params,
-                                                                   suite="ez", sample=sample))
+    return _sweep(corpus_mod.CORPUS[key], "ez", eff_n, samples, seed)
 
 
 def run_sequences_item(key: str, n_max: int | None, samples: int, seed: int) -> list[CheckRecord]:
@@ -364,6 +356,8 @@ def run_suite(suite: str, ids: list[str] | None = None, n_max: int | None = None
     started = time.perf_counter()
     if n_max is not None:
         require_size("n_max", n_max)
+    if samples is not None:
+        require_size("samples", samples, 1)
     suites = list(SUITES) if suite == "all" else [suite]
     tasks = []
     for s in suites:
@@ -388,17 +382,8 @@ def run_config_identity(idef, n_max: int | None = None, samples: int | None = No
     eff_n = idef.n_max if n_max is None else n_max
     require_size("n_max", eff_n)
     eff_samples = 16 if samples is None else samples
-    idn = corpus_mod.normalized(idef)
-
-    def checks(params, sample):
-        records = _identity_rows(idef, "check", eff_n, params, sample)
-        if idef.certificate is not None:
-            records += certify_mod.verify_sample(idn, eff_n, params, suite="check",
-                                                 sample=sample)
-        return records
-
-    return _report("check", seed, [_sweep(idef, "check", eff_n, eff_samples, seed, checks)],
-                   started)
+    require_size("samples", eff_samples, 1)
+    return _report("check", seed, [_sweep(idef, "check", eff_n, eff_samples, seed)], started)
 
 
 def _report(suite: str, seed: int, chunks: list[list[CheckRecord]], started: float) -> Report:

@@ -58,10 +58,10 @@ def sample_sequence(rng: random.Random, length: int) -> tuple[Fraction, ...]:
     return tuple(sample_rational(rng) for _ in range(length))
 
 
-def require_size(name: str, value: int) -> None:
-    """A ValueError for a negative size, such as a run's n_max."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {name} = {value}")
+def require_size(name: str, value: int, least: int = 0) -> None:
+    """A ValueError for a size below least, such as a negative n_max."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {name} = {value}")
 
 
 def retry(attempt: Callable[[], T | None], reason: str) -> T:
@@ -91,7 +91,9 @@ def sweep(suite: str, identity: str, citation: str, seed: int, samples: int,
     defaulting to the suite; an item that is not parametric has the one
     sample None, and each draw is dropped before the next.  A draw that
     raises SampleExhausted is a failed "sampling" check with its reason.
+    Raises ValueError for samples < 1, as a run of no sample checks nothing.
     """
+    require_size("samples", samples, 1)
     records: list[CheckRecord] = []
     for i in range(samples if parametric else 1):
         sample = i if parametric else None

@@ -115,17 +115,10 @@ def _closed(us: Sequence[IntPair], vs: Sequence[IntPair]) -> IntPair:
     return num * a * d - c * b * den, (a * d - c * b) * den
 
 
-class _Read(NamedTuple):
-    """u_0..u_n and v_0..v_n as one walk read them: integer pairs, w_0 and
-    each v_k tested."""
-
-    us: tuple[IntPair, ...]
-    vs: tuple[IntPair, ...]
-
-
-def _read(u: PairFn, v: PairFn, n: int, texts: tuple[str, str] = _SUM_TEXTS) -> _Read:
-    """One walk's values, for every reader to share."""
-    return _Read(*zip(*_walk(u, v, n, texts)))
+def _read(u: PairFn, v: PairFn, n: int,
+          texts: tuple[str, str] = _SUM_TEXTS) -> tuple[tuple[IntPair, ...], ...]:
+    """(u_0..u_n, v_0..v_n) as one walk reads them, for every reader to share."""
+    return tuple(zip(*_walk(u, v, n, texts)))
 
 
 def telescoping_sum(p: TelescopeProblem) -> Fraction:
@@ -133,15 +126,15 @@ def telescoping_sum(p: TelescopeProblem) -> Fraction:
     return Fraction(*_horner(*_read(as_pairs(p.u), as_pairs(p.v), p.n)))
 
 
-def telescoping_closed_form(p: TelescopeProblem | _Read) -> Fraction:
+def telescoping_closed_form(p: TelescopeProblem | tuple) -> Fraction:
     """Right side of the lemma: (u_0/w_0) * (prod u / prod v - v_0/u_0).
 
-    p is a problem, or the ``_Read`` of one whose other side is taken from
+    p is a problem, or the ``_read`` of one whose other side is taken from
     the same walk.  Raises ValueError if n < 0.  The -v_0/u_0 term is
     skipped when v_0 = 0 (it is exactly zero then); otherwise u_0 = 0
     raises DivisionByZero, as do w_0 = 0 and zero v's.
     """
-    if not isinstance(p, _Read):
+    if isinstance(p, TelescopeProblem):
         p = _read(as_pairs(p.u), as_pairs(p.v), p.n, _CLOSED_TEXTS)
     return Fraction(*_closed(*p))
 

@@ -258,25 +258,68 @@ def test_config_requirement_rejects_bad_points():
     assert admissible(idef, 4, {"x": F(2)})
 
 
+def _requiring(value: str) -> str:
+    """A config whose require: value, on line 3, is value; its first
+    character is column 10."""
+    return f"name: r\nparams: x\nrequire: {value}\nlhs: k\nrange: 0 .. n\nrhs: n\n"
+
+
 def test_require_splits_only_at_top_level_commas():
     config = parse_config("name: r\nparams: x\nrequire: rf(x, 2), 1 + x\n"
                           "lhs: x^k\nrange: 0 .. n\nrhs: (x^(n + 1) - 1)/(x - 1)\n")
     assert config.require == (parse("rf(x, 2)"), parse("1 + x"))
+    assert parse_config(_requiring("x,\t1")).require == (parse("x"), parse("1"))
+    assert parse_config(_requiring("  x  ,  rf( x , 2 )  ")).require == (parse("x"),
+                                                                         parse("rf(x, 2)"))
     with pytest.raises(ParseError, match="expected '\\)'"):
         parse_config("name: r\nparams: x\nrequire: rf(x, 2\nlhs: k\nrange: 0 .. n\nrhs: n\n")
 
 
-@pytest.mark.parametrize("text, line, column", [
-    ("# comment\n\nname: r\nparams: x\nlhs: k^²\nrange: 0 .. n\nrhs: n\n", 5, 8),
-    ("name: r\nparams: x\n  lhs:   1 + * x\nrange: 0 .. n\nrhs: n\n", 3, 14),
-    ("name: r\nparams: x\nrequire: x, 1 + x, rf(x, 2\nlhs: k\nrange: 0 .. n\nrhs: n\n", 3, 27),
-    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n +\nrhs: n\n", 4, 16),
-    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: n\ncert_u: 1\ncert_v: (k\n", 7, 11),
-    ("name: r\nparams: x\nlhs: prod(2, 1, 3, k)\nrange: 0 .. n\nrhs: n\n", 3, 11),
-    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: qrf(x, n)\n", 5, 6),
+_END = "unexpected 'end of input'"
+_OPERAND = " (expected a number, a name, '(')"
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("# comment\n\nname: r\nparams: x\nlhs: k^²\nrange: 0 .. n\nrhs: n\n", 5, 8,
+     "unexpected character '²'"),
+    ("name: r\nparams: x\n  lhs:   1 + * x\nrange: 0 .. n\nrhs: n\n", 3, 14,
+     "unexpected '*'" + _OPERAND),
+    (_requiring("x, 1 + x, rf(x, 2"), 3, 27, _END + " (expected ')')"),
+    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n +\nrhs: n\n", 4, 16, _END + _OPERAND),
+    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: n\ncert_u: 1\ncert_v: (k\n", 7, 11,
+     _END + " (expected ')')"),
+    ("name: r\nparams: x\nlhs: prod(2, 1, 3, k)\nrange: 0 .. n\nrhs: n\n", 3, 11,
+     "prod binder must be a name (expected a name)"),
+    ("name: r\nparams: x\nlhs: k\nrange: 0 .. n\nrhs: qrf(x, n)\n", 5, 6,
+     "qrf takes 3 arguments, got 2"),
+    # a require: list is read by the expression grammar, a comma inside a
+    # call belonging to the call
+    (_requiring("x,"), 3, 12, _END + _OPERAND),
+    (_requiring("x, "), 3, 12, _END + _OPERAND),
+    (_requiring("x, 1 + "), 3, 16, _END + _OPERAND),
+    (_requiring("x), 1"), 3, 11, "trailing input ')' (expected end of input)"),
+    (_requiring("(x, 1)"), 3, 12, "unexpected ',' (expected ')')"),
+    (_requiring("x^(1, 2)"), 3, 14, "unexpected ',' (expected ')')"),
+    (_requiring("qrf(x, x, 2, 3)"), 3, 10, "qrf takes 3 arguments, got 4"),
+    (_requiring("x,\t1 +"), 3, 16, _END + _OPERAND),
+    (_requiring("  x  ,  rf( x , 2 ) )"), 3, 30, "trailing input ')' (expected end of input)"),
+    # an item that ends before its comma, empty or not, meets the comma
+    (_requiring("x, , 1"), 3, 13, "unexpected ','" + _OPERAND),
+    (_requiring(",x"), 3, 10, "unexpected ','" + _OPERAND),
+    (_requiring("x,,"), 3, 12, "unexpected ','" + _OPERAND),
+    (_requiring("x +, 1"), 3, 13, "unexpected ','" + _OPERAND),
+    # the whole value is tokenized first, as one expression is
+    (_requiring("x +, $"), 3, 15, "unexpected character '$'"),
 ])
-def test_config_parse_errors_are_located_in_the_file(text, line, column):
+def test_config_parse_errors_are_located_in_the_file(text, line, column, message):
     with pytest.raises(ParseError) as err:
         parse_config(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value).count(f"at line {line}, column {column}") == 1
+    assert str(err.value).replace(f" at line {line}, column {column}", "") == message
+
+
+def test_parse_still_refuses_a_list():
+    with pytest.raises(ParseError) as err:
+        parse("x, 1")
+    assert str(err.value) == "trailing input ',' at line 1, column 2 (expected end of input)"

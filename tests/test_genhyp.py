@@ -18,6 +18,19 @@ def test_cv_n0_collapses_to_one():
     assert macdonald_cv(p) == (1, 1)
 
 
+def test_pair_of_returns_a_pair_as_itself_and_cv_agrees_on_pairs():
+    # a draw's own copy (genhyp._exact) reads every entry through Pair.of
+    from telesum.rational import Pair
+    pair = Pair(6, -4)
+    assert Pair.of(pair) is pair
+    rng = rng_for(4001, "pair sides")
+    for _ in range(20):
+        a, b = ([sample_rational(rng) for _ in range(5)] for _ in "ab")
+        pairs = SequenceParams(a=tuple(Pair(3 * x.numerator, 3 * x.denominator) for x in a),
+                               b=tuple(map(Pair.of, b)))
+        assert macdonald_cv(pairs) == macdonald_cv(SequenceParams(a=tuple(a), b=tuple(b)))
+
+
 def test_cv_constant_sequences():
     p = SequenceParams(a=(F(2),) * 3, b=(F(3),) * 3)
     lhs, rhs = macdonald_cv(p)

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from telesum import genhyp, runner
+from telesum import elementary, genhyp, runner
 from telesum.errors import Inadmissible
 from telesum.exprlang import load_identity_config
 from telesum.report import INADMISSIBLE, PASS, record, witness
+from telesum.sampling import sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -339,3 +340,25 @@ def test_a_config_run_and_a_genhyp_item_refuse_a_negative_n_max():
         with pytest.raises(ValueError) as exc:
             run()
         assert str(exc.value) == NEGATIVE_N_MAX
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_a_library_run_of_no_samples_is_refused(samples, monkeypatch):
+    """A run with no sample checks nothing: every suite, the config run and
+    the two sample loops raise, and the runs raise before any worker forks."""
+    def no_fork(tasks, workers):
+        raise AssertionError("tasks were run")
+
+    monkeypatch.setattr(runner, "_fork_run", no_fork)
+    idef = load_identity_config(ROOT / "tests" / "golden" / "binomial.tkid")
+    ident = elementary.ELEMENTARY["qchv_elem"]
+    runs = [lambda suite=suite: runner.run_suite(suite, samples=samples, jobs=2)
+            for suite in [*runner.SUITES, "all"]]
+    runs += [lambda: runner.run_config_identity(idef, samples=samples),
+             lambda: elementary.sampled_zero_check(ident, 1729, samples),
+             lambda: sweep("corpus", "geometric", "", 1729, samples, lambda rng: {},
+                           lambda drawn, sample: [])]
+    for run in runs:
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == f"samples must be >= 1, got samples = {samples}"
